@@ -9,10 +9,13 @@ power-of-p magnitude type (PPow); nothing is floated.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .measure import GridFunction, coset_key, enumerate_cosets
+from .measure import (CosetTree, GridFunction, _window, coset_key,
+                      enumerate_cosets, first_gaps, gap_val)
 from .padic import (Ball, PAdicVector, PadicError, PPow,
                     from_json as number_from_json, ppow_le_scaled)
 
@@ -103,24 +106,54 @@ class SampleSet:
         return [s for s, _ in self.points]
 
     def certify(self, max_violations: int = 8) -> CertifyReport:
-        """Exhaustive all-pairs check; marks the set certified on success."""
-        pts = self.points
-        violations = []
-        checked = 0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                checked += 1
-                gap = PPow.from_norm(
-                    self.p, (pts[i][1] - pts[j][1]).sup_norm())
-                dist = PPow.from_norm(
-                    self.p, (pts[i][0] - pts[j][0]).sup_norm())
-                if not ppow_le_scaled(gap, self.C, dist.pow_frac(self.r)):
-                    if len(violations) < max_violations:
-                        violations.append((i, j, gap, dist.pow_frac(self.r)))
+        """Check |v_i - v_j| <= C|x_i - x_j|^r on all pairs exactly; marks
+        the set certified on success.
+
+        The pairs split across the children of a level-L coset of the
+        sites' CosetTree are at distance p^-L, so the bound holds exactly
+        when every branching coset has diam(values) <= C * p^(-L*r).  The
+        violations, the first max_violations in (i, j) order, are taken
+        from the failing cosets and the leaves only."""
+        p, C = self.p, self.C
+        values = [value for _, value in self.points]
+        tree = CosetTree(self.sites())
+        found = []
+        for L, members, children in tree.splits:
+            allowed = PPow(p, -L * self.r)
+            v = gap_val([values[i] for i in members])
+            if v is None or ppow_le_scaled(PPow(p, -v), C, allowed):
+                continue
+            # G: the largest gap valuation still above C * allowed, short of
+            # the widest window, past which no gap is observed
+            top = max(c.abs_window() for i in members for c in values[i]
+                      if not c.is_zero())
+            G = v
+            while G + 1 < top and not ppow_le_scaled(PPow(p, -(G + 1)), C,
+                                                     allowed):
+                G += 1
+            found += [self._pair_violation(i, j) for i, j in first_gaps(
+                values, members, children, G, max_violations)]
+        for leaf in tree.leaves():
+            for a, i in enumerate(leaf):
+                found += filter(None, (self._pair_violation(i, j)
+                                       for j in leaf[a + 1:]))
+        found.sort(key=lambda vio: vio[:2])
+        violations = tuple(found[:max(max_violations, 0)])
         ok = not violations
         self.certified = ok
-        return CertifyReport(ok=ok, pairs_checked=checked,
-                             violations=tuple(violations))
+        n = len(self.points)
+        return CertifyReport(ok=ok, pairs_checked=n * (n - 1) // 2,
+                             violations=violations)
+
+    def _pair_violation(self, i: int, j: int):
+        """(i, j, |v_i - v_j|, |x_i - x_j|^r) when sites i, j break the
+        bound, else None."""
+        (x, u), (y, w) = self.points[i], self.points[j]
+        gap = PPow.from_norm(self.p, (u - w).sup_norm())
+        allowed = PPow.from_norm(self.p, (x - y).sup_norm()).pow_frac(self.r)
+        if ppow_le_scaled(gap, self.C, allowed):
+            return None
+        return i, j, gap, allowed
 
     def to_json(self):
         return {
@@ -195,6 +228,8 @@ def chebyshev_radius(H: WeightedSiteSet, r) -> ChebyshevResult:
     { |z_i - z_j| / max(|x_i|,|x_j|)^r } (pairwise ball intersection plus the
     Helly property), and q may be taken as the center whose weight norm is
     smallest: every other constraint ball has radius at least |z_q - z_i|.
+    The candidates are maximized per branching coset of the centers'
+    CosetTree, in O(N*K).
     """
     r = _frac(r)
     if not 0 < r <= 1:
@@ -202,15 +237,19 @@ def chebyshev_radius(H: WeightedSiteSet, r) -> ChebyshevResult:
     pairs = H.pairs
     p = H.p
     weights = [PPow.from_norm(p, x.norm()) for _, x in pairs]
+    tree = CosetTree(z for z, _ in pairs)
     c = PPow.zero(p)
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            dist = PPow.from_norm(p, (pairs[i][0] - pairs[j][0]).sup_norm())
-            if dist.exp is None:
-                continue
-            cand = dist / max(weights[i], weights[j]).pow_frac(r)
-            if cand > c:
-                c = cand
+    for L, _, children in tree.splits:
+        # a pair split at level L is at distance p^-L; the lightest such
+        # pair weighs the second least of the per-child least weights
+        w2 = sorted(min(weights[i] for i in group) for group in children)[1]
+        c = max(c, PPow(p, -L) / w2.pow_frac(r))
+    for leaf in tree.leaves():
+        for a, i in enumerate(leaf):
+            for j in leaf[a + 1:]:
+                dist = PPow.from_norm(p, (pairs[i][0] - pairs[j][0]).sup_norm())
+                if dist.exp is not None:
+                    c = max(c, dist / max(weights[i], weights[j]).pow_frac(r))
     qi = min(range(len(pairs)), key=lambda k: weights[k])
     q = pairs[qi][0]
     tight = []
@@ -271,11 +310,34 @@ def extend_batch(S: SampleSet, queries) -> list:
 
 def extend_to_grid(S: SampleSet, domain: Ball, resolution: int,
                    cap: int | None = None) -> GridFunction:
-    """Tabulate the nearest-point extension on a full coset grid."""
+    """Tabulate the nearest-point extension on a full coset grid, with one
+    CosetTree over the sites and the grid in place of a scan per coset."""
+    if not S.certified:
+        raise PadicError("sample set is not certified; run certify() first")
     kwargs = {} if cap is None else {"cap": cap}
     reps = enumerate_cosets(domain, resolution, **kwargs)
+    sites = S.sites()
+    n = len(sites)
+    # the sites nearest a coset are those in the deepest coset it shares
+    # with a site, all at the same distance: the first in list order wins,
+    # as in nearest_point; sites come first in the tree, so a coset holding
+    # a site lists the first one first
+    tree = CosetTree(sites + reps)
+    nearest = [None] * len(reps)
+    for _, groups in tree.levels:
+        for group in groups:
+            if group[0] < n:
+                for i in group:
+                    if i >= n:
+                        nearest[i - n] = group[0]
+    for leaf in tree.leaves():
+        own = [s for s in leaf if s < n]
+        for i in leaf:
+            if own and i >= n:
+                nearest[i - n] = min(
+                    own, key=lambda s: (reps[i - n] - sites[s]).sup_norm())
     return GridFunction(domain, resolution,
-                        [(rep, extend_lipschitz(S, rep)) for rep in reps])
+                        [(rep, S.points[k][1]) for rep, k in zip(reps, nearest)])
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +528,14 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
     p^(-l), j < l <= K, the bad set {x in B(z, p^(-l)) :
     |f(x)-f(z)| > p^j |x-z|^r} fills less than half the ball.
 
-    Measures are exact coset counts at the grid resolution; points admitting
-    no j in the budget are reported unassigned.
+    Measures are exact coset counts at the grid resolution.  The points at
+    distance p^-L from z are z's level-L coset less its level-(L+1) coset
+    in the grid's CosetTree, and such an x is bad iff f(x) - f(z) has a
+    valuation below T = ceil(L*r - j): iff the values' classes at T differ,
+    when both windows reach T.  So each count is a difference of per-coset
+    tallies of value classes, and only values with shorter windows are
+    compared pair by pair.  Points admitting no j in the budget are
+    reported unassigned.
     """
     r = _frac(r)
     K = f.resolution
@@ -476,30 +544,53 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
         j_range = range(0, K)
     reps = f.reps
     m = f.dims[0]
-    # bucket representatives by the coset of each ball B(z, p^-l) once
+    values = [f.evaluate(z) for z in reps]
+    tree = CosetTree(reps)
+    classes = {}        # T -> each value's class at T, None if it is short
+    tallies = {}        # (L, first member, T) -> (class counts, short members)
+
+    def tally(L, group, T):
+        if T not in classes:
+            classes[T] = [coset_key(v, T) if all(_window(c) >= T for c in v)
+                          else None for v in values]
+        key = (L, group[0], T)
+        if key not in tallies:
+            cls = classes[T]
+            tallies[key] = (Counter(cls[i] for i in group if cls[i] is not None),
+                            {i for i in group if cls[i] is None})
+        return tallies[key]
+
+    def shell_bad(zi, L, T):
+        """Points at distance p^-L from point zi whose values differ from
+        its value at a valuation below T."""
+        outer, inner = tree.ball(zi, L), tree.ball(zi, L + 1)
+        (c_out, s_out), (c_in, s_in) = tally(L, outer, T), tally(L + 1, inner, T)
+        kz = classes[T][zi]
+        if kz is None:
+            inside = set(inner)
+            bad, pairwise = 0, [i for i in outer if i not in inside]
+        else:
+            bad = ((len(outer) - len(s_out) - c_out[kz])
+                   - (len(inner) - len(s_in) - c_in[kz]))
+            pairwise = s_out - s_in
+        for xi in pairwise:
+            v = gap_val([values[xi], values[zi]])
+            if v is not None and v < T:
+                bad += 1
+        return bad
+
     assigned = {}
     unassigned = []
-    for z in reps:
-        fz = f.evaluate(z)
+    for zi, z in enumerate(reps):
         choice = None
         for j in j_range:
-            ok = True
-            for l in range(j + 1, K + 1):
-                radius = Fraction(p) ** (-l)
-                inside = [x for x in reps if (x - z).sup_norm() <= radius]
-                bad = 0
-                for x in inside:
-                    dist = (x - z).sup_norm()
-                    if dist == 0:
-                        continue
-                    gap = PPow.from_norm(p, (f.evaluate(x) - fz).sup_norm())
-                    dpow = PPow.from_norm(p, dist).pow_frac(r)
-                    if not ppow_le_scaled(gap, Fraction(p) ** j, dpow):
-                        bad += 1
+            # bad points of B(z, p^-l), from l = K, where z is alone, outwards
+            bad = 0
+            for l in range(K - 1, j, -1):
+                bad += shell_bad(zi, l, math.ceil(l * r - j))
                 if Fraction(bad, p ** ((K - l) * m)) >= Fraction(1, 2):
-                    ok = False
                     break
-            if ok:
+            else:
                 choice = j
                 break
         if choice is None:
@@ -512,21 +603,38 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
 
 
 def verify_Ej(f: GridFunction, dec: EjDecomposition, max_violations: int = 8):
-    """Per-class pairwise check: |f(x)-f(z)| <= p^j |x-z|^r for class pairs
-    closer than p^(-j).  Returns (ok, violations)."""
+    """Per-class check: |f(x)-f(z)| <= p^j |x-z|^r for class pairs closer
+    than p^(-j).  Returns (ok, violations), the first max_violations in
+    class order and then pair order.
+
+    Pairs split across the children of a level-L coset (L > j) of the
+    class's CosetTree are at distance p^-L, so they break the bound iff
+    their values differ at a valuation <= ceil(L*r - j) - 1, which
+    first_gaps finds; pairs sharing a leaf are compared one by one."""
     p = f.p
     violations = []
     for j, pts in dec.classes:
+        budget = max(max_violations - len(violations), 0)
         scale = Fraction(p) ** j
-        for a in range(len(pts)):
-            for bidx in range(a + 1, len(pts)):
-                x, z = pts[a], pts[bidx]
-                dist = (x - z).sup_norm()
-                if dist >= Fraction(p) ** (-j):
-                    continue
-                gap = PPow.from_norm(p, (f.evaluate(x) - f.evaluate(z)).sup_norm())
-                dpow = PPow.from_norm(p, dist).pow_frac(dec.r)
-                if not ppow_le_scaled(gap, scale, dpow):
-                    if len(violations) < max_violations:
-                        violations.append((j, x, z))
+        values = [f.evaluate(x) for x in pts]
+        tree = CosetTree(pts)
+        found = []
+        for L, members, children in tree.splits:
+            if L > j:
+                found += first_gaps(values, members, children,
+                                    math.ceil(L * dec.r - j) - 1, budget)
+        for leaf in tree.leaves():
+            # the windows end inside a leaf: its distances are taken pair by
+            # pair, and only those below p^-j count
+            for a, i in enumerate(leaf):
+                for k in leaf[a + 1:]:
+                    dist = (pts[i] - pts[k]).sup_norm()
+                    if dist >= Fraction(p) ** (-j):
+                        continue
+                    gap = PPow.from_norm(p, (values[i] - values[k]).sup_norm())
+                    dpow = PPow.from_norm(p, dist).pow_frac(dec.r)
+                    if not ppow_le_scaled(gap, scale, dpow):
+                        found.append((i, k))
+        found.sort()
+        violations += [(j, pts[i], pts[k]) for i, k in found[:budget]]
     return not violations, violations

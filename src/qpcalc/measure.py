@@ -11,6 +11,7 @@ honest about finite resolution.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +55,137 @@ def coset_key(x: PAdicVector, resolution: int):
         t = truncate(c, resolution)
         out.append((t.val, t.unit))
     return tuple(out)
+
+
+def _window(c: PAdicNumber):
+    """Absolute digit window of a coordinate; the zero sentinel is exact."""
+    return float("inf") if c.is_zero() else c.abs_window()
+
+
+def gap_val(vectors):
+    """Valuation of the largest difference a - b over a, b in `vectors`, as
+    the PAdicNumber subtraction observes it; None when every one vanishes.
+
+    Each coordinate is compared against the member with the widest window
+    there: if a - b is observed at valuation v, then v < both windows, and
+    by the ultrametric inequality a or b differs from that member at
+    valuation <= v, which its own window lets the subtraction see.
+    """
+    best = None
+    for col in zip(*(v.coords for v in vectors)):
+        ref = max(col, key=_window)
+        for c in col:
+            d = (c - ref).val
+            if d is not None and (best is None or d < best):
+                best = d
+    return best
+
+
+def first_gaps(values, members, children, G: int, budget: int) -> list:
+    """The first `budget` pairs (i, j), in (i, j) order, of members lying in
+    different `children` whose values differ at a valuation <= G, as the
+    PAdicNumber subtraction observes it.
+
+    Members whose windows reach past G in every coordinate ("long") differ
+    so iff their truncations at G + 1 differ, so suffix counts by child and
+    by truncation tell which i has such a long partner; pairs with a
+    shorter member are compared one by one.  The cost is O(|members|) per
+    pair reported and per short member."""
+    child = {i: k for k, group in enumerate(children) for i in group}
+    cls = {i: coset_key(values[i], G + 1) for i in members
+           if all(_window(c) > G for c in values[i])}
+    later, total = {}, 0
+    by_child, by_cls, by_both = Counter(), Counter(), Counter()
+    for i in reversed(members):
+        if i in cls:
+            c, k = child[i], cls[i]
+            later[i] = total - by_child[c] - by_cls[k] + by_both[c, k]
+            total += 1
+            by_child[c] += 1
+            by_cls[k] += 1
+            by_both[c, k] += 1
+    short = [i for i in members if i not in cls]
+    out = []
+    for a, i in enumerate(members):
+        for j in short if later.get(i) == 0 else members[a + 1:]:
+            if len(out) >= budget:
+                return out
+            if j <= i or child[j] == child[i]:
+                continue
+            if i in cls and j in cls:
+                hit = cls[i] != cls[j]
+            else:
+                v = gap_val([values[i], values[j]])
+                hit = v is not None and v <= G
+            if hit:
+                out.append((i, j))
+    return out
+
+
+class CosetTree:
+    """Point indices grouped by coset, level by level: the ball tree of a
+    finite subset of Q_p^m (Schikhof, Ultrametric Calculus, 1984).
+
+    Levels run from lo = min(0, lowest coordinate valuation), where all
+    points share one coset, down to hi = the shortest coordinate window.
+    Up to hi coset keys are exact, so two points in different children of
+    a level-L coset (L < hi) are at observed distance exactly p^-L.  Points
+    still sharing a level-hi coset form a leaf: their distance is left to
+    pairwise subtraction.
+    Refinement stops once every coset holds a single point.
+
+    levels: [(L, groups)], groups a list of member tuples in index order,
+      holding every coset whose parent had two or more members;
+    splits: [(L, members, children)] for every level-L coset (L < hi) whose
+      members fall into two or more level-(L+1) cosets.
+    """
+
+    __slots__ = ("lo", "hi", "levels", "splits", "_where")
+
+    def __init__(self, points):
+        points = list(points)
+        coords = [c for x in points for c in x.coords if not c.is_zero()]
+        self.lo = min([0] + [c.val for c in coords])
+        windows = [c.abs_window() for c in coords]
+        self.hi = max(self.lo, min(windows, default=self.lo))
+        groups = [tuple(range(len(points)))]
+        self.levels = [(self.lo, groups)]
+        self.splits = []
+        for L in range(self.lo, self.hi):
+            nxt = []
+            for members in groups:
+                if len(members) < 2:
+                    continue
+                by_key = {}
+                for i in members:
+                    by_key.setdefault(coset_key(points[i], L + 1), []).append(i)
+                children = [tuple(g) for g in by_key.values()]
+                if len(children) > 1:
+                    self.splits.append((L, members, children))
+                nxt.extend(children)
+            if not nxt:
+                break
+            groups = nxt
+            self.levels.append((L + 1, groups))
+        self._where = None
+
+    def leaves(self) -> list:
+        """Member tuples of the level-hi cosets holding two or more points."""
+        L, groups = self.levels[-1]
+        return [g for g in groups if len(g) > 1] if L == self.hi else []
+
+    def ball(self, i: int, L: int) -> tuple:
+        """Members of point i's level-L coset, in index order.  Past hi
+        the windows decide only for a point they have already separated."""
+        if self._where is None:
+            self._where = [{j: g for g in groups for j in g}
+                           for _, groups in self.levels]
+        d = max(L - self.lo, 0)
+        if d < len(self._where):
+            return self._where[d].get(i, (i,))
+        if len(self._where[-1].get(i, (i,))) > 1:
+            raise PadicError(f"level {L} lies past the known windows")
+        return (i,)
 
 
 def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
@@ -113,6 +245,12 @@ class GridFunction:
     __slots__ = ("domain", "resolution", "dims", "reps", "_table")
 
     def __init__(self, domain: Ball, resolution: int, pairs):
+        # a centre known to rad_exp digits makes domain.contains exact for
+        # representatives known to resolution >= rad_exp digits
+        if any(_window(c) < domain.rad_exp for c in domain.center.coords):
+            raise PadicError(
+                f"domain centre {domain.center!r} is known to fewer than "
+                f"{domain.rad_exp} digits")
         self.domain = domain
         self.resolution = resolution
         reps = []
@@ -125,6 +263,10 @@ class GridFunction:
                 n = value.dim
             elif value.dim != n:
                 raise PadicError("inconsistent value dimension in grid table")
+            if any(_window(c) < resolution for c in rep.coords):
+                raise PadicError(
+                    f"grid representative {rep!r} is known to fewer than "
+                    f"{resolution} digits")
             key = coset_key(rep, resolution)
             if key in table:
                 raise PadicError("duplicate coset in grid table")
@@ -172,6 +314,10 @@ class GridFunction:
         domain = Ball.from_json(obj["domain"])
         pairs = [(PAdicVector.from_json(r), PAdicVector.from_json(v))
                  for r, v in obj["table"]]
+        for rep, _ in pairs:
+            if not domain.contains(rep):
+                raise PadicError(f"grid representative {rep!r} lies outside "
+                                 f"the domain")
         return cls(domain, int(obj["resolution"]), pairs)
 
 

@@ -300,13 +300,26 @@ def parse_literal(s: str) -> PAdicNumber:
 
 
 def from_json(obj) -> PAdicNumber:
-    p = int(obj["p"])
+    """Decode the to_json form; reject anything it does not write."""
+    try:
+        p, val, digits = obj["p"], obj["val"], obj["digits"]
+    except (KeyError, TypeError):
+        raise PadicError(f"malformed p-adic JSON number: {obj!r}") from None
+    if type(p) is not int or type(digits) is not list \
+            or any(type(d) is not int for d in digits) \
+            or (val is not None and type(val) is not int):
+        raise PadicError(f"non-integer entry in p-adic JSON number: {obj!r}")
     _check_prime(p)
-    if obj["val"] is None:
+    if val is None:
+        if digits:
+            raise PadicError(f"zero carries digits in {obj!r}")
         return PAdicNumber.zero(p)
-    digits = [int(d) for d in obj["digits"]]
+    if not digits:
+        raise PadicError(f"nonzero p-adic JSON number without digits: {obj!r}")
+    if any(not 0 <= d < p for d in digits):
+        raise PadicError(f"digit out of range for p={p} in {obj!r}")
     unit = sum(d * p**i for i, d in enumerate(digits))
-    return _make(p, int(obj["val"]), unit, int(obj["val"]) + len(digits))
+    return _make(p, val, unit, val + len(digits))
 
 
 # -- named operation entry points -------------------------------------------
@@ -549,10 +562,8 @@ class PPow:
             return cls.zero(p)
         if q.numerator == 1:
             e = -_vp(q.denominator, p)
-            rest = q.denominator // p ** (-e)
         else:
             e = _vp(q.numerator, p)
-            rest = Fraction(q.numerator // p**e, q.denominator)
         if (Fraction(p) ** e) != q:
             raise PadicError(f"{q} is not a power of {p}")
         return cls(p, e)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .funcs import LinearMap, SymbolicFunction, as_polynomials
-from .measure import DensityEstimate, GridFunction, density_at, enumerate_cosets
+from .measure import (CosetTree, DensityEstimate, GridFunction, density_at,
+                      enumerate_cosets, first_gaps, gap_val)
 from .padic import (
     Ball,
     PAdicNumber,
@@ -406,26 +407,59 @@ class HolderScan:
         }
 
 
+def _pair_ratio(f: GridFunction, x: PAdicVector, y: PAdicVector, r) -> PPow:
+    """|f(x)-f(y)| / |x-y|^r; the zero magnitude when f(x) = f(y)."""
+    num = PPow.from_norm(f.p, (f.evaluate(x) - f.evaluate(y)).sup_norm())
+    if num.exp is None:
+        return num
+    return num / PPow.from_norm(f.p, (x - y).sup_norm()).pow_frac(r)
+
+
 def holder_scan(f: GridFunction, r) -> HolderScan:
     """Max over grid pairs of |f(x)-f(y)| / |x-y|^r, exactly, as a power of p
-    with fractional exponent; `constant` is its p^ceil rational bracketing."""
+    with fractional exponent; `constant` is its p^ceil rational bracketing.
+
+    The pairs split across the children of a level-L coset C are at distance
+    p^-L, so the maximum is that of p^(L*r) * diam f(C) over the branching
+    cosets of the grid's CosetTree: O(N*K) subtractions.  The witness is the
+    first pair in (i, j) order attaining it, as an all-pairs loop with a
+    strict comparison would report."""
     r = Fraction(r)
     if not 0 < r <= 1:
         raise PadicError("Hölder exponent must lie in (0, 1]")
-    best = PPow.zero(f.p)
-    witness = None
     reps = f.reps
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            x, y = reps[i], reps[j]
-            num = PPow.from_norm(f.p, (f.evaluate(x) - f.evaluate(y)).sup_norm())
-            if num.exp is None:
-                continue
-            den = PPow.from_norm(f.p, (x - y).sup_norm()).pow_frac(r)
-            ratio = num / den
-            if ratio > best:
-                best = ratio
-                witness = (x, y)
+    values = [f.evaluate(x) for x in reps]
+    tree = CosetTree(reps)
+    best = PPow.zero(f.p)
+    attaining = []
+    for L, members, children in tree.splits:
+        v = gap_val([values[i] for i in members])
+        if v is None:
+            continue
+        ratio = PPow(f.p, L * r - v)
+        if ratio > best:
+            best, attaining = ratio, []
+        if ratio == best:
+            # the pairs at the largest gap v all split here: a pair inside
+            # one child is closer and would make a larger ratio
+            attaining += first_gaps(values, members, children, v, 1)
+    for leaf in tree.leaves():
+        for a, i in enumerate(leaf):
+            for j in leaf[a + 1:]:
+                ratio = _pair_ratio(f, reps[i], reps[j], r)
+                if ratio.exp is None:
+                    continue
+                if ratio > best:
+                    best, attaining = ratio, []
+                if ratio == best:
+                    attaining.append((i, j))
+    witness = None
+    if attaining:
+        i, j = min(attaining)
+        if _pair_ratio(f, reps[i], reps[j], r) != best:
+            raise PadicError("internal: holder witness does not attain the "
+                             "maximal ratio")
+        witness = (reps[i], reps[j])
     return HolderScan(constant=best.ceil_fraction(), ratio=best,
                       witness=witness, r=r)
 

@@ -301,3 +301,30 @@ def test_mismatched_literal_prime_exits_2(capsys):
                        "--x", "1,0e0@7")
     assert code == 2
     assert "7-adic" in err
+
+
+@pytest.mark.parametrize("weight", [
+    {"p": 5, "val": 0, "digits": [7]},
+    {"p": 5, "val": 3, "digits": []},
+    {"p": 5, "val": 0, "digits": ["1"]},
+])
+def test_malformed_json_number_exits_2(capsys, tmp_path, weight):
+    path = tmp_path / "sites.json"
+    path.write_text(json.dumps({"pairs": [[["1,0e0@5"], weight]]}))
+    code, _, err = run(capsys, "cheb", "--in", str(path), "--r", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_grid_rep_outside_domain_exits_2(capsys, tmp_path):
+    domain = {"center": ["0@5"], "rad_exp": 1}
+    # the reps 0..4 name five distinct radius-5^-2 cosets, but only 0 lies
+    # in ball(0;1)
+    table = [[[f"{d},0e0@5" if d else "0@5"], ["1,0e0@5"]] for d in range(5)]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"domain": domain, "resolution": 2,
+                                "dims": [1, 1], "table": table}))
+    code, _, err = run(capsys, "scan", "--kind", "holder", "--in", str(path),
+                       "--r", "1")
+    assert code == 2
+    assert "outside the domain" in err

@@ -356,3 +356,33 @@ def _norm5(q: Fraction) -> Fraction:
 def test_default_ys_is_vdp_dense_sequence_prefix():
     assert [y.as_fraction() for y in decompose_default_ys(5, 0, 1)] == \
         [y.as_fraction() for y in vdp_dense_sequence(5, 0, 5)]
+
+
+def test_grid_function_rejects_short_representative_window():
+    b = zball(5, 1, 0)
+    reps = enumerate_cosets(b, 2)
+    # 7 known only mod 5 cannot name a radius-5^-2 coset
+    short = PAdicVector([PAdicNumber.from_int(5, 7, prec=1)])
+    table = [(short if r[0].as_fraction() == 7 else r, ivec(5, 1))
+             for r in reps]
+    with pytest.raises(PadicError, match="fewer than 2 digits"):
+        GridFunction(b, 2, table)
+    # the zero sentinel is exact, so the representative 0 stays valid
+    GridFunction(b, 2, [(r, ivec(5, 1)) for r in reps])
+
+
+def test_grid_function_from_json_rejects_rep_outside_domain():
+    b = Ball(PAdicVector.zero(5, 1), 1)
+    obj = GridFunction.from_callable(b, 1, lambda r: ivec(5, 1)).to_json()
+    assert [rep for rep, _ in obj["table"]] == [["0@5"]]
+    obj["table"] = [[ivec(5, 3).to_json(), ivec(5, 1).to_json()]]
+    with pytest.raises(PadicError, match="outside the domain"):
+        GridFunction.from_json(obj)
+    # 6 lies outside B(1, 5^-2), but a centre 1 known mod 5 only cannot tell
+    short = Ball(PAdicVector([PAdicNumber.from_int(5, 1, prec=1)]), 2)
+    obj = GridFunction.from_callable(zball(5, 1, 2), 2,
+                                     lambda r: ivec(5, 1)).to_json()
+    obj["domain"] = short.to_json()
+    obj["table"][0][0] = ivec(5, 6).to_json()
+    with pytest.raises(PadicError, match="fewer than 2 digits"):
+        GridFunction.from_json(obj)

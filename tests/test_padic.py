@@ -350,3 +350,21 @@ def test_arith_matches_rational_arithmetic_when_exact(x, y):
                         den //= x.p
                         vp -= 1
                     assert vp >= w
+
+
+@pytest.mark.parametrize("obj", [
+    {"p": 5, "val": 0, "digits": [7]},          # digit outside 0..p-1
+    {"p": 5, "val": 0, "digits": [1, -1]},
+    {"p": 5, "val": 3, "digits": []},           # nonzero value without digits
+    {"p": 5, "val": None, "digits": [1]},       # zero carrying digits
+    {"p": 5, "val": 0, "digits": [1.5]},        # non-integer entries
+    {"p": 5, "val": "0", "digits": [1]},
+    {"p": "5", "val": 0, "digits": [1]},
+    {"p": 5, "val": 0, "digits": [True]},
+    {"p": 5, "val": 0, "digits": "12"},
+    {"p": 5, "val": 0},                         # missing key
+    [5, 0, [1]],                                # not an object
+])
+def test_from_json_rejects_malformed(obj):
+    with pytest.raises(PadicError):
+        from_json(obj)
