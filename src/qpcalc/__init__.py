@@ -53,7 +53,6 @@ from .funcs import (  # noqa: F401
     SymbolicFunction,
     as_polynomials,
     parse_expr,
-    polynomial_function,
 )
 from .quotients import (  # noqa: F401
     HolderScan,

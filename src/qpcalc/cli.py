@@ -291,6 +291,9 @@ def cmd_certify(args) -> int:
         return EXIT_OK
     for i, j, gap, scaled in report.violations:
         print(f"violation: sites {i},{j}: gap {gap!r} > C * {scaled!r}")
+    if not report.violations:
+        print(f"not certified: C={S.C}, r={S.r} fails on some pair "
+              f"(--max-violations {args.max_violations} lists none)")
     return EXIT_VIOLATION
 
 

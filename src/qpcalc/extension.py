@@ -131,15 +131,16 @@ class SampleSet:
             while G + 1 < top and not ppow_le_scaled(PPow(p, -(G + 1)), C,
                                                      allowed):
                 G += 1
+            # at least one pair, so that ok is known when none are listed
             found += [self._pair_violation(i, j) for i, j in first_gaps(
-                values, members, children, G, max_violations)]
+                values, members, children, G, max(max_violations, 1))]
         for leaf in tree.leaves():
             for a, i in enumerate(leaf):
                 found += filter(None, (self._pair_violation(i, j)
                                        for j in leaf[a + 1:]))
         found.sort(key=lambda vio: vio[:2])
         violations = tuple(found[:max(max_violations, 0)])
-        ok = not violations
+        ok = not found
         self.certified = ok
         n = len(self.points)
         return CertifyReport(ok=ok, pairs_checked=n * (n - 1) // 2,
@@ -612,9 +613,11 @@ def verify_Ej(f: GridFunction, dec: EjDecomposition, max_violations: int = 8):
     their values differ at a valuation <= ceil(L*r - j) - 1, which
     first_gaps finds; pairs sharing a leaf are compared one by one."""
     p = f.p
-    violations = []
+    violations, bad = [], False
     for j, pts in dec.classes:
         budget = max(max_violations - len(violations), 0)
+        if bad and not budget:
+            break
         scale = Fraction(p) ** j
         values = [f.evaluate(x) for x in pts]
         tree = CosetTree(pts)
@@ -622,7 +625,8 @@ def verify_Ej(f: GridFunction, dec: EjDecomposition, max_violations: int = 8):
         for L, members, children in tree.splits:
             if L > j:
                 found += first_gaps(values, members, children,
-                                    math.ceil(L * dec.r - j) - 1, budget)
+                                    math.ceil(L * dec.r - j) - 1,
+                                    max(budget, 1))
         for leaf in tree.leaves():
             # the windows end inside a leaf: its distances are taken pair by
             # pair, and only those below p^-j count
@@ -636,5 +640,6 @@ def verify_Ej(f: GridFunction, dec: EjDecomposition, max_violations: int = 8):
                     if not ppow_le_scaled(gap, scale, dpow):
                         found.append((i, k))
         found.sort()
+        bad = bad or bool(found)
         violations += [(j, pts[i], pts[k]) for i, k in found[:budget]]
-    return not violations, violations
+    return not bad, violations

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .padic import (
     Ball,
@@ -371,8 +372,9 @@ class MultiPoly:
         self.m = m
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 clean[tuple(exps)] = c
         self.terms = clean
 
@@ -420,12 +422,7 @@ class MultiPoly:
             return MultiPoly(self.m,
                              {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.m, t)
+        return MultiPoly(self.m, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -469,30 +466,47 @@ class MultiPoly:
 
     def substitute(self, args) -> "MultiPoly":
         """Plug a polynomial (all over the same new variable set) in for each
-        variable; exact composition."""
+        variable; exact composition.  Each power of each argument is built
+        once, and every term is accumulated into one coefficient table."""
         args = list(args)
         if len(args) != self.m:
             raise PadicError("substitution needs one polynomial per variable")
         new_m = args[0].m if args else 0
         if any(a.m != new_m for a in args):
             raise PadicError("substitution polynomials disagree on variables")
-        out = MultiPoly.zero(new_m)
+        powers = [{0: {(0,) * new_m: 1}} for _ in args]
+
+        def power(i, e):
+            if e not in powers[i]:
+                powers[i][e] = _mul_terms(power(i, e - 1), args[i].terms)
+            return powers[i][e]
+
+        out = {}
         for exps, c in self.terms.items():
-            term = MultiPoly.const(new_m, c)
-            for a, e in zip(args, exps):
+            term = {(0,) * new_m: c}
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * a**e
-            out = out + term
-        return out
+                    term = _mul_terms(term, power(i, e))
+            for k, v in term.items():
+                out[k] = out.get(k, 0) + v
+        return MultiPoly(new_m, out)
 
     def recenter(self, center) -> "MultiPoly":
-        """Coefficients of w |-> f(center + w) (exact Taylor rearrangement)."""
+        """Coefficients of w |-> f(center + w) (exact Taylor rearrangement),
+        by the binomial expansion of each (center_i + w_i)^e_i."""
         center = [Fraction(c) for c in center]
         if len(center) != self.m:
             raise PadicError("center length mismatch")
-        args = [MultiPoly.const(self.m, center[i]) + MultiPoly.coord(self.m, i)
-                for i in range(self.m)]
-        return self.substitute(args)
+        out = {}
+        for exps, c in self.terms.items():
+            partial = {(): c}
+            for zi, e in zip(center, exps):
+                partial = {key + (a,): coef * comb(e, a) * zi ** (e - a)
+                           for key, coef in partial.items()
+                           for a in range(e + 1)}
+            for k, v in partial.items():
+                out[k] = out.get(k, 0) + v
+        return MultiPoly(self.m, out)
 
     def divide_by_monomial(self, exps) -> "MultiPoly":
         """Exact division by x^exps; raises if any term is not divisible."""
@@ -535,6 +549,16 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two coefficient tables (zero coefficients may remain)."""
+    t = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            t[e] = t.get(e, 0) + c1 * c2
+    return t
+
+
 def as_polynomial(expr: Expr, m: int) -> MultiPoly:
     """Convert an expression to an exact polynomial; raises PadicError on
     indicator nodes or division by a non-constant."""
@@ -565,19 +589,6 @@ def as_polynomial(expr: Expr, m: int) -> MultiPoly:
 def as_polynomials(f: SymbolicFunction) -> list:
     """One exact polynomial per component, or raise PadicError."""
     return [as_polynomial(c, f.m) for c in f.components]
-
-
-def polynomial_function(p: int, polys, m: int | None = None,
-                        prec: int | None = None) -> "callable":
-    """Wrap MultiPolys as an exact vector-valued callable on PAdicVectors."""
-    polys = list(polys)
-    if m is None:
-        m = polys[0].m
-
-    def call(x: PAdicVector) -> PAdicVector:
-        return PAdicVector(q.evaluate(x, prec=prec) for q in polys)
-
-    return call
 
 
 # ---------------------------------------------------------------------------

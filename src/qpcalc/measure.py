@@ -49,17 +49,59 @@ def sphere_measure(p: int, l: int) -> Fraction:
 
 
 def coset_key(x: PAdicVector, resolution: int):
-    """Hashable identity of the radius-p^(-resolution) coset containing x."""
-    out = []
-    for c in x.coords:
-        t = truncate(c, resolution)
-        out.append((t.val, t.unit))
-    return tuple(out)
+    """Hashable identity of the radius-p^(-resolution) coset containing x:
+    per coordinate, the (val, unit) of its truncation at `resolution`,
+    read off the canonical digits without building the truncation (a
+    unit below p^prec needs no cut at its window)."""
+    return tuple((None, 0) if c.val is None or c.val >= resolution
+                 else (c.val, c.unit % c.p ** (resolution - c.val))
+                 for c in x.coords)
 
 
 def _window(c: PAdicNumber):
     """Absolute digit window of a coordinate; the zero sentinel is exact."""
     return float("inf") if c.is_zero() else c.abs_window()
+
+
+class LevelIndex:
+    """The first point of every coset, level by level: for each level L
+    from lo = min(0, lowest coordinate valuation), where all the points
+    share one coset, down to hi, a map from coset keys to the least index
+    of a point in that coset.
+
+    Two coordinates both known past L agree below L exactly when their
+    difference, as the PAdicNumber subtraction observes it, has valuation
+    >= L, so up to the shortest window of the points and of a query the
+    keys give the subtraction's distances.  Past that, `deepest` declines
+    and the caller subtracts.
+    """
+
+    __slots__ = ("lo", "hi", "window", "_first")
+
+    def __init__(self, points, hi: int):
+        points = list(points)
+        coords = [c for x in points for c in x.coords if not c.is_zero()]
+        self.lo = min([0] + [c.val for c in coords])
+        self.hi = hi
+        self.window = min(map(_window, coords), default=float("inf"))
+        self._first = []
+        for L in range(self.lo, hi + 1):
+            first = {}
+            for i, x in enumerate(points):
+                first.setdefault(coset_key(x, L), i)
+            self._first.append(first)
+
+    def deepest(self, x: PAdicVector):
+        """(L, i): the deepest level L <= hi at which x shares a coset with
+        a point, and the first point there, which is then a first nearest
+        point at distance p^-L unless L = hi.  None when the windows end
+        before the answer does, or when x leaves the level-lo coset."""
+        start = min(self.hi, self.window, *map(_window, x.coords))
+        for L in range(start, self.lo - 1, -1):
+            i = self._first[L - self.lo].get(coset_key(x, L))
+            if i is not None:
+                return None if L < self.hi and L == start else (L, i)
+        return None
 
 
 def gap_val(vectors):

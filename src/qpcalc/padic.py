@@ -25,7 +25,11 @@ from fractions import Fraction
 
 DEFAULT_PREC = 12
 
-_PRIMES_SMALL = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
+# Miller-Rabin with these bases is exact for every n < 3.317e24
+# (Sorenson and Webster, 2015); larger p are rejected, not guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+_PRIMES = set()           # primes certified so far: one test per prime
 
 
 class PadicError(ValueError):
@@ -45,8 +49,35 @@ def set_default_prec(n: int) -> None:
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or (p not in _PRIMES_SMALL and any(p % q == 0 for q in range(2, int(p**0.5) + 1))):
+    if p in _PRIMES:
+        return
+    if p >= _MR_LIMIT:
+        raise PadicError(f"{p} is too large to certify as a prime")
+    if p < 2 or not _is_prime(p):
         raise PadicError(f"{p} is not a prime")
+    _PRIMES.add(p)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < _MR_LIMIT."""
+    if n in _MR_BASES:
+        return True
+    if any(n % q == 0 for q in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _vp(n: int, p: int) -> int:

@@ -119,13 +119,16 @@ class LimitReport:
         }
 
 
-def _auto_schedule(x: PAdicVector, vs, agree: int, n: int) -> range:
+def _auto_schedule(x: PAdicVector, vs, fx: PAdicVector, agree: int,
+                   n: int) -> range:
     """Shrink t deep enough for a genuine limit to show a Cauchy tail, but
     not so deep that the order-n quotient (which divides by t^n) runs out of
     certified digits: new digits stop appearing past W/(n+1), and the window
-    W - n*j must stay positive."""
+    W - n*j must stay positive.  W is the shortest window of x, of the
+    directions vs and of the value fx = f(x); at x = 0 only fx may carry
+    the short window of f's constants."""
     ws = [c.abs_window() for c in x.coords if not c.is_zero()]
-    for v in vs:
+    for v in vs + (fx,):
         ws.extend(c.abs_window() for c in v.coords if not c.is_zero())
     w = min(ws) if ws else (n + 1) * (agree + 3)
     top = min(w // (n + 1) + agree, (w - 1) // max(n, 1))
@@ -173,7 +176,7 @@ def phin_limit(f, n: int, x: PAdicVector, vs, schedule=None,
     """
     vs = tuple(vs)
     if schedule is None:
-        schedule = _auto_schedule(x, vs, agree, n)
+        schedule = _auto_schedule(x, vs, f(x), agree, n)
     p = x.p
     steps = []
     for j in schedule:
@@ -309,10 +312,6 @@ class IdentityCheck:
                 "equal": self.equal}
 
 
-def _vec_zero(p: int, n: int) -> PAdicVector:
-    return PAdicVector.zero(p, n)
-
-
 def _identity(lhs: PAdicVector, rhs: PAdicVector) -> IdentityCheck:
     return IdentityCheck(lhs, rhs, all(c.is_zero() for c in (lhs - rhs).coords))
 
@@ -341,7 +340,7 @@ def chain_rule_check(f, u, y: PAdicVector, v: PAdicVector,
         term = phi1(f, w_j, e_j, t * phi_j).scale(phi_j)
         rhs = term if rhs is None else rhs + term
     if rhs is None:
-        rhs = _vec_zero(p, lhs.dim)
+        rhs = PAdicVector.zero(p, lhs.dim)
     return _identity(lhs, rhs)
 
 
@@ -364,7 +363,7 @@ def telescope_check(f, x: PAdicVector, v: PAdicVector,
         term = phi1(f, tail, unit_vector(p, m, i - 1), v_i * t).scale(v_i)
         rhs = term if rhs is None else rhs + term
     if rhs is None:
-        rhs = _vec_zero(p, lhs.dim)
+        rhs = PAdicVector.zero(p, lhs.dim)
     return _identity(lhs, rhs)
 
 

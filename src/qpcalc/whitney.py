@@ -16,13 +16,16 @@ from math import factorial
 
 from .extension import packing_check, packing_check_many
 from .funcs import MultiPoly, SymbolicFunction, as_polynomials
-from .measure import GridFunction, coset_key, enumerate_cosets
+from .measure import (GridFunction, LevelIndex, _window, coset_key,
+                      enumerate_cosets)
 from .padic import (
     Ball,
     PAdicNumber,
     PAdicVector,
     PadicError,
     PPow,
+    _vp,
+    unit_vector,
 )
 from .quotients import NonconvergenceError, QuotientPoint, phin, phin_limit
 
@@ -46,32 +49,26 @@ def validate_constants(s0: int, s1: int, s2: int) -> None:
 # distance to a coset union and the radius function h
 # ---------------------------------------------------------------------------
 
-def dist_to_set(A, x: PAdicVector) -> Fraction:
-    """Exact sup-norm distance from x to a finite union of coset balls."""
+def dist_exp(A, x: PAdicVector):
+    """The exponent D with dist(x, A) = p^(-D) in the sup norm, as the
+    PAdicVector subtraction observes it; None when x lies in A."""
     A = list(A)
     if not A:
         raise PadicError("empty coset union")
     best = None
     for ball in A:
-        d = (x - ball.center).sup_norm()
-        d = Fraction(0) if d <= ball.radius() else d
-        if best is None or d < best:
-            best = d
+        v = min((c.val for c in (x - ball.center).coords
+                 if not c.is_zero()), default=None)
+        if v is None or v >= ball.rad_exp:
+            return None
+        best = v if best is None else max(best, v)
     return best
 
 
-def _pexp(q: Fraction, p: int) -> int:
-    """Exponent d with q = p^(-d) for an exact power of p."""
-    d = 0
-    while q < 1:
-        q *= p
-        d += 1
-    while q > 1:
-        q /= p
-        d -= 1
-    if q != 1:
-        raise PadicError("not a power of p")
-    return d
+def dist_to_set(A, x: PAdicVector) -> Fraction:
+    """Exact sup-norm distance from x to a finite union of coset balls."""
+    d = dist_exp(A, x)
+    return Fraction(0) if d is None else Fraction(x.p) ** -d
 
 
 class RadiusFunction:
@@ -79,24 +76,54 @@ class RadiusFunction:
 
     Values are powers of p, h is defined off A only, and the Lipschitz
     quotient of h is bounded by b = p^(-s0) (checked pairwise by callers).
+
+    Distances come from coset keys of A's centres: x lies in a ball of
+    radius p^-r when it shares the ball's level-r coset, and off A its
+    distance exponent is the deepest level at which it shares a coset with
+    any centre.  Points whose windows, or the centres', end before the
+    finest radius of A are left to dist_exp.  Each point's exponent is kept,
+    so a glue computes it once.
     """
 
-    __slots__ = ("A", "p", "s0")
+    __slots__ = ("A", "p", "s0", "_radii", "_members", "_index", "_exps")
 
     def __init__(self, A, p: int, s0: int):
         self.A = tuple(A)
         self.p = p
         self.s0 = s0
+        self._radii = sorted({ball.rad_exp for ball in self.A})
+        self._members = {(ball.rad_exp, coset_key(ball.center, ball.rad_exp))
+                         for ball in self.A}
+        # off A, every centre is farther than its radius: levels < max radius
+        self._index = LevelIndex([ball.center for ball in self.A],
+                                 max(self._radii, default=0) - 1)
+        self._exps = {}
 
     @property
     def b(self) -> Fraction:
         return Fraction(1, self.p ** self.s0)
 
+    def dist_exp(self, x: PAdicVector):
+        """dist_exp(A, x), from one key lookup per distinct radius and the
+        levels of the centre index."""
+        if x in self._exps:
+            return self._exps[x]
+        if not self._radii or min(self._index.window,
+                                  *map(_window, x.coords)) < self._radii[-1]:
+            d = dist_exp(self.A, x)
+        elif any((r, coset_key(x, r)) in self._members for r in self._radii):
+            d = None
+        else:
+            hit = self._index.deepest(x)
+            d = dist_exp(self.A, x) if hit is None else hit[0]
+        self._exps[x] = d
+        return d
+
     def exponent(self, x: PAdicVector) -> int:
-        d = dist_to_set(self.A, x)
-        if d == 0:
+        d = self.dist_exp(x)
+        if d is None:
             raise PadicError("radius function is defined off the closed set")
-        return self.s0 + max(0, _pexp(d, self.p))
+        return self.s0 + max(0, d)
 
     def __call__(self, x: PAdicVector) -> PAdicNumber:
         return PAdicNumber.from_int(
@@ -242,12 +269,13 @@ def family_packing_reports(fam: PartitionFamily, xs) -> list:
 # jets
 # ---------------------------------------------------------------------------
 
-def _shift_polys(polys, z: PAdicVector):
-    """Recentered truncations written back in the ambient coordinates."""
-    m = z.dim
-    shift = [MultiPoly.coord(m, i) - MultiPoly.const(m, z.coords[i].as_fraction())
-             for i in range(m)]
-    return tuple(q.substitute(shift) for q in polys)
+def _polynomials(f: SymbolicFunction):
+    """f's components as exact polynomials, or None when f has indicator
+    nodes or divides by a non-constant."""
+    try:
+        return as_polynomials(f)
+    except PadicError:
+        return None
 
 
 def jet_from_function(f: SymbolicFunction, z: PAdicVector, k: int,
@@ -260,32 +288,30 @@ def jet_from_function(f: SymbolicFunction, z: PAdicVector, k: int,
     Returns a tuple of polynomials in the ambient coordinates, one per
     output component; evaluating at z reproduces f(z).
     """
-    if degree is None:
-        degree = k + 1
-    m = f.m
+    return _jet(f, _polynomials(f), z, k + 1 if degree is None else degree)
+
+
+def _jet(f: SymbolicFunction, polys, z: PAdicVector, degree: int):
+    """jet_from_function with f's polynomials (or None) given."""
     center = [c.as_fraction() for c in z.coords]
-    try:
-        polys = as_polynomials(f)
-    except PadicError:
-        polys = None
+    back = [-c for c in center]
     if polys is not None:
-        out = []
-        for q in polys:
-            rec = q.recenter(center).truncate_total_degree(degree)
-            out.append(rec)
-        return _shift_polys(out, z)
+        # a polynomial of degree <= `degree` is its own jet
+        return tuple(q if q.total_degree() <= degree else
+                     q.recenter(center).truncate_total_degree(degree)
+                     .recenter(back) for q in polys)
     # limit route: one coefficient per multi-index
-    out = [MultiPoly.zero(m) for _ in range(f.n)]
+    m = f.m
     fz = f(z)
-    for comp in range(f.n):
-        out[comp] = out[comp] + MultiPoly.const(m, fz.coords[comp].as_fraction())
+    out = [MultiPoly.const(m, fz.coords[comp].as_fraction())
+           for comp in range(f.n)]
     for gamma in _multi_indices(m, degree):
         n = sum(gamma)
         if n == 0:
             continue
         vs = []
         for i, g in enumerate(gamma):
-            vs.extend([_unit(f.p, m, i)] * g)
+            vs.extend([unit_vector(f.p, m, i, prec=DEFAULT_PREC)] * g)
         report = phin_limit(f, n, z, vs)
         if not report.converged:
             raise NonconvergenceError(
@@ -294,13 +320,7 @@ def jet_from_function(f: SymbolicFunction, z: PAdicVector, k: int,
             c = report.value.coords[comp].as_fraction()
             if c:
                 out[comp] = out[comp] + MultiPoly.monomial(m, gamma, c)
-    return _shift_polys(out, z)
-
-
-def _unit(p: int, m: int, i: int) -> PAdicVector:
-    coords = [PAdicNumber.zero(p)] * m
-    coords[i] = PAdicNumber.from_int(p, 1, prec=DEFAULT_PREC)
-    return PAdicVector(tuple(coords))
+    return tuple(q.recenter(back) for q in out)
 
 
 def _multi_indices(m: int, degree: int):
@@ -329,16 +349,12 @@ class JetField:
     jets: tuple           # ((rep: PAdicVector, polys: tuple[MultiPoly]), ...)
 
     def __post_init__(self):
-        # coset-key lookup for jet_at, and per-level nearest-rep index:
-        # level[L] maps a key at L to the first rep index in that coset.
-        by_key = {}
-        levels = [dict() for _ in range(self.resolution + 1)]
-        for i, (z, _) in enumerate(self.jets):
-            by_key[coset_key(z, self.resolution)] = i
-            for L in range(self.resolution + 1):
-                levels[L].setdefault(coset_key(z, L), i)
+        # coset-key lookup for jet_at, and the per-level nearest-rep index
+        by_key = {coset_key(z, self.resolution): i
+                  for i, (z, _) in enumerate(self.jets)}
         object.__setattr__(self, "_by_key", by_key)
-        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_levels",
+                           LevelIndex(self.reps(), self.resolution))
 
     @property
     def p(self) -> int:
@@ -365,12 +381,10 @@ class JetField:
     def nearest_rep_index(self, y: PAdicVector) -> int:
         """Index of the closest representative (first wins on ties): the
         first rep sharing the deepest coset with y."""
-        for L in range(self.resolution, -1, -1):
-            i = self._levels[L].get(coset_key(y, L))
-            if i is not None:
-                return i
-        # distance 1 or more: every rep shares the trivial coset at level 0
-        # only when coordinates agree above the unit; fall back to a scan.
+        hit = self._levels.deepest(y)
+        if hit is not None:
+            return hit[1]
+        # past the windows, or outside the reps' level-lo coset: a scan
         reps = self.reps()
         best, d = 0, (y - reps[0]).sup_norm()
         for i in range(1, len(reps)):
@@ -402,11 +416,11 @@ class JetField:
             z = PAdicVector.from_json(zj)
             polys = []
             for table in tables:
-                q = MultiPoly.zero(z.dim)
+                terms = {}
                 for exps, c in table:
-                    q = q + MultiPoly.monomial(z.dim, tuple(exps),
-                                               _parse_fr(c))
-                polys.append(q)
+                    e = tuple(exps)
+                    terms[e] = terms.get(e, 0) + _parse_fr(c)
+                polys.append(MultiPoly(z.dim, terms))
             jets.append((z, tuple(polys)))
         return cls(k=obj["k"], A=A, resolution=obj["resolution"],
                    jets=tuple(jets))
@@ -426,11 +440,13 @@ def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
                             cap: int | None = None) -> JetField:
     """Jets of f at every representative of the coset union A."""
     A = tuple(A)
+    polys = _polynomials(f)
+    degree = k + 1 if degree is None else degree
     jets = []
     kwargs = {} if cap is None else {"cap": cap}
     for ball in A:
         for z in enumerate_cosets(ball, resolution, **kwargs):
-            jets.append((z, jet_from_function(f, z, k, degree)))
+            jets.append((z, _jet(f, polys, z, degree)))
     return JetField(k=k, A=A, resolution=resolution, jets=tuple(jets))
 
 
@@ -486,15 +502,7 @@ def _quotient_bound(Q: MultiPoly, z: PAdicVector, order: int,
 def _p_norm(c: Fraction, p: int) -> PPow:
     if c == 0:
         return PPow.zero(p)
-    v = 0
-    num, den = c.numerator, c.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return PPow(p, Fraction(-v))
+    return PPow(p, _vp(c.denominator, p) - _vp(c.numerator, p))
 
 
 def _jet_signature(polys) -> tuple:
@@ -551,9 +559,8 @@ class WhitneyExtension:
 
     def __init__(self, jets: JetField, family: PartitionFamily):
         self.jets = jets
-        self.family = family
-        self._psi = tuple(jets.jets[jets.nearest_rep_index(y)][1]
-                          for y in family.sites)
+        self.family = family      # its gauge h is built over jets.A
+        self._psi = {}            # site index -> jet of psi(site), on demand
 
     @property
     def p(self) -> int:
@@ -563,22 +570,31 @@ class WhitneyExtension:
         z0, _ = self.jets.jets[self.jets.nearest_rep_index(y)]
         return z0
 
+    def _psi_jet(self, i: int):
+        if i not in self._psi:
+            y = self.family.sites[i]
+            self._psi[i] = self.jets.jets[self.jets.nearest_rep_index(y)][1]
+        return self._psi[i]
+
+    def _on_A(self, x: PAdicVector) -> bool:
+        return self.family.h.dist_exp(x) is None
+
     def __call__(self, x: PAdicVector) -> PAdicVector:
-        if dist_to_set(self.jets.A, x) == 0:
+        if self._on_A(x):
             _, polys = self.jets.jet_at(x)
             return self.jets.evaluate_jet(polys, x)
         i = self.family.site_index_for(x)
-        return self.jets.evaluate_jet(self._psi[i], x)
+        return self.jets.evaluate_jet(self._psi_jet(i), x)
 
     def evaluate_sum_form(self, x: PAdicVector) -> PAdicVector:
         """The partition-sum form: sum over sites of w_y(x) P_psi(y)(x).
         Sums over every support containing x without assuming the partition
         property, so it cross-checks the single-site evaluation."""
-        if dist_to_set(self.jets.A, x) == 0:
+        if self._on_A(x):
             return self(x)
         total = PAdicVector.zero(self.p, self.jets.n)
         for i in self.family.support_indices(x):
-            total = total + self.jets.evaluate_jet(self._psi[i], x)
+            total = total + self.jets.evaluate_jet(self._psi_jet(i), x)
         return total
 
     def tabulate(self, domain: Ball, resolution: int,
@@ -594,7 +610,7 @@ def whitney_extend(J: JetField, domain: Ball, resolution: int,
     h = build_h(J.A, J.p)
     kwargs = {} if cap is None else {"cap": cap}
     reps = [y for y in enumerate_cosets(domain, resolution, **kwargs)
-            if dist_to_set(J.A, y) != 0]
+            if h.dist_exp(y) is not None]
     fam = disjoint_ball_family(reps, h, resolution)
     return WhitneyExtension(J, fam)
 

@@ -37,15 +37,17 @@ def certify(S, max_violations=8):
     pts = S.points
     violations = []
     checked = 0
+    bad = False
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             checked += 1
             gap = PPow.from_norm(S.p, (pts[i][1] - pts[j][1]).sup_norm())
             dist = PPow.from_norm(S.p, (pts[i][0] - pts[j][0]).sup_norm())
             if not ppow_le_scaled(gap, S.C, dist.pow_frac(S.r)):
+                bad = True
                 if len(violations) < max_violations:
                     violations.append((i, j, gap, dist.pow_frac(S.r)))
-    return CertifyReport(ok=not violations, pairs_checked=checked,
+    return CertifyReport(ok=not bad, pairs_checked=checked,
                          violations=tuple(violations))
 
 
@@ -132,6 +134,7 @@ def decompose_Ej(f, r, j_range=None):
 def verify_Ej(f, dec, max_violations=8):
     p = f.p
     violations = []
+    bad = False
     for j, pts in dec.classes:
         scale = Fraction(p) ** j
         for a in range(len(pts)):
@@ -143,6 +146,7 @@ def verify_Ej(f, dec, max_violations=8):
                 gap = PPow.from_norm(p, (f.evaluate(x) - f.evaluate(z)).sup_norm())
                 dpow = PPow.from_norm(p, dist).pow_frac(dec.r)
                 if not ppow_le_scaled(gap, scale, dpow):
+                    bad = True
                     if len(violations) < max_violations:
                         violations.append((j, x, z))
-    return not violations, violations
+    return not bad, violations

@@ -2,6 +2,7 @@
 byte-identical reports across parallelism."""
 
 import json
+import time
 
 import pytest
 
@@ -159,6 +160,20 @@ def test_certify_violation_exits_1(capsys, tmp_path):
     assert "violation" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_certify_violation_exits_1_without_listing(capsys, tmp_path, budget):
+    bad = SampleSet([(vec(0), vec(0)), (vec(5), vec(1))], 1, 1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad.to_json()))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "certify", "--in", str(path),
+                       "--max-violations", budget, "--out", str(out_path))
+    assert code == 1
+    assert out.startswith("not certified")
+    report = json.loads(out_path.read_text())
+    assert report["ok"] is False and report["violations"] == []
+
+
 def test_extend_writes_grid(capsys, sample_file, tmp_path):
     out_path = tmp_path / "ext.json"
     code, out, _ = run(capsys, "extend", "--in", sample_file,
@@ -208,6 +223,21 @@ def test_whitney_build_counts_jets(capsys, tmp_path):
     assert code == 0
     assert "built 25 jets" in out
     json.loads(path.read_text())
+
+
+def test_whitney_build_limit_route_jet_at_zero(capsys, tmp_path):
+    """At the representative 0 only f(0) carries the window of the ch()
+    constants; the slope 4 must survive there as at every other point."""
+    path = tmp_path / "jets.json"
+    code, out, _ = run(capsys, "whitney", "build", "--p", "5",
+                       "--f=4*x0+4+2*ch(0;2)+3*ch(8;1)",
+                       "--set", "ball(0;2)|ball(7;2)",
+                       "--resolution", "4", "--k", "1", "--out", str(path))
+    assert code == 0
+    assert "built 50 jets" in out
+    jets = json.loads(path.read_text())["jets"]
+    assert jets[0] == [["0@5"], [[[[0], "6/1"], [[1], "4/1"]]]]
+    assert all([[1], "4/1"] in tables[0] for _, tables in jets)
 
 
 def test_whitney_eval_reproduces_polynomial(capsys, jets_file):
@@ -294,6 +324,23 @@ def test_missing_function_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--p", "5", "--x", "1")
     assert code == 2
     assert "--f" in err
+
+
+def test_large_prime_is_certified_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "--p", str(2**61 - 1), "--f", "x0+1",
+                       "--x", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == "3\n"
+
+
+@pytest.mark.parametrize("p", [2**61 + 1, 3317044064679887385961981])
+def test_composite_or_uncertifiable_prime_exits_2(capsys, p):
+    code, _, err = run(capsys, "eval", "--p", str(p), "--f", "x0",
+                       "--x", "1")
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_mismatched_literal_prime_exits_2(capsys):

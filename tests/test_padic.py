@@ -368,3 +368,35 @@ def test_arith_matches_rational_arithmetic_when_exact(x, y):
 def test_from_json_rejects_malformed(obj):
     with pytest.raises(PadicError):
         from_json(obj)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+
+def test_prime_check_matches_trial_division():
+    for n in range(-3, 5000):
+        if _trial_division(n):
+            PAdicNumber.from_int(n, 1)
+        else:
+            with pytest.raises(PadicError):
+                PAdicNumber.from_int(n, 1)
+
+
+@pytest.mark.parametrize("n", [
+    # strong pseudoprimes to the prime bases through 7, 11, 13, 17, 23, 37
+    3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461,
+    2**61 + 1, (2**13 - 1) * (2**61 - 1)])
+def test_prime_check_rejects_pseudoprimes(n):
+    with pytest.raises(PadicError, match="not a prime"):
+        from_json({"p": n, "val": 0, "digits": [1]})
+
+
+def test_large_prime_accepted_and_oversized_rejected():
+    x = from_json({"p": 2**61 - 1, "val": 0, "digits": [1]})
+    assert x.p == 2**61 - 1
+    assert PAdicNumber.from_int(2**79 - 67, 1).p == 2**79 - 67
+    # 2^89 - 1 is prime, but past the range the bases certify
+    with pytest.raises(PadicError, match="too large"):
+        PAdicNumber.from_int(2**89 - 1, 1)

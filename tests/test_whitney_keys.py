@@ -1,0 +1,268 @@
+"""The key-based Whitney glue and jet algebra against the references in
+whitney_reference.py.
+
+Inputs cover Q_2, Q_3 and Q_5 in one and two coordinates: balls of radius
+p^1 down to p^-4, nested and disjoint, centres and points with negative
+valuations, zero coordinates and windows of one to eight digits, so that
+some questions lie past the windows and must be settled by subtraction.
+Every example is derandomized, so the suite stays deterministic.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import whitney_reference as ref
+import qpcalc.whitney as whitney
+from qpcalc.funcs import MultiPoly, SymbolicFunction, as_polynomials
+from qpcalc.measure import LevelIndex, coset_key, enumerate_cosets
+from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError
+from qpcalc.whitney import (JetField, RadiusFunction, dist_to_set,
+                            jet_field_from_function, whitney_extend)
+
+SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+@st.composite
+def scalars(draw, p, zero=True, window=(1, 8)):
+    """p^e * n, e in -2..3, with a window of `window` digits; or zero."""
+    if zero and draw(st.integers(0, 5)) == 0:
+        return PAdicNumber.zero(p)
+    n = draw(st.integers(1, p**5))
+    e = draw(st.integers(-2, 3))
+    return PAdicNumber.from_fraction(p, Fraction(n) * Fraction(p) ** e,
+                                     prec=draw(st.integers(*window)))
+
+
+@st.composite
+def near(draw, p, center):
+    """center + p^j * u with j in -2..5: points at every distance from
+    center, including inside balls around it; or an unrelated point."""
+    if draw(st.integers(0, 3)) == 0:
+        return PAdicVector([draw(scalars(p)) for _ in center.coords])
+    j = draw(st.integers(-2, 5))
+    coords = []
+    for c in center.coords:
+        u = draw(st.integers(0, p**3))
+        shift = PAdicNumber.from_fraction(p, u * Fraction(p) ** j, prec=9)
+        coords.append(c + shift if draw(st.booleans())
+                      else c + PAdicNumber.zero(p))
+    return PAdicVector(coords)
+
+
+@st.composite
+def unions(draw):
+    """(p, A): one to three balls of radius p^1 .. p^-4, some nested in an
+    earlier one."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 2))
+    balls = []
+    for _ in range(draw(st.integers(1, 3))):
+        if balls and draw(st.booleans()):
+            center = draw(near(p, balls[-1].center))
+        else:
+            center = PAdicVector([draw(scalars(p)) for _ in range(m)])
+        balls.append(Ball(center, draw(st.integers(-1, 4))))
+    return p, tuple(balls)
+
+
+@st.composite
+def union_and_point(draw):
+    p, A = draw(unions())
+    x = draw(near(p, A[draw(st.integers(0, len(A) - 1))].center))
+    return A, x
+
+
+# ---------------------------------------------------------------------------
+# distance to the closed set
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(union_and_point())
+def test_distance_exponent_matches_subtraction(case):
+    A, x = case
+    h = RadiusFunction(A, A[0].p, 2)
+    expected = ref.dist_exp(A, x)
+    assert h.dist_exp(x) == expected
+    assert h.dist_exp(x) == expected            # the kept exponent
+    assert whitney.dist_exp(A, x) == expected
+    assert dist_to_set(A, x) == ref.dist_to_set(A, x)
+    if expected is None:
+        with pytest.raises(PadicError):
+            h.exponent(x)
+    else:
+        assert h.support_exp(x) == 2 + max(0, expected) + 1
+
+
+def test_distance_keys_decide_within_the_windows(monkeypatch):
+    """Nested balls, a negative valuation and a short window: keys answer
+    every point whose windows reach the deepest radius; the rest go to
+    subtraction."""
+    p = 5
+    v = lambda *ns: PAdicVector.from_ints(p, ns, prec=10)
+    A = (Ball(v(0, 0), 2), Ball(v(25, 0), 4), Ball(v(3, 1), 1),
+         Ball(v(1, 2), 3))
+    h = RadiusFunction(A, p, 2)
+    x_neg = PAdicVector([PAdicNumber.from_fraction(p, Fraction(1, 5)),
+                         PAdicNumber.zero(p)])
+    short = PAdicVector([PAdicNumber.from_int(p, 5, prec=1),
+                         PAdicNumber.zero(p)])     # known mod 5^2 only
+    calls = []
+    real = whitney.dist_exp
+    monkeypatch.setattr(whitney, "dist_exp",
+                        lambda A, x: calls.append(x) or real(A, x))
+    for x, d in [(v(25, 0), None), (v(5, 0), 1), (v(0, 5), 1),
+                 (v(8, 1), None), (v(1, 1), 0), (v(50, 0), None),
+                 (v(25 + 625, 0), None), (v(1, 2 + 25), 2)]:
+        assert h.dist_exp(x) == d
+    assert calls == []
+    assert h.dist_exp(x_neg) == -1            # below every level of the index
+    assert h.dist_exp(short) == 1             # its window ends before 4
+    assert calls == [x_neg, short]
+
+
+# ---------------------------------------------------------------------------
+# coset keys and the level index
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.data())
+def test_coset_key_matches_truncation(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    x = PAdicVector([data.draw(scalars(p, window=(1, 12)))
+                     for _ in range(data.draw(st.integers(1, 3)))])
+    for L in range(-4, 10):
+        assert coset_key(x, L) == ref.coset_key(x, L)
+
+
+@st.composite
+def reps_and_query(draw):
+    """Points distinct at `resolution`, some with short windows, and a
+    query near one of them."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 2))
+    resolution = draw(st.integers(0, 5))
+    points, keys = [], set()
+    for _ in range(draw(st.integers(1, 8))):
+        base = points[-1] if points and draw(st.booleans()) else \
+            PAdicVector([draw(scalars(p)) for _ in range(m)])
+        z = draw(near(p, base))
+        if coset_key(z, resolution) not in keys:
+            keys.add(coset_key(z, resolution))
+            points.append(z)
+    y = draw(near(p, points[draw(st.integers(0, len(points) - 1))]))
+    return resolution, points, y
+
+
+@SETTINGS
+@given(reps_and_query())
+def test_nearest_rep_matches_scan(case):
+    resolution, points, y = case
+    zero = (MultiPoly.zero(points[0].dim),)
+    J = JetField(k=0, A=(), resolution=resolution,
+                 jets=tuple((z, zero) for z in points))
+    assert J.nearest_rep_index(y) == ref.nearest_rep_index(points, y)
+    hit = LevelIndex(points, resolution).deepest(y)
+    if hit is not None and hit[0] < resolution:
+        L, i = hit
+        assert (y - points[i]).sup_norm() == Fraction(y.p) ** -L
+
+
+def test_nearest_rep_past_a_window_is_left_to_subtraction():
+    """y = 1 known mod 5 is at observed distance 0 from both 6 and 1, so
+    the first, 6, is nearest; the key of y at level 3 would pick 1."""
+    p = 5
+    y = PAdicVector([PAdicNumber.from_int(p, 1, prec=1)])
+    points = [PAdicVector.from_ints(p, [6]), PAdicVector.from_ints(p, [1])]
+    J = JetField(k=0, A=(), resolution=3,
+                 jets=tuple((z, (MultiPoly.zero(1),)) for z in points))
+    assert ref.nearest_rep_index(points, y) == 0
+    assert J.nearest_rep_index(y) == 0
+    assert LevelIndex(points, 3).deepest(y) is None
+
+
+# ---------------------------------------------------------------------------
+# polynomial composition
+# ---------------------------------------------------------------------------
+
+COEFFS = st.builds(Fraction, st.integers(-9, 9),
+                   st.sampled_from([1, 1, 2, 3, 5]))
+
+
+@st.composite
+def polys(draw, m, max_terms=5, max_degree=3):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(0, max_degree)) for _ in range(m))
+        terms[e] = draw(COEFFS)
+    return MultiPoly(m, terms)
+
+
+@SETTINGS
+@given(st.data())
+def test_substitute_and_recenter_match_naive_composition(data):
+    m = data.draw(st.integers(1, 3))
+    new_m = data.draw(st.integers(1, 3))
+    q = data.draw(polys(m))
+    args = [data.draw(polys(new_m, max_terms=3, max_degree=2))
+            for _ in range(m)]
+    assert q.substitute(args) == ref.substitute(q, args)
+    center = [data.draw(COEFFS) for _ in range(m)]
+    assert q.recenter(center) == ref.recenter(q, center)
+
+
+# ---------------------------------------------------------------------------
+# the glue at every domain representative
+# ---------------------------------------------------------------------------
+
+@st.composite
+def glue_cases(draw):
+    """A polynomial of degree <= 3 on two balls of a domain of
+    radius 1 or p, glued at a resolution fine enough for every support:
+    2 + max(0, D) + 1 <= resolution with D < the largest radius of A."""
+    # (p, m, domain rad_exp k, the finest resolution with <= 300 cosets)
+    p, m, k, finest = draw(st.sampled_from([
+        (2, 1, 0, 8), (2, 1, -1, 7), (3, 1, 0, 5), (3, 1, -1, 4),
+        (5, 1, 0, 3), (2, 2, 0, 4), (2, 2, -1, 3)]))
+    jet_res = draw(st.integers(1, min(2, finest - 2)))
+    # two balls, so that psi picks the first representative of the nearer
+    centers = [PAdicVector.from_ints(p, [draw(st.integers(0, p**3))
+                                         for _ in range(m)], prec=12)
+               for _ in range(2)]
+    A = tuple(Ball(c, draw(st.integers(1, jet_res))) for c in centers)
+    coarsest = max(3, max(a.rad_exp for a in A) + 2)
+    resolution = min(finest, coarsest + draw(st.integers(0, 1)))
+    # a cubic part makes the jets, truncated at degree 2, differ by point
+    terms = [f"{draw(st.integers(-4, 4))}*x{draw(st.integers(0, m - 1))}"
+             f"*x{draw(st.integers(0, m - 1))}" for _ in range(2)]
+    terms.append(f"{draw(st.sampled_from([-2, -1, 1, 2]))}*x0*x0*x{m - 1}")
+    source = "+".join([str(draw(st.integers(0, 9)))] + terms
+                      + [f"{draw(st.integers(-4, 4))}*x0"])
+    f = SymbolicFunction.from_sources(p, [source], m=m, prec=24)
+    domain = Ball(PAdicVector.zero(p, m), k)
+    return f, A, jet_res, domain, resolution
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(glue_cases())
+def test_glue_matches_reference_at_every_representative(case):
+    f, A, jet_res, domain, resolution = case
+    J = jet_field_from_function(f, A, jet_res, k=1)
+    polys = as_polynomials(f)
+    for z, jet in J.jets:
+        center = [c.as_fraction() for c in z.coords]
+        expected = tuple(
+            ref.recenter(ref.recenter(q, center).truncate_total_degree(2),
+                         [-c for c in center]) for q in polys)
+        assert jet == expected
+    try:
+        expected = ref.glue(J, domain, resolution)
+    except PadicError:
+        with pytest.raises(PadicError):
+            whitney_extend(J, domain, resolution)
+        return
+    g = whitney_extend(J, domain, resolution)
+    for x in enumerate_cosets(domain, resolution):
+        assert g(x) == expected[ref.coset_key(x, resolution)]
+        assert g.evaluate_sum_form(x) == g(x)

@@ -1,0 +1,122 @@
+"""Reference implementations of the Whitney glue and its helpers.
+
+These are the straightforward versions: distances to the closed set are
+sup norms of PAdicVector differences read back as powers of p, coset keys
+are built from truncations, polynomials are composed term by term with
+fresh powers, supports are admitted by comparing each site with every
+admitted one, and nearest representatives come from a full scan.  The
+property tests in test_whitney_keys.py require the key-based versions in
+qpcalc to agree with them on every output.
+"""
+
+from fractions import Fraction
+
+from qpcalc.funcs import MultiPoly
+from qpcalc.measure import enumerate_cosets
+from qpcalc.padic import PadicError, truncate
+
+
+def dist_to_set(A, x):
+    """Exact sup-norm distance from x to a finite union of balls."""
+    best = None
+    for ball in A:
+        d = (x - ball.center).sup_norm()
+        d = Fraction(0) if d <= ball.radius() else d
+        if best is None or d < best:
+            best = d
+    return best
+
+
+def pexp(q, p):
+    """Exponent d with q = p^(-d) for an exact power of p."""
+    d = 0
+    while q < 1:
+        q *= p
+        d += 1
+    while q > 1:
+        q /= p
+        d -= 1
+    if q != 1:
+        raise PadicError("not a power of p")
+    return d
+
+
+def dist_exp(A, x):
+    """The exponent of dist(x, A), None on A."""
+    d = dist_to_set(A, x)
+    return None if d == 0 else pexp(d, x.p)
+
+
+def coset_key(x, resolution):
+    """Per coordinate, the (val, unit) of the truncation at resolution."""
+    out = []
+    for c in x.coords:
+        t = truncate(c, resolution)
+        out.append((t.val, t.unit))
+    return tuple(out)
+
+
+def substitute(poly, args):
+    """poly with args[i] in place of variable i, one power at a time."""
+    out = MultiPoly.zero(args[0].m)
+    for exps, c in poly.terms.items():
+        term = MultiPoly.const(args[0].m, c)
+        for a, e in zip(args, exps):
+            for _ in range(e):
+                term = term * a
+        out = out + term
+    return out
+
+
+def recenter(poly, center):
+    """Coefficients of w |-> poly(center + w)."""
+    args = [MultiPoly.const(poly.m, Fraction(center[i]))
+            + MultiPoly.coord(poly.m, i) for i in range(poly.m)]
+    return substitute(poly, args)
+
+
+def nearest_rep_index(reps, y):
+    """First representative at the least observed distance from y."""
+    best, d = 0, (y - reps[0]).sup_norm()
+    for i in range(1, len(reps)):
+        di = (y - reps[i]).sup_norm()
+        if di < d:
+            best, d = i, di
+    return best
+
+
+def glue(J, domain, resolution, s0=2):
+    """{coset key of x: g(x)} over every representative x of the domain:
+    the jet of x's own coset on A, and off A the jet of the representative
+    nearest to the one admitted site whose support contains x.  Sites are
+    admitted greedily in enumeration order when their support
+    B(y, p^-(s0 + max(0, D(y)) + 1)) meets no admitted support.  Raises
+    PadicError where whitney_extend must: no site, or a support finer than
+    the resolution."""
+    reps = J.reps()
+    points = enumerate_cosets(domain, resolution)
+    sites = []
+    for y in points:
+        d = dist_exp(J.A, y)
+        if d is None:
+            continue
+        e = s0 + max(0, d) + 1
+        if e > resolution:
+            raise PadicError("resolution too coarse for the support radii")
+        if all((y - g).sup_norm() > Fraction(J.p) ** -min(e, eg)
+               for g, eg in sites):
+            sites.append((y, e))
+    if not sites:
+        raise PadicError("A covers the domain: no sites")
+    out = {}
+    for x in points:
+        if dist_exp(J.A, x) is None:
+            _, polys = J.jet_at(x)
+        else:
+            hits = [g for g, e in sites
+                    if (x - g).sup_norm() <= Fraction(J.p) ** -e]
+            if len(hits) != 1:
+                raise PadicError("partition property violated")
+            _, polys = J.jets[nearest_rep_index(reps, hits[0])]
+        out[coset_key(x, resolution)] = J.evaluate_jet(polys, x)
+    return out
