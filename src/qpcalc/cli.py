@@ -44,7 +44,8 @@ from .measure import (
     decompose_series,
     density_at,
 )
-from .padic import Ball, PAdicNumber, PAdicVector, PadicError, parse_literal
+from .padic import (WORKING_PREC, Ball, PAdicNumber, PAdicVector, PadicError,
+                    parse_literal)
 from .quotients import (
     NonconvergenceError,
     QuotientPoint,
@@ -70,7 +71,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 DEFAULT_P = 5
-DEFAULT_PREC = 24
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +511,7 @@ def cmd_identities(args) -> int:
 def _add_common(sub, out=True):
     sub.add_argument("--p", type=int, default=DEFAULT_P,
                      help="prime (default 5)")
-    sub.add_argument("--prec", type=int, default=DEFAULT_PREC,
+    sub.add_argument("--prec", type=int, default=WORKING_PREC,
                      help="working window of digits (default 24)")
     if out:
         sub.add_argument("--out", help="write the machine-readable report here")

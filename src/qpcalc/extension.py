@@ -15,27 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .measure import (CosetTree, GridFunction, _window, coset_key,
-                      enumerate_cosets, first_gaps, gap_val)
-from .padic import (Ball, PAdicVector, PadicError, PPow,
-                    from_json as number_from_json, ppow_le_scaled)
-
-
-def _frac(q) -> Fraction:
-    return Fraction(q)
-
-
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 \
-        else str(q.numerator)
-
-
-def _parse_frac(s) -> Fraction:
-    if isinstance(s, str):
-        if "/" in s:
-            a, b = s.split("/")
-            return Fraction(int(a), int(b))
-        return Fraction(int(s))
-    return Fraction(s)
+                      enumerate_cosets, first_gaps, gap_val, nearest_index)
+from .padic import (Ball, PAdicVector, PadicError, PPow, _floor_level,
+                    frac_str, from_json as number_from_json, parse_frac,
+                    ppow_le_scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +65,8 @@ class SampleSet:
                 raise PadicError("duplicate site in sample set")
             seen.add(key)
         self.points = points
-        self.C = _frac(C)
-        self.r = _frac(r)
+        self.C = Fraction(C)
+        self.r = Fraction(r)
         if not 0 < self.r <= 1:
             raise PadicError("Hölder exponent must lie in (0, 1]")
         if self.C < 0:
@@ -150,15 +133,15 @@ class SampleSet:
         """(i, j, |v_i - v_j|, |x_i - x_j|^r) when sites i, j break the
         bound, else None."""
         (x, u), (y, w) = self.points[i], self.points[j]
-        gap = PPow.from_norm(self.p, (u - w).sup_norm())
-        allowed = PPow.from_norm(self.p, (x - y).sup_norm()).pow_frac(self.r)
+        gap = (u - w).norm_pow()
+        allowed = (x - y).norm_pow().pow_frac(self.r)
         if ppow_le_scaled(gap, self.C, allowed):
             return None
         return i, j, gap, allowed
 
     def to_json(self):
         return {
-            "constants": {"C": _frac_str(self.C),
+            "constants": {"C": frac_str(self.C),
                           "r": f"{self.r.numerator}/{self.r.denominator}"},
             "points": [[site.to_json(), value.to_json()]
                        for site, value in self.points],
@@ -166,8 +149,8 @@ class SampleSet:
 
     @classmethod
     def from_json(cls, obj) -> "SampleSet":
-        C = _parse_frac(obj["constants"]["C"])
-        r = _parse_frac(obj["constants"]["r"])
+        C = parse_frac(obj["constants"]["C"])
+        r = parse_frac(obj["constants"]["r"])
         points = [(PAdicVector.from_json(site), PAdicVector.from_json(value))
                   for site, value in obj["points"]]
         return cls(points, C, r)
@@ -232,12 +215,12 @@ def chebyshev_radius(H: WeightedSiteSet, r) -> ChebyshevResult:
     The candidates are maximized per branching coset of the centers'
     CosetTree, in O(N*K).
     """
-    r = _frac(r)
+    r = Fraction(r)
     if not 0 < r <= 1:
         raise PadicError("Hölder exponent must lie in (0, 1]")
     pairs = H.pairs
     p = H.p
-    weights = [PPow.from_norm(p, x.norm()) for _, x in pairs]
+    weights = [x.norm_pow() for _, x in pairs]
     tree = CosetTree(z for z, _ in pairs)
     c = PPow.zero(p)
     for L, _, children in tree.splits:
@@ -248,7 +231,7 @@ def chebyshev_radius(H: WeightedSiteSet, r) -> ChebyshevResult:
     for leaf in tree.leaves():
         for a, i in enumerate(leaf):
             for j in leaf[a + 1:]:
-                dist = PPow.from_norm(p, (pairs[i][0] - pairs[j][0]).sup_norm())
+                dist = (pairs[i][0] - pairs[j][0]).norm_pow()
                 if dist.exp is not None:
                     c = max(c, dist / max(weights[i], weights[j]).pow_frac(r))
     qi = min(range(len(pairs)), key=lambda k: weights[k])
@@ -256,8 +239,7 @@ def chebyshev_radius(H: WeightedSiteSet, r) -> ChebyshevResult:
     tight = []
     if c.exp is not None:
         for k, ((z, _), w) in enumerate(zip(pairs, weights)):
-            lhs = PPow.from_norm(p, (q - z).sup_norm())
-            if lhs == w.pow_frac(r) * c:
+            if (q - z).norm_pow() == w.pow_frac(r) * c:
                 tight.append(k)
     return ChebyshevResult(c=c, q=q, tight=tuple(tight),
                            zero_radius=c.exp is None)
@@ -266,13 +248,9 @@ def chebyshev_radius(H: WeightedSiteSet, r) -> ChebyshevResult:
 def chebyshev_feasible(H: WeightedSiteSet, r, y: PAdicVector,
                        level: PPow) -> bool:
     """Exact replay: does y satisfy every constraint at the given level?"""
-    r = _frac(r)
-    p = H.p
-    for z, x in H.pairs:
-        lhs = PPow.from_norm(p, (y - z).sup_norm())
-        if not lhs <= PPow.from_norm(p, x.norm()).pow_frac(r) * level:
-            return False
-    return True
+    r = Fraction(r)
+    return all((y - z).norm_pow() <= x.norm_pow().pow_frac(r) * level
+               for z, x in H.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +262,8 @@ def nearest_point(T, v: PAdicVector):
     T = list(T)
     if not T:
         raise PadicError("empty site list")
-    best, delta = T[0], (v - T[0]).sup_norm()
-    for x in T[1:]:
-        d = (v - x).sup_norm()
-        if d < delta:
-            best, delta = x, d
-    return best, delta
+    i, d = nearest_index(T, v)
+    return T[i], d.sup_norm()
 
 
 def extend_lipschitz(S: SampleSet, v: PAdicVector) -> PAdicVector:
@@ -335,8 +309,8 @@ def extend_to_grid(S: SampleSet, domain: Ball, resolution: int,
         own = [s for s in leaf if s < n]
         for i in leaf:
             if own and i >= n:
-                nearest[i - n] = min(
-                    own, key=lambda s: (reps[i - n] - sites[s]).sup_norm())
+                k, _ = nearest_index([sites[s] for s in own], reps[i - n])
+                nearest[i - n] = own[k]
     return GridFunction(domain, resolution,
                         [(rep, S.points[k][1]) for rep, k in zip(reps, nearest)])
 
@@ -359,40 +333,19 @@ class PackingResult:
             "ratio_ok": self.ratio_ok, "card_ok": self.card_ok,
             "g_x": list(self.g_x),
             "card": len(self.g_x),
-            "card_bound": _frac_str(self.card_bound),
-            "ratio_bounds": [_frac_str(b) for b in self.ratio_bounds],
+            "card_bound": frac_str(self.card_bound),
+            "ratio_bounds": [frac_str(b) for b in self.ratio_bounds],
             "violations": list(self.violations),
         }
-
-
-def _power_level(q: Fraction, p: int):
-    """L with q = p^(-L), or None when q is not a power of p."""
-    L = 0
-    while q < 1:
-        q *= p
-        L += 1
-    while q > 1:
-        q /= p
-        L -= 1
-    return L if q == 1 else None
-
-
-def _floor_level(q: Fraction, p: int) -> int:
-    """Least L with p^(-L) <= q (the level of the largest p-power under q)."""
-    L = 0
-    while Fraction(p) ** -L > q:
-        L += 1
-    while Fraction(p) ** -(L - 1) <= q:
-        L -= 1
-    return L
 
 
 def _packing_setup(G, h, b, alpha, beta):
     """Validate the family preconditions; raise with the offending pair.
 
-    Returns (radii, uniform_level): uniform_level is the common radius
-    exponent when the gauge takes a single value on G (the frequent case),
-    letting disjointness reduce to coset-key uniqueness at that level.
+    Returns (levels, uniform_level): the ball at G[i] has radius
+    p^-levels[i]; uniform_level is the common level when the gauge takes a
+    single value on G (the frequent case), letting disjointness reduce to
+    coset-key uniqueness at that level.
     """
     if not G:
         raise PadicError("empty packing family")
@@ -403,53 +356,53 @@ def _packing_setup(G, h, b, alpha, beta):
     hv = [h(y) for y in G]
     if any(v.is_zero() for v in hv):
         raise PadicError("gauge h vanishes on a site")
-    radii = [v.norm() for v in hv]
-    p = G[0].p
+    levels = [v.val for v in hv]
     if all((v - hv[0]).is_zero() for v in hv[1:]):
-        L = _power_level(radii[0], p)
-        if L is not None:
-            seen = {}
-            for i, y in enumerate(G):
-                key = coset_key(y, L)
-                if key in seen:
-                    raise PadicError(
-                        f"balls at sites {seen[key]} and {i} are not disjoint")
-                seen[key] = i
-            return radii, L
+        seen = {}
+        for i, y in enumerate(G):
+            key = coset_key(y, levels[0])
+            if key in seen:
+                raise PadicError(
+                    f"balls at sites {seen[key]} and {i} are not disjoint")
+            seen[key] = i
+        return levels, levels[0]
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            dist = (G[i] - G[j]).sup_norm()
-            if dist <= max(radii[i], radii[j]):
+            d = (G[i] - G[j]).val
+            if d is None or d >= min(levels[i], levels[j]):
                 raise PadicError(
                     f"balls at sites {i} and {j} are not disjoint")
-            if (hv[i] - hv[j]).norm() > b * dist:
+            if not ppow_le_scaled((hv[i] - hv[j]).norm_pow(), b,
+                                  PPow(G[i].p, -d)):
                 raise PadicError(
                     f"b does not bound the Lipschitz quotient of h "
                     f"at sites {i} and {j}")
-    return radii, None
+    return levels, None
 
 
-def _packing_at(G, radii, h, b, alpha, beta, m, x, g_x=None) -> PackingResult:
+def _packing_at(G, levels, h, b, alpha, beta, m, x, g_x=None) -> PackingResult:
     hxv = h(x)
     if hxv.is_zero():
         raise PadicError("gauge h vanishes at x")
-    hx = hxv.norm()
+    p = x.p
     if g_x is None:
+        hx = hxv.norm_pow()
         g_x = [i for i, y in enumerate(G)
-               if (x - y).sup_norm() <= max(alpha * hx, beta * radii[i])]
+               if ppow_le_scaled(d := (x - y).norm_pow(), alpha, hx)
+               or ppow_le_scaled(d, beta, PPow.from_val(p, levels[i]))]
     lower = (1 - b * beta) / (1 + b * alpha)
     upper = (1 + b * beta) / (1 - b * alpha)
     violations = []
     for i in g_x:
-        ratio = hx / radii[i]
+        ratio = Fraction(p) ** (levels[i] - hxv.val)
         if not lower <= ratio <= upper:
-            violations.append({"site": i, "ratio": _frac_str(ratio)})
+            violations.append({"site": i, "ratio": frac_str(ratio)})
     card_bound = (max(alpha, beta * (1 + b * alpha) / (1 - b * beta)) ** m
                   * ((1 + b * beta) / (1 - b * alpha)) ** m)
     card_ok = len(g_x) <= card_bound
     if not card_ok:
         violations.append({"cardinality": len(g_x),
-                           "bound": _frac_str(card_bound)})
+                           "bound": frac_str(card_bound)})
     ratio_ok = not any("site" in v for v in violations)
     return PackingResult(ratio_ok=ratio_ok,
                          card_ok=card_ok, g_x=tuple(g_x),
@@ -470,9 +423,9 @@ def packing_check(G, h, b, alpha, beta, x: PAdicVector) -> PackingResult:
     not raised.
     """
     G = list(G)
-    b, alpha, beta = _frac(b), _frac(alpha), _frac(beta)
-    radii, _ = _packing_setup(G, h, b, alpha, beta)
-    return _packing_at(G, radii, h, b, alpha, beta, G[0].dim, x)
+    b, alpha, beta = Fraction(b), Fraction(alpha), Fraction(beta)
+    levels, _ = _packing_setup(G, h, b, alpha, beta)
+    return _packing_at(G, levels, h, b, alpha, beta, G[0].dim, x)
 
 
 def packing_check_many(G, h, b, alpha, beta, xs) -> list:
@@ -480,13 +433,13 @@ def packing_check_many(G, h, b, alpha, beta, xs) -> list:
     once; uniform-gauge families get coset-key candidate lookups instead of
     per-x scans.  Results are in xs order."""
     G = list(G)
-    b, alpha, beta = _frac(b), _frac(alpha), _frac(beta)
-    radii, unif = _packing_setup(G, h, b, alpha, beta)
+    b, alpha, beta = Fraction(b), Fraction(alpha), Fraction(beta)
+    levels, unif = _packing_setup(G, h, b, alpha, beta)
     m = G[0].dim
     p = G[0].p
     if unif is None:
-        return [_packing_at(G, radii, h, b, alpha, beta, m, x) for x in xs]
-    r = radii[0]
+        return [_packing_at(G, levels, h, b, alpha, beta, m, x) for x in xs]
+    r = Fraction(p) ** -unif
     buckets = {}
     out = []
     for x in xs:
@@ -500,7 +453,7 @@ def packing_check_many(G, h, b, alpha, beta, xs) -> list:
                 d.setdefault(coset_key(y, level), []).append(i)
             buckets[level] = d
         g_x = buckets[level].get(coset_key(x, level), [])
-        out.append(_packing_at(G, radii, h, b, alpha, beta, m, x, g_x=g_x))
+        out.append(_packing_at(G, levels, h, b, alpha, beta, m, x, g_x=g_x))
     return out
 
 
@@ -538,7 +491,7 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
     compared pair by pair.  Points admitting no j in the budget are
     reported unassigned.
     """
-    r = _frac(r)
+    r = Fraction(r)
     K = f.resolution
     p = f.p
     if j_range is None:
@@ -632,11 +585,11 @@ def verify_Ej(f: GridFunction, dec: EjDecomposition, max_violations: int = 8):
             # pair, and only those below p^-j count
             for a, i in enumerate(leaf):
                 for k in leaf[a + 1:]:
-                    dist = (pts[i] - pts[k]).sup_norm()
-                    if dist >= Fraction(p) ** (-j):
+                    d = (pts[i] - pts[k]).val
+                    if d is not None and d <= j:
                         continue
-                    gap = PPow.from_norm(p, (values[i] - values[k]).sup_norm())
-                    dpow = PPow.from_norm(p, dist).pow_frac(dec.r)
+                    gap = (values[i] - values[k]).norm_pow()
+                    dpow = PPow.from_val(p, d).pow_frac(dec.r)
                     if not ppow_le_scaled(gap, scale, dpow):
                         found.append((i, k))
         found.sort()

@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from .padic import (
+    WORKING_PREC,
     Ball,
     PAdicNumber,
     PAdicVector,
@@ -779,7 +780,7 @@ def _fold_const(e: Expr):
 
 def parse_expr(src: str, p: int, prec: int | None = None) -> Expr:
     """Parse one scalar expression; errors carry byte offsets."""
-    parser = _Parser(src, p, prec if prec is not None else 24)
+    parser = _Parser(src, p, prec if prec is not None else WORKING_PREC)
     e = parser.expr()
     kind, text, off = parser.peek()
     if kind != "end":

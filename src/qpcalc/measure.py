@@ -20,7 +20,9 @@ from .padic import (
     PAdicNumber,
     PAdicVector,
     PadicError,
+    PPow,
     _make,
+    ppow_le_scaled,
     truncate,
     vdp_dense_sequence,
 )
@@ -102,6 +104,18 @@ class LevelIndex:
             if i is not None:
                 return None if L < self.hi and L == start else (L, i)
         return None
+
+
+def nearest_index(points, x: PAdicVector):
+    """(i, d): the index i of the first of `points` at the least sup-distance
+    from x, and the difference d = x - points[i]."""
+    best = best_v = None
+    for i, y in enumerate(points):
+        d = x - y
+        v = d.val
+        if best is None or best_v is not None and (v is None or v > best_v):
+            best, best_v = (i, d), v
+    return best
 
 
 def gap_val(vectors):
@@ -448,8 +462,12 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
     else:
         fn = f
 
+    one = PPow(x.p, 0)
+
     def outside(z):
-        return (fn(z) - candidate).sup_norm() > eps
+        err = (fn(z) - candidate).norm_pow()
+        # a negative eps leaves no value within tolerance
+        return eps < 0 or not ppow_le_scaled(err, eps, one)
 
     est = density_at(outside, x, j_range, resolution=resolution, cap=cap)
     verdict = {"converges-to-0": "confirmed",
@@ -544,10 +562,9 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
                  for rep in f.reps]
         terms.append((y, GridFunction(f.domain, f.resolution, table)))
 
-    bound = Fraction(p) ** (-tol_exp)
     for rep in f.reps:
         r = residual[coset_key(rep, f.resolution)]
-        if r.norm() > bound:
+        if not r.is_zero() and r.val < tol_exp:
             raise PadicError("internal: decomposition left residual above tolerance")
     return terms
 

@@ -24,6 +24,9 @@ from fractions import Fraction
 
 
 DEFAULT_PREC = 12
+#: the working window of the command line (its --prec default), of parsed
+#: expressions and of Whitney jets and gauges
+WORKING_PREC = 24
 
 # Miller-Rabin with these bases is exact for every n < 3.317e24
 # (Sorenson and Webster, 2015); larger p are rejected, not guessed.
@@ -38,14 +41,6 @@ class PadicError(ValueError):
 
 class PrecisionZeroDivision(PadicError, ZeroDivisionError):
     """Division by a value indistinguishable from zero at the current precision."""
-
-
-def set_default_prec(n: int) -> None:
-    """Set the window used when constructors are not given one (CLI --prec)."""
-    global DEFAULT_PREC
-    if n < 1:
-        raise PadicError("precision window must be >= 1")
-    DEFAULT_PREC = n
 
 
 def _check_prime(p: int) -> None:
@@ -87,6 +82,24 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def rational_val(q: Fraction, p: int):
+    """p-adic valuation of a rational; None for 0."""
+    if q == 0:
+        return None
+    return _vp(q.numerator, p) - _vp(q.denominator, p)
+
+
+def _floor_level(q: Fraction, p: int) -> int:
+    """Least L with p^(-L) <= q, for a rational q > 0: a value of
+    valuation v has norm at most q exactly when v >= L."""
+    L = 0
+    while Fraction(p) ** -L > q:
+        L += 1
+    while Fraction(p) ** -(L - 1) <= q:
+        L -= 1
+    return L
 
 
 class PAdicNumber:
@@ -152,14 +165,11 @@ class PAdicNumber:
 
     def norm(self) -> Fraction:
         """|x| = p^(-val); exactly 0 for the zero sentinel."""
-        if self.val is None:
-            return Fraction(0)
-        return Fraction(self.p) ** (-self.val)
+        return self.norm_pow().as_fraction()
 
     def norm_pow(self) -> "PPow":
-        if self.val is None:
-            return PPow.zero(self.p)
-        return PPow(self.p, Fraction(-self.val))
+        """|x| as the exact magnitude type."""
+        return PPow.from_val(self.p, self.val)
 
     def as_fraction(self) -> Fraction:
         """The exact rational value of the canonical representative."""
@@ -487,8 +497,19 @@ class PAdicVector:
         if not isinstance(other, PAdicVector) or other.dim != self.dim:
             raise PadicError("dimension mismatch")
 
+    @property
+    def val(self):
+        """The least coordinate valuation, so |x| = p^(-val); None for the
+        zero vector."""
+        vals = [c.val for c in self.coords if c.val is not None]
+        return min(vals) if vals else None
+
+    def norm_pow(self) -> "PPow":
+        """|x| as the exact magnitude type."""
+        return PPow.from_val(self.p, self.val)
+
     def sup_norm(self) -> Fraction:
-        return max(c.norm() for c in self.coords)
+        return self.norm_pow().as_fraction()
 
     def __eq__(self, other):
         return isinstance(other, PAdicVector) and self.coords == other.coords
@@ -549,15 +570,15 @@ class Ball:
         return Fraction(self.p) ** (-self.rad_exp)
 
     def contains(self, x: PAdicVector) -> bool:
-        return (x - self.center).sup_norm() <= self.radius()
+        v = (x - self.center).val
+        return v is None or v >= self.rad_exp
 
     def relation(self, other: "Ball") -> str:
         """'equal' | 'disjoint' | 'nested' — the ultrametric trichotomy."""
-        d = (self.center - other.center).sup_norm()
-        r1, r2 = self.radius(), other.radius()
-        if d > max(r1, r2):
+        v = (self.center - other.center).val
+        if v is not None and v < min(self.rad_exp, other.rad_exp):
             return "disjoint"
-        if r1 == r2:
+        if self.rad_exp == other.rad_exp:
             return "equal"
         return "nested"
 
@@ -586,15 +607,17 @@ class PPow:
         return cls(p, None)
 
     @classmethod
+    def from_val(cls, p: int, val) -> "PPow":
+        """p^(-val), the norm of a value of valuation val (None: zero)."""
+        return cls.zero(p) if val is None else cls(p, -val)
+
+    @classmethod
     def from_norm(cls, p: int, q: Fraction) -> "PPow":
         """Lift a norm value (a power of p, or 0) into the exact type."""
         q = Fraction(q)
-        if q == 0:
+        e = rational_val(q, p)
+        if e is None:
             return cls.zero(p)
-        if q.numerator == 1:
-            e = -_vp(q.denominator, p)
-        else:
-            e = _vp(q.numerator, p)
         if (Fraction(p) ** e) != q:
             raise PadicError(f"{q} is not a power of {p}")
         return cls(p, e)
@@ -662,7 +685,7 @@ class PPow:
         if self.exp is None:
             return {"zero": True}
         return {"p": self.p, "exp": [self.exp.numerator, self.exp.denominator],
-                "upper_bound": _frac_str(self.ceil_fraction())}
+                "upper_bound": frac_str(self.ceil_fraction())}
 
 
 def ppow_le_scaled(lhs: PPow, scale: Fraction, rhs: PPow) -> bool:
@@ -679,5 +702,21 @@ def ppow_le_scaled(lhs: PPow, scale: Fraction, rhs: PPow) -> bool:
     return Fraction(lhs.p) ** q.numerator <= scale ** q.denominator
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+# -- rationals in reports and input files ----------------------------------
+
+_FRAC_RE = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
+def frac_str(q: Fraction) -> str:
+    """The canonical text of a rational: "n", or "n/d" when d > 1."""
+    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 \
+        else str(q.numerator)
+
+
+def parse_frac(s) -> Fraction:
+    """Read a rational written "n" or "n/d" with d > 0; reject anything
+    else, numbers and booleans included."""
+    if not isinstance(s, str) or not _FRAC_RE.fullmatch(s):
+        raise PadicError(f"malformed rational {s!r}: expected n or n/d")
+    a, _, b = s.partition("/")
+    return Fraction(int(a), int(b or 1))

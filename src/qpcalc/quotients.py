@@ -29,6 +29,8 @@ from .padic import (
     PAdicVector,
     PadicError,
     PPow,
+    frac_str,
+    ppow_le_scaled,
     truncate,
     unit_vector,
 )
@@ -396,9 +398,7 @@ class HolderScan:
 
     def to_json(self):
         return {
-            "constant": f"{self.constant.numerator}/{self.constant.denominator}"
-                        if self.constant.denominator != 1
-                        else str(self.constant.numerator),
+            "constant": frac_str(self.constant),
             "ratio": self.ratio.to_json(),
             "witness": None if self.witness is None else
                        [self.witness[0].to_json(), self.witness[1].to_json()],
@@ -408,10 +408,10 @@ class HolderScan:
 
 def _pair_ratio(f: GridFunction, x: PAdicVector, y: PAdicVector, r) -> PPow:
     """|f(x)-f(y)| / |x-y|^r; the zero magnitude when f(x) = f(y)."""
-    num = PPow.from_norm(f.p, (f.evaluate(x) - f.evaluate(y)).sup_norm())
+    num = (f.evaluate(x) - f.evaluate(y)).norm_pow()
     if num.exp is None:
         return num
-    return num / PPow.from_norm(f.p, (x - y).sup_norm()).pow_frac(r)
+    return num / (x - y).norm_pow().pow_frac(r)
 
 
 def holder_scan(f: GridFunction, r) -> HolderScan:
@@ -511,11 +511,11 @@ def ap_derivative(f, x: PAdicVector, j_range, eps,
 
     def bad(z: PAdicVector) -> bool:
         dz = z - x
-        dist = dz.sup_norm()
-        if dist == 0:
+        if dz.val is None:
             return False
-        err = (f(z) - fx - t.apply(dz)).sup_norm()
-        return err > eps * dist
+        # a negative eps leaves no value within tolerance
+        err = (f(z) - fx - t.apply(dz)).norm_pow()
+        return eps < 0 or not ppow_le_scaled(err, eps, dz.norm_pow())
 
     kwargs = {} if cap is None else {"cap": cap}
     est = density_at(bad, x, j_range, resolution=resolution, **kwargs)

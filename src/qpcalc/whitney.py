@@ -17,19 +17,22 @@ from math import factorial
 from .extension import packing_check, packing_check_many
 from .funcs import MultiPoly, SymbolicFunction, as_polynomials
 from .measure import (GridFunction, LevelIndex, _window, coset_key,
-                      enumerate_cosets)
+                      enumerate_cosets, nearest_index)
 from .padic import (
+    WORKING_PREC,
     Ball,
     PAdicNumber,
     PAdicVector,
     PadicError,
     PPow,
-    _vp,
+    _floor_level,
+    parse_frac,
+    ppow_le_scaled,
+    rational_val,
     unit_vector,
 )
 from .quotients import NonconvergenceError, QuotientPoint, phin, phin_limit
 
-DEFAULT_PREC = 24
 #: construction exponents (s0, s1, s2); the gauge scale is b = p^(-s0),
 #: the enlargement factor p^(-s1), and the packing scale offset s2.
 DEFAULT_CONSTANTS = (2, 0, -1)
@@ -57,8 +60,7 @@ def dist_exp(A, x: PAdicVector):
         raise PadicError("empty coset union")
     best = None
     for ball in A:
-        v = min((c.val for c in (x - ball.center).coords
-                 if not c.is_zero()), default=None)
+        v = (x - ball.center).val
         if v is None or v >= ball.rad_exp:
             return None
         best = v if best is None else max(best, v)
@@ -67,8 +69,7 @@ def dist_exp(A, x: PAdicVector):
 
 def dist_to_set(A, x: PAdicVector) -> Fraction:
     """Exact sup-norm distance from x to a finite union of coset balls."""
-    d = dist_exp(A, x)
-    return Fraction(0) if d is None else Fraction(x.p) ** -d
+    return PPow.from_val(x.p, dist_exp(A, x)).as_fraction()
 
 
 class RadiusFunction:
@@ -127,7 +128,7 @@ class RadiusFunction:
 
     def __call__(self, x: PAdicVector) -> PAdicNumber:
         return PAdicNumber.from_int(
-            self.p, self.p ** self.exponent(x), prec=DEFAULT_PREC)
+            self.p, self.p ** self.exponent(x), prec=WORKING_PREC)
 
     def support_exp(self, x: PAdicVector) -> int:
         """Radius exponent of the support ball B(x, |pi*h(x)|)."""
@@ -144,8 +145,9 @@ def lipschitz_gauge_check(h: RadiusFunction, points) -> tuple:
     for i in range(len(points)):
         hi = h(points[i])
         for j in range(i + 1, len(points)):
-            gap = (hi - h(points[j])).norm()
-            if gap > h.b * (points[i] - points[j]).sup_norm():
+            gap = (hi - h(points[j])).norm_pow()
+            dist = (points[i] - points[j]).norm_pow()
+            if not ppow_le_scaled(gap, h.b, dist):
                 return False, (points[i], points[j])
     return True, None
 
@@ -251,7 +253,7 @@ def family_packing_report(fam: PartitionFamily, x: PAdicVector):
     """
     p = fam.h.p
     pi_h = lambda y: PAdicNumber.from_int(
-        p, p ** (fam.h.exponent(y) + 1), prec=DEFAULT_PREC)
+        p, p ** (fam.h.exponent(y) + 1), prec=WORKING_PREC)
     bprime = Fraction(1, p ** (fam.h.s0 + 1))
     return packing_check(list(fam.sites), pi_h, bprime, 1, 1, x)
 
@@ -260,7 +262,7 @@ def family_packing_reports(fam: PartitionFamily, xs) -> list:
     """family_packing_report over many points, preconditions checked once."""
     p = fam.h.p
     pi_h = lambda y: PAdicNumber.from_int(
-        p, p ** (fam.h.exponent(y) + 1), prec=DEFAULT_PREC)
+        p, p ** (fam.h.exponent(y) + 1), prec=WORKING_PREC)
     bprime = Fraction(1, p ** (fam.h.s0 + 1))
     return packing_check_many(list(fam.sites), pi_h, bprime, 1, 1, xs)
 
@@ -311,7 +313,7 @@ def _jet(f: SymbolicFunction, polys, z: PAdicVector, degree: int):
             continue
         vs = []
         for i, g in enumerate(gamma):
-            vs.extend([unit_vector(f.p, m, i, prec=DEFAULT_PREC)] * g)
+            vs.extend([unit_vector(f.p, m, i, prec=WORKING_PREC)] * g)
         report = phin_limit(f, n, z, vs)
         if not report.converged:
             raise NonconvergenceError(
@@ -385,16 +387,10 @@ class JetField:
         if hit is not None:
             return hit[1]
         # past the windows, or outside the reps' level-lo coset: a scan
-        reps = self.reps()
-        best, d = 0, (y - reps[0]).sup_norm()
-        for i in range(1, len(reps)):
-            di = (y - reps[i]).sup_norm()
-            if di < d:
-                best, d = i, di
-        return best
+        return nearest_index(self.reps(), y)[0]
 
     def evaluate_jet(self, polys, x: PAdicVector) -> PAdicVector:
-        return PAdicVector(tuple(q.evaluate(x, prec=DEFAULT_PREC)
+        return PAdicVector(tuple(q.evaluate(x, prec=WORKING_PREC)
                                  for q in polys))
 
     def to_json(self):
@@ -419,7 +415,7 @@ class JetField:
                 terms = {}
                 for exps, c in table:
                     e = tuple(exps)
-                    terms[e] = terms.get(e, 0) + _parse_fr(c)
+                    terms[e] = terms.get(e, 0) + parse_frac(c)
                 polys.append(MultiPoly(z.dim, terms))
             jets.append((z, tuple(polys)))
         return cls(k=obj["k"], A=A, resolution=obj["resolution"],
@@ -430,24 +426,24 @@ def _fr(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _parse_fr(s: str) -> Fraction:
-    a, b = s.split("/")
-    return Fraction(int(a), int(b))
-
-
 def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
                             k: int, degree: int | None = None,
                             cap: int | None = None) -> JetField:
-    """Jets of f at every representative of the coset union A."""
+    """Jets of f at every representative of the coset union A, one per
+    resolution coset: where balls of A overlap, the first enumeration of a
+    coset wins."""
     A = tuple(A)
     polys = _polynomials(f)
     degree = k + 1 if degree is None else degree
-    jets = []
+    jets = {}
     kwargs = {} if cap is None else {"cap": cap}
     for ball in A:
         for z in enumerate_cosets(ball, resolution, **kwargs):
-            jets.append((z, _jet(f, polys, z, degree)))
-    return JetField(k=k, A=A, resolution=resolution, jets=tuple(jets))
+            key = coset_key(z, resolution)
+            if key not in jets:
+                jets[key] = (z, _jet(f, polys, z, degree))
+    return JetField(k=k, A=A, resolution=resolution,
+                    jets=tuple(jets.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +465,8 @@ def _quotient_bound(Q: MultiPoly, z: PAdicVector, order: int,
     j = order
     if j == 0:
         # C0 norm over the unit ball: max coefficient norm
-        best = PPow.zero(p)
-        for c in Q.terms.values():
-            best = max(best, _p_norm(c, p))
-        return best
+        return PPow.from_val(p, min(
+            (rational_val(c, p) for c in Q.terms.values() if c), default=None))
     nv = j * m + j
     args_base = [MultiPoly.const(nv, z.coords[i].as_fraction())
                  for i in range(m)]
@@ -491,18 +485,10 @@ def _quotient_bound(Q: MultiPoly, z: PAdicVector, order: int,
     for i in range(j):
         exps[j * m + i] = 1
     total = total.divide_by_monomial(tuple(exps)) * Fraction(1, factorial(j))
-    best = PPow.zero(p)
-    for e, c in total.terms.items():
-        tdeg = sum(e[j * m:])
-        cand = _p_norm(c, p) * PPow(p, Fraction(-zeta * tdeg))
-        best = max(best, cand)
-    return best
-
-
-def _p_norm(c: Fraction, p: int) -> PPow:
-    if c == 0:
-        return PPow.zero(p)
-    return PPow(p, _vp(c.denominator, p) - _vp(c.numerator, p))
+    # each monomial: |c| * p^(-zeta * its degree in the t's)
+    return PPow.from_val(p, min(
+        (rational_val(c, p) + zeta * sum(e[j * m:])
+         for e, c in total.terms.items() if c), default=None))
 
 
 def _jet_signature(polys) -> tuple:
@@ -520,6 +506,9 @@ def jet_compat_modulus(J: JetField, delta: Fraction,
     """
     p = J.p
     best = PPow.zero(p)
+    if delta <= 0:
+        return best
+    D = _floor_level(delta, p)      # |x - z| <= delta iff val >= D
     classes = {}
     for a, (_, px) in enumerate(J.jets):
         classes.setdefault(_jet_signature(px), []).append(a)
@@ -530,10 +519,10 @@ def jet_compat_modulus(J: JetField, delta: Fraction,
                 x, px = J.jets[a]
                 for bidx in groups[gj]:
                     z, pz = J.jets[bidx]
-                    d = (x - z).sup_norm()
-                    if d == 0 or d > delta:
+                    d = (x - z).val
+                    if d is None or d < D:
                         continue
-                    dpow = PPow.from_norm(p, d)
+                    dpow = PPow(p, -d)
                     for comp in range(J.n):
                         Q = px[comp] - pz[comp]
                         if Q.is_zero():
@@ -647,9 +636,9 @@ def sample_quotient_points(J: JetField, order: int, count: int, rng,
         for _ in range(order):
             coords = [rng.randrange(p ** 3) for _ in range(m)]
             coords[rng.randrange(m)] = 1 + p * rng.randrange(p ** 2)
-            vs.append(PAdicVector.from_ints(p, coords, prec=DEFAULT_PREC))
+            vs.append(PAdicVector.from_ints(p, coords, prec=WORKING_PREC))
         ts = tuple(PAdicNumber.from_int(p, p ** rng.choice(list(t_exps)),
-                                        prec=DEFAULT_PREC)
+                                        prec=WORKING_PREC)
                    for _ in range(order))
         out.append(QuotientPoint(z, tuple(vs), ts))
     return out
@@ -670,29 +659,28 @@ def verify_whitney(g, J: JetField, samples, zeta: int = 1) -> list:
     for j in sorted(by_order):
         if j > J.k:
             raise PadicError("sample order exceeds the jet degree k")
-        observed = Fraction(0)
-        bound = Fraction(0)
+        errs = []
+        bound = PPow.zero(p)
         for q in by_order[j]:
             z = q.x
             _, polys = J.jet_at(z)
             pz = lambda y: J.evaluate_jet(polys, y)
-            err = (phin(g, j, q) - phin(pz, j, q)).sup_norm() if j else \
-                (g(z) - pz(z)).sup_norm()
-            observed = max(observed, err)
-            span = Fraction(0)
+            err = (phin(g, j, q) - phin(pz, j, q)) if j else (g(z) - pz(z))
+            errs.append(err.val)
             acc = z
             for v, t in zip(q.vs, q.ts):
                 acc = acc + v.scale(t)
-            span = (acc - z).sup_norm()
-            if span == 0:
+            span = (acc - z).val
+            if span is None:
                 continue
             if span not in rho_cache:
-                rho_cache[span] = jet_compat_modulus(J, span, zeta)
-            rho = rho_cache[span]
-            if rho.exp is not None:
-                est = (Fraction(p) ** j) * rho.as_fraction() \
-                    * span ** (J.k - j)
-                bound = max(bound, est)
+                rho_cache[span] = jet_compat_modulus(
+                    J, Fraction(p) ** -span, zeta)
+            # p^j * rho * |span|^(k-j)
+            bound = max(bound, PPow(p, j - span * (J.k - j)) * rho_cache[span])
+        observed = PPow.from_val(p, min(
+            (v for v in errs if v is not None), default=None)).as_fraction()
+        bound = bound.as_fraction()
         rows.append(WhitneyErrorRow(order=j, samples=len(by_order[j]),
                                     observed=observed, bound=bound,
                                     dominated=observed <= bound

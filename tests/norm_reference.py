@@ -1,0 +1,49 @@
+"""Fraction-norm references for the valuation-based norms and balls.
+
+These are the formulas qpcalc used when norms were compared as Fractions:
+|x| is the largest coordinate norm p^(-val) as a Fraction, a ball holds x
+when that norm of x - centre is at most the radius, two balls are
+disjoint when their centres are farther apart than the larger radius, and
+the nearest point of a list is found by a scan that keeps the first
+strictly smaller Fraction distance.  test_valuations.py requires the
+integer-valuation versions in qpcalc to agree with them.
+"""
+
+from fractions import Fraction
+
+from qpcalc.padic import PPow
+
+
+def sup_norm(x):
+    return max(c.norm() for c in x.coords)
+
+
+def norm_pow(x):
+    return PPow.from_norm(x.p, sup_norm(x))
+
+
+def radius(ball):
+    return Fraction(ball.p) ** -ball.rad_exp
+
+
+def contains(ball, x):
+    return sup_norm(x - ball.center) <= radius(ball)
+
+
+def relation(a, b):
+    d = sup_norm(a.center - b.center)
+    r1, r2 = radius(a), radius(b)
+    if d > max(r1, r2):
+        return "disjoint"
+    if r1 == r2:
+        return "equal"
+    return "nested"
+
+
+def nearest_point(T, v):
+    best, delta = T[0], sup_norm(v - T[0])
+    for x in T[1:]:
+        d = sup_norm(v - x)
+        if d < delta:
+            best, delta = x, d
+    return best, delta

@@ -174,6 +174,19 @@ def test_certify_violation_exits_1_without_listing(capsys, tmp_path, budget):
     assert report["ok"] is False and report["violations"] == []
 
 
+@pytest.mark.parametrize("C", [0.1, True, 1, "1/0", "1.5", " 1"])
+def test_certify_rejects_non_canonical_constant(capsys, tmp_path, C):
+    """C must be written "n" or "n/d": a float would be certified against
+    its binary expansion and true would be read as 1."""
+    obj = SampleSet([(vec(0), vec(0)), (vec(5), vec(1))], 1, 1).to_json()
+    obj["constants"]["C"] = C
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "certify", "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: malformed rational")
+
+
 def test_extend_writes_grid(capsys, sample_file, tmp_path):
     out_path = tmp_path / "ext.json"
     code, out, _ = run(capsys, "extend", "--in", sample_file,
@@ -223,6 +236,18 @@ def test_whitney_build_counts_jets(capsys, tmp_path):
     assert code == 0
     assert "built 25 jets" in out
     json.loads(path.read_text())
+
+
+def test_whitney_build_overlapping_balls_one_jet_per_coset(capsys, tmp_path):
+    """ball(0;2) lies inside ball(0;1): its five cosets get one jet each."""
+    path = tmp_path / "jets.json"
+    code, out, _ = run(capsys, "whitney", "build", "--p", "5",
+                       "--f", "x0*x0", "--set", "ball(0;1)|ball(0;2)",
+                       "--resolution", "3", "--k", "1", "--out", str(path))
+    assert code == 0
+    assert "built 25 jets" in out
+    reps = [z for z, _ in json.loads(path.read_text())["jets"]]
+    assert len(reps) == len({tuple(z) for z in reps}) == 25
 
 
 def test_whitney_build_limit_route_jet_at_zero(capsys, tmp_path):

@@ -19,8 +19,10 @@ from qpcalc.padic import (
     PPow,
     PrecisionZeroDivision,
     arith,
+    frac_str,
     from_json,
     norm,
+    parse_frac,
     parse_literal,
     ppow_le_scaled,
     sup_norm,
@@ -224,6 +226,28 @@ def test_ppow_scaled_comparison_is_exact():
     assert not ppow_le_scaled(half, Fraction(2, 5), one)   # 4/25 < 5/25
     assert ppow_le_scaled(PPow.zero(5), Fraction(0), one)
     assert not ppow_le_scaled(one, Fraction(1), PPow.zero(5))
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(7), Fraction(-7),
+                               Fraction(3, 25), Fraction(-1, 2)])
+def test_frac_str_roundtrip(q):
+    assert parse_frac(frac_str(q)) == q
+    assert frac_str(q) == (str(q.numerator) if q.denominator == 1
+                           else f"{q.numerator}/{q.denominator}")
+
+
+def test_parse_frac_reads_slash_forms():
+    assert parse_frac("6/1") == 6
+    assert parse_frac("-4/10") == Fraction(-2, 5)
+    assert parse_frac("007") == 7
+
+
+@pytest.mark.parametrize("s", [0.1, True, 1, None, [1, 2], "", "1.5",
+                               " 1", "1/0", "1/00", "1/-2", "+1", "1/2/3",
+                               "1e3", "\u0661"])
+def test_parse_frac_rejects_everything_else(s):
+    with pytest.raises(PadicError):
+        parse_frac(s)
 
 
 # ---------------------------------------------------------------------------

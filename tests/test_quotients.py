@@ -368,6 +368,15 @@ def test_ap_derivative_locally_constant():
     assert out.verdict == "converges-to-0"
 
 
+def test_ap_derivative_negative_eps_marks_every_other_point_bad():
+    """A linear map is matched exactly, yet eps < 0 puts every z != x in
+    the bad set; x itself is never bad."""
+    out = ap_derivative(fn("3*x0"), vec(1), (1, 2, 3), Fraction(-1, 25),
+                        resolution=4)
+    assert out.verdict != "converges-to-0"
+    assert all(count == total - 1 for _, count, total in out.estimate.ratios)
+
+
 def test_ap_derivative_stable_under_refined_j_range():
     f = fn("x0*x0 - 3*x0")
     a = ap_derivative(f, vec(2), (1, 2, 3), Fraction(1, 25), resolution=5)

@@ -1,0 +1,110 @@
+"""Norms, balls and nearest points compared as integer valuations, against
+the Fraction-norm formulas kept in norm_reference.py.
+
+Inputs cover Q_2, Q_3 and Q_5 in one to three coordinates: zero
+coordinates and zero vectors, negative valuations, windows of one to eight
+digits, and balls whose centres, or points, are known to fewer digits than
+the ball's radius exponent, where the observed subtraction decides.
+Every example is derandomized, so the suite stays deterministic.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import norm_reference as ref
+from qpcalc.extension import nearest_point
+from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PPow, norm,
+                          sup_norm)
+
+SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@st.composite
+def scalars(draw, p):
+    """p^e * n with e in -3..3 and a window of 1..8 digits; or zero."""
+    if draw(st.integers(0, 4)) == 0:
+        return PAdicNumber.zero(p)
+    n = draw(st.integers(1, p**4))
+    e = draw(st.integers(-3, 3))
+    return PAdicNumber.from_fraction(p, Fraction(n) * Fraction(p) ** e,
+                                     prec=draw(st.integers(1, 8)))
+
+
+@st.composite
+def vectors(draw, p, m):
+    return PAdicVector([draw(scalars(p)) for _ in range(m)])
+
+
+@st.composite
+def near(draw, center):
+    """center + p^j * u per coordinate, j in -2..6: points at every
+    distance from center; or an unrelated point."""
+    p = center.p
+    if draw(st.integers(0, 3)) == 0:
+        return draw(vectors(p, center.dim))
+    j = draw(st.integers(-2, 6))
+    coords = []
+    for c in center.coords:
+        u = draw(st.integers(0, p**2))
+        shift = PAdicNumber.from_fraction(p, u * Fraction(p) ** j,
+                                          prec=draw(st.integers(1, 8)))
+        coords.append(c + shift)
+    return PAdicVector(coords)
+
+
+@st.composite
+def space(draw):
+    return draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
+
+
+@given(st.data())
+@SETTINGS
+def test_vector_val_matches_sup_norm(data):
+    p, m = data.draw(space())
+    x = data.draw(vectors(p, m))
+    expected = ref.sup_norm(x)
+    assert x.sup_norm() == sup_norm(x) == expected
+    assert (x.val is None) == (expected == 0)
+    if x.val is not None:
+        assert Fraction(p) ** -x.val == expected
+    assert x.norm_pow() == ref.norm_pow(x)
+    for c in x.coords:
+        assert c.norm_pow() == PPow.from_norm(p, norm(c))
+
+
+@given(st.data())
+@SETTINGS
+def test_ball_contains_matches_fraction_norms(data):
+    p, m = data.draw(space())
+    center = data.draw(vectors(p, m))
+    # radius exponents past the centre's windows included
+    ball = Ball(center, data.draw(st.integers(-3, 9)))
+    for _ in range(4):
+        x = data.draw(near(center))
+        assert ball.contains(x) == ref.contains(ball, x)
+
+
+@given(st.data())
+@SETTINGS
+def test_ball_relation_matches_fraction_norms(data):
+    p, m = data.draw(space())
+    a = Ball(data.draw(vectors(p, m)), data.draw(st.integers(-3, 9)))
+    b = Ball(data.draw(near(a.center)), data.draw(st.integers(-3, 9)))
+    assert a.relation(b) == ref.relation(a, b)
+    assert b.relation(a) == ref.relation(b, a)
+
+
+@given(st.data())
+@SETTINGS
+def test_nearest_point_matches_scan(data):
+    p, m = data.draw(space())
+    v = data.draw(vectors(p, m))
+    T = data.draw(st.lists(near(v), min_size=1, max_size=8))
+    # equal copies of sites tie at every distance: the first must win
+    T += [PAdicVector(x.coords)
+          for x in data.draw(st.lists(st.sampled_from(T), max_size=3))]
+    best, delta = nearest_point(T, v)
+    ref_best, ref_delta = ref.nearest_point(T, v)
+    assert best is ref_best
+    assert delta == ref_delta
