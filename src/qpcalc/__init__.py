@@ -56,7 +56,6 @@ from .funcs import (  # noqa: F401
 )
 from .quotients import (  # noqa: F401
     HolderScan,
-    NonconvergenceError,
     QuotientPoint,
     StepanoffScan,
     TaylorExpansion,
@@ -65,6 +64,7 @@ from .quotients import (  # noqa: F401
     holder_scan,
     phi1,
     phin,
+    phin_exact_zero,
     phin_limit,
     product_rule_check,
     stepanoff_scan,

@@ -47,7 +47,6 @@ from .measure import (
 from .padic import (WORKING_PREC, Ball, PAdicNumber, PAdicVector, PadicError,
                     parse_literal)
 from .quotients import (
-    NonconvergenceError,
     QuotientPoint,
     chain_rule_check,
     holder_scan,
@@ -200,8 +199,8 @@ def cmd_taylor(args) -> int:
     y = _vector(args.y, args.p, args.prec)
     x = _vector(args.x, args.p, args.prec)
     exp = taylor_eval(fn, args.n, y, x)
-    print(f"order {args.n} about {args.y}: residual norm {exp.residual_norm()}"
-          f" ({'exact' if exp.exact else 'limit'} route)")
+    print(f"order {args.n} about {args.y}: residual norm "
+          f"{exp.residual_norm()} (exact route)")
     if args.out:
         _write_json(args.out, {"verb": "taylor", **exp.to_json()})
     return EXIT_OK
@@ -409,7 +408,7 @@ def cmd_scan(args) -> int:
         domain = _ball(args.domain, args.p, args.prec)
         result = stepanoff_scan(fn, domain, args.K, Fraction(args.eps),
                                 j_range=_levels(args.levels),
-                                resolution=args.resolution)
+                                resolution=args.resolution, cap=args.cap)
         print(f"differentiable fraction: {result.fraction} "
               f"({result.good}/{result.total})")
         if args.out:
@@ -709,9 +708,6 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except NonconvergenceError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except (PadicError, DomainEscape, json.JSONDecodeError, OSError,
             ValueError, ZeroDivisionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

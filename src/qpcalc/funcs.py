@@ -261,14 +261,35 @@ class SymbolicFunction:
     def n(self) -> int:
         return len(self.components)
 
-    def __call__(self, x: PAdicVector) -> PAdicVector:
+    def _check_point(self, x: PAdicVector) -> None:
         if x.p != self.p or x.dim != self.m:
             raise PadicError("evaluation point does not match (p, m)")
         if self.domain is not None and not self.domain.contains(x):
             raise DomainEscape(
                 f"point outside the declared domain ball (radius exponent "
                 f"{self.domain.rad_exp})")
+
+    def __call__(self, x: PAdicVector) -> PAdicVector:
+        self._check_point(x)
         return PAdicVector(c.eval(x) for c in self.components)
+
+    def localize(self, x: PAdicVector | None = None) -> tuple:
+        """The exact local normal form of f at x: one (numerator,
+        denominator) pair of MultiPolys per component, with f = N/D on
+        every ball about x finer than its indicator radii.
+
+        Each ch(B) is replaced by its 0/1 value at x, and inside comp(...)
+        by its value at the inner values.  By the ultrametric trichotomy
+        such a ball lies inside B or misses it, so the form is exact there.
+        A value whose window ends before an indicator's radius leaves the
+        indicator undecided and raises PadicError.  With x None the form is
+        that of a source without indicators, valid everywhere; an
+        indicator raises PadicError.
+        """
+        if x is not None:
+            self._check_point(x)
+        leaves = _coord_pairs(self.m)
+        return tuple(_local(c, x, leaves, self.m) for c in self.components)
 
     def compose(self, inner: "SymbolicFunction") -> "SymbolicFunction":
         """self after inner (inner.n must equal self.m)."""
@@ -560,36 +581,125 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return t
 
 
-def as_polynomial(expr: Expr, m: int) -> MultiPoly:
-    """Convert an expression to an exact polynomial; raises PadicError on
-    indicator nodes or division by a non-constant."""
+# ---------------------------------------------------------------------------
+# the local normal form: exact rational functions
+# ---------------------------------------------------------------------------
+
+def _coord_pairs(m: int) -> list:
+    one = MultiPoly.const(m, 1)
+    return [(MultiPoly.coord(m, i), one) for i in range(m)]
+
+
+def _pair(num: MultiPoly, den: MultiPoly) -> tuple:
+    """num/den with a constant denominator folded into the numerator."""
+    if den.total_degree() == 0:
+        c = den.coefficient((0,) * den.m)
+        return (num if c == 1 else num * (1 / c)), MultiPoly.const(den.m, 1)
+    return num, den
+
+
+def _local(expr: Expr, at, leaves, m: int) -> tuple:
+    """(N, D) of expr in m variables at the point `at` (None: no
+    indicators allowed), with leaves[i] the pair standing for coordinate i.
+    Every denominator of a subexpression stays a factor of D, so D vanishes
+    wherever a division of expr does."""
     if isinstance(expr, Const):
-        return MultiPoly.const(m, expr.value.as_fraction())
+        return MultiPoly.const(m, expr.value.as_fraction()), \
+            MultiPoly.const(m, 1)
     if isinstance(expr, Coord):
-        return MultiPoly.coord(m, expr.index)
+        return leaves[expr.index]
     if isinstance(expr, Neg):
-        return -as_polynomial(expr.a, m)
-    if isinstance(expr, Add):
-        return as_polynomial(expr.a, m) + as_polynomial(expr.b, m)
-    if isinstance(expr, Sub):
-        return as_polynomial(expr.a, m) - as_polynomial(expr.b, m)
-    if isinstance(expr, Mul):
-        return as_polynomial(expr.a, m) * as_polynomial(expr.b, m)
-    if isinstance(expr, Div):
-        den = as_polynomial(expr.b, m)
-        if den.total_degree() != 0:
-            raise PadicError("not a polynomial: division by a non-constant")
-        return as_polynomial(expr.a, m) * (1 / den.coefficient((0,) * m))
+        num, den = _local(expr.a, at, leaves, m)
+        return -num, den
+    if isinstance(expr, ChBall):
+        if at is None:
+            raise PadicError("not a polynomial: ChBall node")
+        return MultiPoly.const(m, _indicator_at(expr.ball, at)), \
+            MultiPoly.const(m, 1)
     if isinstance(expr, Compose):
-        k = len(expr.inners)
-        outer = as_polynomial(expr.outer, k)
-        return outer.substitute([as_polynomial(g, m) for g in expr.inners])
-    raise PadicError(f"not a polynomial: {type(expr).__name__} node")
+        inner = [_local(g, at, leaves, m) for g in expr.inners]
+        y = None if at is None else PAdicVector(g.eval(at)
+                                                for g in expr.inners)
+        return _local(expr.outer, y, inner, m)
+    n1, d1 = _local(expr.a, at, leaves, m)
+    n2, d2 = _local(expr.b, at, leaves, m)
+    if isinstance(expr, Mul):
+        return _pair(n1 * n2, d1 * d2)
+    if isinstance(expr, Div):
+        if n2.is_zero():
+            raise PrecisionZeroDivision(
+                "expression denominator vanishes identically")
+        # d2 kept in both: D must vanish where the divisor's own does
+        return _pair(n1 * d2 * d2, d1 * n2 * d2) if d2.total_degree() \
+            else _pair(n1, d1 * n2)
+    if isinstance(expr, Sub):
+        n2 = -n2
+    if d1 == d2:
+        return _pair(n1 + n2, d1)
+    return _pair(n1 * d2 + n2 * d1, d1 * d2)
+
+
+def _indicator_at(ball: Ball, x: PAdicVector) -> int:
+    """ch(ball)(x), decided from the known digits of x and of the centre:
+    some coordinate differing below the radius puts x outside; otherwise
+    x lies inside only if every coordinate is known to the radius."""
+    if x.dim != ball.dim:
+        raise PadicError("indicator dimension mismatch")
+    r = ball.rad_exp
+    diffs = [a - c for a, c in zip(x.coords, ball.center.coords)]
+    if any(d.val is not None and d.val < r for d in diffs):
+        return 0
+    if any(c.abs_window() is not None and c.abs_window() < r
+           for c in x.coords + ball.center.coords):
+        raise PadicError(
+            f"a window ends before the indicator radius exponent {r}: "
+            f"membership is undecided")
+    return 1
+
+
+def as_polynomial(expr: Expr, m: int) -> MultiPoly:
+    """The local normal form of an indicator-free expression whose
+    denominator is constant; raises PadicError otherwise."""
+    num, den = _local(expr, None, _coord_pairs(m), m)
+    if den.total_degree() != 0:
+        raise PadicError("not a polynomial: division by a non-constant")
+    return num
 
 
 def as_polynomials(f: SymbolicFunction) -> list:
     """One exact polynomial per component, or raise PadicError."""
     return [as_polynomial(c, f.m) for c in f.components]
+
+
+def local_jet(num: MultiPoly, den: MultiPoly, center, degree: int) -> MultiPoly:
+    """The Taylor polynomial of num/den about `center` through total degree
+    `degree`, in the ambient coordinates: the recentred num times the
+    truncated series inverse of the recentred den.  A den vanishing at the
+    centre raises PrecisionZeroDivision.  A constant den leaves a
+    polynomial: of degree at most `degree` it is its own jet, otherwise
+    it is shifted to the centre, truncated and shifted back."""
+    num, den = _pair(num, den)
+    center = [Fraction(c) for c in center]
+    back = [-c for c in center]
+    if den.total_degree() == 0:
+        if num.total_degree() <= degree:
+            return num
+        return num.recenter(center).truncate_total_degree(degree) \
+            .recenter(back)
+    dz = den.recenter(center).truncate_total_degree(degree)
+    d0 = dz.coefficient((0,) * den.m)
+    if d0 == 0:
+        raise PrecisionZeroDivision(
+            "expression denominator vanishes at the jet centre")
+    # 1/dz = (1/d0) * sum_k u^k with u = 1 - dz/d0, which has no constant
+    # term: powers past `degree` drop out of the truncation
+    u = MultiPoly.const(den.m, 1) - dz * (1 / d0)
+    inverse = term = MultiPoly.const(den.m, 1 / d0)
+    for _ in range(degree):
+        term = (term * u).truncate_total_degree(degree)
+        inverse = inverse + term
+    jet = num.recenter(center).truncate_total_degree(degree) * inverse
+    return jet.truncate_total_degree(degree).recenter(back)
 
 
 # ---------------------------------------------------------------------------

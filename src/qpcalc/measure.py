@@ -450,11 +450,13 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
 
     Returns (verdict, DensityEstimate) with verdict in
     {'confirmed', 'refuted', 'inconclusive'}.  f may be a GridFunction or any
-    callable on PAdicVector.
+    callable on PAdicVector.  A negative eps is refused.
     """
     if isinstance(candidate, PAdicNumber):
         candidate = PAdicVector([candidate])
     eps = Fraction(eps)
+    if eps < 0:
+        raise PadicError("the tolerance eps must be >= 0")
     if isinstance(f, GridFunction):
         fn = f.evaluate
         if resolution is None:
@@ -466,8 +468,7 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
 
     def outside(z):
         err = (fn(z) - candidate).norm_pow()
-        # a negative eps leaves no value within tolerance
-        return eps < 0 or not ppow_le_scaled(err, eps, one)
+        return not ppow_le_scaled(err, eps, one)
 
     est = density_at(outside, x, j_range, resolution=resolution, cap=cap)
     verdict = {"converges-to-0": "confirmed",

@@ -1,5 +1,6 @@
-"""Partial difference quotients on Q_p^m, their limits at vanishing
-increments, the Taylor expansion with exact residual, combinatorial
+"""Partial difference quotients on Q_p^m, their exact values at vanishing
+increments (read from the local normal form of `SymbolicFunction.localize`),
+the Taylor expansion with exact residual, combinatorial
 differentiation identities (chain, telescoping, product), Hölder constant
 scans, and approximate derivatives with their bad-set densities.
 
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .funcs import LinearMap, SymbolicFunction, as_polynomials
+from .funcs import LinearMap, MultiPoly, SymbolicFunction, local_jet
 from .measure import (CosetTree, DensityEstimate, GridFunction, density_at,
                       enumerate_cosets, first_gaps, gap_val)
 from .padic import (
@@ -31,16 +32,11 @@ from .padic import (
     PPow,
     frac_str,
     ppow_le_scaled,
-    truncate,
     unit_vector,
 )
 
-
-class NonconvergenceError(PadicError):
-    """A limit of difference quotients failed to stabilize."""
-
-
 _DENOM_PREC = 64          # window for n! and assembled denominators
+_VALUE_PREC = 32          # window of exact rational values, such as jet terms
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ class QuotientPoint:
 def phi1(f, x: PAdicVector, v: PAdicVector, t: PAdicNumber) -> PAdicVector:
     """[f(x+vt) - f(x)] / t, exactly."""
     if t.is_zero():
-        raise PadicError("t = 0: use phin_limit for boundary values")
+        raise PadicError("t = 0: use phin_exact_zero for boundary values")
     w = f(x + v.scale(t)) - f(x)
     return PAdicVector(c / t for c in w)
 
@@ -80,7 +76,7 @@ def phin(f, n: int, q: QuotientPoint) -> PAdicVector:
     if q.order != n:
         raise PadicError(f"quotient point carries {q.order} directions, not {n}")
     if any(t.is_zero() for t in q.ts):
-        raise PadicError("t_i = 0 in exact mode: use phin_limit")
+        raise PadicError("t_i = 0 in exact mode: use phin_exact_zero")
     acc = None
     for mask in range(2**n):
         point = q.x
@@ -100,105 +96,17 @@ def phin(f, n: int, q: QuotientPoint) -> PAdicVector:
 
 
 # ---------------------------------------------------------------------------
-# limits at vanishing increments
+# values at vanishing increments and the Taylor expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LimitReport:
-    """Values of a quotient along a shrinking schedule t = p^j."""
-
-    value: object               # PAdicVector, or None if nothing stabilized
-    converged: bool
-    steps: tuple                # ((j, PAdicVector), ...)
-    agree: int
-
-    def to_json(self):
-        return {
-            "converged": self.converged,
-            "value": None if self.value is None else self.value.to_json(),
-            "steps": [[j, v.to_json()] for j, v in self.steps],
-            "agree": self.agree,
-        }
-
-
-def _auto_schedule(x: PAdicVector, vs, fx: PAdicVector, agree: int,
-                   n: int) -> range:
-    """Shrink t deep enough for a genuine limit to show a Cauchy tail, but
-    not so deep that the order-n quotient (which divides by t^n) runs out of
-    certified digits: new digits stop appearing past W/(n+1), and the window
-    W - n*j must stay positive.  W is the shortest window of x, of the
-    directions vs and of the value fx = f(x); at x = 0 only fx may carry
-    the short window of f's constants."""
-    ws = [c.abs_window() for c in x.coords if not c.is_zero()]
-    for v in vs + (fx,):
-        ws.extend(c.abs_window() for c in v.coords if not c.is_zero())
-    w = min(ws) if ws else (n + 1) * (agree + 3)
-    top = min(w // (n + 1) + agree, (w - 1) // max(n, 1))
-    return range(1, max(top, agree + 2) + 1)
-
-
-def _stabilize(values, agree: int):
-    """Decide convergence from the last agree+1 values.
-
-    Per coordinate, consecutive differences must either vanish outright or
-    have strictly increasing valuations (an explicit Cauchy tail; once a
-    difference vanishes it must stay vanished).  The reported limit is the
-    last value truncated to the digits the tail certifies.
-    """
-    if len(values) < agree + 1:
-        return False, None
-    tail = values[-(agree + 1):]
-    coords = []
-    for k in range(tail[0].dim):
-        dvals = []
-        for a, b in zip(tail, tail[1:]):
-            d = b[k] - a[k]
-            dvals.append(None if d.is_zero() else d.val)
-        prev = None
-        settled = False
-        for v in dvals:
-            if v is None:
-                settled = True
-            elif settled or (prev is not None and v <= prev):
-                return False, None
-            else:
-                prev = v
-        last = tail[-1][k]
-        coords.append(last if prev is None else truncate(last, prev + 1))
-    return True, PAdicVector(coords)
-
-
-def phin_limit(f, n: int, x: PAdicVector, vs, schedule=None,
-               agree: int = 3) -> LimitReport:
-    """Evaluate phin at t_i = p^j along the schedule and report the limit.
-
-    Convergence is an explicit Cauchy tail over the last `agree`+1 steps (see
-    _stabilize); the reported value carries only the certified digits.
-    Nothing is ever averaged or extrapolated.
-    """
-    vs = tuple(vs)
-    if schedule is None:
-        schedule = _auto_schedule(x, vs, f(x), agree, n)
-    p = x.p
-    steps = []
-    for j in schedule:
-        t = PAdicNumber.from_int(p, p**j, prec=_DENOM_PREC)
-        q = QuotientPoint(x, vs, (t,) * n)
-        steps.append((j, phin(f, n, q)))
-    ok, value = _stabilize([v for _, v in steps], agree)
-    return LimitReport(value=value, converged=ok, steps=tuple(steps),
-                       agree=agree)
-
-
-def phin_exact_zero(f: SymbolicFunction, n: int, x: PAdicVector, vs,
-                    prec: int = 32) -> PAdicVector:
-    """For polynomial f: the exact value of phin at t = (0,..,0) — the n-fold
-    multilinear (divided-power) form — via symbolic expansion."""
-    polys = as_polynomials(f)
+def phin_exact_zero(f: SymbolicFunction, n: int, x: PAdicVector,
+                    vs) -> PAdicVector:
+    """The exact value of phin at t = (0,..,0): the n-fold multilinear
+    (divided-power) form of f at x, the coefficient of t_1...t_n in the
+    degree-n jet of f's local normal form at x + sum v_i t_i, over n!."""
     vs = list(vs)
     if len(vs) != n:
         raise PadicError("need n directions")
-    from .funcs import MultiPoly
     xf = [c.as_fraction() for c in x.coords]
     vf = [[c.as_fraction() for c in v.coords] for v in vs]
     # substitute x_k -> x_k + sum_i v_{i,k} * t_i  (t_i the new variables)
@@ -211,17 +119,18 @@ def phin_exact_zero(f: SymbolicFunction, n: int, x: PAdicVector, vs,
                                                     for j in range(n)), vf[i][k])
         args.append(a)
     fact = Fraction(1, math.factorial(n))
-    out = []
-    for q in polys:
-        expanded = q.substitute(args)
-        out.append(PAdicNumber.from_fraction(
-            x.p, expanded.coefficient((1,) * n) * fact, prec=prec))
-    return PAdicVector(out)
+    return PAdicVector(
+        PAdicNumber.from_fraction(
+            x.p, local_jet(num, den, xf, n).substitute(args)
+            .coefficient((1,) * n) * fact, prec=_VALUE_PREC)
+        for num, den in f.localize(x))
 
 
-# ---------------------------------------------------------------------------
-# Taylor expansion with exact residual
-# ---------------------------------------------------------------------------
+# The value at vanishing increments is exact, so the limit is this value:
+# one implementation under both public names, which callers and the
+# per-layer tracer of qpbench/tracing.py look up by name.
+phin_limit = phin_exact_zero
+
 
 @dataclass(frozen=True)
 class TaylorExpansion:
@@ -231,7 +140,8 @@ class TaylorExpansion:
     total: PAdicVector          # f(y) + sum of the n+1 divided-power terms
     residual: PAdicVector       # f(x) - total
     terms: tuple                # the j = 1 .. n+1 terms
-    exact: bool                 # True: symbolic polynomial route
+
+    exact = True                # every expansion is exact; reports say so
 
     def residual_norm(self) -> Fraction:
         return self.residual.sup_norm()
@@ -245,58 +155,38 @@ class TaylorExpansion:
         }
 
 
-def taylor_eval(f, n: int, y: PAdicVector, x: PAdicVector,
-                schedule=None, prec: int = 32) -> TaylorExpansion:
+def _values(p: int, fracs) -> PAdicVector:
+    return PAdicVector(PAdicNumber.from_fraction(p, c, prec=_VALUE_PREC)
+                       for c in fracs)
+
+
+def taylor_eval(f: SymbolicFunction, n: int, y: PAdicVector,
+                x: PAdicVector) -> TaylorExpansion:
     """f(x) against f(y) + sum_{j=1}^{n+1} phin(y; x-y,..; 0,..).
 
-    Polynomial functions take the exact symbolic route (the j-th term is the
-    degree-j homogeneous part of the recentered polynomial, and the residual
-    is computed in rational arithmetic, so degree <= n+1 gives residual
-    exactly zero).  Everything else uses phin_limit and raises on
-    nonconvergence.
+    The j-th term is the degree-j part, at x - y, of the degree-(n+1) jet
+    of f's local normal form at y, and f(x) is the value of its local
+    normal form at x (its degree-0 jet there).  Everything is rational
+    arithmetic, so a polynomial of degree <= n+1 leaves residual exactly 0.
     """
-    polys = None
-    if isinstance(f, SymbolicFunction):
-        try:
-            polys = as_polynomials(f)
-        except PadicError:
-            polys = None
-    p = x.p
-    if polys is not None:
-        yf = [c.as_fraction() for c in y.coords]
-        xf = [c.as_fraction() for c in x.coords]
-        hf = [a - b for a, b in zip(xf, yf)]
-        recentered = [q.recenter(yf) for q in polys]
-        total = [q.evaluate_fraction(yf) for q in polys]
-        terms = []
-        for j in range(1, n + 2):
-            tj = [r.homogeneous_part(j).evaluate_fraction(hf)
-                  for r in recentered]
-            terms.append(PAdicVector(
-                PAdicNumber.from_fraction(p, c, prec=prec) for c in tj))
-            total = [a + b for a, b in zip(total, tj)]
-        residual = [q.evaluate_fraction(xf) - s for q, s in zip(polys, total)]
-        return TaylorExpansion(
-            y=y, x=x, n=n,
-            total=PAdicVector(PAdicNumber.from_fraction(p, c, prec=prec)
-                              for c in total),
-            residual=PAdicVector(PAdicNumber.from_fraction(p, c, prec=prec)
-                                 for c in residual),
-            terms=tuple(terms), exact=True)
-
-    h = x - y
-    total = f(y)
+    yf = [c.as_fraction() for c in y.coords]
+    xf = [c.as_fraction() for c in x.coords]
+    hf = [a - b for a, b in zip(xf, yf)]
+    zero = (0,) * f.m
+    centred = [local_jet(num, den, yf, n + 1).recenter(yf)
+               for num, den in f.localize(y)]
+    total = [q.coefficient(zero) for q in centred]
     terms = []
     for j in range(1, n + 2):
-        rep = phin_limit(f, j, y, [h] * j, schedule=schedule)
-        if not rep.converged:
-            raise NonconvergenceError(
-                f"order-{j} quotient did not stabilize along the schedule")
-        terms.append(rep.value)
-        total = total + rep.value
-    residual = f(x) - total
-    return TaylorExpansion(y=y, x=x, n=n, total=total, residual=residual,
-                           terms=tuple(terms), exact=False)
+        tj = [q.homogeneous_part(j).evaluate_fraction(hf) for q in centred]
+        terms.append(_values(x.p, tj))
+        total = [a + b for a, b in zip(total, tj)]
+    fx = [local_jet(num, den, xf, 0).coefficient(zero)
+          for num, den in f.localize(x)]
+    return TaylorExpansion(
+        y=y, x=x, n=n, total=_values(x.p, total),
+        residual=_values(x.p, [a - b for a, b in zip(fx, total)]),
+        terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +360,6 @@ def holder_scan(f: GridFunction, r) -> HolderScan:
 @dataclass(frozen=True)
 class ApDerivative:
     linear_map: LinearMap
-    partials: tuple             # per-coordinate LimitReports
     estimate: DensityEstimate   # density of the bad set
     eps: Fraction
 
@@ -487,40 +376,36 @@ class ApDerivative:
         }
 
 
-def ap_derivative(f, x: PAdicVector, j_range, eps,
+def ap_derivative(f: SymbolicFunction, x: PAdicVector, j_range, eps,
                   resolution: int | None = None,
-                  schedule=None,
                   cap: int | None = None) -> ApDerivative:
-    """Assemble the candidate derivative from per-coordinate quotient limits,
-    then measure the density of {z : |f(z)-f(x)-T(z-x)| > eps*|z-x|} at x;
-    approximate differentiability needs that density to converge to 0."""
+    """T is the exact gradient at x of f's local normal form; then measure
+    the density of {z : |f(z)-f(x)-T(z-x)| > eps*|z-x|} at x, which must
+    converge to 0 for approximate differentiability.  A negative eps is
+    refused."""
     eps = Fraction(eps)
+    if eps < 0:
+        raise PadicError("the tolerance eps must be >= 0")
     m, p = x.dim, x.p
-    columns = []
-    partials = []
-    for i in range(m):
-        rep = phin_limit(f, 1, x, [unit_vector(p, m, i)], schedule=schedule)
-        partials.append(rep)
-        if not rep.converged:
-            raise NonconvergenceError(
-                f"partial quotient in coordinate {i} did not stabilize")
-        columns.append(rep.value)
-    n_out = columns[0].dim
-    t = LinearMap([[columns[i][k] for i in range(m)] for k in range(n_out)])
+    xf = [c.as_fraction() for c in x.coords]
+    units = [tuple(int(i == k) for k in range(m)) for i in range(m)]
+    t = LinearMap([[PAdicNumber.from_fraction(p, jet.coefficient(e),
+                                              prec=_VALUE_PREC)
+                    for e in units]
+                   for jet in (local_jet(num, den, xf, 1)
+                               for num, den in f.localize(x))])
     fx = f(x)
 
     def bad(z: PAdicVector) -> bool:
         dz = z - x
         if dz.val is None:
             return False
-        # a negative eps leaves no value within tolerance
         err = (f(z) - fx - t.apply(dz)).norm_pow()
-        return eps < 0 or not ppow_le_scaled(err, eps, dz.norm_pow())
+        return not ppow_le_scaled(err, eps, dz.norm_pow())
 
     kwargs = {} if cap is None else {"cap": cap}
     est = density_at(bad, x, j_range, resolution=resolution, **kwargs)
-    return ApDerivative(linear_map=t, partials=tuple(partials), estimate=est,
-                        eps=eps)
+    return ApDerivative(linear_map=t, estimate=est, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -538,23 +423,21 @@ class StepanoffScan:
         }
 
 
-def stepanoff_scan(f, domain: Ball, K: int, eps, j_range=(1, 2, 3),
-                   resolution: int | None = None,
-                   schedule=None) -> StepanoffScan:
+def stepanoff_scan(f: SymbolicFunction, domain: Ball, K: int, eps,
+                   j_range=(1, 2, 3), resolution: int | None = None,
+                   cap: int | None = None) -> StepanoffScan:
     """Fraction of resolution-K grid points of the domain at which
-    ap_derivative succeeds (bad set converges to 0) at tolerance eps."""
+    ap_derivative succeeds (bad set converges to 0) at tolerance eps; `cap`
+    bounds the grid enumeration and every density estimate."""
     if resolution is None:
         resolution = max(j_range) + 2
+    kwargs = {} if cap is None else {"cap": cap}
     good, failures = 0, []
-    reps = enumerate_cosets(domain, K)
+    reps = enumerate_cosets(domain, K, **kwargs)
     for x in reps:
-        try:
-            res = ap_derivative(f, x, j_range, eps, resolution=resolution,
-                                schedule=schedule)
-            ok = res.verdict == "converges-to-0"
-        except NonconvergenceError:
-            ok = False
-        if ok:
+        res = ap_derivative(f, x, j_range, eps, resolution=resolution,
+                            cap=cap)
+        if res.verdict == "converges-to-0":
             good += 1
         elif len(failures) < 16:
             failures.append(x)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .extension import packing_check, packing_check_many
-from .funcs import MultiPoly, SymbolicFunction, as_polynomials
+from .funcs import MultiPoly, SymbolicFunction, local_jet
 from .measure import (GridFunction, LevelIndex, _window, coset_key,
                       enumerate_cosets, nearest_index)
 from .padic import (
@@ -29,9 +29,8 @@ from .padic import (
     parse_frac,
     ppow_le_scaled,
     rational_val,
-    unit_vector,
 )
-from .quotients import NonconvergenceError, QuotientPoint, phin, phin_limit
+from .quotients import QuotientPoint, phin
 
 #: construction exponents (s0, s1, s2); the gauge scale is b = p^(-s0),
 #: the enlargement factor p^(-s1), and the packing scale offset s2.
@@ -271,75 +270,23 @@ def family_packing_reports(fam: PartitionFamily, xs) -> list:
 # jets
 # ---------------------------------------------------------------------------
 
-def _polynomials(f: SymbolicFunction):
-    """f's components as exact polynomials, or None when f has indicator
-    nodes or divides by a non-constant."""
-    try:
-        return as_polynomials(f)
-    except PadicError:
-        return None
-
-
 def jet_from_function(f: SymbolicFunction, z: PAdicVector, k: int,
                       degree: int | None = None):
-    """Taylor jet of f at z: the polynomial y -> sum of the multilinear
-    difference-quotient values at vanishing increments, through total degree
-    `degree` (default k+1).  Exact for polynomial components; otherwise each
-    coefficient is an iterated-shrinking-increment limit.
+    """Taylor jet of f at z: the Taylor polynomial through total degree
+    `degree` (default k+1) of f's exact local normal form N/D at z (see
+    `SymbolicFunction.localize`), whose coefficients are the multilinear
+    difference-quotient values at vanishing increments.
 
     Returns a tuple of polynomials in the ambient coordinates, one per
     output component; evaluating at z reproduces f(z).
     """
-    return _jet(f, _polynomials(f), z, k + 1 if degree is None else degree)
+    return _jet(f.localize(z), z, k + 1 if degree is None else degree)
 
 
-def _jet(f: SymbolicFunction, polys, z: PAdicVector, degree: int):
-    """jet_from_function with f's polynomials (or None) given."""
+def _jet(local, z: PAdicVector, degree: int):
+    """The jet at z of the local normal form `local` of f."""
     center = [c.as_fraction() for c in z.coords]
-    back = [-c for c in center]
-    if polys is not None:
-        # a polynomial of degree <= `degree` is its own jet
-        return tuple(q if q.total_degree() <= degree else
-                     q.recenter(center).truncate_total_degree(degree)
-                     .recenter(back) for q in polys)
-    # limit route: one coefficient per multi-index
-    m = f.m
-    fz = f(z)
-    out = [MultiPoly.const(m, fz.coords[comp].as_fraction())
-           for comp in range(f.n)]
-    for gamma in _multi_indices(m, degree):
-        n = sum(gamma)
-        if n == 0:
-            continue
-        vs = []
-        for i, g in enumerate(gamma):
-            vs.extend([unit_vector(f.p, m, i, prec=WORKING_PREC)] * g)
-        report = phin_limit(f, n, z, vs)
-        if not report.converged:
-            raise NonconvergenceError(
-                "jet coefficient limit did not stabilize")
-        for comp in range(f.n):
-            c = report.value.coords[comp].as_fraction()
-            if c:
-                out[comp] = out[comp] + MultiPoly.monomial(m, gamma, c)
-    return tuple(q.recenter(back) for q in out)
-
-
-def _multi_indices(m: int, degree: int):
-    if m == 0:
-        yield ()
-        return
-    for total in range(degree + 1):
-        yield from _indices_summing(m, total)
-
-
-def _indices_summing(m: int, total: int):
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _indices_summing(m - 1, total - first):
-            yield (first,) + rest
+    return tuple(local_jet(num, den, center, degree) for num, den in local)
 
 
 @dataclass(frozen=True)
@@ -433,7 +380,10 @@ def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
     resolution coset: where balls of A overlap, the first enumeration of a
     coset wins."""
     A = tuple(A)
-    polys = _polynomials(f)
+    try:                    # a source without indicators converts once
+        everywhere = f.localize()
+    except PadicError:
+        everywhere = None
     degree = k + 1 if degree is None else degree
     jets = {}
     kwargs = {} if cap is None else {"cap": cap}
@@ -441,7 +391,7 @@ def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
         for z in enumerate_cosets(ball, resolution, **kwargs):
             key = coset_key(z, resolution)
             if key not in jets:
-                jets[key] = (z, _jet(f, polys, z, degree))
+                jets[key] = (z, _jet(everywhere or f.localize(z), z, degree))
     return JetField(k=k, A=A, resolution=resolution,
                     jets=tuple(jets.values()))
 

@@ -2,12 +2,14 @@
 byte-identical reports across parallelism."""
 
 import json
+import random
 import time
 
 import pytest
 
 from qpcalc.cli import main
 from qpcalc.extension import SampleSet, WeightedSiteSet
+from qpcalc.funcs import SymbolicFunction
 from qpcalc.measure import GridFunction
 from qpcalc.padic import PAdicNumber, PAdicVector
 
@@ -95,6 +97,17 @@ def test_taylor_exact_route(capsys, tmp_path):
     assert json.loads(out_path.read_text())["exact"] is True
 
 
+@pytest.mark.parametrize("f,y,x", [("1/(1+x0)", "0", "5"),
+                                   ("x0*x0*x0+ch(1;1)", "1", "6")])
+def test_taylor_rational_and_indicator_sources_are_exact(capsys, f, y, x):
+    """1/(1+x0) about 0: 1/6 - (1 - 5 + 25) = -125/6; the cubic with its
+    indicator about 1: 217 - (2 + 15 + 75) = 125."""
+    code, out, _ = run(capsys, "taylor", "--p", "5", f"--f={f}", "--y", y,
+                       "--x", x, "--n", "1")
+    assert code == 0
+    assert out == f"order 1 about {y}: residual norm 1/125 (exact route)\n"
+
+
 # ---------------------------------------------------------------------------
 # measure verbs
 # ---------------------------------------------------------------------------
@@ -124,6 +137,16 @@ def test_aplimit_confirmed(capsys):
                        "--x", "0", "--value", "1", "--eps", "1/2")
     assert code == 0
     assert "confirmed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["aplimit", "--p", "5", "--f", "x0", "--x", "0", "--value", "0"],
+    ["scan", "--kind", "stepanoff", "--p", "5", "--f", "x0",
+     "--domain", "ball(0;0)", "--K", "1"]])
+def test_negative_tolerance_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--eps=-1/25")
+    assert code == 2
+    assert "eps" in err and out == ""
 
 
 def test_decompose_reports_residual(capsys, tmp_path):
@@ -265,6 +288,42 @@ def test_whitney_build_limit_route_jet_at_zero(capsys, tmp_path):
     assert all([[1], "4/1"] in tables[0] for _, tables in jets)
 
 
+def test_whitney_build_rational_jet_at_zero(capsys, tmp_path):
+    """The jet of 1/(1+x0) at 0 is 1 - x0 + x0^2."""
+    path = tmp_path / "jets.json"
+    code, _, _ = run(capsys, "whitney", "build", "--p", "5",
+                     "--f=1/(1+x0)", "--set", "ball(0;2)",
+                     "--resolution", "3", "--k", "1", "--out", str(path))
+    assert code == 0
+    jets = json.loads(path.read_text())["jets"]
+    assert jets[0] == [["0@5"], [[[[0], "1/1"], [[1], "-1/1"],
+                                  [[2], "1/1"]]]]
+
+
+def test_whitney_build_polynomial_plus_indicator_sources(capsys, tmp_path):
+    """40 seeded poly + c*ch(...) sources on two balls of radius 5^-2: every
+    build succeeds, and every jet reproduces f at its representative."""
+    from qpcalc.whitney import JetField
+    rng = random.Random(40)
+    path = tmp_path / "jets.json"
+    for _ in range(40):
+        terms = [f"{rng.randrange(1, 25)}*x0"] + [
+            f"{rng.randrange(1, 25)}" + "*x0" * e
+            for e in range(2, rng.randrange(2, 4))]
+        src = "+".join(terms) + (f"+{rng.randrange(1, 5)}+{rng.randrange(1, 5)}"
+                                 f"*ch({rng.randrange(125)};{rng.randrange(3)})")
+        balls = "|".join(f"ball({rng.randrange(125)};2)" for _ in range(2))
+        code, _, err = run(capsys, "whitney", "build", "--p", "5",
+                           f"--f={src}", "--set", balls, "--resolution", "3",
+                           "--k", "1", "--out", str(path))
+        assert code == 0, (src, err)
+        f = SymbolicFunction.from_sources(5, [src])
+        J = JetField.from_json(json.loads(path.read_text()))
+        for z, polys in J.jets:
+            assert J.evaluate_jet(polys, z).coords[0].as_fraction() == \
+                f(z).coords[0].as_fraction()
+
+
 def test_whitney_eval_reproduces_polynomial(capsys, jets_file):
     code, out, _ = run(capsys, "whitney", "eval", "--jets", jets_file,
                        "--x", "7")
@@ -293,6 +352,31 @@ def test_scan_stepanoff_full_fraction(capsys):
                        "--eps", "1/25")
     assert code == 0
     assert "fraction: 1 (25/25)" in out
+
+
+def test_scan_stepanoff_indicator_mix_full_fraction(capsys):
+    code, out, _ = run(capsys, "scan", "--p", "5", "--f=125*x0+2*ch(18;1)",
+                       "--domain", "ball(0;0)", "--K", "1", "--eps", "1/25")
+    assert code == 0
+    assert "fraction: 1 (5/5)" in out
+
+
+def test_scan_stepanoff_cap(capsys, tmp_path):
+    """--cap bounds the grid and every density estimate; a cap no
+    enumeration reaches changes nothing."""
+    argv = ["scan", "--p", "5", "--f", "x0*x0", "--domain", "ball(0;0)",
+            "--K", "1", "--eps", "1/25"]
+    code, _, err = run(capsys, *argv, "--cap", "1")
+    assert code == 3 and "cap" in err
+    code, _, err = run(capsys, *argv, "--cap", "100")   # grid 5, densities 625
+    assert code == 3 and "cap" in err
+    reports = []
+    for extra in ([], ["--cap", "625"]):
+        path = tmp_path / f"scan{len(reports)}.json"
+        code, out, _ = run(capsys, *argv, *extra, "--out", str(path))
+        assert code == 0
+        reports.append((out, path.read_bytes()))
+    assert reports[0] == reports[1]
 
 
 def test_scan_holder_constant(capsys):

@@ -215,13 +215,14 @@ def test_ap_limit_constant_confirmed():
 
 
 def test_ap_limit_negative_eps_leaves_nothing_within_tolerance():
-    """|value - candidate| > eps for every value when eps < 0, the exact
-    candidate included."""
+    """A negative tolerance is refused, not answered; zero is answered."""
     c = ivec(5, 3)
-    verdict, est = ap_limit(lambda z: c, PAdicVector.zero(5, 1), c,
-                            Fraction(-1, 25), range(1, 4))
-    assert verdict == "refuted"
-    assert all(count == total for _, count, total in est.ratios)
+    with pytest.raises(PadicError, match="eps"):
+        ap_limit(lambda z: c, PAdicVector.zero(5, 1), c, Fraction(-1, 25),
+                 range(1, 4))
+    verdict, _ = ap_limit(lambda z: c, PAdicVector.zero(5, 1), c, 0,
+                          range(1, 4))
+    assert verdict == "confirmed"
 
 
 def test_ap_limit_distinguishes_sparse_from_fat_sets():

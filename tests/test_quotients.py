@@ -1,4 +1,4 @@
-"""Difference-quotient calculus tests: exact quotient values, limits at
+"""Difference-quotient calculus tests: exact quotient values, values at
 vanishing increments, Taylor residuals, the combinatorial identities, Hölder
 scans, and approximate derivatives."""
 
@@ -23,7 +23,6 @@ from qpcalc.padic import (
 from qpcalc.quotients import (
     ApDerivative,
     IdentityCheck,
-    NonconvergenceError,
     QuotientPoint,
     ap_derivative,
     chain_rule_check,
@@ -135,42 +134,42 @@ def test_phi1_scaling_identity():
 
 
 # ---------------------------------------------------------------------------
-# limits at t -> 0
+# values at t = 0
 # ---------------------------------------------------------------------------
 
 def test_phin_limit_square_stabilizes_to_derivative():
     f = fn("x0*x0")
     x, h = vec(3), vec(2)
-    rep = phin_limit(f, 1, x, [h])
-    assert rep.converged
+    value = phin_limit(f, 1, x, [h])
     expected = num(12)          # 2 * 3 * 2
-    assert vdp_compare(rep.value[0], expected) is Order.EQUAL
+    assert vdp_compare(value[0], expected) is Order.EQUAL
 
 
 def test_phin_limit_second_order_already_constant():
     f = fn("x0*x0")
-    rep = phin_limit(f, 2, vec(1), [vec(2), vec(3)])
-    assert rep.converged
-    assert vdp_compare(rep.value[0], num(6)) is Order.EQUAL
+    value = phin_limit(f, 2, vec(1), [vec(2), vec(3)])
+    assert vdp_compare(value[0], num(6)) is Order.EQUAL
 
 
 def test_phin_limit_locally_constant_hits_zero():
     f = fn("ch(0;0)")
-    rep = phin_limit(f, 1, PAdicVector.zero(5, 1), [vec(1)])
-    assert rep.converged
-    assert rep.value[0].is_zero()
+    value = phin_limit(f, 1, PAdicVector.zero(5, 1), [vec(1)])
+    assert value[0].is_zero()
 
 
 def test_phin_limit_agrees_with_symbolic_multilinear_form():
+    """phin_limit is phin_exact_zero, and both match the quotient at small
+    t up to the increment's order."""
+    assert phin_limit is phin_exact_zero
     rng = random.Random(14)
     f = fn("x0*x0*x1 + 2*x1*x1 - x0", m=2)
     for _ in range(5):
         x = vec(rng.randrange(20), rng.randrange(20))
         vs = [vec(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(2)]
-        rep = phin_limit(f, 2, x, vs)
         exact = phin_exact_zero(f, 2, x, vs)
-        assert rep.converged
-        assert vdp_compare(rep.value[0], exact[0]) is Order.EQUAL
+        t = num(5 ** 6)
+        near = phin(f, 2, QuotientPoint(x, vs, (t, t)))
+        assert (near[0] - exact[0]).val >= 6
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +203,16 @@ def test_taylor_cubic_tail():
 
 
 def test_taylor_limit_route_for_indicators():
+    """An indicator is constant on the piece about y: the expansion is
+    exact, and so is its residual off the piece."""
     f = fn("ch(0;0)")
     y = PAdicVector.zero(5, 1)
-    x = PAdicVector([frac(Fraction(25))])
-    out = taylor_eval(f, 0, y, x)
-    assert not out.exact
+    out = taylor_eval(f, 0, y, PAdicVector([frac(Fraction(25))]))
+    assert out.exact
     assert out.residual[0].is_zero()    # locally constant near 0
+    out = taylor_eval(f, 1, y, PAdicVector([frac(Fraction(1, 5))]))
+    assert (out.residual[0] + num(1)).is_zero()     # f(1/5) = 0, not 1
+    assert [t[0].is_zero() for t in out.terms] == [True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +372,13 @@ def test_ap_derivative_locally_constant():
 
 
 def test_ap_derivative_negative_eps_marks_every_other_point_bad():
-    """A linear map is matched exactly, yet eps < 0 puts every z != x in
-    the bad set; x itself is never bad."""
-    out = ap_derivative(fn("3*x0"), vec(1), (1, 2, 3), Fraction(-1, 25),
-                        resolution=4)
-    assert out.verdict != "converges-to-0"
-    assert all(count == total - 1 for _, count, total in out.estimate.ratios)
+    """A negative tolerance is refused, not answered; zero is answered,
+    and a linear map is matched exactly at it."""
+    with pytest.raises(PadicError, match="eps"):
+        ap_derivative(fn("3*x0"), vec(1), (1, 2, 3), Fraction(-1, 25),
+                      resolution=4)
+    out = ap_derivative(fn("3*x0"), vec(1), (1, 2, 3), 0, resolution=4)
+    assert out.verdict == "converges-to-0"
 
 
 def test_ap_derivative_stable_under_refined_j_range():
