@@ -373,11 +373,12 @@ def cmd_whitney_eval(args) -> int:
     J = _jet_field(args)
     g = _whitney_glue(J, args)
     x = _vector(args.x, J.p, args.prec)
-    print(_fmt(g(x)))
+    value = g(x)
+    print(_fmt(value))
     if args.out:
         _write_json(args.out, {"verb": "whitney eval", "x": x.to_json(),
-                               "value": g(x).to_json(),
-                               "pretty": _fmt(g(x))})
+                               "value": value.to_json(),
+                               "pretty": _fmt(value)})
     return EXIT_OK
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .measure import (CosetTree, GridFunction, _window, coset_key,
                       enumerate_cosets, first_gaps, gap_val, nearest_index)
 from .padic import (Ball, PAdicVector, PadicError, PPow, _floor_level,
-                    frac_str, from_json as number_from_json, parse_frac,
-                    ppow_le_scaled)
+                    frac_str, from_json as number_from_json, json_object,
+                    json_pairs, parse_frac, ppow_le_scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -90,54 +90,16 @@ class SampleSet:
 
     def certify(self, max_violations: int = 8) -> CertifyReport:
         """Check |v_i - v_j| <= C|x_i - x_j|^r on all pairs exactly; marks
-        the set certified on success.
-
-        The pairs split across the children of a level-L coset of the
-        sites' CosetTree are at distance p^-L, so the bound holds exactly
-        when every branching coset has diam(values) <= C * p^(-L*r).  The
-        violations, the first max_violations in (i, j) order, are taken
-        from the failing cosets and the leaves only."""
-        p, C = self.p, self.C
-        values = [value for _, value in self.points]
-        tree = CosetTree(self.sites())
-        found = []
-        for L, members, children in tree.splits:
-            allowed = PPow(p, -L * self.r)
-            v = gap_val([values[i] for i in members])
-            if v is None or ppow_le_scaled(PPow(p, -v), C, allowed):
-                continue
-            # G: the largest gap valuation still above C * allowed, short of
-            # the widest window, past which no gap is observed
-            top = max(c.abs_window() for i in members for c in values[i]
-                      if not c.is_zero())
-            G = v
-            while G + 1 < top and not ppow_le_scaled(PPow(p, -(G + 1)), C,
-                                                     allowed):
-                G += 1
-            # at least one pair, so that ok is known when none are listed
-            found += [self._pair_violation(i, j) for i, j in first_gaps(
-                values, members, children, G, max(max_violations, 1))]
-        for leaf in tree.leaves():
-            for a, i in enumerate(leaf):
-                found += filter(None, (self._pair_violation(i, j)
-                                       for j in leaf[a + 1:]))
-        found.sort(key=lambda vio: vio[:2])
-        violations = tuple(found[:max(max_violations, 0)])
+        the set certified on success.  The violations are the first
+        max_violations in (i, j) order."""
+        found = holder_violations(CosetTree(self.sites()),
+                                  [value for _, value in self.points],
+                                  self.C, self.r, max_violations)
         ok = not found
         self.certified = ok
         n = len(self.points)
         return CertifyReport(ok=ok, pairs_checked=n * (n - 1) // 2,
-                             violations=violations)
-
-    def _pair_violation(self, i: int, j: int):
-        """(i, j, |v_i - v_j|, |x_i - x_j|^r) when sites i, j break the
-        bound, else None."""
-        (x, u), (y, w) = self.points[i], self.points[j]
-        gap = (u - w).norm_pow()
-        allowed = (x - y).norm_pow().pow_frac(self.r)
-        if ppow_le_scaled(gap, self.C, allowed):
-            return None
-        return i, j, gap, allowed
+                             violations=tuple(found[:max(max_violations, 0)]))
 
     def to_json(self):
         return {
@@ -149,11 +111,56 @@ class SampleSet:
 
     @classmethod
     def from_json(cls, obj) -> "SampleSet":
-        C = parse_frac(obj["constants"]["C"])
-        r = parse_frac(obj["constants"]["r"])
+        obj = json_object(obj, "sample set")
+        constants = json_object(obj["constants"], "sample set's constants")
+        C, r = parse_frac(constants["C"]), parse_frac(constants["r"])
         points = [(PAdicVector.from_json(site), PAdicVector.from_json(value))
-                  for site, value in obj["points"]]
+                  for site, value in json_pairs(obj["points"],
+                                                "sample set points")]
         return cls(points, C, r)
+
+
+def holder_violations(tree: CosetTree, values, C: Fraction, r: Fraction,
+                      budget: int) -> list:
+    """The pairs of tree's points breaking |v_i - v_j| <= C|x_i - x_j|^r,
+    as (i, j, |v_i - v_j|, |x_i - x_j|^r) in (i, j) order: the first
+    max(budget, 1) of them and maybe more, so none exactly when the bound
+    holds on every pair.
+
+    The pairs split across the children of a level-L coset are at distance
+    p^-L, so the bound holds exactly when every branching coset has
+    diam(values) <= C * p^(-L*r).  The violations are taken from the
+    failing cosets and the leaves only."""
+    sites = tree.points
+
+    def violation(i, j):
+        gap = (values[i] - values[j]).norm_pow()
+        allowed = (sites[i] - sites[j]).norm_pow().pow_frac(r)
+        return None if ppow_le_scaled(gap, C, allowed) else (i, j, gap, allowed)
+
+    found = []
+    for L, members, children in tree.splits:
+        p = sites[members[0]].p
+        v = gap_val([values[i] for i in members])
+        if v is None or ppow_le_scaled(PPow(p, -v), C, PPow(p, -L * r)):
+            continue
+        # G: the largest gap valuation still above C * p^(-L*r), short of
+        # the widest window, past which no gap is observed.  For C > 0,
+        # above means G < L*r + F/den(r), F = the least level with
+        # p^-F <= C^den(r).
+        G = max(c.abs_window() for i in members for c in values[i]
+                if not c.is_zero()) - 1
+        if C:
+            G = min(G, math.ceil(L * r + Fraction(
+                _floor_level(C ** r.denominator, p), r.denominator)) - 1)
+        # at least one pair, so that a violation is known when none are kept
+        found += [violation(i, j) for i, j in first_gaps(
+            values, members, children, G, max(budget, 1))]
+    for leaf in tree.leaves():
+        for a, i in enumerate(leaf):
+            found += filter(None, (violation(i, j) for j in leaf[a + 1:]))
+    found.sort(key=lambda vio: vio[:2])
+    return found
 
 
 class WeightedSiteSet:
@@ -184,8 +191,9 @@ class WeightedSiteSet:
 
     @classmethod
     def from_json(cls, obj) -> "WeightedSiteSet":
+        pairs = json_object(obj, "weighted site set")["pairs"]
         return cls([(PAdicVector.from_json(z), number_from_json(x))
-                    for z, x in obj["pairs"]])
+                    for z, x in json_pairs(pairs, "weighted site pairs")])
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +348,13 @@ class PackingResult:
 
 
 def _packing_setup(G, h, b, alpha, beta):
-    """Validate the family preconditions; raise with the offending pair.
+    """Validate the family preconditions; raise with the first offending
+    pair in (i, j) order, a pair that meets before one that breaks b.
 
-    Returns (levels, uniform_level): the ball at G[i] has radius
-    p^-levels[i]; uniform_level is the common level when the gauge takes a
-    single value on G (the frequent case), letting disjointness reduce to
-    coset-key uniqueness at that level.
+    Returns (levels, tree): the ball at G[i] has radius p^-levels[i], and
+    tree is the sites' CosetTree.  The balls are disjoint exactly when each
+    site is alone in its own ball, and b bounds the Lipschitz quotient of h
+    when the sites with values h certify (C, r) = (b, 1).
     """
     if not G:
         raise PadicError("empty packing family")
@@ -357,39 +366,39 @@ def _packing_setup(G, h, b, alpha, beta):
     if any(v.is_zero() for v in hv):
         raise PadicError("gauge h vanishes on a site")
     levels = [v.val for v in hv]
-    if all((v - hv[0]).is_zero() for v in hv[1:]):
-        seen = {}
-        for i, y in enumerate(G):
-            key = coset_key(y, levels[0])
-            if key in seen:
-                raise PadicError(
-                    f"balls at sites {seen[key]} and {i} are not disjoint")
-            seen[key] = i
-        return levels, levels[0]
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            d = (G[i] - G[j]).val
-            if d is None or d >= min(levels[i], levels[j]):
-                raise PadicError(
-                    f"balls at sites {i} and {j} are not disjoint")
-            if not ppow_le_scaled((hv[i] - hv[j]).norm_pow(), b,
-                                  PPow(G[i].p, -d)):
-                raise PadicError(
-                    f"b does not bound the Lipschitz quotient of h "
-                    f"at sites {i} and {j}")
-    return levels, None
+    tree = CosetTree(G)
+    # the first pair that meets is the least, over the sites i, of (i, j)
+    # or (j, i) with j the first other site in i's ball
+    meets = []
+    for i, l in enumerate(levels):
+        others = [j for j in tree.ball(i, l) if j != i]
+        if others:
+            meets.append((min(i, others[0]), max(i, others[0])))
+    steep = holder_violations(tree, [PAdicVector([v]) for v in hv], b, 1, 1)
+    if meets and (not steep or min(meets) <= steep[0][:2]):
+        i, j = min(meets)
+        raise PadicError(f"balls at sites {i} and {j} are not disjoint")
+    if steep:
+        i, j = steep[0][:2]
+        raise PadicError(f"b does not bound the Lipschitz quotient of h "
+                         f"at sites {i} and {j}")
+    return levels, tree
 
 
-def _packing_at(G, levels, h, b, alpha, beta, m, x, g_x=None) -> PackingResult:
+def _packing_at(G, levels, tree, h, b, alpha, beta, x) -> PackingResult:
     hxv = h(x)
     if hxv.is_zero():
         raise PadicError("gauge h vanishes at x")
-    p = x.p
-    if g_x is None:
-        hx = hxv.norm_pow()
-        g_x = [i for i, y in enumerate(G)
-               if ppow_le_scaled(d := (x - y).norm_pow(), alpha, hx)
-               or ppow_le_scaled(d, beta, PPow.from_val(p, levels[i]))]
+    p, m = x.p, G[0].dim
+    hx = hxv.norm_pow()
+    # a member of G_x is within p^-L of x, L the least of the levels of
+    # alpha*|h(x)| and of beta*|h(y)| over the sites: the members of x's
+    # group there, or at the last level the windows decide, are compared
+    path, _ = tree.locate(x, min(hxv.val + _floor_level(alpha, p),
+                                 min(levels) + _floor_level(beta, p)))
+    g_x = [i for i in (path[-1][1] if path else ())
+           if ppow_le_scaled(d := (x - G[i]).norm_pow(), alpha, hx)
+           or ppow_le_scaled(d, beta, PPow.from_val(p, levels[i]))]
     lower = (1 - b * beta) / (1 + b * alpha)
     upper = (1 + b * beta) / (1 - b * alpha)
     violations = []
@@ -422,39 +431,17 @@ def packing_check(G, h, b, alpha, beta, x: PAdicVector) -> PackingResult:
     failure falsifies the construction, not the inequality: it is reported,
     not raised.
     """
-    G = list(G)
-    b, alpha, beta = Fraction(b), Fraction(alpha), Fraction(beta)
-    levels, _ = _packing_setup(G, h, b, alpha, beta)
-    return _packing_at(G, levels, h, b, alpha, beta, G[0].dim, x)
+    return packing_check_many(G, h, b, alpha, beta, [x])[0]
 
 
 def packing_check_many(G, h, b, alpha, beta, xs) -> list:
     """packing_check over many x with the family preconditions verified
-    once; uniform-gauge families get coset-key candidate lookups instead of
-    per-x scans.  Results are in xs order."""
+    once, and G_x read from the sites' CosetTree.  Results are in xs
+    order."""
     G = list(G)
     b, alpha, beta = Fraction(b), Fraction(alpha), Fraction(beta)
-    levels, unif = _packing_setup(G, h, b, alpha, beta)
-    m = G[0].dim
-    p = G[0].p
-    if unif is None:
-        return [_packing_at(G, levels, h, b, alpha, beta, m, x) for x in xs]
-    r = Fraction(p) ** -unif
-    buckets = {}
-    out = []
-    for x in xs:
-        hxv = h(x)
-        if hxv.is_zero():
-            raise PadicError("gauge h vanishes at x")
-        level = _floor_level(max(alpha * hxv.norm(), beta * r), p)
-        if level not in buckets:
-            d = {}
-            for i, y in enumerate(G):
-                d.setdefault(coset_key(y, level), []).append(i)
-            buckets[level] = d
-        g_x = buckets[level].get(coset_key(x, level), [])
-        out.append(_packing_at(G, levels, h, b, alpha, beta, m, x, g_x=g_x))
-    return out
+    levels, tree = _packing_setup(G, h, b, alpha, beta)
+    return [_packing_at(G, levels, tree, h, b, alpha, beta, x) for x in xs]
 
 
 # ---------------------------------------------------------------------------

@@ -891,7 +891,11 @@ def _fold_const(e: Expr):
 def parse_expr(src: str, p: int, prec: int | None = None) -> Expr:
     """Parse one scalar expression; errors carry byte offsets."""
     parser = _Parser(src, p, prec if prec is not None else WORKING_PREC)
-    e = parser.expr()
+    try:
+        e = parser.expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply",
+                              parser.peek()[2]) from None
     kind, text, off = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {text!r}", off)

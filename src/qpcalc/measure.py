@@ -22,6 +22,8 @@ from .padic import (
     PadicError,
     PPow,
     _make,
+    json_object,
+    json_pairs,
     ppow_le_scaled,
     truncate,
     vdp_dense_sequence,
@@ -63,47 +65,6 @@ def coset_key(x: PAdicVector, resolution: int):
 def _window(c: PAdicNumber):
     """Absolute digit window of a coordinate; the zero sentinel is exact."""
     return float("inf") if c.is_zero() else c.abs_window()
-
-
-class LevelIndex:
-    """The first point of every coset, level by level: for each level L
-    from lo = min(0, lowest coordinate valuation), where all the points
-    share one coset, down to hi, a map from coset keys to the least index
-    of a point in that coset.
-
-    Two coordinates both known past L agree below L exactly when their
-    difference, as the PAdicNumber subtraction observes it, has valuation
-    >= L, so up to the shortest window of the points and of a query the
-    keys give the subtraction's distances.  Past that, `deepest` declines
-    and the caller subtracts.
-    """
-
-    __slots__ = ("lo", "hi", "window", "_first")
-
-    def __init__(self, points, hi: int):
-        points = list(points)
-        coords = [c for x in points for c in x.coords if not c.is_zero()]
-        self.lo = min([0] + [c.val for c in coords])
-        self.hi = hi
-        self.window = min(map(_window, coords), default=float("inf"))
-        self._first = []
-        for L in range(self.lo, hi + 1):
-            first = {}
-            for i, x in enumerate(points):
-                first.setdefault(coset_key(x, L), i)
-            self._first.append(first)
-
-    def deepest(self, x: PAdicVector):
-        """(L, i): the deepest level L <= hi at which x shares a coset with
-        a point, and the first point there, which is then a first nearest
-        point at distance p^-L unless L = hi.  None when the windows end
-        before the answer does, or when x leaves the level-lo coset."""
-        start = min(self.hi, self.window, *map(_window, x.coords))
-        for L in range(start, self.lo - 1, -1):
-            i = self._first[L - self.lo].get(coset_key(x, L))
-            if i is not None:
-                return None if L < self.hi and L == start else (L, i)
-        return None
 
 
 def nearest_index(points, x: PAdicVector):
@@ -193,17 +154,19 @@ class CosetTree:
     levels: [(L, groups)], groups a list of member tuples in index order,
       holding every coset whose parent had two or more members;
     splits: [(L, members, children)] for every level-L coset (L < hi) whose
-      members fall into two or more level-(L+1) cosets.
+      members fall into two or more level-(L+1) cosets;
+    window: the shortest coordinate window, infinite for exact zeros only.
     """
 
-    __slots__ = ("lo", "hi", "levels", "splits", "_where")
+    __slots__ = ("points", "lo", "hi", "window", "levels", "splits",
+                 "_where", "_keyed")
 
     def __init__(self, points):
-        points = list(points)
+        self.points = points = list(points)
         coords = [c for x in points for c in x.coords if not c.is_zero()]
         self.lo = min([0] + [c.val for c in coords])
-        windows = [c.abs_window() for c in coords]
-        self.hi = max(self.lo, min(windows, default=self.lo))
+        self.window = min(map(_window, coords), default=float("inf"))
+        self.hi = max(self.lo, self.window) if coords else self.lo
         groups = [tuple(range(len(points)))]
         self.levels = [(self.lo, groups)]
         self.splits = []
@@ -224,6 +187,7 @@ class CosetTree:
             groups = nxt
             self.levels.append((L + 1, groups))
         self._where = None
+        self._keyed = {}        # level -> {coset key: members}, on demand
 
     def leaves(self) -> list:
         """Member tuples of the level-hi cosets holding two or more points."""
@@ -231,17 +195,44 @@ class CosetTree:
         return [g for g in groups if len(g) > 1] if L == self.hi else []
 
     def ball(self, i: int, L: int) -> tuple:
-        """Members of point i's level-L coset, in index order.  Past hi
-        the windows decide only for a point they have already separated."""
+        """Members within p^-L of point i, in index order.  Past hi the keys
+        no longer decide: there the members of i's leaf are kept whose
+        difference from it, as the subtraction observes it, has valuation
+        >= L."""
         if self._where is None:
             self._where = [{j: g for g in groups for j in g}
                            for _, groups in self.levels]
         d = max(L - self.lo, 0)
         if d < len(self._where):
             return self._where[d].get(i, (i,))
-        if len(self._where[-1].get(i, (i,))) > 1:
-            raise PadicError(f"level {L} lies past the known windows")
-        return (i,)
+        x = self.points[i]
+        return tuple(j for j in self._where[-1].get(i, (i,))
+                     if j == i or (v := (x - self.points[j]).val) is None
+                     or v >= L)
+
+    def locate(self, x: PAdicVector, hi: int):
+        """The groups a point x, in the tree or not, falls into:
+        (path, decided) with path = [(L, members)], members the points
+        sharing x's level-L coset in index order, from level lo (or the
+        coarser level where hi or a window ends) down to the deepest level
+        <= hi at which there are any.  Keys give the subtraction's
+        distances only as far as the windows of x and of the points reach,
+        so the walk stops there too; decided is False when it stopped
+        there, short of hi, with members left.
+
+        When path and decided hold, the first member of the last group is
+        a first nearest point, at distance p^-L unless L = hi."""
+        limit = min(hi, self.window, *map(_window, x.coords))
+        path = []
+        for L in range(min(self.lo, limit), limit + 1):
+            if L not in self._keyed:
+                self._keyed[L] = {coset_key(y, L): self.ball(i, L)
+                                  for i, y in enumerate(self.points)}
+            members = self._keyed[L].get(coset_key(x, L))
+            if members is None:
+                break
+            path.append((L, members))
+        return path, not path or path[-1][0] < limit or limit == hi
 
 
 def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
@@ -367,9 +358,10 @@ class GridFunction:
 
     @classmethod
     def from_json(cls, obj) -> "GridFunction":
+        obj = json_object(obj, "grid function")
         domain = Ball.from_json(obj["domain"])
         pairs = [(PAdicVector.from_json(r), PAdicVector.from_json(v))
-                 for r, v in obj["table"]]
+                 for r, v in json_pairs(obj["table"], "grid table entries")]
         for rep, _ in pairs:
             if not domain.contains(rep):
                 raise PadicError(f"grid representative {rep!r} lies outside "

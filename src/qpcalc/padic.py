@@ -94,11 +94,12 @@ def rational_val(q: Fraction, p: int):
 def _floor_level(q: Fraction, p: int) -> int:
     """Least L with p^(-L) <= q, for a rational q > 0: a value of
     valuation v has norm at most q exactly when v >= L."""
-    L = 0
-    while Fraction(p) ** -L > q:
-        L += 1
-    while Fraction(p) ** -(L - 1) <= q:
-        L -= 1
+    # p^-L <= n/d  <=>  d * p^max(-L, 0) <= n * p^max(L, 0)
+    L, n, d = 0, q.numerator, q.denominator
+    while n < d:
+        n, L = n * p, L + 1
+    while d * p <= n:
+        d, L = d * p, L - 1
     return L
 
 
@@ -525,6 +526,10 @@ class PAdicVector:
 
     @classmethod
     def from_json(cls, arr) -> "PAdicVector":
+        if type(arr) is not list or not arr \
+                or any(type(s) is not str for s in arr):
+            raise PadicError(f"a p-adic JSON vector is a non-empty list of "
+                             f"literal strings, got {arr!r}")
         return cls(parse_literal(s) for s in arr)
 
     @classmethod
@@ -544,10 +549,6 @@ def unit_vector(p: int, m: int, i: int, prec: int | None = None) -> PAdicVector:
     """Standard basis vector e_i."""
     return PAdicVector(PAdicNumber.from_int(p, 1 if j == i else 0, prec=prec)
                        for j in range(m))
-
-
-def truncate_vector(x: PAdicVector, abs_exp: int) -> PAdicVector:
-    return PAdicVector(truncate(c, abs_exp) for c in x.coords)
 
 
 # -- balls -------------------------------------------------------------------
@@ -587,6 +588,7 @@ class Ball:
 
     @classmethod
     def from_json(cls, obj) -> "Ball":
+        obj = json_object(obj, "ball")
         return cls(PAdicVector.from_json(obj["center"]), int(obj["rad_exp"]))
 
 
@@ -720,3 +722,20 @@ def parse_frac(s) -> Fraction:
         raise PadicError(f"malformed rational {s!r}: expected n or n/d")
     a, _, b = s.partition("/")
     return Fraction(int(a), int(b or 1))
+
+
+def json_object(obj, what: str) -> dict:
+    """obj, when it is a JSON object; PadicError otherwise."""
+    if type(obj) is not dict:
+        raise PadicError(f"a {what} is a JSON object, not a "
+                         f"{type(obj).__name__}")
+    return obj
+
+
+def json_pairs(obj, what: str) -> list:
+    """obj, when it is a JSON list of two-element lists; PadicError
+    otherwise."""
+    if type(obj) is not list \
+            or any(type(e) is not list or len(e) != 2 for e in obj):
+        raise PadicError(f"{what} are a JSON list of [a, b] pairs")
+    return obj

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
-from .extension import packing_check, packing_check_many
+from .extension import holder_violations, packing_check, packing_check_many
 from .funcs import MultiPoly, SymbolicFunction, local_jet
-from .measure import (GridFunction, LevelIndex, _window, coset_key,
+from .measure import (CosetTree, GridFunction, _window, coset_key,
                       enumerate_cosets, nearest_index)
 from .padic import (
     WORKING_PREC,
@@ -26,8 +27,9 @@ from .padic import (
     PadicError,
     PPow,
     _floor_level,
+    json_object,
+    json_pairs,
     parse_frac,
-    ppow_le_scaled,
     rational_val,
 )
 from .quotients import QuotientPoint, phin
@@ -80,12 +82,12 @@ class RadiusFunction:
     Distances come from coset keys of A's centres: x lies in a ball of
     radius p^-r when it shares the ball's level-r coset, and off A its
     distance exponent is the deepest level at which it shares a coset with
-    any centre.  Points whose windows, or the centres', end before the
-    finest radius of A are left to dist_exp.  Each point's exponent is kept,
-    so a glue computes it once.
+    any centre, read from the centres' CosetTree.  Points whose windows, or
+    the centres', end before the finest radius of A are left to dist_exp.
+    Each point's exponent is kept, so a glue computes it once.
     """
 
-    __slots__ = ("A", "p", "s0", "_radii", "_members", "_index", "_exps")
+    __slots__ = ("A", "p", "s0", "_radii", "_members", "_tree", "_exps")
 
     def __init__(self, A, p: int, s0: int):
         self.A = tuple(A)
@@ -94,9 +96,7 @@ class RadiusFunction:
         self._radii = sorted({ball.rad_exp for ball in self.A})
         self._members = {(ball.rad_exp, coset_key(ball.center, ball.rad_exp))
                          for ball in self.A}
-        # off A, every centre is farther than its radius: levels < max radius
-        self._index = LevelIndex([ball.center for ball in self.A],
-                                 max(self._radii, default=0) - 1)
+        self._tree = CosetTree(ball.center for ball in self.A)
         self._exps = {}
 
     @property
@@ -105,17 +105,19 @@ class RadiusFunction:
 
     def dist_exp(self, x: PAdicVector):
         """dist_exp(A, x), from one key lookup per distinct radius and the
-        levels of the centre index."""
+        levels of the centre tree."""
         if x in self._exps:
             return self._exps[x]
-        if not self._radii or min(self._index.window,
+        if not self._radii or min(self._tree.window,
                                   *map(_window, x.coords)) < self._radii[-1]:
             d = dist_exp(self.A, x)
         elif any((r, coset_key(x, r)) in self._members for r in self._radii):
             d = None
         else:
-            hit = self._index.deepest(x)
-            d = dist_exp(self.A, x) if hit is None else hit[0]
+            # off A, every centre is farther than its radius: levels below
+            # the finest radius
+            path, decided = self._tree.locate(x, self._radii[-1] - 1)
+            d = path[-1][0] if path and decided else dist_exp(self.A, x)
         self._exps[x] = d
         return d
 
@@ -139,15 +141,15 @@ def build_h(A, p: int, s0: int = DEFAULT_CONSTANTS[0]) -> RadiusFunction:
 
 
 def lipschitz_gauge_check(h: RadiusFunction, points) -> tuple:
-    """(ok, witness): |h(x)-h(y)| <= b|x-y| over all pairs, exactly."""
-    points = list(points)
-    for i in range(len(points)):
-        hi = h(points[i])
-        for j in range(i + 1, len(points)):
-            gap = (hi - h(points[j])).norm_pow()
-            dist = (points[i] - points[j]).norm_pow()
-            if not ppow_le_scaled(gap, h.b, dist):
-                return False, (points[i], points[j])
+    """(ok, witness): |h(x)-h(y)| <= b|x-y| over all pairs, exactly: the
+    (C, r) = (b, 1) certificate of the points with values h.  The witness
+    is the first failing pair in (i, j) order."""
+    tree = CosetTree(points)
+    found = holder_violations(tree, [PAdicVector([h(x)]) for x in tree.points],
+                              h.b, 1, 1)
+    if found:
+        i, j = found[0][:2]
+        return False, (tree.points[i], tree.points[j])
     return True, None
 
 
@@ -200,42 +202,23 @@ def disjoint_ball_family(reps, h: RadiusFunction,
     """Greedy scan in enumeration order: admit y when its support ball is
     disjoint from every admitted support.  Because the gauge is Lipschitz
     with constant < 1, intersecting supports have equal radii and coincide,
-    so the admitted supports cover every scanned representative (verified).
-
-    Two supports B(y, p^-ey), B(g, p^-eg) meet exactly when y and g share
-    the coset at level min(ey, eg), so admission is a few coset-key lookups
-    rather than a scan of everything admitted so far.
+    so y is admitted exactly when it is the first with its support's key
+    (e(y), coset_key(y, e(y))), and the admitted supports cover every
+    scanned representative.  That partition is certified at every
+    representative.
     """
     reps = list(reps)
     if not reps:
         raise PadicError("empty site list")
-    exps = []
+    admitted = {}
     for y in reps:
         e = h.support_exp(y)
         if e > resolution:
             raise PadicError(
                 "resolution too coarse for the support radii: need "
                 f"K >= {e}")
-        exps.append(e)
-    levels = sorted(set(exps))
-    # taken[L] = coset keys at level L of admitted sites with exp >= L;
-    # shallow[L] = keys at level L of admitted sites with exp exactly L
-    taken = {L: set() for L in levels}
-    shallow = {L: set() for L in levels}
-    admitted = []
-    for y, ey in zip(reps, exps):
-        keys = {L: coset_key(y, L) for L in levels if L <= ey}
-        clash = any(keys[L] in (taken[L] if L == ey else shallow[L])
-                    for L in keys)
-        # L == ey: an admitted site with exp >= ey shares y's coset at ey;
-        # L < ey: an admitted site with exp exactly L contains y's support.
-        if clash:
-            continue
-        admitted.append(y)
-        for L in keys:
-            taken[L].add(keys[L])
-        shallow[ey].add(keys[ey])
-    fam = PartitionFamily(sites=tuple(admitted), h=h,
+        admitted.setdefault((e, coset_key(y, e)), y)
+    fam = PartitionFamily(sites=tuple(admitted.values()), h=h,
                           resolution=resolution)
     for y in reps:
         fam.site_index_for(y)   # raises unless exactly one support hits
@@ -298,12 +281,15 @@ class JetField:
     jets: tuple           # ((rep: PAdicVector, polys: tuple[MultiPoly]), ...)
 
     def __post_init__(self):
-        # coset-key lookup for jet_at, and the per-level nearest-rep index
+        # coset-key lookup for jet_at
         by_key = {coset_key(z, self.resolution): i
                   for i, (z, _) in enumerate(self.jets)}
         object.__setattr__(self, "_by_key", by_key)
-        object.__setattr__(self, "_levels",
-                           LevelIndex(self.reps(), self.resolution))
+
+    @cached_property
+    def tree(self) -> CosetTree:
+        """The representatives' CosetTree, built on first use."""
+        return CosetTree(self.reps())
 
     @property
     def p(self) -> int:
@@ -330,9 +316,9 @@ class JetField:
     def nearest_rep_index(self, y: PAdicVector) -> int:
         """Index of the closest representative (first wins on ties): the
         first rep sharing the deepest coset with y."""
-        hit = self._levels.deepest(y)
-        if hit is not None:
-            return hit[1]
+        path, decided = self.tree.locate(y, self.resolution)
+        if path and decided:
+            return path[-1][1][0]
         # past the windows, or outside the reps' level-lo coset: a scan
         return nearest_index(self.reps(), y)[0]
 
@@ -353,9 +339,10 @@ class JetField:
 
     @classmethod
     def from_json(cls, obj) -> "JetField":
+        obj = json_object(obj, "jet field")
         A = tuple(Ball.from_json(b) for b in obj["A"])
         jets = []
-        for zj, tables in obj["jets"]:
+        for zj, tables in json_pairs(obj["jets"], "jets"):
             z = PAdicVector.from_json(zj)
             polys = []
             for table in tables:
@@ -450,8 +437,9 @@ def jet_compat_modulus(J: JetField, delta: Fraction,
     """rho(S, delta): the worst scaled jet disagreement over representative
     pairs within delta, all orders j <= k, as an exact power-of-p bound.
 
-    Pairs with equal jets contribute nothing, so representatives are first
-    grouped by jet signature and only cross-class pairs are scanned; a field
+    The pairs within delta are the pairs in a level-D ball of the
+    representatives' CosetTree, and pairs with equal jets contribute
+    nothing: only pairs of different jet classes are compared, and a field
     of identical jets (a globally polynomial source) costs one pass.
     """
     p = J.p
@@ -460,28 +448,28 @@ def jet_compat_modulus(J: JetField, delta: Fraction,
         return best
     D = _floor_level(delta, p)      # |x - z| <= delta iff val >= D
     classes = {}
-    for a, (_, px) in enumerate(J.jets):
-        classes.setdefault(_jet_signature(px), []).append(a)
-    groups = list(classes.values())
-    for gi in range(len(groups)):
-        for gj in range(gi + 1, len(groups)):
-            for a in groups[gi]:
-                x, px = J.jets[a]
-                for bidx in groups[gj]:
-                    z, pz = J.jets[bidx]
-                    d = (x - z).val
-                    if d is None or d < D:
-                        continue
-                    dpow = PPow(p, -d)
-                    for comp in range(J.n):
-                        Q = px[comp] - pz[comp]
-                        if Q.is_zero():
-                            continue
-                        for j in range(J.k + 1):
-                            bound = max(_quotient_bound(Q, z, j, zeta),
-                                        _quotient_bound(Q, x, j, zeta))
-                            scaled = bound * dpow.pow_frac(Fraction(j - J.k))
-                            best = max(best, scaled)
+    cls = [classes.setdefault(_jet_signature(px), len(classes))
+           for _, px in J.jets]
+    if len(classes) < 2:
+        return best
+    for a, (x, px) in enumerate(J.jets):
+        for b in J.tree.ball(a, D):
+            if b <= a or cls[b] == cls[a]:
+                continue
+            z, pz = J.jets[b]
+            d = (x - z).val
+            if d is None:
+                continue
+            dpow = PPow(p, -d)
+            for comp in range(J.n):
+                Q = px[comp] - pz[comp]
+                if Q.is_zero():
+                    continue
+                for j in range(J.k + 1):
+                    bound = max(_quotient_bound(Q, z, j, zeta),
+                                _quotient_bound(Q, x, j, zeta))
+                    scaled = bound * dpow.pow_frac(Fraction(j - J.k))
+                    best = max(best, scaled)
     return best
 
 

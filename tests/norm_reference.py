@@ -5,8 +5,9 @@ These are the formulas qpcalc used when norms were compared as Fractions:
 when that norm of x - centre is at most the radius, two balls are
 disjoint when their centres are farther apart than the larger radius, and
 the nearest point of a list is found by a scan that keeps the first
-strictly smaller Fraction distance.  test_valuations.py requires the
-integer-valuation versions in qpcalc to agree with them.
+strictly smaller Fraction distance, and the level of a rational bound is
+found by stepping through Fraction powers of p.  test_valuations.py
+requires the integer-valuation versions in qpcalc to agree with them.
 """
 
 from fractions import Fraction
@@ -47,3 +48,13 @@ def nearest_point(T, v):
         if d < delta:
             best, delta = x, d
     return best, delta
+
+
+def floor_level(q, p):
+    """Least L with p^(-L) <= q, for a rational q > 0."""
+    L = 0
+    while Fraction(p) ** -L > q:
+        L += 1
+    while Fraction(p) ** -(L - 1) <= q:
+        L -= 1
+    return L

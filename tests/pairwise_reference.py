@@ -1,16 +1,18 @@
 """All-pairs reference implementations of the coset-tree algorithms.
 
 These are the straightforward O(N^2) loops: every pair is compared with
-the PAdicVector subtraction, exactly as the definitions read.  The property
-tests in test_coset_tree.py require the tree-based versions in qpcalc to
-agree with them on every output.
+the PAdicVector subtraction, exactly as the definitions read, and every
+site is scanned for each packing point.  The property tests in
+test_coset_tree.py require the tree-based versions in qpcalc to agree with
+them on every output.
 """
 
 from fractions import Fraction
 
-from qpcalc.extension import CertifyReport, ChebyshevResult, nearest_point
+from qpcalc.extension import (CertifyReport, ChebyshevResult, PackingResult,
+                              nearest_point)
 from qpcalc.measure import GridFunction, enumerate_cosets
-from qpcalc.padic import PPow, ppow_le_scaled
+from qpcalc.padic import PadicError, PPow, frac_str, ppow_le_scaled
 
 
 def holder_scan(f, r):
@@ -150,3 +152,63 @@ def verify_Ej(f, dec, max_violations=8):
                     if len(violations) < max_violations:
                         violations.append((j, x, z))
     return not bad, violations
+
+
+def packing_check_many(G, h, b, alpha, beta, xs):
+    """Family preconditions over every pair of sites, the first failing
+    pair raised; then G_x by a scan of every site for each x."""
+    G = list(G)
+    b, alpha, beta = Fraction(b), Fraction(alpha), Fraction(beta)
+    if not G:
+        raise PadicError("empty packing family")
+    if b <= 0 or alpha <= 0 or beta <= 0:
+        raise PadicError("b, alpha, beta must be positive")
+    if b * alpha >= 1 or b * beta >= 1:
+        raise PadicError("need b*alpha < 1 and b*beta < 1")
+    hv = [h(y) for y in G]
+    if any(v.is_zero() for v in hv):
+        raise PadicError("gauge h vanishes on a site")
+    levels = [v.val for v in hv]
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            d = (G[i] - G[j]).val
+            if d is None or d >= min(levels[i], levels[j]):
+                raise PadicError(
+                    f"balls at sites {i} and {j} are not disjoint")
+            if not ppow_le_scaled((hv[i] - hv[j]).norm_pow(), b,
+                                  PPow(G[i].p, -d)):
+                raise PadicError(
+                    f"b does not bound the Lipschitz quotient of h "
+                    f"at sites {i} and {j}")
+    return [_packing_at(G, levels, h, b, alpha, beta, G[0].dim, x)
+            for x in xs]
+
+
+def _packing_at(G, levels, h, b, alpha, beta, m, x):
+    hxv = h(x)
+    if hxv.is_zero():
+        raise PadicError("gauge h vanishes at x")
+    p = x.p
+    hx = hxv.norm_pow()
+    g_x = [i for i, y in enumerate(G)
+           if ppow_le_scaled(d := (x - y).norm_pow(), alpha, hx)
+           or ppow_le_scaled(d, beta, PPow.from_val(p, levels[i]))]
+    lower = (1 - b * beta) / (1 + b * alpha)
+    upper = (1 + b * beta) / (1 - b * alpha)
+    violations = []
+    for i in g_x:
+        ratio = Fraction(p) ** (levels[i] - hxv.val)
+        if not lower <= ratio <= upper:
+            violations.append({"site": i, "ratio": frac_str(ratio)})
+    card_bound = (max(alpha, beta * (1 + b * alpha) / (1 - b * beta)) ** m
+                  * ((1 + b * beta) / (1 - b * alpha)) ** m)
+    card_ok = len(g_x) <= card_bound
+    if not card_ok:
+        violations.append({"cardinality": len(g_x),
+                           "bound": frac_str(card_bound)})
+    ratio_ok = not any("site" in v for v in violations)
+    return PackingResult(ratio_ok=ratio_ok,
+                         card_ok=card_ok, g_x=tuple(g_x),
+                         card_bound=card_bound,
+                         ratio_bounds=(lower, upper),
+                         violations=tuple(violations))

@@ -484,3 +484,55 @@ def test_grid_rep_outside_domain_exits_2(capsys, tmp_path):
                        "--r", "1")
     assert code == 2
     assert "outside the domain" in err
+
+
+MALFORMED = [
+    ("certify", "--in", "[1,2]"),
+    ("certify", "--in", '{"constants": {"C": "1", "r": "1"},'
+                        ' "points": [[[5], ["1,0e0@5"]]]}'),
+    ("cheb", "--in", '{"pairs": 3}'),
+    ("scan", "--kind", "holder", "--in", "[]"),
+    ("extend", "--domain", "ball(0;0)", "--resolution", "1", "--in",
+     "[1,2]"),
+    ("whitney", "eval", "--x", "1", "--jets", "[1,2]"),
+    ("eval", "--x", "1", "--f", "(" * 3000 + "x0" + ")" * 3000),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=lambda a: " ".join(a[:2]))
+def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
+    """A top-level array, a coordinate written as a number, a pair list
+    that is a number, and an expression nested past the interpreter's
+    recursion limit are refused with exit 2 and one error line."""
+    argv = list(argv)
+    flag = "--f" if argv[0] == "eval" else \
+        "--jets" if argv[0] == "whitney" else "--in"
+    if flag != "--f":
+        path = tmp_path / "input.json"
+        path.write_text(argv[argv.index(flag) + 1])
+        argv[argv.index(flag) + 1] = str(path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("error:", "parse error:"))
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("V", [100, 1000])
+def test_certify_deep_violation_level_in_closed_form(capsys, tmp_path,
+                                                     monkeypatch, V):
+    """Sites 0 and 5^V with values 1 and 5^V break C = 1, r = 1 at the
+    split level V.  The gap level bounding the search is found without a
+    comparison per level, so the count of magnitude comparisons does not
+    grow with V."""
+    import qpcalc.extension as extension
+    real, calls = extension.ppow_le_scaled, []
+    monkeypatch.setattr(extension, "ppow_le_scaled",
+                        lambda *a: calls.append(a) or real(*a))
+    S = SampleSet([(vec(0), vec(1)), (vec(5 ** V), vec(5 ** V))], 1, 1)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(S.to_json()))
+    code, out, _ = run(capsys, "certify", "--in", str(path))
+    assert code == 1
+    assert out == f"violation: sites 0,1: gap PPow(5^0) > C * PPow(5^-{V})\n"
+    assert len(calls) == 2

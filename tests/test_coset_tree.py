@@ -9,14 +9,15 @@ derandomized, so the suite stays deterministic.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairwise_reference as ref
 from qpcalc.extension import (EjDecomposition, SampleSet, WeightedSiteSet,
                               chebyshev_radius, decompose_Ej, extend_to_grid,
-                              verify_Ej)
+                              packing_check_many, verify_Ej)
 from qpcalc.measure import CosetTree, GridFunction, enumerate_cosets, gap_val
-from qpcalc.padic import Ball, PAdicNumber, PAdicVector
+from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError
 from qpcalc.quotients import holder_scan
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -191,6 +192,82 @@ def test_decompose_Ej_matches_pairwise(f, r, bounds):
                           unassigned=(), K=f.resolution, r=Fraction(r))
     for budget in (1, 3):
         assert verify_Ej(f, two, budget) == ref.verify_Ej(f, two, budget)
+
+
+@st.composite
+def packing_cases(draw):
+    """(G, h, b, alpha, beta, xs): up to six sites, some repeated, or
+    distinct level-K cosets with gauge levels K..K+2, so that the balls are
+    disjoint; a gauge of p^l or 2p^l at every site and query point, l in
+    -1..4 elsewhere and -1..2 at a query point off G, rarely zero at one
+    of them; and scales some of which break b*alpha < 1."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        K = draw(st.integers(1, 2))
+        grid = enumerate_cosets(Ball(PAdicVector.zero(p, m), 0), K)
+        G = [grid[i] for i in sorted(set(draw(st.lists(
+            st.integers(0, len(grid) - 1), min_size=1, max_size=6))))]
+        levels = st.integers(K, K + 2)
+    else:
+        G = draw(site_lists(p, m))[:draw(st.integers(1, 6))]
+        G += G[:draw(st.sampled_from([0, 0, 0, 1]))]
+        levels = st.integers(-1, 4)
+    xs = G[:draw(st.integers(0, len(G)))] + draw(site_lists(p, m))[:3]
+    uniform = draw(st.booleans())
+    table = {}
+    for x in G + xs:
+        if x not in table:
+            l = 2 if uniform else draw(levels if x in G else st.integers(-1, 2))
+            u = draw(st.sampled_from([1, 1, 2 % p or 1]))
+            table[x] = PAdicNumber.from_fraction(
+                p, u * Fraction(p) ** l, prec=draw(st.integers(1, 6)))
+    if draw(st.integers(0, 9)) == 9:
+        table[draw(st.sampled_from(G + xs))] = PAdicNumber.zero(p)
+    b = draw(st.sampled_from([Fraction(1, p), Fraction(1, p * p),
+                              Fraction(1, 2)]))
+    alpha, beta = (draw(st.sampled_from([Fraction(1, p), 1, 1, p]))
+                   for _ in range(2))
+    return G, table.__getitem__, b, alpha, beta, xs
+
+
+@given(packing_cases())
+@settings(SETTINGS, max_examples=300)
+def test_packing_matches_pairwise(case):
+    """The first pair that meets or breaks b, and every G_x."""
+    try:
+        want = ref.packing_check_many(*case)
+    except PadicError as exc:
+        with pytest.raises(PadicError) as got:
+            packing_check_many(*case)
+        assert str(got.value) == str(exc)
+        return
+    assert packing_check_many(*case) == want
+
+
+def test_packing_names_the_first_pair_that_meets():
+    """Sites 0, 1, 1 + 5^2 and 5^2 with one gauge value, 5^-2, everywhere:
+    both (0, 3) and (1, 2) meet, and (0, 3) comes first in (i, j) order."""
+    G = [PAdicVector.from_ints(5, [n]) for n in (0, 1, 26, 25)]
+    h = lambda y: PAdicNumber.from_int(5, 25)
+    with pytest.raises(PadicError, match="sites 0 and 3 are not disjoint"):
+        packing_check_many(G, h, Fraction(1, 25), 1, 1, [])
+    with pytest.raises(PadicError, match="sites 0 and 3 are not disjoint"):
+        ref.packing_check_many(G, h, Fraction(1, 25), 1, 1, [])
+
+
+def test_packing_reaches_each_site_at_its_own_level():
+    """Sites 0 and 5 with |h| = 5^-2 and 1 with |h| = 5^-4; beta = 5
+    widens the first two balls to radius 5^-1.  x = 30 shares a level-2
+    coset with 5 only, yet lies within 5^-1 of 0 too, so G_x = (0, 1)."""
+    n = lambda k: PAdicNumber.from_int(5, k)
+    G = [PAdicVector.from_ints(5, [y]) for y in (0, 5, 1)]
+    gauge = {0: n(25), 5: n(25), 1: n(625), 30: n(625)}
+    h = lambda y: gauge[int(y[0].as_fraction())]
+    x = PAdicVector.from_ints(5, [30])
+    got = packing_check_many(G, h, Fraction(1, 25), 1, 5, [x])
+    assert got == ref.packing_check_many(G, h, Fraction(1, 25), 1, 5, [x])
+    assert got[0].g_x == (0, 1)
 
 
 def _z2_grid(K, values):

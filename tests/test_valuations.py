@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import norm_reference as ref
 from qpcalc.extension import nearest_point
-from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PPow, norm,
-                          sup_norm)
+from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PPow, _floor_level,
+                          norm, sup_norm)
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -108,3 +108,11 @@ def test_nearest_point_matches_scan(data):
     ref_best, ref_delta = ref.nearest_point(T, v)
     assert best is ref_best
     assert delta == ref_delta
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10**6),
+       st.integers(1, 10**6), st.integers(-12, 12))
+@SETTINGS
+def test_floor_level_matches_fraction_powers(p, n, d, e):
+    q = Fraction(n, d) * Fraction(p) ** e
+    assert _floor_level(q, p) == ref.floor_level(q, p)

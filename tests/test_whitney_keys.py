@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 import whitney_reference as ref
 import qpcalc.whitney as whitney
 from qpcalc.funcs import MultiPoly, SymbolicFunction, as_polynomials
-from qpcalc.measure import LevelIndex, coset_key, enumerate_cosets
+from qpcalc.measure import CosetTree, coset_key, enumerate_cosets
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError
 from qpcalc.whitney import (JetField, RadiusFunction, dist_to_set,
-                            jet_field_from_function, whitney_extend)
+                            jet_compat_modulus, jet_field_from_function,
+                            lipschitz_gauge_check, whitney_extend)
 
 SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -123,7 +124,7 @@ def test_distance_keys_decide_within_the_windows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# coset keys and the level index
+# coset keys and the tree query
 # ---------------------------------------------------------------------------
 
 @SETTINGS
@@ -163,10 +164,10 @@ def test_nearest_rep_matches_scan(case):
     J = JetField(k=0, A=(), resolution=resolution,
                  jets=tuple((z, zero) for z in points))
     assert J.nearest_rep_index(y) == ref.nearest_rep_index(points, y)
-    hit = LevelIndex(points, resolution).deepest(y)
-    if hit is not None and hit[0] < resolution:
-        L, i = hit
-        assert (y - points[i]).sup_norm() == Fraction(y.p) ** -L
+    path, decided = CosetTree(points).locate(y, resolution)
+    if path and decided and path[-1][0] < resolution:
+        L, members = path[-1]
+        assert (y - points[members[0]]).sup_norm() == Fraction(y.p) ** -L
 
 
 def test_nearest_rep_past_a_window_is_left_to_subtraction():
@@ -179,7 +180,38 @@ def test_nearest_rep_past_a_window_is_left_to_subtraction():
                  jets=tuple((z, (MultiPoly.zero(1),)) for z in points))
     assert ref.nearest_rep_index(points, y) == 0
     assert J.nearest_rep_index(y) == 0
-    assert LevelIndex(points, 3).deepest(y) is None
+    path, decided = CosetTree(points).locate(y, 3)
+    assert path and not decided
+
+
+@SETTINGS
+@given(reps_and_query())
+def test_locate_and_ball_match_subtraction(case):
+    """Each group on the query's path holds exactly the points the
+    subtraction puts within p^-L of it; a decided path ends where no point
+    is closer; ball is the same set for a point of the tree, past the
+    windows too."""
+    resolution, points, y = case
+    tree = CosetTree(points)
+
+    def within(x, L):
+        return tuple(i for i, z in enumerate(points)
+                     if (v := (x - z).val) is None or v >= L)
+
+    for hi in (resolution - 2, resolution, resolution + 3):
+        path, decided = tree.locate(y, hi)
+        for L, members in path:
+            assert members == within(y, L)
+        limit = min(hi, tree.window, *(c.abs_window() or float("inf")
+                                       for c in y.coords))
+        last = path[-1][0] if path else min(tree.lo, limit) - 1
+        if decided and last < hi:
+            assert within(y, last + 1) == ()
+        if not decided:         # the windows end first, points left
+            assert path and last == limit < hi
+    for i in range(len(points)):
+        for L in range(tree.lo - 1, tree.hi + 3):
+            assert tree.ball(i, L) == within(points[i], L)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +295,62 @@ def test_glue_matches_reference_at_every_representative(case):
             whitney_extend(J, domain, resolution)
         return
     g = whitney_extend(J, domain, resolution)
+    # each admitted support holds no other admitted site
+    for i, y in enumerate(g.family.sites):
+        assert g.family.support_indices(y) == [i]
     for x in enumerate_cosets(domain, resolution):
         assert g(x) == expected[ref.coset_key(x, resolution)]
         assert g.evaluate_sum_form(x) == g(x)
+
+
+# ---------------------------------------------------------------------------
+# the gauge check and the compatibility modulus against their pair loops
+# ---------------------------------------------------------------------------
+
+class TableGauge:
+    """A gauge read from a table, with Lipschitz constant claim b."""
+
+    def __init__(self, table, b):
+        self.table, self.b = table, b
+
+    def __call__(self, x):
+        return self.table[x]
+
+
+@SETTINGS
+@given(reps_and_query(), st.data())
+def test_gauge_check_matches_pairwise(case, data):
+    """Gauges of one to three values, so that pairs break b, on points
+    with mixed windows, one of them sometimes repeated."""
+    _, points, y = case
+    p = y.p
+    points = points + [y] + points[:data.draw(st.integers(0, 1))]
+    pool = [data.draw(scalars(p, zero=False))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    table = {}
+    for x in points:
+        table.setdefault(x, pool[data.draw(st.integers(0, len(pool) - 1))])
+    h = TableGauge(table, data.draw(st.sampled_from(
+        [Fraction(1, p * p), Fraction(1, p), 1, p])))
+    assert lipschitz_gauge_check(h, points) == \
+        ref.lipschitz_gauge_check(h, points)
+
+
+@SETTINGS
+@given(reps_and_query(), st.data())
+def test_modulus_matches_class_pairs(case, data):
+    """Jets drawn from a pool of one to three, so that classes repeat, at
+    representatives with mixed windows; delta from 0 to p^2, powers of p
+    and not."""
+    resolution, points, y = case
+    p, m = y.p, y.dim
+    n = data.draw(st.integers(1, 2))
+    pool = [tuple(data.draw(polys(m, max_terms=3, max_degree=2))
+                  for _ in range(n))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    J = JetField(k=data.draw(st.integers(0, 2)), A=(), resolution=resolution,
+                 jets=tuple((z, pool[data.draw(st.integers(0, len(pool) - 1))])
+                            for z in points))
+    for delta in (Fraction(0), Fraction(3, p ** 2), *(
+            Fraction(p) ** -s for s in range(-2, 6))):
+        assert jet_compat_modulus(J, delta) == ref.jet_compat_modulus(J, delta)

@@ -4,16 +4,20 @@ These are the straightforward versions: distances to the closed set are
 sup norms of PAdicVector differences read back as powers of p, coset keys
 are built from truncations, polynomials are composed term by term with
 fresh powers, supports are admitted by comparing each site with every
-admitted one, and nearest representatives come from a full scan.  The
-property tests in test_whitney_keys.py require the key-based versions in
-qpcalc to agree with them on every output.
+admitted one, nearest representatives come from a full scan, the gauge
+check compares every pair of points, and the compatibility modulus every
+pair of representatives with different jets.  The property tests in
+test_whitney_keys.py require the key-based versions in qpcalc to agree
+with them on every output.
 """
 
 from fractions import Fraction
 
+from norm_reference import floor_level
 from qpcalc.funcs import MultiPoly
 from qpcalc.measure import enumerate_cosets
-from qpcalc.padic import PadicError, truncate
+from qpcalc.padic import PadicError, PPow, ppow_le_scaled, truncate
+from qpcalc.whitney import _jet_signature, _quotient_bound
 
 
 def dist_to_set(A, x):
@@ -120,3 +124,50 @@ def glue(J, domain, resolution, s0=2):
             _, polys = J.jets[nearest_rep_index(reps, hits[0])]
         out[coset_key(x, resolution)] = J.evaluate_jet(polys, x)
     return out
+
+
+def lipschitz_gauge_check(h, points):
+    """(ok, witness): |h(x)-h(y)| <= b|x-y| over all pairs, exactly."""
+    points = list(points)
+    for i in range(len(points)):
+        hi = h(points[i])
+        for j in range(i + 1, len(points)):
+            gap = (hi - h(points[j])).norm_pow()
+            dist = (points[i] - points[j]).norm_pow()
+            if not ppow_le_scaled(gap, h.b, dist):
+                return False, (points[i], points[j])
+    return True, None
+
+
+def jet_compat_modulus(J, delta, zeta=1):
+    """rho(S, delta) over every pair of representatives in different jet
+    classes."""
+    p = J.p
+    best = PPow.zero(p)
+    if delta <= 0:
+        return best
+    D = floor_level(delta, p)      # |x - z| <= delta iff val >= D
+    classes = {}
+    for a, (_, px) in enumerate(J.jets):
+        classes.setdefault(_jet_signature(px), []).append(a)
+    groups = list(classes.values())
+    for gi in range(len(groups)):
+        for gj in range(gi + 1, len(groups)):
+            for a in groups[gi]:
+                x, px = J.jets[a]
+                for bidx in groups[gj]:
+                    z, pz = J.jets[bidx]
+                    d = (x - z).val
+                    if d is None or d < D:
+                        continue
+                    dpow = PPow(p, -d)
+                    for comp in range(J.n):
+                        Q = px[comp] - pz[comp]
+                        if Q.is_zero():
+                            continue
+                        for j in range(J.k + 1):
+                            bound = max(_quotient_bound(Q, z, j, zeta),
+                                        _quotient_bound(Q, x, j, zeta))
+                            scaled = bound * dpow.pow_frac(Fraction(j - J.k))
+                            best = max(best, scaled)
+    return best
