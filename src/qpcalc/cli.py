@@ -37,6 +37,7 @@ from .extension import (
 )
 from .funcs import DomainEscape, ExprSyntaxError, SymbolicFunction
 from .measure import (
+    DEFAULT_CAP,
     GridFunction,
     ResourceCapExceeded,
     ap_limit,
@@ -152,8 +153,8 @@ def _grid_input(args) -> GridFunction:
         raise PadicError("tabulating --f needs --resolution")
     fn = _function(args)
     domain = _ball(args.domain, args.p, args.prec)
-    kwargs = {} if args.cap is None else {"cap": args.cap}
-    return GridFunction.from_callable(domain, args.resolution, fn, **kwargs)
+    return GridFunction.from_callable(domain, args.resolution, fn,
+                                      cap=args.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +211,8 @@ def cmd_density(args) -> int:
     balls = _ball_union(args.set, args.p, args.prec)
     x = _vector(args.at, args.p, args.prec)
     indicator = lambda z: any(b.contains(z) for b in balls)
-    kwargs = {} if args.cap is None else {"cap": args.cap}
     est = density_at(indicator, x, _levels(args.levels),
-                     resolution=args.resolution, **kwargs)
+                     resolution=args.resolution, cap=args.cap)
     for j, count, total in est.ratios:
         print(f"j={j}: {Fraction(count, total)} ({count}/{total})")
     print(f"verdict: {est.verdict}")
@@ -250,7 +250,9 @@ def cmd_aplimit(args) -> int:
 def cmd_decompose(args) -> int:
     f = _grid_input(args)
     p = f.p
-    values = [f.scalar(rep) for rep in f.reps]
+    if f.dims[1] != 1:
+        raise PadicError("scalar access on a vector-valued grid function")
+    values = [v[0] for v in f.values]
     nonzero = [v for v in values if not v.is_zero()]
     if not nonzero:
         print("0 terms (function is identically zero)")
@@ -262,10 +264,10 @@ def cmd_decompose(args) -> int:
     ys = decompose_default_ys(p, val_floor, args.tol_exp - val_floor)
     terms = decompose_series(f, ys, args.tol_exp)
     residual = Fraction(0)
-    for rep, fv in zip(f.reps, values):
+    for i, fv in enumerate(values):
         acc = PAdicNumber.zero(p)
         for y, a in terms:
-            if not a.scalar(rep).is_zero():
+            if not a.values[i][0].is_zero():
                 acc = acc + y
         residual = max(residual, (fv - acc).norm())
     print(f"{len(terms)} terms, max residual {residual}"
@@ -566,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--levels", default="1,2,3",
                      help="ball exponents j (default 1,2,3)")
     sub.add_argument("--resolution", type=int, default=None)
-    sub.add_argument("--cap", type=int, default=None)
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub.set_defaults(func=cmd_density)
 
     sub = verbs.add_parser("aplimit",
@@ -590,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--resolution", type=int, default=3)
     sub.add_argument("--tol-exp", type=int, default=3,
                      help="residual tolerance exponent (default 3)")
-    sub.add_argument("--cap", type=int, default=None)
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub.set_defaults(func=cmd_decompose)
 
     sub = verbs.add_parser("certify",
@@ -608,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="SampleSet JSON")
     sub.add_argument("--domain", required=True)
     sub.add_argument("--resolution", type=int, required=True)
-    sub.add_argument("--cap", type=int, default=None)
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub.set_defaults(func=cmd_extend)
 
     sub = verbs.add_parser("cheb",
@@ -628,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--resolution", type=int, default=3)
     sub.add_argument("--r", default="1")
     sub.add_argument("--j-range", default=None, help='e.g. "0,1,2"')
-    sub.add_argument("--cap", type=int, default=None)
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub.set_defaults(func=cmd_ej)
 
     sub = verbs.add_parser("whitney", help="jet fields and the glued extension")
@@ -642,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     act.add_argument("--k", type=int, required=True, help="jet order")
     act.add_argument("--degree", type=int, default=None,
                      help="truncation degree (default k+1)")
-    act.add_argument("--cap", type=int, default=None)
+    act.add_argument("--cap", type=int, default=DEFAULT_CAP)
     act.set_defaults(func=cmd_whitney_build)
 
     act = actions.add_parser("eval", help="evaluate the glued extension")
@@ -651,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     act.add_argument("--x", required=True)
     act.add_argument("--domain", default=None)
     act.add_argument("--resolution", type=int, default=None)
-    act.add_argument("--cap", type=int, default=None)
+    act.add_argument("--cap", type=int, default=DEFAULT_CAP)
     act.set_defaults(func=cmd_whitney_eval)
 
     act = actions.add_parser("verify",
@@ -665,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     act.add_argument("--zeta", type=int, default=1)
     act.add_argument("--domain", default=None)
     act.add_argument("--resolution", type=int, default=None)
-    act.add_argument("--cap", type=int, default=None)
+    act.add_argument("--cap", type=int, default=DEFAULT_CAP)
     act.set_defaults(func=cmd_whitney_verify)
 
     sub = verbs.add_parser("scan",
@@ -681,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--levels", default="1,2,3")
     sub.add_argument("--resolution", type=int, default=None)
     sub.add_argument("--r", default="1", help="Hölder exponent (holder)")
-    sub.add_argument("--cap", type=int, default=None)
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub.set_defaults(func=cmd_scan)
 
     sub = verbs.add_parser("identities",

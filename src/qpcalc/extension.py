@@ -14,8 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .measure import (CosetTree, GridFunction, _window, coset_key,
-                      enumerate_cosets, first_gaps, gap_val, nearest_index)
+from .measure import (DEFAULT_CAP, CosetTree, GridFunction, _window,
+                      coset_key, enumerate_cosets, first_gaps, gap_val,
+                      nearest_index)
 from .padic import (Ball, PAdicVector, PadicError, PPow, _floor_level,
                     frac_str, from_json as number_from_json, json_object,
                     json_pairs, parse_frac, ppow_le_scaled)
@@ -121,25 +122,30 @@ class SampleSet:
 
 
 def holder_violations(tree: CosetTree, values, C: Fraction, r: Fraction,
-                      budget: int) -> list:
-    """The pairs of tree's points breaking |v_i - v_j| <= C|x_i - x_j|^r,
-    as (i, j, |v_i - v_j|, |x_i - x_j|^r) in (i, j) order: the first
-    max(budget, 1) of them and maybe more, so none exactly when the bound
-    holds on every pair.
+                      budget: int, closer_than=float("-inf")) -> list:
+    """The pairs of tree's points closer than p^-closer_than breaking
+    |v_i - v_j| <= C|x_i - x_j|^r, as (i, j, |v_i - v_j|, |x_i - x_j|^r) in
+    (i, j) order: the first max(budget, 1) of them and maybe more, so none
+    exactly when the bound holds on every such pair.
 
     The pairs split across the children of a level-L coset are at distance
-    p^-L, so the bound holds exactly when every branching coset has
-    diam(values) <= C * p^(-L*r).  The violations are taken from the
-    failing cosets and the leaves only."""
+    p^-L, so the bound holds exactly when every branching coset below the
+    cut has diam(values) <= C * p^(-L*r).  The violations are taken from
+    the failing cosets and the leaves only."""
     sites = tree.points
 
     def violation(i, j):
+        d = (sites[i] - sites[j]).val
+        if d is not None and d <= closer_than:
+            return None
         gap = (values[i] - values[j]).norm_pow()
-        allowed = (sites[i] - sites[j]).norm_pow().pow_frac(r)
+        allowed = PPow.from_val(sites[i].p, d).pow_frac(r)
         return None if ppow_le_scaled(gap, C, allowed) else (i, j, gap, allowed)
 
     found = []
     for L, members, children in tree.splits:
+        if L <= closer_than:
+            continue
         p = sites[members[0]].p
         v = gap_val([values[i] for i in members])
         if v is None or ppow_le_scaled(PPow(p, -v), C, PPow(p, -L * r)):
@@ -292,13 +298,12 @@ def extend_batch(S: SampleSet, queries) -> list:
 
 
 def extend_to_grid(S: SampleSet, domain: Ball, resolution: int,
-                   cap: int | None = None) -> GridFunction:
+                   cap: int = DEFAULT_CAP) -> GridFunction:
     """Tabulate the nearest-point extension on a full coset grid, with one
     CosetTree over the sites and the grid in place of a scan per coset."""
     if not S.certified:
         raise PadicError("sample set is not certified; run certify() first")
-    kwargs = {} if cap is None else {"cap": cap}
-    reps = enumerate_cosets(domain, resolution, **kwargs)
+    reps = enumerate_cosets(domain, resolution, cap=cap)
     sites = S.sites()
     n = len(sites)
     # the sites nearest a coset are those in the deepest coset it shares
@@ -485,7 +490,7 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
         j_range = range(0, K)
     reps = f.reps
     m = f.dims[0]
-    values = [f.evaluate(z) for z in reps]
+    values = f.values
     tree = CosetTree(reps)
     classes = {}        # T -> each value's class at T, None if it is short
     tallies = {}        # (L, first member, T) -> (class counts, short members)
@@ -545,41 +550,18 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
 
 def verify_Ej(f: GridFunction, dec: EjDecomposition, max_violations: int = 8):
     """Per-class check: |f(x)-f(z)| <= p^j |x-z|^r for class pairs closer
-    than p^(-j).  Returns (ok, violations), the first max_violations in
-    class order and then pair order.
-
-    Pairs split across the children of a level-L coset (L > j) of the
-    class's CosetTree are at distance p^-L, so they break the bound iff
-    their values differ at a valuation <= ceil(L*r - j) - 1, which
-    first_gaps finds; pairs sharing a leaf are compared one by one."""
-    p = f.p
+    than p^(-j), the (C, r) = (p^j, r) certificate of the class cut at
+    level j.  Returns (ok, violations), the first max_violations in class
+    order and then pair order."""
     violations, bad = [], False
     for j, pts in dec.classes:
         budget = max(max_violations - len(violations), 0)
         if bad and not budget:
             break
-        scale = Fraction(p) ** j
-        values = [f.evaluate(x) for x in pts]
-        tree = CosetTree(pts)
-        found = []
-        for L, members, children in tree.splits:
-            if L > j:
-                found += first_gaps(values, members, children,
-                                    math.ceil(L * dec.r - j) - 1,
-                                    max(budget, 1))
-        for leaf in tree.leaves():
-            # the windows end inside a leaf: its distances are taken pair by
-            # pair, and only those below p^-j count
-            for a, i in enumerate(leaf):
-                for k in leaf[a + 1:]:
-                    d = (pts[i] - pts[k]).val
-                    if d is not None and d <= j:
-                        continue
-                    gap = (values[i] - values[k]).norm_pow()
-                    dpow = PPow.from_val(p, d).pow_frac(dec.r)
-                    if not ppow_le_scaled(gap, scale, dpow):
-                        found.append((i, k))
-        found.sort()
+        found = holder_violations(CosetTree(pts),
+                                  [f.evaluate(x) for x in pts],
+                                  Fraction(f.p) ** j, dec.r, budget,
+                                  closer_than=j)
         bad = bad or bool(found)
-        violations += [(j, pts[i], pts[k]) for i, k in found[:budget]]
+        violations += [(j, pts[i], pts[k]) for i, k, *_ in found[:budget]]
     return not bad, violations

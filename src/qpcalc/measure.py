@@ -22,6 +22,7 @@ from .padic import (
     PadicError,
     PPow,
     _make,
+    json_int,
     json_object,
     json_pairs,
     ppow_le_scaled,
@@ -246,50 +247,30 @@ def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
         raise ResourceCapExceeded(
             f"{count} cosets exceed the cap of {cap}; raise the cap or coarsen")
 
-    # representatives are exact sample points, so they carry generous windows;
-    # the coset identity itself lives in coset_key (truncation to `resolution`)
-    base = [c.as_fraction() for c in b.center.coords]
-    if k >= 0 and all(f.denominator == 1 for f in base):
-        # integer fast path: representative = (center + offset) mod p^resolution
-        window = resolution + DEFAULT_REP_PREC
-        offsets = [sum(d * p ** (k + i) for i, d in enumerate(digits))
-                   for digits in itertools.product(range(p), repeat=resolution - k)]
-        reps = []
-        for combo in itertools.product(offsets, repeat=m):
-            reps.append(PAdicVector(_make(p, 0, (int(bi) + off) % p**resolution, window)
-                                    for bi, off in zip(base, combo)))
-        return reps
-
-    scale = Fraction(p)
-    offsets = [sum(d * scale ** (k + i) for i, d in enumerate(digits))
+    # representatives are exact points, so they carry generous windows; the
+    # coset identity itself lives in coset_key (truncation to `resolution`).
+    # Every coordinate is p^v times an integer, v the least valuation of the
+    # ball: the representative is that integer mod p^(resolution - v).
+    v = min([k] + [c.val for c in b.center.coords if not c.is_zero()])
+    mod, window = p ** (resolution - v), resolution + DEFAULT_REP_PREC
+    offsets = [sum(d * p ** (k - v + i) for i, d in enumerate(digits))
                for digits in itertools.product(range(p), repeat=resolution - k)]
-    vmin = min([k, 0] + [c.val for c in b.center.coords if not c.is_zero()])
-    prec = resolution - vmin + DEFAULT_REP_PREC
-    reps = []
-    for combo in itertools.product(offsets, repeat=m):
-        coords = [_widen(truncate(PAdicNumber.from_fraction(p, bi + off, prec=prec), resolution),
-                         resolution)
-                  for bi, off in zip(base, combo)]
-        reps.append(PAdicVector(coords))
-    return reps
-
-
-def _widen(t: PAdicNumber, resolution: int) -> PAdicNumber:
-    """Restamp a truncated representative with a generous window.
-
-    A representative's digits at positions >= resolution are zero by
-    construction, so widening the window records known zeros, not guesses.
-    """
-    if t.is_zero():
-        return t
-    return PAdicNumber(t.p, t.val, t.unit, resolution - t.val + DEFAULT_REP_PREC)
+    columns = []
+    for c in b.center.coords:
+        base = 0 if c.is_zero() else c.unit * p ** (c.val - v)
+        columns.append([_make(p, v, (base + off) % mod, window)
+                        for off in offsets])
+    return [PAdicVector(coords) for coords in itertools.product(*columns)]
 
 
 class GridFunction:
     """A function constant on radius-p^(-resolution) cosets of a domain ball,
-    tabulated on canonical representatives.  Values live in Q_p^n."""
+    tabulated on canonical representatives.  Values live in Q_p^n.
 
-    __slots__ = ("domain", "resolution", "dims", "reps", "_table")
+    values[i] is the value on the coset of reps[i]; the coset-key index is
+    read only by evaluate(x), for points that are not representatives."""
+
+    __slots__ = ("domain", "resolution", "dims", "reps", "values", "_index")
 
     def __init__(self, domain: Ball, resolution: int, pairs):
         # a centre known to rad_exp digits makes domain.contains exact for
@@ -300,8 +281,7 @@ class GridFunction:
                 f"{domain.rad_exp} digits")
         self.domain = domain
         self.resolution = resolution
-        reps = []
-        table = {}
+        reps, values, index = [], [], {}
         n = None
         for rep, value in pairs:
             if not isinstance(value, PAdicVector):
@@ -315,17 +295,19 @@ class GridFunction:
                     f"grid representative {rep!r} is known to fewer than "
                     f"{resolution} digits")
             key = coset_key(rep, resolution)
-            if key in table:
+            if key in index:
                 raise PadicError("duplicate coset in grid table")
+            index[key] = len(reps)
             reps.append(rep)
-            table[key] = value
+            values.append(value)
         expected = domain.p ** ((resolution - domain.rad_exp) * domain.dim)
-        if len(table) != expected:
+        if len(reps) != expected:
             raise PadicError(
-                f"grid table has {len(table)} entries, expected {expected}")
+                f"grid table has {len(reps)} entries, expected {expected}")
         self.dims = (domain.dim, n)
         self.reps = reps
-        self._table = table
+        self.values = values
+        self._index = index
 
     @property
     def p(self) -> int:
@@ -337,9 +319,19 @@ class GridFunction:
         reps = enumerate_cosets(domain, resolution, cap=cap)
         return cls(domain, resolution, ((r, fn(r)) for r in reps))
 
+    def with_values(self, values) -> "GridFunction":
+        """The function on the same grid with values[i] on the coset of
+        reps[i]: the grid and its index are shared, not checked again."""
+        g = object.__new__(type(self))
+        g.domain, g.resolution, g.reps, g._index = \
+            self.domain, self.resolution, self.reps, self._index
+        g.values = list(values)
+        g.dims = (self.domain.dim, g.values[0].dim)
+        return g
+
     def evaluate(self, x: PAdicVector) -> PAdicVector:
         try:
-            return self._table[coset_key(x, self.resolution)]
+            return self.values[self._index[coset_key(x, self.resolution)]]
         except KeyError:
             raise PadicError("point is outside the grid domain") from None
 
@@ -353,8 +345,8 @@ class GridFunction:
         return {"domain": self.domain.to_json(),
                 "resolution": self.resolution,
                 "dims": list(self.dims),
-                "table": [[rep.to_json(), self._table[coset_key(rep, self.resolution)].to_json()]
-                          for rep in self.reps]}
+                "table": [[rep.to_json(), value.to_json()]
+                          for rep, value in zip(self.reps, self.values)]}
 
     @classmethod
     def from_json(cls, obj) -> "GridFunction":
@@ -366,7 +358,8 @@ class GridFunction:
             if not domain.contains(rep):
                 raise PadicError(f"grid representative {rep!r} lies outside "
                                  f"the domain")
-        return cls(domain, int(obj["resolution"]), pairs)
+        return cls(domain, json_int(obj["resolution"], "grid resolution"),
+                   pairs)
 
 
 def set_measure(indicator, b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -509,37 +502,25 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
             f"net of depth {need} over val_floor {val_floor} "
             f"({p**need} values), got depth {depth}")
 
-    residual = {}
-    for rep in f.reps:
-        r = f.scalar(rep)
+    residual = [v[0] for v in f.values]
+    for r in residual:
         if not r.is_zero() and r.val < val_floor:
             raise PadicError(
                 f"dense sequence too shallow: a value of norm p^{-r.val} needs "
                 f"val_floor <= {r.val}, got {val_floor}")
-        residual[coset_key(rep, f.resolution)] = r
 
     # each coset is consumed by exactly one net value: the truncation of its
-    # residual at the net's absolute depth (its ≺-floor)
+    # residual at the net's absolute depth (its ≺-floor), a nonzero value of
+    # the complete net, so a member of ys
     cut = val_floor + depth
     groups = {}
-    for rep in f.reps:
-        key = coset_key(rep, f.resolution)
-        t = truncate(residual[key], cut)
+    for i, r in enumerate(residual):
+        t = truncate(r, cut)
         if not t.is_zero():
-            groups.setdefault(t.as_fraction(), []).append(key)
+            groups.setdefault(t.as_fraction(), []).append(i)
 
-    by_value = {}
-    for y in ys:
-        if not y.is_zero():
-            by_value.setdefault(y.as_fraction(), y)
-    missing = [v for v in groups if v not in by_value]
-    if missing:
-        raise PadicError(
-            f"dense sequence too shallow: net value {missing[0]} is required "
-            f"but absent from ys")
-
-    one = PAdicNumber.from_int(p, 1)
-    zero = PAdicNumber.zero(p)
+    one = PAdicVector([PAdicNumber.from_int(p, 1)])
+    zero = PAdicVector([PAdicNumber.zero(p)])
     terms = []
     for y in ys:
         if y.is_zero():
@@ -547,16 +528,13 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
         members = groups.get(y.as_fraction())
         if not members:
             continue
-        member_set = set(members)
-        for key in members:
-            residual[key] = residual[key] - y
-        table = [(rep, PAdicVector([one if coset_key(rep, f.resolution) in member_set
-                                    else zero]))
-                 for rep in f.reps]
-        terms.append((y, GridFunction(f.domain, f.resolution, table)))
+        indicator = [zero] * len(residual)
+        for i in members:
+            residual[i] = residual[i] - y
+            indicator[i] = one
+        terms.append((y, f.with_values(indicator)))
 
-    for rep in f.reps:
-        r = residual[coset_key(rep, f.resolution)]
+    for r in residual:
         if not r.is_zero() and r.val < tol_exp:
             raise PadicError("internal: decomposition left residual above tolerance")
     return terms

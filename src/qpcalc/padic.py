@@ -589,7 +589,8 @@ class Ball:
     @classmethod
     def from_json(cls, obj) -> "Ball":
         obj = json_object(obj, "ball")
-        return cls(PAdicVector.from_json(obj["center"]), int(obj["rad_exp"]))
+        return cls(PAdicVector.from_json(obj["center"]),
+                   json_int(obj["rad_exp"], "ball's rad_exp"))
 
 
 # -- exact power-of-p magnitudes ---------------------------------------------
@@ -729,6 +730,21 @@ def json_object(obj, what: str) -> dict:
     if type(obj) is not dict:
         raise PadicError(f"a {what} is a JSON object, not a "
                          f"{type(obj).__name__}")
+    return obj
+
+
+def json_int(obj, what: str) -> int:
+    """obj, when it is a JSON integer (not a boolean); PadicError
+    otherwise."""
+    if type(obj) is not int:
+        raise PadicError(f"a {what} is a JSON integer, not {obj!r}")
+    return obj
+
+
+def json_list(obj, what: str) -> list:
+    """obj, when it is a JSON list; PadicError otherwise."""
+    if type(obj) is not list:
+        raise PadicError(f"a {what} is a JSON list, not {obj!r}")
     return obj
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .funcs import LinearMap, MultiPoly, SymbolicFunction, local_jet
-from .measure import (CosetTree, DensityEstimate, GridFunction, density_at,
-                      enumerate_cosets, first_gaps, gap_val)
+from .measure import (DEFAULT_CAP, CosetTree, DensityEstimate, GridFunction,
+                      density_at, enumerate_cosets, first_gaps, gap_val)
 from .padic import (
     Ball,
     PAdicNumber,
@@ -296,12 +296,13 @@ class HolderScan:
         }
 
 
-def _pair_ratio(f: GridFunction, x: PAdicVector, y: PAdicVector, r) -> PPow:
-    """|f(x)-f(y)| / |x-y|^r; the zero magnitude when f(x) = f(y)."""
-    num = (f.evaluate(x) - f.evaluate(y)).norm_pow()
+def _pair_ratio(f: GridFunction, i: int, j: int, r) -> PPow:
+    """|f(x)-f(y)| / |x-y|^r for the representatives x, y at positions i, j;
+    the zero magnitude when f(x) = f(y)."""
+    num = (f.values[i] - f.values[j]).norm_pow()
     if num.exp is None:
         return num
-    return num / (x - y).norm_pow().pow_frac(r)
+    return num / (f.reps[i] - f.reps[j]).norm_pow().pow_frac(r)
 
 
 def holder_scan(f: GridFunction, r) -> HolderScan:
@@ -316,8 +317,7 @@ def holder_scan(f: GridFunction, r) -> HolderScan:
     r = Fraction(r)
     if not 0 < r <= 1:
         raise PadicError("Hölder exponent must lie in (0, 1]")
-    reps = f.reps
-    values = [f.evaluate(x) for x in reps]
+    reps, values = f.reps, f.values
     tree = CosetTree(reps)
     best = PPow.zero(f.p)
     attaining = []
@@ -335,7 +335,7 @@ def holder_scan(f: GridFunction, r) -> HolderScan:
     for leaf in tree.leaves():
         for a, i in enumerate(leaf):
             for j in leaf[a + 1:]:
-                ratio = _pair_ratio(f, reps[i], reps[j], r)
+                ratio = _pair_ratio(f, i, j, r)
                 if ratio.exp is None:
                     continue
                 if ratio > best:
@@ -345,7 +345,7 @@ def holder_scan(f: GridFunction, r) -> HolderScan:
     witness = None
     if attaining:
         i, j = min(attaining)
-        if _pair_ratio(f, reps[i], reps[j], r) != best:
+        if _pair_ratio(f, i, j, r) != best:
             raise PadicError("internal: holder witness does not attain the "
                              "maximal ratio")
         witness = (reps[i], reps[j])
@@ -378,7 +378,7 @@ class ApDerivative:
 
 def ap_derivative(f: SymbolicFunction, x: PAdicVector, j_range, eps,
                   resolution: int | None = None,
-                  cap: int | None = None) -> ApDerivative:
+                  cap: int = DEFAULT_CAP) -> ApDerivative:
     """T is the exact gradient at x of f's local normal form; then measure
     the density of {z : |f(z)-f(x)-T(z-x)| > eps*|z-x|} at x, which must
     converge to 0 for approximate differentiability.  A negative eps is
@@ -403,8 +403,7 @@ def ap_derivative(f: SymbolicFunction, x: PAdicVector, j_range, eps,
         err = (f(z) - fx - t.apply(dz)).norm_pow()
         return not ppow_le_scaled(err, eps, dz.norm_pow())
 
-    kwargs = {} if cap is None else {"cap": cap}
-    est = density_at(bad, x, j_range, resolution=resolution, **kwargs)
+    est = density_at(bad, x, j_range, resolution=resolution, cap=cap)
     return ApDerivative(linear_map=t, estimate=est, eps=eps)
 
 
@@ -425,15 +424,14 @@ class StepanoffScan:
 
 def stepanoff_scan(f: SymbolicFunction, domain: Ball, K: int, eps,
                    j_range=(1, 2, 3), resolution: int | None = None,
-                   cap: int | None = None) -> StepanoffScan:
+                   cap: int = DEFAULT_CAP) -> StepanoffScan:
     """Fraction of resolution-K grid points of the domain at which
     ap_derivative succeeds (bad set converges to 0) at tolerance eps; `cap`
     bounds the grid enumeration and every density estimate."""
     if resolution is None:
         resolution = max(j_range) + 2
-    kwargs = {} if cap is None else {"cap": cap}
     good, failures = 0, []
-    reps = enumerate_cosets(domain, K, **kwargs)
+    reps = enumerate_cosets(domain, K, cap=cap)
     for x in reps:
         res = ap_derivative(f, x, j_range, eps, resolution=resolution,
                             cap=cap)

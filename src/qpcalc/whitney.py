@@ -15,10 +15,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .extension import holder_violations, packing_check, packing_check_many
+from .extension import holder_violations, packing_check_many
 from .funcs import MultiPoly, SymbolicFunction, local_jet
-from .measure import (CosetTree, GridFunction, _window, coset_key,
-                      enumerate_cosets, nearest_index)
+from .measure import (DEFAULT_CAP, CosetTree, GridFunction, _window,
+                      coset_key, enumerate_cosets, nearest_index)
 from .padic import (
     WORKING_PREC,
     Ball,
@@ -27,6 +27,8 @@ from .padic import (
     PadicError,
     PPow,
     _floor_level,
+    json_int,
+    json_list,
     json_object,
     json_pairs,
     parse_frac,
@@ -157,23 +159,36 @@ def lipschitz_gauge_check(h: RadiusFunction, points) -> tuple:
 # disjoint support family and partition of unity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PartitionFamily:
-    sites: tuple          # admitted centers y, in admission order
-    h: RadiusFunction
-    resolution: int
+    """Admitted support balls B(y, p^-e(y)), e(y) = h.support_exp(y), with
+    one index (e, coset key of y at e) -> site position.  Two sites with one
+    key would have one support, so a repeated key is refused."""
 
-    def __post_init__(self):
-        exps = tuple(self.h.support_exp(y) for y in self.sites)
-        index = {}
-        for i, (y, e) in enumerate(zip(self.sites, exps)):
-            index[(e, coset_key(y, e))] = i
-        object.__setattr__(self, "_exps", exps)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_levels", tuple(sorted(set(exps))))
+    __slots__ = ("sites", "h", "resolution", "_index", "_levels")
+
+    def __init__(self, sites, h: RadiusFunction, resolution: int):
+        self.sites, self._index, self._levels = [], {}, []
+        self.h = h
+        self.resolution = resolution
+        for y in sites:
+            if not self.admit(y):
+                raise PadicError(f"site {len(self.sites)} repeats the "
+                                 f"support of an earlier site")
+
+    def admit(self, y: PAdicVector) -> bool:
+        """Add y as a site unless an admitted support has y's key."""
+        e = self.h.support_exp(y)
+        key = (e, coset_key(y, e))
+        if key in self._index:
+            return False
+        self._index[key] = len(self.sites)
+        self.sites.append(y)
+        if e not in self._levels:
+            self._levels = sorted(self._levels + [e])
+        return True
 
     def support(self, i: int) -> Ball:
-        return Ball(self.sites[i], self._exps[i])
+        return Ball(self.sites[i], self.h.support_exp(self.sites[i]))
 
     def support_indices(self, x: PAdicVector) -> list:
         """Indices of every admitted support containing x.  A support at
@@ -210,16 +225,14 @@ def disjoint_ball_family(reps, h: RadiusFunction,
     reps = list(reps)
     if not reps:
         raise PadicError("empty site list")
-    admitted = {}
+    fam = PartitionFamily((), h, resolution)
     for y in reps:
         e = h.support_exp(y)
         if e > resolution:
             raise PadicError(
                 "resolution too coarse for the support radii: need "
                 f"K >= {e}")
-        admitted.setdefault((e, coset_key(y, e)), y)
-    fam = PartitionFamily(sites=tuple(admitted.values()), h=h,
-                          resolution=resolution)
+        fam.admit(y)
     for y in reps:
         fam.site_index_for(y)   # raises unless exactly one support hits
     return fam
@@ -233,11 +246,7 @@ def family_packing_report(fam: PartitionFamily, x: PAdicVector):
     constants, and the cardinality bound exceeds 1 as a covering family
     requires.
     """
-    p = fam.h.p
-    pi_h = lambda y: PAdicNumber.from_int(
-        p, p ** (fam.h.exponent(y) + 1), prec=WORKING_PREC)
-    bprime = Fraction(1, p ** (fam.h.s0 + 1))
-    return packing_check(list(fam.sites), pi_h, bprime, 1, 1, x)
+    return family_packing_reports(fam, [x])[0]
 
 
 def family_packing_reports(fam: PartitionFamily, xs) -> list:
@@ -340,19 +349,25 @@ class JetField:
     @classmethod
     def from_json(cls, obj) -> "JetField":
         obj = json_object(obj, "jet field")
-        A = tuple(Ball.from_json(b) for b in obj["A"])
+        A = tuple(Ball.from_json(b) for b in json_list(obj["A"], "closed set"))
         jets = []
         for zj, tables in json_pairs(obj["jets"], "jets"):
             z = PAdicVector.from_json(zj)
             polys = []
-            for table in tables:
+            for table in json_list(tables, "jet"):
                 terms = {}
-                for exps, c in table:
-                    e = tuple(exps)
+                for exps, c in json_pairs(table, "jet polynomial terms"):
+                    if type(exps) is not list or len(exps) != z.dim:
+                        raise PadicError(f"a jet term's exponents are a list "
+                                         f"of {z.dim} integers, not {exps!r}")
+                    e = tuple(json_int(x, "jet term exponent") for x in exps)
                     terms[e] = terms.get(e, 0) + parse_frac(c)
                 polys.append(MultiPoly(z.dim, terms))
             jets.append((z, tuple(polys)))
-        return cls(k=obj["k"], A=A, resolution=obj["resolution"],
+        if not jets:
+            raise PadicError("a jet field holds at least one jet")
+        return cls(k=json_int(obj["k"], "jet order k"), A=A,
+                   resolution=json_int(obj["resolution"], "jet resolution"),
                    jets=tuple(jets))
 
 
@@ -362,7 +377,7 @@ def _fr(c: Fraction) -> str:
 
 def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
                             k: int, degree: int | None = None,
-                            cap: int | None = None) -> JetField:
+                            cap: int = DEFAULT_CAP) -> JetField:
     """Jets of f at every representative of the coset union A, one per
     resolution coset: where balls of A overlap, the first enumeration of a
     coset wins."""
@@ -373,9 +388,8 @@ def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
         everywhere = None
     degree = k + 1 if degree is None else degree
     jets = {}
-    kwargs = {} if cap is None else {"cap": cap}
     for ball in A:
-        for z in enumerate_cosets(ball, resolution, **kwargs):
+        for z in enumerate_cosets(ball, resolution, cap=cap):
             key = coset_key(z, resolution)
             if key not in jets:
                 jets[key] = (z, _jet(everywhere or f.localize(z), z, degree))
@@ -525,18 +539,16 @@ class WhitneyExtension:
         return total
 
     def tabulate(self, domain: Ball, resolution: int,
-                 cap: int | None = None) -> GridFunction:
-        kwargs = {} if cap is None else {"cap": cap}
-        return GridFunction.from_callable(domain, resolution, self, **kwargs)
+                 cap: int = DEFAULT_CAP) -> GridFunction:
+        return GridFunction.from_callable(domain, resolution, self, cap=cap)
 
 
 def whitney_extend(J: JetField, domain: Ball, resolution: int,
-                   cap: int | None = None) -> WhitneyExtension:
+                   cap: int = DEFAULT_CAP) -> WhitneyExtension:
     """Build the radius function, the support family over domain \\ A, and
     the glued extension, at the given grid resolution."""
     h = build_h(J.A, J.p)
-    kwargs = {} if cap is None else {"cap": cap}
-    reps = [y for y in enumerate_cosets(domain, resolution, **kwargs)
+    reps = [y for y in enumerate_cosets(domain, resolution, cap=cap)
             if h.dist_exp(y) is not None]
     fam = disjoint_ball_family(reps, h, resolution)
     return WhitneyExtension(J, fam)

@@ -499,6 +499,36 @@ MALFORMED = [
 ]
 
 
+def _grid(rad_exp, resolution):
+    return json.dumps({"domain": {"center": ["0@5"], "rad_exp": rad_exp},
+                       "resolution": resolution, "dims": [1, 1],
+                       "table": []})
+
+
+def _jets(entry, resolution):
+    return json.dumps({"k": 1, "resolution": resolution,
+                       "A": [{"center": ["0@5"], "rad_exp": 1}],
+                       "jets": [entry]})
+
+
+# nested fields that are not JSON integers or lists where the decoders
+# need them
+MALFORMED += [
+    pytest.param(("scan", "--kind", "holder", "--in", _grid([1], 1)),
+                 id="grid rad_exp list"),
+    pytest.param(("scan", "--kind", "holder", "--in", _grid(0, [1])),
+                 id="grid resolution list"),
+    pytest.param(("whitney", "eval", "--x", "1", "--jets",
+                  _jets([["0@5"], 5], 1)), id="jet tables number"),
+    pytest.param(("whitney", "eval", "--x", "1", "--jets",
+                  _jets([["0@5"], [[[[0], "1"]]]], "2")),
+                 id="jet resolution string"),
+    pytest.param(("whitney", "eval", "--x", "1", "--jets",
+                  json.dumps({"k": 1, "resolution": 1, "A": [],
+                              "jets": []})), id="no jets"),
+]
+
+
 @pytest.mark.parametrize("argv", MALFORMED, ids=lambda a: " ".join(a[:2]))
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     """A top-level array, a coordinate written as a number, a pair list

@@ -335,6 +335,11 @@ def test_verify_Ej_keeps_leaf_pairs_closer_than_p_minus_j():
                             r=Fraction(1))
     assert verify_Ej(f, twice, 1) == ref.verify_Ej(f, twice, 1) \
         == (False, [(2, pts[0], pts[2])])
+    # at j = 1 the leaf pair 6, 11 lies exactly p^-j apart: still left out
+    at_1 = EjDecomposition(classes=((1, pts),), unassigned=(), K=K,
+                           r=Fraction(1))
+    assert verify_Ej(f, at_1) == ref.verify_Ej(f, at_1) \
+        == (False, [(1, pts[0], pts[2])])
 
 
 def test_certify_sees_a_gap_at_the_last_window_digit():

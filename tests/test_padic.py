@@ -203,6 +203,15 @@ def test_ball_membership_and_negative_radius_exponent():
     assert not b.contains(PAdicVector([PAdicNumber.from_fraction(2, Fraction(1, 4))]))
 
 
+@pytest.mark.parametrize("rad_exp", [1.5, "2", True, None])
+def test_ball_from_json_needs_an_integer_radius_exponent(rad_exp):
+    """1.5 was read as 1 and "2" as 2."""
+    obj = {"center": ["0@5"], "rad_exp": rad_exp}
+    with pytest.raises(PadicError, match="JSON integer"):
+        Ball.from_json(obj)
+    assert Ball.from_json({**obj, "rad_exp": 2}).rad_exp == 2
+
+
 def test_ppow_basics():
     a = PPow(5, Fraction(-3, 2))
     b = PPow(5, -1)

@@ -13,6 +13,7 @@ from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError, vdp_compare
 from qpcalc.quotients import QuotientPoint, phin
 from qpcalc.whitney import (
     JetField,
+    PartitionFamily,
     WhitneyExtension,
     build_h,
     disjoint_ball_family,
@@ -174,6 +175,18 @@ def test_single_coset_family_is_single_site():
     # |h| = 5^-2 on all of W, supports radius 5^-3: one site per res-3 coset
     assert len(fam.sites) == 25
     assert fam.sites[0] is reps[0]
+
+
+def test_family_refuses_two_sites_with_one_support():
+    """Two sites sharing their support key would hide each other from the
+    partition certificate, so the family refuses the second."""
+    A = (Ball(vec(0), 1),)
+    h = build_h(A, P, s0=2)
+    reps = enumerate_cosets(Ball(vec(1), 1), 4)
+    assert h.support_exp(reps[0]) == h.support_exp(reps[1]) == 3
+    assert PartitionFamily([reps[0]], h, 4).support_indices(reps[1]) == [0]
+    with pytest.raises(PadicError, match="site 1 repeats the support"):
+        PartitionFamily([reps[0], reps[1]], h, 4)
 
 
 def test_family_packing_bounds():
