@@ -43,7 +43,7 @@ from .measure import (
     ap_limit,
     decompose_default_ys,
     decompose_series,
-    density_at,
+    union_density,
 )
 from .padic import (WORKING_PREC, Ball, PAdicNumber, PAdicVector, PadicError,
                     parse_literal)
@@ -210,9 +210,8 @@ def cmd_taylor(args) -> int:
 def cmd_density(args) -> int:
     balls = _ball_union(args.set, args.p, args.prec)
     x = _vector(args.at, args.p, args.prec)
-    indicator = lambda z: any(b.contains(z) for b in balls)
-    est = density_at(indicator, x, _levels(args.levels),
-                     resolution=args.resolution, cap=args.cap)
+    est = union_density(balls, x, _levels(args.levels),
+                        resolution=args.resolution, cap=args.cap)
     for j, count, total in est.ratios:
         print(f"j={j}: {Fraction(count, total)} ({count}/{total})")
     print(f"verdict: {est.verdict}")

@@ -20,12 +20,12 @@ from .padic import (
     PAdicNumber,
     PAdicVector,
     PadicError,
-    PPow,
+    _floor_level,
     _make,
+    _vp,
     json_int,
     json_object,
     json_pairs,
-    ppow_le_scaled,
     truncate,
     vdp_dense_sequence,
 )
@@ -236,31 +236,81 @@ class CosetTree:
         return path, not path or path[-1][0] < limit or limit == hi
 
 
-def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
-    """All canonical representatives of radius-p^(-resolution) cosets of b,
-    in deterministic (digit-lexicographic, coordinate-nested) order."""
-    if resolution < b.rad_exp:
-        raise PadicError("resolution must be at least the ball's rad_exp")
-    p, m, k = b.p, b.dim, b.rad_exp
-    count = p ** ((resolution - k) * m)
+def _check_cap(count: int, cap: int) -> None:
     if count > cap:
         raise ResourceCapExceeded(
             f"{count} cosets exceed the cap of {cap}; raise the cap or coarsen")
+
+
+def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
+    """All canonical representatives of radius-p^(-resolution) cosets of b,
+    in deterministic (digit-lexicographic, coordinate-nested) order: the
+    first coordinate varies slowest, and within a coordinate the offset
+    digit at p^rad_exp varies slowest (see coset_levels)."""
+    if resolution < b.rad_exp:
+        raise PadicError("resolution must be at least the ball's rad_exp")
+    p, m, k = b.p, b.dim, b.rad_exp
+    _check_cap(p ** ((resolution - k) * m), cap)
 
     # representatives are exact points, so they carry generous windows; the
     # coset identity itself lives in coset_key (truncation to `resolution`).
     # Every coordinate is p^v times an integer, v the least valuation of the
     # ball: the representative is that integer mod p^(resolution - v).
-    v = min([k] + [c.val for c in b.center.coords if not c.is_zero()])
+    v = _least_val(b.center, k)
     mod, window = p ** (resolution - v), resolution + DEFAULT_REP_PREC
     offsets = [sum(d * p ** (k - v + i) for i, d in enumerate(digits))
                for digits in itertools.product(range(p), repeat=resolution - k)]
     columns = []
-    for c in b.center.coords:
-        base = 0 if c.is_zero() else c.unit * p ** (c.val - v)
+    for base in _scaled(b.center, v):
         columns.append([_make(p, v, (base + off) % mod, window)
                         for off in offsets])
     return [PAdicVector(coords) for coords in itertools.product(*columns)]
+
+
+def _least_val(x: PAdicVector, floor: int) -> int:
+    return min([floor] + [c.val for c in x.coords if not c.is_zero()])
+
+
+def _scaled(x: PAdicVector, v: int) -> list:
+    """The coordinates of x as integers times p^v (v <= every valuation)."""
+    return [0 if c.is_zero() else c.unit * c.p ** (c.val - v)
+            for c in x.coords]
+
+
+def coset_levels(b: Ball, resolution: int, x: PAdicVector | None = None) -> list:
+    """levels[n]: the level at which the n-th coset of
+    enumerate_cosets(b, resolution) leaves the coset of x, a point of b
+    (default the centre), that is min(resolution, the valuation of its
+    offset from x); so the cosets of B(x, p^-j) are those with level >= j.
+
+    Read from the enumeration digits, not by subtracting points: within a
+    coordinate, coset t has offset digits d_0..d_(n-1) at p^k..p^(k+n-1)
+    (k = rad_exp, n = resolution - k) with t = sum d_i p^(n-1-i), so the
+    cosets sharing the first i digits of x's own coset form a block of
+    p^(n-i) consecutive numbers."""
+    p, k = b.p, b.rad_exp
+    n = resolution - k
+    if x is None:
+        at = [0] * b.dim
+    else:
+        v = _least_val(b.center, k)
+        at = []
+        for base, here in zip(_scaled(b.center, v), _scaled(x, v)):
+            off = (here - base) // p ** (k - v) % p ** n
+            t = 0
+            for _ in range(n):
+                off, d = divmod(off, p)
+                t = t * p + d
+            at.append(t)
+    columns = []
+    for t in at:
+        col = [0] * p ** n
+        for i in range(n + 1):          # coarse blocks first, finer ones over
+            size = p ** (n - i)
+            start = t - t % size
+            col[start:start + size] = [k + i] * size
+        columns.append(col)
+    return [min(ls) for ls in itertools.product(*columns)]
 
 
 class GridFunction:
@@ -375,9 +425,10 @@ class DensityEstimate:
     """Exact density ratios of a set in shrinking balls around a point.
 
     ratios: list of (j, count, total) — mu(S_j ∩ A)/mu(S_j) = count/total at
-    S_j = B(x, p^-j), each from full coset enumeration.  verdict is one of
-    'converges-to-0' / 'converges-to-1' / 'inconclusive' under the decay
-    profile ratio_j <= p^-(j-j0) on the last three resolutions.
+    S_j = B(x, p^-j), counted over every radius-p^-res coset of S_j.
+    verdict is one of 'converges-to-0' / 'converges-to-1' / 'inconclusive'
+    under the decay profile ratio_j <= p^-(j-j0) on the last three
+    resolutions.
     """
     ratios: tuple
     verdict: str
@@ -404,28 +455,132 @@ def _verdict(p: int, entries, j0: int) -> str:
     return "inconclusive"
 
 
+def density_levels(j_range, resolution: int | None = None):
+    """(js, res): the ball levels in increasing order and the enumeration
+    resolution, 2*max(js)+1 by default.  An empty or repeated level, or a
+    resolution coarser than the finest ball, is refused: a level counted
+    twice would pass for a third level of the decay profile."""
+    js = sorted(j_range)
+    if not js:
+        raise PadicError("empty resolution range")
+    for a, b in zip(js, js[1:]):
+        if a == b:
+            raise PadicError(f"level j={a} is given twice")
+    res = resolution if resolution is not None else 2 * js[-1] + 1
+    if res < js[-1]:
+        raise PadicError("enumeration resolution is coarser than the finest ball")
+    return js, res
+
+
+def level_estimate(p: int, m: int, js, res: int, hits: Counter,
+                   decay_from: int | None = None) -> DensityEstimate:
+    """The DensityEstimate of a set of which hits[L] cosets of B(x, p^-js[0])
+    leave x at level L (coset_levels): level j counts those with L >= j,
+    out of the p^(m*(res-j)) cosets of B(x, p^-j)."""
+    return _estimate(p, m, js, res,
+                     [sum(c for L, c in hits.items() if L >= j) for j in js],
+                     decay_from)
+
+
+def _estimate(p: int, m: int, js, res: int, counts,
+              decay_from: int | None = None) -> DensityEstimate:
+    entries = [(j, c, p ** (m * (res - j))) for j, c in zip(js, counts)]
+    j0 = js[0] if decay_from is None else decay_from
+    return DensityEstimate(tuple(entries), _verdict(p, entries, j0), p, j0)
+
+
 def density_at(indicator, x: PAdicVector, j_range, resolution: int | None = None,
                cap: int = DEFAULT_CAP, decay_from: int | None = None) -> DensityEstimate:
     """Exact density ratios of {indicator} in B(x, p^-j) for j in j_range.
 
-    The enumeration resolution defaults to 2*max(j)+1 so that moderately thin
-    sets are still resolved; the indicator must be constant on cosets at that
-    resolution (caller's contract, as with set_measure).
+    The balls are nested, so the coarsest is enumerated once, the indicator
+    is read once per coset, and each coset counts at every level it has not
+    left x by (coset_levels).  The enumeration resolution defaults to
+    2*max(j)+1 so that moderately thin sets are still resolved; the
+    indicator must be constant on cosets at that resolution (caller's
+    contract, as with set_measure); `cap` bounds that one enumeration.
     """
-    js = sorted(j_range)
-    if not js:
-        raise PadicError("empty resolution range")
-    res = resolution if resolution is not None else 2 * js[-1] + 1
-    if res < js[-1]:
-        raise PadicError("enumeration resolution is coarser than the finest ball")
+    js, res = density_levels(j_range, resolution)
+    b = Ball(x, js[0])
+    levels = coset_levels(b, res)
+    hits = Counter(L for L, z in zip(levels, enumerate_cosets(b, res, cap=cap))
+                   if indicator(z))
+    return level_estimate(x.p, x.dim, js, res, hits, decay_from)
+
+
+def union_density(balls, x: PAdicVector, j_range,
+                  resolution: int | None = None,
+                  cap: int = DEFAULT_CAP) -> DensityEstimate:
+    """density_at(lambda z: any(b.contains(z) for b in balls), x, ...),
+    counted on the coset tree instead of by enumeration.
+
+    From each B(x, p^-j), a coset at level L that some ball covers counts
+    p^(m*(res-L)) at once, one that every ball misses counts 0, and only
+    one that a ball splits descends to its p^m children (the ultrametric
+    trichotomy).  Ball.contains(z) reads z - c at the shorter window of z
+    and c, and is True where that difference vanishes there; so per
+    coordinate a ball takes in every z with val(z_i - c_i) >= the least of
+    k, c_i's window and z_i's, which below the resolution is decided by
+    the digits the coset fixes.  A coset at the resolution that a ball
+    still splits is its canonical representative's, tested with contains
+    as enumeration would.  `cap` bounds each level's coset count, as for
+    density_at, although nothing is enumerated.
+    """
+    js, res = density_levels(j_range, resolution)
     p, m = x.p, x.dim
-    entries = []
-    for j in js:
-        reps = enumerate_cosets(Ball(x, j), res, cap=cap)
-        count = sum(1 for r in reps if indicator(r))
-        entries.append((j, count, len(reps)))
-    j0 = js[0] if decay_from is None else decay_from
-    return DensityEstimate(tuple(entries), _verdict(p, entries, j0), p, j0)
+    _check_cap(p ** (m * (res - js[0])), cap)
+    for b in balls:
+        if b.dim != m:
+            raise PadicError("dimension mismatch")
+        if b.p != p:
+            raise PadicError(f"prime mismatch: {p} vs {b.p}")
+    # every point involved is p^s times an integer
+    s = min(_least_val(b.center, js[0]) for b in balls)
+    s = min(s, _least_val(x, s))
+    shapes = [(_scaled(b.center, s),
+               [min(b.rad_exp, _window(c)) for c in b.center.coords])
+              for b in balls]
+    window = res + DEFAULT_REP_PREC
+
+    def gap(a: int, c: int):
+        return float("inf") if a == c else s + _vp(a - c, p)
+
+    def covered(Y, L: int) -> int:
+        split = False
+        for C, taus in shapes:
+            gaps = [gap(a, c) for a, c in zip(Y, C)]
+            if any(g < min(t, L) for g, t in zip(gaps, taus)):
+                continue                        # the ball misses this coset
+            if all(t <= L for t in taus):
+                return p ** (m * (res - L))     # ... or covers it
+            split = True
+        if not split:
+            return 0
+        if L == res:
+            z = PAdicVector(_make(p, s, a % p ** (res - s), window) for a in Y)
+            return int(any(b.contains(z) for b in balls))
+        step = p ** (L - s)
+        return sum(covered([a + d * step for a, d in zip(Y, ds)], L + 1)
+                   for ds in itertools.product(range(p), repeat=m))
+
+    X = _scaled(x, s)
+    return _estimate(p, m, js, res, [covered(X, j) for j in js])
+
+
+def tolerance_level(eps: Fraction, p: int):
+    """The least valuation L with p^-L <= eps, so that |e| <= eps*p^-w
+    exactly when val(e) - w >= L; None for eps = 0, which only a zero
+    error meets.  A negative eps is refused."""
+    if eps < 0:
+        raise PadicError("the tolerance eps must be >= 0")
+    return None if eps == 0 else _floor_level(Fraction(eps), p)
+
+
+def within_tolerance(err_val, level, scale_val: int = 0) -> bool:
+    """|e| <= eps * p^-scale_val for an error e of valuation err_val (None
+    for zero), level = tolerance_level(eps, p): ppow_le_scaled compared
+    through the valuation, with no powers of eps."""
+    return err_val is None or level is not None and err_val - scale_val >= level
 
 
 def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
@@ -439,9 +594,7 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
     """
     if isinstance(candidate, PAdicNumber):
         candidate = PAdicVector([candidate])
-    eps = Fraction(eps)
-    if eps < 0:
-        raise PadicError("the tolerance eps must be >= 0")
+    level = tolerance_level(Fraction(eps), x.p)
     if isinstance(f, GridFunction):
         fn = f.evaluate
         if resolution is None:
@@ -449,11 +602,8 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
     else:
         fn = f
 
-    one = PPow(x.p, 0)
-
     def outside(z):
-        err = (fn(z) - candidate).norm_pow()
-        return not ppow_le_scaled(err, eps, one)
+        return not within_tolerance((fn(z) - candidate).val, level)
 
     est = density_at(outside, x, j_range, resolution=resolution, cap=cap)
     verdict = {"converges-to-0": "confirmed",

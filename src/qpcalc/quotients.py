@@ -18,12 +18,15 @@ the (d+1)-st quotient vanishes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .funcs import LinearMap, MultiPoly, SymbolicFunction, local_jet
 from .measure import (DEFAULT_CAP, CosetTree, DensityEstimate, GridFunction,
-                      density_at, enumerate_cosets, first_gaps, gap_val)
+                      coset_key, coset_levels, density_levels,
+                      enumerate_cosets, first_gaps, gap_val, level_estimate,
+                      tolerance_level, within_tolerance)
 from .padic import (
     Ball,
     PAdicNumber,
@@ -31,7 +34,6 @@ from .padic import (
     PadicError,
     PPow,
     frac_str,
-    ppow_le_scaled,
     unit_vector,
 )
 
@@ -376,35 +378,72 @@ class ApDerivative:
         }
 
 
+def _gradient_map(f: SymbolicFunction, x: PAdicVector) -> LinearMap:
+    """The exact gradient at x of f's local normal form."""
+    m, p = x.dim, x.p
+    xf = [c.as_fraction() for c in x.coords]
+    units = [tuple(int(i == k) for k in range(m)) for i in range(m)]
+    return LinearMap([[PAdicNumber.from_fraction(p, jet.coefficient(e),
+                                                 prec=_VALUE_PREC)
+                       for e in units]
+                      for jet in (local_jet(num, den, xf, 1)
+                                  for num, den in f.localize(x))])
+
+
+def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
+                   resolution: int | None = None,
+                   cap: int = DEFAULT_CAP) -> list:
+    """ap_derivative at each of `points`, in order.
+
+    Points in one level-j_min coset share the ball B(x, p^-j_min), so it is
+    enumerated once at `resolution` and f is evaluated once per coset of
+    it (when a point first needs it), the values stored by position; each
+    point's bad set is counted over that one list, every coset at the
+    levels it has not left the point by (coset_levels).  Only one ball's
+    table is held at a time, so `cap` and memory stay per ball."""
+    eps = Fraction(eps)
+    if not points:
+        return []
+    p, m = points[0].p, points[0].dim
+    level = tolerance_level(eps, p)
+    js, res = density_levels(j_range, resolution)
+    groups = {}
+    for i, x in enumerate(points):
+        groups.setdefault(coset_key(x, js[0]), []).append(i)
+    out = [None] * len(points)
+    for members in groups.values():
+        ball = reps = values = None
+        for i in members:
+            x = points[i]
+            t, fx = _gradient_map(f, x), f(x)
+            if ball is None:
+                ball = Ball(x, js[0])
+                reps = enumerate_cosets(ball, res, cap=cap)
+                values = [None] * len(reps)
+            hits = Counter()
+            for n, (z, L) in enumerate(zip(reps, coset_levels(ball, res, x))):
+                dz = z - x
+                if dz.val is None:
+                    continue
+                if values[n] is None:
+                    values[n] = f(z)
+                err = values[n] - fx - t.apply(dz)
+                if not within_tolerance(err.val, level, dz.val):
+                    hits[L] += 1
+            out[i] = ApDerivative(linear_map=t, eps=eps,
+                                  estimate=level_estimate(p, m, js, res, hits))
+    return out
+
+
 def ap_derivative(f: SymbolicFunction, x: PAdicVector, j_range, eps,
                   resolution: int | None = None,
                   cap: int = DEFAULT_CAP) -> ApDerivative:
     """T is the exact gradient at x of f's local normal form; then measure
     the density of {z : |f(z)-f(x)-T(z-x)| > eps*|z-x|} at x, which must
     converge to 0 for approximate differentiability.  A negative eps is
-    refused."""
-    eps = Fraction(eps)
-    if eps < 0:
-        raise PadicError("the tolerance eps must be >= 0")
-    m, p = x.dim, x.p
-    xf = [c.as_fraction() for c in x.coords]
-    units = [tuple(int(i == k) for k in range(m)) for i in range(m)]
-    t = LinearMap([[PAdicNumber.from_fraction(p, jet.coefficient(e),
-                                              prec=_VALUE_PREC)
-                    for e in units]
-                   for jet in (local_jet(num, den, xf, 1)
-                               for num, den in f.localize(x))])
-    fx = f(x)
-
-    def bad(z: PAdicVector) -> bool:
-        dz = z - x
-        if dz.val is None:
-            return False
-        err = (f(z) - fx - t.apply(dz)).norm_pow()
-        return not ppow_le_scaled(err, eps, dz.norm_pow())
-
-    est = density_at(bad, x, j_range, resolution=resolution, cap=cap)
-    return ApDerivative(linear_map=t, estimate=est, eps=eps)
+    refused.  The one-point case of ap_derivatives."""
+    return ap_derivatives(f, [x], j_range, eps, resolution=resolution,
+                          cap=cap)[0]
 
 
 @dataclass(frozen=True)
@@ -427,17 +466,13 @@ def stepanoff_scan(f: SymbolicFunction, domain: Ball, K: int, eps,
                    cap: int = DEFAULT_CAP) -> StepanoffScan:
     """Fraction of resolution-K grid points of the domain at which
     ap_derivative succeeds (bad set converges to 0) at tolerance eps; `cap`
-    bounds the grid enumeration and every density estimate."""
+    bounds the grid enumeration and each ball's (ap_derivatives)."""
     if resolution is None:
         resolution = max(j_range) + 2
-    good, failures = 0, []
     reps = enumerate_cosets(domain, K, cap=cap)
-    for x in reps:
-        res = ap_derivative(f, x, j_range, eps, resolution=resolution,
-                            cap=cap)
-        if res.verdict == "converges-to-0":
-            good += 1
-        elif len(failures) < 16:
-            failures.append(x)
-    return StepanoffScan(fraction=Fraction(good, len(reps)), good=good,
-                         total=len(reps), failures=tuple(failures))
+    good = [res.verdict == "converges-to-0" for res in
+            ap_derivatives(f, reps, j_range, eps, resolution=resolution,
+                           cap=cap)]
+    failures = tuple(x for x, ok in zip(reps, good) if not ok)[:16]
+    return StepanoffScan(fraction=Fraction(sum(good), len(reps)),
+                         good=sum(good), total=len(reps), failures=failures)

@@ -149,6 +149,21 @@ def test_negative_tolerance_exits_2(capsys, argv):
     assert "eps" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--p", "5", "--set", "ball(0;1)", "--at", "0"],
+    ["aplimit", "--p", "5", "--f", "x0", "--x", "0", "--value", "0",
+     "--eps", "1"],
+    ["scan", "--kind", "stepanoff", "--p", "5", "--f", "x0",
+     "--domain", "ball(0;0)", "--K", "1"]])
+@pytest.mark.parametrize("levels", ["1,1,1", "1,1,2", "2,1,2"])
+def test_repeated_levels_exit_2(capsys, argv, levels):
+    """One level counted twice would pass for a third level of the decay
+    profile and confirm a limit from a single ratio."""
+    code, out, err = run(capsys, *argv, "--levels", levels)
+    assert code == 2
+    assert "given twice" in err and out == ""
+
+
 def test_decompose_reports_residual(capsys, tmp_path):
     out_path = tmp_path / "dec.json"
     code, out, _ = run(capsys, "decompose", "--p", "5",
