@@ -21,6 +21,7 @@ Conventions shared by every verb:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -525,6 +526,7 @@ def _add_function(sub):
                      help="arity override (default: inferred from coordinates)")
 
 
+@functools.cache       # built on the first main call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpcalc",

@@ -3,13 +3,13 @@ sets, the weighted Chebyshev radius in closed form, nearest-point extension
 with exact constant preservation, packing-family bounds, and the
 regularity-class decomposition of a grid function.
 
-All norm comparisons with fractional Hölder exponents go through the exact
-power-of-p magnitude type (PPow); nothing is floated.
+Every bound |u| <= C*|w|^r is one integer test on valuations
+(padic.ScaledBound); reported magnitudes are exact powers of p (PPow).
+Nothing is floated.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +17,9 @@ from fractions import Fraction
 from .measure import (DEFAULT_CAP, CosetTree, GridFunction, _window,
                       coset_key, enumerate_cosets, first_gaps, gap_val,
                       nearest_index)
-from .padic import (Ball, PAdicVector, PadicError, PPow, _floor_level,
+from .padic import (Ball, PAdicVector, PadicError, PPow, ScaledBound,
                     frac_str, from_json as number_from_json, json_object,
-                    json_pairs, parse_frac, ppow_le_scaled)
+                    json_pairs, parse_frac)
 
 
 # ---------------------------------------------------------------------------
@@ -133,32 +133,33 @@ def holder_violations(tree: CosetTree, values, C: Fraction, r: Fraction,
     cut has diam(values) <= C * p^(-L*r).  The violations are taken from
     the failing cosets and the leaves only."""
     sites = tree.points
+    if not sites:
+        return []
+    p = sites[0].p
+    bound = ScaledBound(p, C, r)
 
     def violation(i, j):
         d = (sites[i] - sites[j]).val
         if d is not None and d <= closer_than:
             return None
-        gap = (values[i] - values[j]).norm_pow()
-        allowed = PPow.from_val(sites[i].p, d).pow_frac(r)
-        return None if ppow_le_scaled(gap, C, allowed) else (i, j, gap, allowed)
+        gap = (values[i] - values[j]).val
+        if bound.holds(gap, d):
+            return None
+        return i, j, PPow.from_val(p, gap), PPow.from_val(p, d).pow_frac(r)
 
     found = []
     for L, members, children in tree.splits:
         if L <= closer_than:
             continue
-        p = sites[members[0]].p
         v = gap_val([values[i] for i in members])
-        if v is None or ppow_le_scaled(PPow(p, -v), C, PPow(p, -L * r)):
+        if bound.holds(v, L):
             continue
         # G: the largest gap valuation still above C * p^(-L*r), short of
-        # the widest window, past which no gap is observed.  For C > 0,
-        # above means G < L*r + F/den(r), F = the least level with
-        # p^-F <= C^den(r).
+        # the widest window, past which no gap is observed
         G = max(c.abs_window() for i in members for c in values[i]
                 if not c.is_zero()) - 1
-        if C:
-            G = min(G, math.ceil(L * r + Fraction(
-                _floor_level(C ** r.denominator, p), r.denominator)) - 1)
+        if (least := bound.least(L)) is not None:
+            G = min(G, least - 1)
         # at least one pair, so that a violation is known when none are kept
         found += [violation(i, j) for i, j in first_gaps(
             values, members, children, G, max(budget, 1))]
@@ -395,15 +396,15 @@ def _packing_at(G, levels, tree, h, b, alpha, beta, x) -> PackingResult:
     if hxv.is_zero():
         raise PadicError("gauge h vanishes at x")
     p, m = x.p, G[0].dim
-    hx = hxv.norm_pow()
+    near_x, near_site = ScaledBound(p, alpha), ScaledBound(p, beta)
     # a member of G_x is within p^-L of x, L the least of the levels of
     # alpha*|h(x)| and of beta*|h(y)| over the sites: the members of x's
     # group there, or at the last level the windows decide, are compared
-    path, _ = tree.locate(x, min(hxv.val + _floor_level(alpha, p),
-                                 min(levels) + _floor_level(beta, p)))
+    path, _ = tree.locate(x, min(near_x.least(hxv.val),
+                                 near_site.least(min(levels))))
     g_x = [i for i in (path[-1][1] if path else ())
-           if ppow_le_scaled(d := (x - G[i]).norm_pow(), alpha, hx)
-           or ppow_le_scaled(d, beta, PPow.from_val(p, levels[i]))]
+           if near_x.holds(d := (x - G[i]).val, hxv.val)
+           or near_site.holds(d, levels[i])]
     lower = (1 - b * beta) / (1 + b * alpha)
     upper = (1 + b * beta) / (1 - b * alpha)
     violations = []
@@ -488,6 +489,9 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
     p = f.p
     if j_range is None:
         j_range = range(0, K)
+    # the bound p^j * |x - z|^r of each class j that checks a level l > j
+    bounds = {j: ScaledBound(p, Fraction(p) ** j, r)
+              for j in j_range if j < K - 1}
     reps = f.reps
     m = f.dims[0]
     values = f.values
@@ -533,7 +537,7 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
             # bad points of B(z, p^-l), from l = K, where z is alone, outwards
             bad = 0
             for l in range(K - 1, j, -1):
-                bad += shell_bad(zi, l, math.ceil(l * r - j))
+                bad += shell_bad(zi, l, bounds[j].least(l))
                 if Fraction(bad, p ** ((K - l) * m)) >= Fraction(1, 2):
                     break
             else:

@@ -530,17 +530,6 @@ class MultiPoly:
                 out[k] = out.get(k, 0) + v
         return MultiPoly(self.m, out)
 
-    def divide_by_monomial(self, exps) -> "MultiPoly":
-        """Exact division by x^exps; raises if any term is not divisible."""
-        exps = tuple(exps)
-        t = {}
-        for e, c in self.terms.items():
-            q = tuple(a - b for a, b in zip(e, exps))
-            if any(a < 0 for a in q):
-                raise PadicError("polynomial not divisible by the monomial")
-            t[q] = c
-        return MultiPoly(self.m, t)
-
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_fraction(self, args) -> Fraction:

@@ -20,7 +20,7 @@ from .padic import (
     PAdicNumber,
     PAdicVector,
     PadicError,
-    _floor_level,
+    ScaledBound,
     _make,
     _vp,
     json_int,
@@ -567,22 +567,6 @@ def union_density(balls, x: PAdicVector, j_range,
     return _estimate(p, m, js, res, [covered(X, j) for j in js])
 
 
-def tolerance_level(eps: Fraction, p: int):
-    """The least valuation L with p^-L <= eps, so that |e| <= eps*p^-w
-    exactly when val(e) - w >= L; None for eps = 0, which only a zero
-    error meets.  A negative eps is refused."""
-    if eps < 0:
-        raise PadicError("the tolerance eps must be >= 0")
-    return None if eps == 0 else _floor_level(Fraction(eps), p)
-
-
-def within_tolerance(err_val, level, scale_val: int = 0) -> bool:
-    """|e| <= eps * p^-scale_val for an error e of valuation err_val (None
-    for zero), level = tolerance_level(eps, p): ppow_le_scaled compared
-    through the valuation, with no powers of eps."""
-    return err_val is None or level is not None and err_val - scale_val >= level
-
-
 def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
              resolution: int | None = None, cap: int = DEFAULT_CAP):
     """Approximate limit test: with W = {|value - candidate| <= eps}, the set
@@ -594,7 +578,9 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
     """
     if isinstance(candidate, PAdicNumber):
         candidate = PAdicVector([candidate])
-    level = tolerance_level(Fraction(eps), x.p)
+    if Fraction(eps) < 0:
+        raise PadicError("the tolerance eps must be >= 0")
+    tolerance = ScaledBound(x.p, eps)
     if isinstance(f, GridFunction):
         fn = f.evaluate
         if resolution is None:
@@ -603,7 +589,7 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
         fn = f
 
     def outside(z):
-        return not within_tolerance((fn(z) - candidate).val, level)
+        return not tolerance.holds((fn(z) - candidate).val)
 
     est = density_at(outside, x, j_range, resolution=resolution, cap=cap)
     verdict = {"converges-to-0": "confirmed",

@@ -1,7 +1,7 @@
 """Exact arithmetic in Q_p and Q_p^m: canonical digit representatives with explicit
 precision windows, norms and valuations, the van der Put linear ordering, dense
-sequence generation, balls, and the exact power-of-p magnitude type used for
-Hölder arithmetic.
+sequence generation, balls, the exact power-of-p magnitude type of reported
+bounds, and the one test |u| <= C*|w|^r of Hölder arithmetic on valuations.
 
 A value is stored as the canonical representative
 
@@ -691,18 +691,35 @@ class PPow:
                 "upper_bound": frac_str(self.ceil_fraction())}
 
 
-def ppow_le_scaled(lhs: PPow, scale: Fraction, rhs: PPow) -> bool:
-    """Exact test lhs <= scale * rhs with scale a nonnegative rational."""
-    scale = Fraction(scale)
-    if scale < 0:
-        raise PadicError("negative scale in magnitude comparison")
-    if lhs.exp is None:
-        return True
-    if rhs.exp is None or scale == 0:
-        return False
-    q = lhs.exp - rhs.exp
-    # p^q <= scale  <=>  p^q.num <= scale^q.den   (q.den > 0)
-    return Fraction(lhs.p) ** q.numerator <= scale ** q.denominator
+class ScaledBound:
+    """The ultrametric bound |u| <= C * |w|^r for a rational C >= 0 and
+    r = a/d, decided on valuations: with |u| = p^-val(u), |w| = p^-val(w)
+    it holds exactly when d*val(u) - a*val(w) >= F, F the least level with
+    p^-F <= C^d (Schikhof, Ultrametric Calculus, 1984).  F is found once;
+    every test after that is one integer comparison.  A valuation of None
+    is the zero value: u = 0 always passes, and against w = 0 or C = 0
+    nothing else does."""
+
+    __slots__ = ("a", "d", "F")
+
+    def __init__(self, p: int, C, r=1):
+        C, r = Fraction(C), Fraction(r)
+        if C < 0:
+            raise PadicError("negative scale in magnitude comparison")
+        self.a, self.d = r.numerator, r.denominator
+        self.F = _floor_level(C ** self.d, p) if C else None
+
+    def least(self, w_val=0):
+        """The least val(u) that passes against val(w) = w_val: the ceiling
+        of (F + a*w_val)/d.  None when only u = 0 passes."""
+        if self.F is None or w_val is None:
+            return None
+        return -((-self.F - self.a * w_val) // self.d)
+
+    def holds(self, u_val, w_val=0) -> bool:
+        """|u| <= C * |w|^r for val(u) = u_val and val(w) = w_val."""
+        return u_val is None or (self.F is not None and w_val is not None
+                                 and self.d * u_val - self.a * w_val >= self.F)
 
 
 # -- rationals in reports and input files ----------------------------------

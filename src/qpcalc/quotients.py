@@ -25,14 +25,14 @@ from fractions import Fraction
 from .funcs import LinearMap, MultiPoly, SymbolicFunction, local_jet
 from .measure import (DEFAULT_CAP, CosetTree, DensityEstimate, GridFunction,
                       coset_key, coset_levels, density_levels,
-                      enumerate_cosets, first_gaps, gap_val, level_estimate,
-                      tolerance_level, within_tolerance)
+                      enumerate_cosets, first_gaps, gap_val, level_estimate)
 from .padic import (
     Ball,
     PAdicNumber,
     PAdicVector,
     PadicError,
     PPow,
+    ScaledBound,
     frac_str,
     unit_vector,
 )
@@ -405,7 +405,9 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     if not points:
         return []
     p, m = points[0].p, points[0].dim
-    level = tolerance_level(eps, p)
+    if eps < 0:
+        raise PadicError("the tolerance eps must be >= 0")
+    tolerance = ScaledBound(p, eps)
     js, res = density_levels(j_range, resolution)
     groups = {}
     for i, x in enumerate(points):
@@ -428,7 +430,7 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
                 if values[n] is None:
                     values[n] = f(z)
                 err = values[n] - fx - t.apply(dz)
-                if not within_tolerance(err.val, level, dz.val):
+                if not tolerance.holds(err.val, dz.val):
                     hits[L] += 1
             out[i] = ApDerivative(linear_map=t, eps=eps,
                                   estimate=level_estimate(p, m, js, res, hits))

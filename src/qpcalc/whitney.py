@@ -26,7 +26,7 @@ from .padic import (
     PAdicVector,
     PadicError,
     PPow,
-    _floor_level,
+    ScaledBound,
     json_int,
     json_list,
     json_object,
@@ -406,10 +406,13 @@ def _quotient_bound(Q: MultiPoly, z: PAdicVector, order: int,
     """Ultrametric bound for the order-j difference quotient of Q at z,
     over unit directions and increments of norm <= p^(-zeta).
 
-    Built symbolically: substitute z + v1*t1 + ... + vj*tj into Q with the
-    v-coordinates and t's as fresh variables, alternate over increment
-    subsets, divide by t1...tj exactly, and bound each monomial by the
-    p-norm of its coefficient times p^(-zeta * t-degree).
+    Built symbolically: the alternating sum over the increment subsets S
+    of Q(z + sum_S v_i*t_i) is the part of Q(z + v1*t1 + ... + vj*tj)
+    whose monomials contain every t_i (inclusion-exclusion), so one
+    substitution, with the v-coordinates and t's as fresh variables,
+    gives it.  Each such monomial, divided by j! * t1...tj, is bounded by
+    the p-norm of its coefficient times p^(-zeta * its remaining t-degree).
+    Order 0 is the largest coefficient norm, whatever z.
     """
     p = z.p
     m = z.dim
@@ -419,27 +422,19 @@ def _quotient_bound(Q: MultiPoly, z: PAdicVector, order: int,
         return PPow.from_val(p, min(
             (rational_val(c, p) for c in Q.terms.values() if c), default=None))
     nv = j * m + j
-    args_base = [MultiPoly.const(nv, z.coords[i].as_fraction())
-                 for i in range(m)]
-    total = MultiPoly.zero(nv)
-    for mask in range(1 << j):
-        args = list(args_base)
-        for i in range(j):
-            if mask >> i & 1:
-                ti = MultiPoly.coord(nv, j * m + i)
-                for c in range(m):
-                    args[c] = args[c] + MultiPoly.coord(nv, i * m + c) * ti
-        term = Q.substitute(args)
-        sign = 1 if (j - bin(mask).count("1")) % 2 == 0 else -1
-        total = total + term * Fraction(sign)
-    exps = [0] * nv
+    args = [MultiPoly.const(nv, z.coords[c].as_fraction())
+            for c in range(m)]
     for i in range(j):
-        exps[j * m + i] = 1
-    total = total.divide_by_monomial(tuple(exps)) * Fraction(1, factorial(j))
-    # each monomial: |c| * p^(-zeta * its degree in the t's)
+        ti = MultiPoly.coord(nv, j * m + i)
+        for c in range(m):
+            args[c] = args[c] + MultiPoly.coord(nv, i * m + c) * ti
+    # the division by j! * t1...tj
+    shift = rational_val(Fraction(factorial(j)), p) + zeta * j
     return PPow.from_val(p, min(
-        (rational_val(c, p) + zeta * sum(e[j * m:])
-         for e, c in total.terms.items() if c), default=None))
+        (rational_val(c, p) + zeta * sum(e[j * m:]) - shift
+         for e, c in Q.substitute(args).terms.items()
+         if all(e[j * m:])),
+        default=None))
 
 
 def _jet_signature(polys) -> tuple:
@@ -460,7 +455,7 @@ def jet_compat_modulus(J: JetField, delta: Fraction,
     best = PPow.zero(p)
     if delta <= 0:
         return best
-    D = _floor_level(delta, p)      # |x - z| <= delta iff val >= D
+    D = ScaledBound(p, delta).least()      # |x - z| <= delta iff val >= D
     classes = {}
     cls = [classes.setdefault(_jet_signature(px), len(classes))
            for _, px in J.jets]
@@ -480,8 +475,9 @@ def jet_compat_modulus(J: JetField, delta: Fraction,
                 if Q.is_zero():
                     continue
                 for j in range(J.k + 1):
-                    bound = max(_quotient_bound(Q, z, j, zeta),
-                                _quotient_bound(Q, x, j, zeta))
+                    bound = _quotient_bound(Q, z, j, zeta)
+                    if j:       # order 0 does not depend on the point
+                        bound = max(bound, _quotient_bound(Q, x, j, zeta))
                     scaled = bound * dpow.pow_frac(Fraction(j - J.k))
                     best = max(best, scaled)
     return best

@@ -7,11 +7,11 @@ give the same ratios, verdicts and failures."""
 
 from fractions import Fraction
 
+from norm_reference import ppow_le_scaled
 from qpcalc.funcs import LinearMap, local_jet
 from qpcalc.measure import (DEFAULT_CAP, DensityEstimate, GridFunction,
                             _verdict, enumerate_cosets)
-from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PadicError, PPow,
-                          ppow_le_scaled)
+from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError, PPow
 from qpcalc.quotients import _VALUE_PREC, ApDerivative, StepanoffScan
 
 

@@ -5,14 +5,16 @@ These are the formulas qpcalc used when norms were compared as Fractions:
 when that norm of x - centre is at most the radius, two balls are
 disjoint when their centres are farther apart than the larger radius, and
 the nearest point of a list is found by a scan that keeps the first
-strictly smaller Fraction distance, and the level of a rational bound is
-found by stepping through Fraction powers of p.  test_valuations.py
-requires the integer-valuation versions in qpcalc to agree with them.
+strictly smaller Fraction distance, the level of a rational bound is
+found by stepping through Fraction powers of p, and |u| <= C*|w|^r is
+tested by raising PPow magnitudes to Fraction powers (ppow_le_scaled).
+test_valuations.py requires the integer-valuation versions in qpcalc to
+agree with them; the other references use ppow_le_scaled as the test.
 """
 
 from fractions import Fraction
 
-from qpcalc.padic import PPow
+from qpcalc.padic import PadicError, PPow
 
 
 def sup_norm(x):
@@ -58,3 +60,17 @@ def floor_level(q, p):
     while Fraction(p) ** -(L - 1) <= q:
         L -= 1
     return L
+
+
+def ppow_le_scaled(lhs: PPow, scale: Fraction, rhs: PPow) -> bool:
+    """Exact test lhs <= scale * rhs with scale a nonnegative rational."""
+    scale = Fraction(scale)
+    if scale < 0:
+        raise PadicError("negative scale in magnitude comparison")
+    if lhs.exp is None:
+        return True
+    if rhs.exp is None or scale == 0:
+        return False
+    q = lhs.exp - rhs.exp
+    # p^q <= scale  <=>  p^q.num <= scale^q.den   (q.den > 0)
+    return Fraction(lhs.p) ** q.numerator <= scale ** q.denominator

@@ -9,10 +9,11 @@ them on every output.
 
 from fractions import Fraction
 
+from norm_reference import ppow_le_scaled
 from qpcalc.extension import (CertifyReport, ChebyshevResult, PackingResult,
                               nearest_point)
 from qpcalc.measure import GridFunction, enumerate_cosets
-from qpcalc.padic import PadicError, PPow, frac_str, ppow_le_scaled
+from qpcalc.padic import PadicError, PPow, frac_str
 
 
 def holder_scan(f, r):

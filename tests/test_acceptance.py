@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from functools import cmp_to_key
 
+from norm_reference import ppow_le_scaled
 from qpcalc.cli import _identity_item, main
 from qpcalc.extension import (
     SampleSet,
@@ -36,7 +37,6 @@ from qpcalc.padic import (
     PAdicNumber,
     PAdicVector,
     PPow,
-    ppow_le_scaled,
     vdp_compare,
 )
 from qpcalc.quotients import stepanoff_scan, taylor_eval

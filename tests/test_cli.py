@@ -444,6 +444,22 @@ def test_usage_error_exits_2(capsys):
     assert code == 2
 
 
+def test_repeated_calls_in_one_process_print_the_same_bytes(capsys):
+    """main reuses one argparse tree, built on its first call: usage
+    errors, --help and repeated (appended) options in between leave the
+    output of every later call unchanged."""
+    calls = [["density", "--p", "5", "--set", "ball(0;1)|ball(3;2)",
+              "--at", "0", "--levels", "1,2"],
+             ["quotient", "--p", "5", "--f", "x0*x0", "--x", "1",
+              "--v", "1", "--t", "5", "--v", "2", "--t", "25"],
+             ["density", "--p"], ["--help"], ["quotient", "--help"],
+             ["no-such-verb"]]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 0, 2]
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in calls] == first
+
+
 def test_missing_function_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--p", "5", "--x", "1")
     assert code == 2
@@ -570,9 +586,9 @@ def test_certify_deep_violation_level_in_closed_form(capsys, tmp_path,
     split level V.  The gap level bounding the search is found without a
     comparison per level, so the count of magnitude comparisons does not
     grow with V."""
-    import qpcalc.extension as extension
-    real, calls = extension.ppow_le_scaled, []
-    monkeypatch.setattr(extension, "ppow_le_scaled",
+    from qpcalc.padic import ScaledBound
+    real, calls = ScaledBound.holds, []
+    monkeypatch.setattr(ScaledBound, "holds",
                         lambda *a: calls.append(a) or real(*a))
     S = SampleSet([(vec(0), vec(1)), (vec(5 ** V), vec(5 ** V))], 1, 1)
     path = tmp_path / "deep.json"

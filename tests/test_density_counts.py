@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import density_reference as ref
+from norm_reference import ppow_le_scaled
 from qpcalc import measure
 from qpcalc.cli import main
 from qpcalc.funcs import SymbolicFunction
 from qpcalc.measure import (ap_limit, coset_levels, density_at,
-                            enumerate_cosets, tolerance_level, union_density,
-                            within_tolerance)
-from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PPow,
-                          _make, ppow_le_scaled, rational_val)
+                            enumerate_cosets, union_density)
+from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PPow, ScaledBound,
+                          _make, rational_val)
 from qpcalc.quotients import ap_derivative, ap_derivatives, stepanoff_scan
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -250,7 +250,7 @@ def test_ap_derivative_matches_the_reference(case, eps):
 @given(st.sampled_from([2, 3, 5]), st.sampled_from(EPSILONS),
        st.one_of(st.none(), st.integers(-6, 6)), st.integers(-6, 6))
 def test_tolerance_level_matches_fraction_powers(p, eps, err_val, rhs_val):
-    assert within_tolerance(err_val, tolerance_level(eps, p), rhs_val) == \
+    assert ScaledBound(p, eps).holds(err_val, rhs_val) == \
         ppow_le_scaled(PPow.from_val(p, err_val), eps,
                        PPow.from_val(p, rhs_val))
 

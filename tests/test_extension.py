@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from norm_reference import ppow_le_scaled
 from qpcalc.extension import (
     ChebyshevResult,
     EjDecomposition,
@@ -28,7 +29,6 @@ from qpcalc.padic import (
     PAdicVector,
     PadicError,
     PPow,
-    ppow_le_scaled,
 )
 
 P = 5

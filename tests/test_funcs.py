@@ -158,14 +158,6 @@ def test_recenter_matches_shift():
     assert r == MultiPoly(1, {(0,): 9, (1,): 6, (2,): 1})
 
 
-def test_divide_by_monomial():
-    q = MultiPoly(2, {(1, 1): 2, (2, 1): -1})
-    d = q.divide_by_monomial((1, 1))
-    assert d == MultiPoly(2, {(0, 0): 2, (1, 0): -1})
-    with pytest.raises(PadicError):
-        MultiPoly(2, {(1, 0): 1}).divide_by_monomial((0, 1))
-
-
 def test_poly_evaluate_matches_expression():
     f = SymbolicFunction.from_sources(5, ["x0*x0*x1 - 2*x1 + 7"], m=2)
     q = as_polynomials(f)[0]

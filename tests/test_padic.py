@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from norm_reference import ppow_le_scaled
 from qpcalc.padic import (
     Ball,
     Order,
@@ -24,7 +25,6 @@ from qpcalc.padic import (
     norm,
     parse_frac,
     parse_literal,
-    ppow_le_scaled,
     sup_norm,
     truncate,
     unit_vector,

@@ -10,12 +10,13 @@ Every example is derandomized, so the suite stays deterministic.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import norm_reference as ref
 from qpcalc.extension import nearest_point
-from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PPow, _floor_level,
-                          norm, sup_norm)
+from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PadicError, PPow,
+                          ScaledBound, _floor_level, norm, sup_norm)
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -116,3 +117,45 @@ def test_nearest_point_matches_scan(data):
 def test_floor_level_matches_fraction_powers(p, n, d, e):
     q = Fraction(n, d) * Fraction(p) ** e
     assert _floor_level(q, p) == ref.floor_level(q, p)
+
+
+VALS = st.one_of(st.none(), st.integers(-6, 6))
+
+
+@given(st.sampled_from([2, 3, 5]),
+       st.one_of(st.sampled_from([Fraction(0), Fraction(2, 5), Fraction(7, 3)]),
+                 st.integers(-3, 3)),
+       st.integers(1, 4).flatmap(
+           lambda d: st.integers(0, 3 * d).map(lambda a: Fraction(a, d))),
+       VALS, VALS)
+@SETTINGS
+def test_scaled_bound_matches_fraction_powers(p, C, r, u_val, w_val):
+    """holds is ppow_le_scaled on valuations, and least is the least
+    valuation that holds: C = 0, powers of p and other rationals, r with
+    denominators 1 to 4, zero, negative and positive valuations."""
+    if isinstance(C, int):
+        C = Fraction(p) ** C
+    bound = ScaledBound(p, C, r)
+    rhs = PPow.from_val(p, w_val).pow_frac(r)
+    assert bound.holds(u_val, w_val) == \
+        ref.ppow_le_scaled(PPow.from_val(p, u_val), C, rhs)
+    least = bound.least(w_val)
+    if u_val is not None:
+        assert bound.holds(u_val, w_val) == \
+            (least is not None and u_val >= least)
+    if least is not None:
+        assert ref.ppow_le_scaled(PPow(p, -least), C, rhs)
+        assert not ref.ppow_le_scaled(PPow(p, 1 - least), C, rhs)
+
+
+def test_scaled_bound_pins():
+    # |u| = 1 against C * 5^(-1/2): holds exactly when C^2 >= 5
+    assert ScaledBound(5, 3, Fraction(1, 2)).holds(0, 1)
+    assert not ScaledBound(5, 2, Fraction(1, 2)).holds(0, 1)
+    assert ScaledBound(5, 2, Fraction(1, 2)).least(1) == 1
+    assert ScaledBound(5, Fraction(1, 25)).least() == 2
+    assert ScaledBound(5, 0).holds(None) and not ScaledBound(5, 0).holds(9)
+    assert ScaledBound(5, 0).least() is None
+    assert ScaledBound(5, 1).least(None) is None
+    with pytest.raises(PadicError):
+        ScaledBound(5, Fraction(-1, 2))

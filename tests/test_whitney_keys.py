@@ -354,3 +354,19 @@ def test_modulus_matches_class_pairs(case, data):
     for delta in (Fraction(0), Fraction(3, p ** 2), *(
             Fraction(p) ** -s for s in range(-2, 6))):
         assert jet_compat_modulus(J, delta) == ref.jet_compat_modulus(J, delta)
+
+
+@SETTINGS
+@given(st.data())
+def test_quotient_bound_matches_the_subset_sum(data):
+    """One substitution, keeping the monomials that contain every t_i,
+    bounds the order-j quotient as the alternating sum over the 2^j
+    increment subsets does: j <= 3, zeta <= 2, points with negative
+    valuations, zero coordinates and short windows."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    m = data.draw(st.integers(1, 2))
+    Q = data.draw(polys(m, max_terms=4, max_degree=3))
+    z = PAdicVector([data.draw(scalars(p)) for _ in range(m)])
+    j, zeta = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    assert whitney._quotient_bound(Q, z, j, zeta) == \
+        ref.quotient_bound(Q, z, j, zeta)

@@ -6,18 +6,20 @@ are built from truncations, polynomials are composed term by term with
 fresh powers, supports are admitted by comparing each site with every
 admitted one, nearest representatives come from a full scan, the gauge
 check compares every pair of points, and the compatibility modulus every
-pair of representatives with different jets.  The property tests in
+pair of representatives with different jets, bounding each quotient by an
+alternating sum over the 2^j increment subsets.  The property tests in
 test_whitney_keys.py require the key-based versions in qpcalc to agree
 with them on every output.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from norm_reference import floor_level
+from norm_reference import floor_level, ppow_le_scaled
 from qpcalc.funcs import MultiPoly
 from qpcalc.measure import enumerate_cosets
-from qpcalc.padic import PadicError, PPow, ppow_le_scaled, truncate
-from qpcalc.whitney import _jet_signature, _quotient_bound
+from qpcalc.padic import PadicError, PPow, rational_val, truncate
+from qpcalc.whitney import _jet_signature
 
 
 def dist_to_set(A, x):
@@ -139,6 +141,58 @@ def lipschitz_gauge_check(h, points):
     return True, None
 
 
+def divide_by_monomial(poly, exps):
+    """Exact division by x^exps; raises if any term is not divisible."""
+    exps = tuple(exps)
+    t = {}
+    for e, c in poly.terms.items():
+        q = tuple(a - b for a, b in zip(e, exps))
+        if any(a < 0 for a in q):
+            raise PadicError("polynomial not divisible by the monomial")
+        t[q] = c
+    return MultiPoly(poly.m, t)
+
+
+def quotient_bound(Q, z, order, zeta=1):
+    """Ultrametric bound for the order-j difference quotient of Q at z,
+    over unit directions and increments of norm <= p^(-zeta).
+
+    Built symbolically: substitute z + v1*t1 + ... + vj*tj into Q with the
+    v-coordinates and t's as fresh variables, alternate over increment
+    subsets, divide by t1...tj exactly, and bound each monomial by the
+    p-norm of its coefficient times p^(-zeta * t-degree).
+    """
+    p = z.p
+    m = z.dim
+    j = order
+    if j == 0:
+        # C0 norm over the unit ball: max coefficient norm
+        return PPow.from_val(p, min(
+            (rational_val(c, p) for c in Q.terms.values() if c), default=None))
+    nv = j * m + j
+    args_base = [MultiPoly.const(nv, z.coords[i].as_fraction())
+                 for i in range(m)]
+    total = MultiPoly.zero(nv)
+    for mask in range(1 << j):
+        args = list(args_base)
+        for i in range(j):
+            if mask >> i & 1:
+                ti = MultiPoly.coord(nv, j * m + i)
+                for c in range(m):
+                    args[c] = args[c] + MultiPoly.coord(nv, i * m + c) * ti
+        term = Q.substitute(args)
+        sign = 1 if (j - bin(mask).count("1")) % 2 == 0 else -1
+        total = total + term * Fraction(sign)
+    exps = [0] * nv
+    for i in range(j):
+        exps[j * m + i] = 1
+    total = divide_by_monomial(total, exps) * Fraction(1, factorial(j))
+    # each monomial: |c| * p^(-zeta * its degree in the t's)
+    return PPow.from_val(p, min(
+        (rational_val(c, p) + zeta * sum(e[j * m:])
+         for e, c in total.terms.items() if c), default=None))
+
+
 def jet_compat_modulus(J, delta, zeta=1):
     """rho(S, delta) over every pair of representatives in different jet
     classes."""
@@ -166,8 +220,8 @@ def jet_compat_modulus(J, delta, zeta=1):
                         if Q.is_zero():
                             continue
                         for j in range(J.k + 1):
-                            bound = max(_quotient_bound(Q, z, j, zeta),
-                                        _quotient_bound(Q, x, j, zeta))
+                            bound = max(quotient_bound(Q, z, j, zeta),
+                                        quotient_bound(Q, x, j, zeta))
                             scaled = bound * dpow.pow_frac(Fraction(j - J.k))
                             best = max(best, scaled)
     return best
