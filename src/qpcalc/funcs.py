@@ -291,13 +291,6 @@ class SymbolicFunction:
         leaves = _coord_pairs(self.m)
         return tuple(_local(c, x, leaves, self.m) for c in self.components)
 
-    def compose(self, inner: "SymbolicFunction") -> "SymbolicFunction":
-        """self after inner (inner.n must equal self.m)."""
-        if inner.p != self.p or inner.n != self.m:
-            raise PadicError("composition shape mismatch")
-        comps = tuple(Compose(c, inner.components) for c in self.components)
-        return SymbolicFunction(self.p, inner.m, comps, domain=inner.domain)
-
     def to_sources(self) -> list:
         return [c.to_source() for c in self.components]
 
@@ -356,9 +349,6 @@ class LinearMap:
                 acc = acc + a * c
             out.append(acc)
         return PAdicVector(out)
-
-    def operator_norm(self) -> Fraction:
-        return max(e.norm() for r in self.rows for e in r)
 
     def to_json(self):
         return [[e.format_literal() for e in r] for r in self.rows]

@@ -435,9 +435,6 @@ class DensityEstimate:
     p: int
     decay_from: int
 
-    def ratio_fractions(self):
-        return [(j, Fraction(c, t)) for j, c, t in self.ratios]
-
     def csv_rows(self):
         return [(j, c, t) for j, c, t in self.ratios]
 

@@ -18,6 +18,7 @@ sentinel, and dividing by it raises.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,12 +95,16 @@ def rational_val(q: Fraction, p: int):
 def _floor_level(q: Fraction, p: int) -> int:
     """Least L with p^(-L) <= q, for a rational q > 0: a value of
     valuation v has norm at most q exactly when v >= L."""
-    # p^-L <= n/d  <=>  d * p^max(-L, 0) <= n * p^max(L, 0)
-    L, n, d = 0, q.numerator, q.denominator
-    while n < d:
-        n, L = n * p, L + 1
-    while d * p <= n:
-        d, L = d * p, L - 1
+    n, d = q.numerator, q.denominator
+    # L = ceil(log_p(d/n)), and d/n lies within a factor 2 of
+    # 2^(bits(d) - bits(n)): estimate from the bit lengths, then correct
+    # by a step or two with the exact test
+    #   p^-L <= n/d  <=>  d * p^max(-L, 0) <= n * p^max(L, 0)
+    L = math.ceil((d.bit_length() - n.bit_length()) / math.log2(p))
+    while d * p ** max(-L, 0) > n * p ** max(L, 0):
+        L += 1
+    while d * p ** max(1 - L, 0) <= n * p ** max(L - 1, 0):
+        L -= 1
     return L
 
 
@@ -286,13 +291,49 @@ class PAdicNumber:
     # -- text / JSON ---------------------------------------------------------
 
     def format_literal(self) -> str:
+        p = self.p
         if self.val is None:
-            return f"0@{self.p}"
-        ds = ",".join(str(d) for d in self.digits())
-        return f"{ds}e{self.val}@{self.p}"
+            return f"0@{p}"
+        if p > _TEXT_BOUND:
+            ds = ",".join(map(str, self.digits()))
+        else:
+            # k digits per divmod, their text read from the table
+            P, k, texts = _digit_texts(p)
+            u, out = self.unit, []
+            for _ in range(self.prec // k):
+                u, c = divmod(u, P)
+                out.append(texts[c])
+            short = self.prec % k
+            if short:       # u < p^short: drop the k - short digits ",0"
+                out.append(texts[u][:2 * (short - k)])
+            ds = ",".join(out)
+        return f"{ds}e{self.val}@{p}"
 
     def to_json(self):
         return {"p": self.p, "val": self.val, "digits": list(self.digits())}
+
+
+# Digit text is read from a table only for p <= _TEXT_BOUND, whose chunks
+# have p^k <= _TEXT_BOUND: 54 tables of at most 256 strings.  A table for
+# every accepted prime (up to 3.3e24) would be unbounded.
+_TEXT_BOUND = 256
+_DIGIT_TEXTS = {}         # p -> _digit_texts(p)
+
+
+def _digit_texts(p: int) -> tuple:
+    """(P, k, texts) with P = p^k <= _TEXT_BOUND for the largest such k,
+    and texts[c] the k base-p digits of c < P, least first, comma-joined."""
+    table = _DIGIT_TEXTS.get(p)
+    if table is None:
+        k = 1
+        while p ** (k + 1) <= _TEXT_BOUND:
+            k += 1
+        texts = [""]
+        for _ in range(k):      # one more digit, the most significant
+            texts = [f"{t},{d}" if t else str(d)
+                     for d in range(p) for t in texts]
+        table = _DIGIT_TEXTS[p] = (p ** k, k, texts)
+    return table
 
 
 def _make(p: int, val: int, raw: int, abs_window: int) -> PAdicNumber:

@@ -17,8 +17,8 @@ from math import factorial
 
 from .extension import holder_violations, packing_check_many
 from .funcs import MultiPoly, SymbolicFunction, local_jet
-from .measure import (DEFAULT_CAP, CosetTree, GridFunction, _window,
-                      coset_key, enumerate_cosets, nearest_index)
+from .measure import (DEFAULT_CAP, CosetTree, _window, coset_key,
+                      enumerate_cosets, nearest_index)
 from .padic import (
     WORKING_PREC,
     Ball,
@@ -503,40 +503,18 @@ class WhitneyExtension:
     def p(self) -> int:
         return self.jets.p
 
-    def psi_site(self, y: PAdicVector) -> PAdicVector:
-        z0, _ = self.jets.jets[self.jets.nearest_rep_index(y)]
-        return z0
-
     def _psi_jet(self, i: int):
         if i not in self._psi:
             y = self.family.sites[i]
             self._psi[i] = self.jets.jets[self.jets.nearest_rep_index(y)][1]
         return self._psi[i]
 
-    def _on_A(self, x: PAdicVector) -> bool:
-        return self.family.h.dist_exp(x) is None
-
     def __call__(self, x: PAdicVector) -> PAdicVector:
-        if self._on_A(x):
+        if self.family.h.dist_exp(x) is None:       # x is on A
             _, polys = self.jets.jet_at(x)
             return self.jets.evaluate_jet(polys, x)
         i = self.family.site_index_for(x)
         return self.jets.evaluate_jet(self._psi_jet(i), x)
-
-    def evaluate_sum_form(self, x: PAdicVector) -> PAdicVector:
-        """The partition-sum form: sum over sites of w_y(x) P_psi(y)(x).
-        Sums over every support containing x without assuming the partition
-        property, so it cross-checks the single-site evaluation."""
-        if self._on_A(x):
-            return self(x)
-        total = PAdicVector.zero(self.p, self.jets.n)
-        for i in self.family.support_indices(x):
-            total = total + self.jets.evaluate_jet(self._psi_jet(i), x)
-        return total
-
-    def tabulate(self, domain: Ball, resolution: int,
-                 cap: int = DEFAULT_CAP) -> GridFunction:
-        return GridFunction.from_callable(domain, resolution, self, cap=cap)
 
 
 def whitney_extend(J: JetField, domain: Ball, resolution: int,

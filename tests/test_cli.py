@@ -6,8 +6,9 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qpcalc.cli import main
+from qpcalc.cli import _CHUNK_PARTS, _write_json, main
 from qpcalc.extension import SampleSet, WeightedSiteSet
 from qpcalc.funcs import SymbolicFunction
 from qpcalc.measure import GridFunction
@@ -597,3 +598,48 @@ def test_certify_deep_violation_level_in_closed_form(capsys, tmp_path,
     assert code == 1
     assert out == f"violation: sites 0,1: gap PPow(5^0) > C * PPow(5^-{V})\n"
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+# ---------------------------------------------------------------------------
+
+TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-10**60, 10**60), st.floats(), TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.lists(inner, max_size=6).map(tuple),
+                            st.dictionaries(TEXT, inner, max_size=6)),
+    max_leaves=60)
+
+
+def _nested(depth, leaf):
+    obj = leaf
+    for i in range(depth):
+        obj = [obj, i] if i % 2 else {"k": obj, "": []}
+    return obj
+
+
+@given(JSON_VALUES)
+@settings(derandomize=True, max_examples=400, deadline=None)
+@example("caf\u00e9 \x00\x1f\x7f \ud800 \udfff \U0001f600 \"\\/")
+@example([10**300, -10**300, True, False, None, 0, -0.0, float("nan"),
+          float("inf"), float("-inf"), 1e-300])
+@example(((), {}, [[]], [{}], {"a": ()}, ((1, "x"),)))
+@example(_nested(200, "leaf"))
+@example({3: "int key", -1: None, 10**30: []})
+@example({2.5: "float key", float("inf"): 0})
+@example({True: [], False: {}})
+@example({None: "null key"})
+@example(["v%d" % i for i in range(3 * _CHUNK_PARTS)])
+@example([[i, ["1,2e0@5", "0@5"], {"j": i}] for i in range(_CHUNK_PARTS)])
+def test_report_writer_writes_the_bytes_of_json_dumps(tmp_path_factory, obj):
+    """--out reports are json.dumps(obj, sort_keys=True, indent=2) + "\\n"
+    byte for byte: escapes of non-ASCII, control characters and lone
+    surrogates, big ints, floats and constants, tuples, empty and deeply
+    nested containers, non-str keys, and lists that span several chunks."""
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    _write_json(str(path), obj)
+    assert path.read_bytes() == \
+        (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")

@@ -202,8 +202,8 @@ def test_sparse_sphere_density_matches_integer_oracle_and_bound():
         assert c == len(members)
         assert Fraction(c, t) <= 5 * Fraction(5) ** (-j)
     # frozen exact ratios: thinning kills a 5^-k factor on sphere k
-    assert est.ratio_fractions() == [(1, Fraction(104, 625)),
-                                     (2, Fraction(4, 125)), (3, Fraction(0))]
+    assert [(j, Fraction(c, t)) for j, c, t in est.ratios] == [
+        (1, Fraction(104, 625)), (2, Fraction(4, 125)), (3, Fraction(0))]
     assert est.verdict == "converges-to-0"
 
 

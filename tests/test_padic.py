@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from norm_reference import ppow_le_scaled
+from qpcalc import padic
 from qpcalc.padic import (
     Ball,
     Order,
@@ -315,6 +316,55 @@ def test_division_inverts_multiplication_at_shared_window(x, y):
 def test_literal_roundtrip_bit_exact(x):
     assert parse_literal(x.format_literal()) == x
     assert from_json(x.to_json()) == x
+
+
+LITERAL_PRIMES = (2, 3, 5, 7, 251, 2**61 - 1)
+
+
+@st.composite
+def windowed(draw):
+    """A nonzero value of one of LITERAL_PRIMES with a window of 1..40
+    digits: the first digit nonzero, the others anything."""
+    p = draw(st.sampled_from(LITERAL_PRIMES))
+    prec = draw(st.integers(1, 40))
+    d0 = draw(st.integers(1, p - 1))
+    rest = draw(st.integers(0, p ** (prec - 1) - 1))
+    return PAdicNumber(p, draw(st.integers(-30, 30)), d0 + p * rest, prec)
+
+
+@given(windowed())
+@settings(derandomize=True, max_examples=400, deadline=None)
+@example(PAdicNumber(2, 0, 2**8 - 1, 8))
+@example(PAdicNumber(2, 3, 2**9 - 1, 9))
+@example(PAdicNumber(2, -1, 1, 7))
+@example(PAdicNumber(3, 0, 3**6 - 1, 6))
+@example(PAdicNumber(5, 2, 1, 40))
+@example(PAdicNumber(5, 0, 5**40 - 1, 40))
+@example(PAdicNumber(7, 0, 7**3 - 1, 3))
+@example(PAdicNumber(251, -4, 250 + 251 * 17, 2))
+def test_format_literal_matches_the_digit_loop(x):
+    """The digit text read in chunks from a per-prime table is the digit
+    loop's text, and parses back to the same value; the chunk boundaries of
+    p = 2, 3, 5 and 7 (8, 5, 3 and 2 digits) and all-(p-1) digits are
+    pinned."""
+    text = x.format_literal()
+    assert text == ",".join(map(str, x.digits())) + f"e{x.val}@{x.p}"
+    assert parse_literal(text) == x
+
+
+def test_digit_tables_only_for_primes_up_to_256():
+    """Zero prints as 0@p for every prime; the digit text builds a table
+    of at most 256 entries for p <= 256 and none for a larger prime."""
+    for p in LITERAL_PRIMES + (257,):
+        z = PAdicNumber.zero(p)
+        assert z.format_literal() == f"0@{p}"
+        assert parse_literal(z.format_literal()) == z
+        assert PAdicNumber.from_int(p, p + 1, prec=5).format_literal() \
+            == f"1,1,0,0,0e0@{p}"
+    assert all(p <= 256 for p in padic._DIGIT_TEXTS)
+    assert 257 not in padic._DIGIT_TEXTS and 2**61 - 1 not in padic._DIGIT_TEXTS
+    for P, k, texts in padic._DIGIT_TEXTS.values():
+        assert len(texts) == P <= 256
 
 
 @given(padics(), padics(), padics())

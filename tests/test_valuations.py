@@ -111,12 +111,27 @@ def test_nearest_point_matches_scan(data):
     assert delta == ref_delta
 
 
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10**6),
-       st.integers(1, 10**6), st.integers(-12, 12))
+@given(st.sampled_from([2, 3, 5, 7, 251, 2**61 - 1]), st.integers(1, 10**30),
+       st.integers(1, 10**30), st.integers(-12, 12))
 @SETTINGS
 def test_floor_level_matches_fraction_powers(p, n, d, e):
     q = Fraction(n, d) * Fraction(p) ** e
     assert _floor_level(q, p) == ref.floor_level(q, p)
+
+
+@pytest.mark.parametrize("e", [100000, -100000])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_floor_level_of_huge_bounds(e, shift):
+    """q = 5^e and its neighbours 5^e +- 5^-100001: p^-L <= q < p^-(L-1)
+    checked in integers, at a size where a step per power of p took
+    seconds."""
+    p = 5
+    q = Fraction(p) ** e + Fraction(shift, p ** 100001)
+    L = _floor_level(q, p)
+    assert L == -e + (1 if shift < 0 else 0)
+    n, d = q.numerator, q.denominator
+    assert d * p ** max(-L, 0) <= n * p ** max(L, 0)
+    assert n * p ** max(L - 1, 0) < d * p ** max(1 - L, 0)
 
 
 VALS = st.one_of(st.none(), st.integers(-6, 6))

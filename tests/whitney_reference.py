@@ -4,10 +4,11 @@ These are the straightforward versions: distances to the closed set are
 sup norms of PAdicVector differences read back as powers of p, coset keys
 are built from truncations, polynomials are composed term by term with
 fresh powers, supports are admitted by comparing each site with every
-admitted one, nearest representatives come from a full scan, the gauge
-check compares every pair of points, and the compatibility modulus every
-pair of representatives with different jets, bounding each quotient by an
-alternating sum over the 2^j increment subsets.  The property tests in
+admitted one, nearest representatives come from a full scan, the glued
+value off A is also summed over every support that holds the point, the
+gauge check compares every pair of points, and the compatibility modulus
+every pair of representatives with different jets, bounding each quotient
+by an alternating sum over the 2^j increment subsets.  The property tests in
 test_whitney_keys.py require the key-based versions in qpcalc to agree
 with them on every output.
 """
@@ -18,7 +19,7 @@ from math import factorial
 from norm_reference import floor_level, ppow_le_scaled
 from qpcalc.funcs import MultiPoly
 from qpcalc.measure import enumerate_cosets
-from qpcalc.padic import PadicError, PPow, rational_val, truncate
+from qpcalc.padic import PAdicVector, PadicError, PPow, rational_val, truncate
 from qpcalc.whitney import _jet_signature
 
 
@@ -126,6 +127,19 @@ def glue(J, domain, resolution, s0=2):
             _, polys = J.jets[nearest_rep_index(reps, hits[0])]
         out[coset_key(x, resolution)] = J.evaluate_jet(polys, x)
     return out
+
+
+def evaluate_sum_form(g, x):
+    """The partition-sum form of a WhitneyExtension g at x: the jet at x
+    on A; off A, P_psi(y)(x) summed over every support site y that
+    contains x, without assuming the partition property, so it
+    cross-checks g's single-site evaluation."""
+    if g.family.h.dist_exp(x) is None:
+        return g(x)
+    total = PAdicVector.zero(g.p, g.jets.n)
+    for i in g.family.support_indices(x):
+        total = total + g.jets.evaluate_jet(g._psi_jet(i), x)
+    return total
 
 
 def lipschitz_gauge_check(h, points):
