@@ -97,7 +97,6 @@ from .whitney import (  # noqa: F401
     build_h,
     disjoint_ball_family,
     dist_to_set,
-    family_packing_report,
     family_packing_reports,
     jet_compat_modulus,
     jet_field_from_function,

@@ -532,7 +532,7 @@ def union_density(balls, x: PAdicVector, j_range,
         if b.p != p:
             raise PadicError(f"prime mismatch: {p} vs {b.p}")
     # every point involved is p^s times an integer
-    s = min(_least_val(b.center, js[0]) for b in balls)
+    s = min((_least_val(b.center, js[0]) for b in balls), default=js[0])
     s = min(s, _least_val(x, s))
     shapes = [(_scaled(b.center, s),
                [min(b.rad_exp, _window(c)) for c in b.center.coords])

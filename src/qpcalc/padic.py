@@ -204,31 +204,17 @@ class PAdicNumber:
 
     def __add__(self, other):
         b = self._coerce(other)
-        if b is NotImplemented:
-            return b
-        a = self
-        if a.val is None:
-            return b
-        if b.val is None:
-            return a
-        v = min(a.val, b.val)
-        w = min(a.val + a.prec, b.val + b.prec)
-        s = a.unit * a.p ** (a.val - v) + b.unit * a.p ** (b.val - v)
-        return _make(a.p, v, s, w)
+        return b if b is NotImplemented else _combine(self, b, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         b = self._coerce(other)
-        if b is NotImplemented:
-            return b
-        return self + (-b)
+        return b if b is NotImplemented else _combine(self, b, -1)
 
     def __rsub__(self, other):
         b = self._coerce(other)
-        if b is NotImplemented:
-            return b
-        return b + (-self)
+        return b if b is NotImplemented else _combine(b, self, -1)
 
     def __neg__(self):
         if self.val is None:
@@ -334,6 +320,19 @@ def _digit_texts(p: int) -> tuple:
                      for d in range(p) for t in texts]
         table = _DIGIT_TEXTS[p] = (p ** k, k, texts)
     return table
+
+
+def _combine(a: PAdicNumber, b: PAdicNumber, sign: int) -> PAdicNumber:
+    """a + sign*b, sign = +-1, in one step: for -1 the digits and window
+    of a + (-b).  The result is known up to the shorter absolute window."""
+    if b.val is None:
+        return a
+    if a.val is None:
+        return b if sign > 0 else -b
+    v = min(a.val, b.val)
+    w = min(a.val + a.prec, b.val + b.prec)
+    s = a.unit * a.p ** (a.val - v) + sign * b.unit * a.p ** (b.val - v)
+    return _make(a.p, v, s, w)
 
 
 def _make(p: int, val: int, raw: int, abs_window: int) -> PAdicNumber:

@@ -18,7 +18,7 @@ from math import factorial
 from .extension import holder_violations, packing_check_many
 from .funcs import MultiPoly, SymbolicFunction, local_jet
 from .measure import (DEFAULT_CAP, CosetTree, _window, coset_key,
-                      enumerate_cosets, nearest_index)
+                      enumerate_cosets, nearest_index, union_density)
 from .padic import (
     WORKING_PREC,
     Ball,
@@ -86,10 +86,9 @@ class RadiusFunction:
     distance exponent is the deepest level at which it shares a coset with
     any centre, read from the centres' CosetTree.  Points whose windows, or
     the centres', end before the finest radius of A are left to dist_exp.
-    Each point's exponent is kept, so a glue computes it once.
     """
 
-    __slots__ = ("A", "p", "s0", "_radii", "_members", "_tree", "_exps")
+    __slots__ = ("A", "p", "s0", "_radii", "_members", "_tree")
 
     def __init__(self, A, p: int, s0: int):
         self.A = tuple(A)
@@ -99,7 +98,6 @@ class RadiusFunction:
         self._members = {(ball.rad_exp, coset_key(ball.center, ball.rad_exp))
                          for ball in self.A}
         self._tree = CosetTree(ball.center for ball in self.A)
-        self._exps = {}
 
     @property
     def b(self) -> Fraction:
@@ -108,20 +106,14 @@ class RadiusFunction:
     def dist_exp(self, x: PAdicVector):
         """dist_exp(A, x), from one key lookup per distinct radius and the
         levels of the centre tree."""
-        if x in self._exps:
-            return self._exps[x]
         if not self._radii or min(self._tree.window,
                                   *map(_window, x.coords)) < self._radii[-1]:
-            d = dist_exp(self.A, x)
-        elif any((r, coset_key(x, r)) in self._members for r in self._radii):
-            d = None
-        else:
-            # off A, every centre is farther than its radius: levels below
-            # the finest radius
-            path, decided = self._tree.locate(x, self._radii[-1] - 1)
-            d = path[-1][0] if path and decided else dist_exp(self.A, x)
-        self._exps[x] = d
-        return d
+            return dist_exp(self.A, x)
+        if any((r, coset_key(x, r)) in self._members for r in self._radii):
+            return None
+        # off A every centre is farther than its radius: levels below those
+        path, decided = self._tree.locate(x, self._radii[-1] - 1)
+        return path[-1][0] if path and decided else dist_exp(self.A, x)
 
     def exponent(self, x: PAdicVector) -> int:
         d = self.dist_exp(x)
@@ -238,19 +230,14 @@ def disjoint_ball_family(reps, h: RadiusFunction,
     return fam
 
 
-def family_packing_report(fam: PartitionFamily, x: PAdicVector):
-    """Packing bounds for the support family (gauge pi*h) at x.
+def family_packing_reports(fam: PartitionFamily, xs) -> list:
+    """Packing bounds for the support family (gauge pi*h) at each of xs.
 
     Scales alpha = beta = 1 with b' = p^-(s0+1) >= Lip of pi*h make the
     ratio window exactly (1 -+ p^-(2*s0+s2))/(1 +- ...) at the default
     constants, and the cardinality bound exceeds 1 as a covering family
     requires.
     """
-    return family_packing_reports(fam, [x])[0]
-
-
-def family_packing_reports(fam: PartitionFamily, xs) -> list:
-    """family_packing_report over many points, preconditions checked once."""
     p = fam.h.p
     pi_h = lambda y: PAdicNumber.from_int(
         p, p ** (fam.h.exponent(y) + 1), prec=WORKING_PREC)
@@ -487,45 +474,58 @@ def jet_compat_modulus(J: JetField, delta: Fraction,
 # the glued extension
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class WhitneyExtension:
-    """g(x) = P_x(x) on A; g(x) = P_(psi(y(x)))(x) off A, where y(x) is the
-    unique support site at x and psi maps a site to the nearest jet
-    representative (first wins on ties).  Exact piecewise polynomial."""
-
-    __slots__ = ("jets", "family", "_psi")
-
-    def __init__(self, jets: JetField, family: PartitionFamily):
-        self.jets = jets
-        self.family = family      # its gauge h is built over jets.A
-        self._psi = {}            # site index -> jet of psi(site), on demand
-
-    @property
-    def p(self) -> int:
-        return self.jets.p
-
-    def _psi_jet(self, i: int):
-        if i not in self._psi:
-            y = self.family.sites[i]
-            self._psi[i] = self.jets.jets[self.jets.nearest_rep_index(y)][1]
-        return self._psi[i]
+    """g(x) = P_x(x) on A; off A, g(x) = P_z(x) with z the first jet
+    representative nearest x: the glue over disjoint_ball_family read
+    without the family.  The support holding x off A is B(x, p^-e(x)),
+    e = h.support_exp, and misses A, so every representative is as far
+    from its site as from x (Schikhof, Ultrametric Calculus, 1984).  It is
+    admitted exactly when e(x) <= resolution and it meets the domain;
+    other points raise."""
+    jets: JetField
+    h: RadiusFunction         # the gauge, built over jets.A
+    domain: Ball
+    resolution: int
 
     def __call__(self, x: PAdicVector) -> PAdicVector:
-        if self.family.h.dist_exp(x) is None:       # x is on A
+        d = self.h.dist_exp(x)
+        if d is None:                               # x is on A
             _, polys = self.jets.jet_at(x)
             return self.jets.evaluate_jet(polys, x)
-        i = self.family.site_index_for(x)
-        return self.jets.evaluate_jet(self._psi_jet(i), x)
+        e = self.h.s0 + max(0, d) + 1               # h.support_exp(x)
+        meet = min(e, self.domain.rad_exp)
+        if e > self.resolution or \
+                coset_key(x, meet) != coset_key(self.domain.center, meet):
+            raise PadicError("partition property violated: 0 supports at a point")
+        _, polys = self.jets.jets[self.jets.nearest_rep_index(x)]
+        return self.jets.evaluate_jet(polys, x)
 
 
 def whitney_extend(J: JetField, domain: Ball, resolution: int,
                    cap: int = DEFAULT_CAP) -> WhitneyExtension:
-    """Build the radius function, the support family over domain \\ A, and
-    the glued extension, at the given grid resolution."""
+    """The glued extension of J over the domain at the given resolution,
+    refused where the support family over domain \\ A has no site (A
+    covers every domain coset) or a support finer than the resolution:
+    some y off A needs e(y) = s0 + 1 + max(0, D(y)) > resolution exactly
+    when T = resolution - s0 <= 0 or y is within p^-T of a centre of A.
+    Both are counted by union_density; `cap` bounds the domain's cosets."""
     h = build_h(J.A, J.p)
-    reps = [y for y in enumerate_cosets(domain, resolution, cap=cap)
-            if h.dist_exp(y) is not None]
-    fam = disjoint_ball_family(reps, h, resolution)
-    return WhitneyExtension(J, fam)
+    T = resolution - h.s0
+
+    def covered(balls) -> int:         # domain cosets the balls cover
+        return union_density(balls, domain.center, [domain.rad_exp],
+                             resolution, cap).ratios[0][1]
+
+    inside = covered(J.A)
+    if not J.A:
+        raise PadicError("empty coset union")
+    if inside == J.p ** (domain.dim * (resolution - domain.rad_exp)):
+        raise PadicError("empty site list")
+    if T <= 0 or covered(J.A + tuple(Ball(b.center, T) for b in J.A)) > inside:
+        raise PadicError("resolution too coarse for the support radii: "
+                         f"a support is finer than resolution {resolution}")
+    return WhitneyExtension(J, h, domain, resolution)
 
 
 # ---------------------------------------------------------------------------

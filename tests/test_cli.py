@@ -358,6 +358,63 @@ def test_whitney_verify_dominated(capsys, jets_file, tmp_path):
     assert [row["order"] for row in rows] == [0, 1]
 
 
+@pytest.fixture()
+def q5_field(capsys, tmp_path):
+    """x0*x1+x0 on two radius-5^-2 balls of Z_5^2: 50 jets at resolution 3."""
+    path = tmp_path / "q52.json"
+    code, out, _ = run(capsys, "whitney", "build", "--p", "5",
+                       "--f", "x0*x1+x0", "--set", "ball(0,0;2)|ball(7,3;2)",
+                       "--resolution", "3", "--k", "1", "--out", str(path))
+    assert code == 0 and "built 50 jets" in out
+    return str(path)
+
+
+def test_whitney_eval_enumerates_no_domain_coset(capsys, q5_field, monkeypatch):
+    """At glue resolution 5 the domain Z_5^2 has 5^10 cosets; the glue
+    counts its two checks, and eval and verify evaluate jets only."""
+    import qpcalc.measure
+    import qpcalc.whitney
+    calls = []
+    for module in (qpcalc.measure, qpcalc.whitney):
+        real = module.enumerate_cosets
+        monkeypatch.setattr(module, "enumerate_cosets",
+                            lambda *a, real=real, **kw:
+                            calls.append(a) or real(*a, **kw))
+    code, out, _ = run(capsys, "whitney", "eval", "--jets", q5_field,
+                       "--x", "1,2", "--resolution", "5")
+    assert (code, out) == (0, "3\n")
+    code, out, _ = run(capsys, "whitney", "verify", "--jets", q5_field,
+                       "--samples", "4", "--seed", "1", "--resolution", "5")
+    assert code == 0 and "VIOLATED" not in out
+    assert calls == []
+
+
+@pytest.mark.parametrize("extra,code,message", [
+    (("--resolution", "2"), 2, "too coarse"),
+    (("--cap", "100"), 3, "cap"),
+    (("--domain", "ball(1,0;1)"), 2, "partition property violated"),
+])
+def test_whitney_eval_exits(capsys, q5_field, extra, code, message):
+    """A resolution below s0 + 1, a domain over the cap, and a point that
+    lies outside the domain and its supports."""
+    got, out, err = run(capsys, "whitney", "eval", "--jets", q5_field,
+                        "--x", "1,2", *extra)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
+def test_whitney_eval_domain_inside_a_has_no_site(capsys, tmp_path):
+    """The domain ball(11;2) lies inside A = ball(1;1): no support site."""
+    path = tmp_path / "jets.json"
+    assert run(capsys, "whitney", "build", "--p", "5", "--f", "x0*x0",
+               "--set", "ball(1;1)", "--resolution", "3", "--k", "1",
+               "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "whitney", "eval", "--jets", str(path),
+                         "--x", "11", "--domain", "ball(11;2)")
+    assert (code, out) == (2, "")
+    assert "empty site list" in err
+
+
 # ---------------------------------------------------------------------------
 # scans and identities
 # ---------------------------------------------------------------------------

@@ -352,6 +352,56 @@ def test_format_literal_matches_the_digit_loop(x):
     assert parse_literal(text) == x
 
 
+@st.composite
+def difference_operands(draw):
+    """(a, b) of one prime: a of valuation -6..6 with a window of 1..30
+    digits, or zero; b another such value, zero, a itself, a copy of a,
+    an int or a Fraction."""
+    p = draw(st.sampled_from((2, 3, 5, 251, 2**61 - 1)))
+
+    def value():
+        if draw(st.integers(0, 5)) == 0:
+            return PAdicNumber.zero(p)
+        prec = draw(st.integers(1, 30))
+        d0 = draw(st.integers(1, p - 1))
+        rest = draw(st.integers(0, p ** (prec - 1) - 1))
+        return PAdicNumber(p, draw(st.integers(-6, 6)), d0 + p * rest, prec)
+
+    a = value()
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        b = value()
+    elif kind == 1:
+        b = a
+    elif kind == 2:
+        b = PAdicNumber(a.p, a.val, a.unit, a.prec)
+    else:
+        n = draw(st.integers(-p**3, p**3))
+        b = n if kind == 3 else Fraction(n, draw(st.sampled_from(
+            [1, 2, 3, p, p * p, 7 * p])))
+    return a, b
+
+
+@given(difference_operands())
+@settings(derandomize=True, max_examples=500, deadline=None)
+@example((PAdicNumber.zero(5), PAdicNumber.zero(5)))
+@example((PAdicNumber.zero(5), n5(7)))
+@example((n5(7), PAdicNumber.zero(5)))
+@example((n5(7, prec=3), n5(7, prec=3)))
+@example((n5(7, prec=3), 7))
+@example((PAdicNumber.zero(5), Fraction(-3, 25)))
+def test_subtraction_is_the_sum_with_the_negation(case):
+    """a - b has the digits and window of a + (-b), with b an int or a
+    Fraction on either side."""
+    a, b = case
+    if isinstance(b, PAdicNumber):
+        assert a - b == a + (-b)
+        assert b - a == b + (-a)
+    else:
+        assert a - b == a + (-b)
+        assert b - a == (-a) + b
+
+
 def test_digit_tables_only_for_primes_up_to_256():
     """Zero prints as 0@p for every prime; the digit text builds a table
     of at most 256 entries for p <= 256 and none for a larger prime."""

@@ -19,7 +19,6 @@ from qpcalc.whitney import (
     build_h,
     disjoint_ball_family,
     dist_to_set,
-    family_packing_report,
     family_packing_reports,
     jet_compat_modulus,
     jet_field_from_function,
@@ -192,7 +191,7 @@ def test_family_refuses_two_sites_with_one_support():
 
 def test_family_packing_bounds():
     _, _, reps, fam = _standard_family()
-    res = family_packing_report(fam, reps[0])
+    res, = family_packing_reports(fam, reps[:1])
     assert res.ratio_ok and res.card_ok
     assert len(res.g_x) == 1
     batch = family_packing_reports(fam, reps[:10])
@@ -314,11 +313,48 @@ def test_extension_diagonal_and_psi_idempotence():
 
 
 def test_sum_form_matches_single_site_form():
+    """The nearest-jet glue equals the partition-of-unity form over the
+    support family built from the enumerated domain."""
     f, J, g = _glued("x0*x1", 1)
+    _, _, _, fam = _standard_family()
     rng = random.Random(5)
     for _ in range(20):
         x = vec(rng.randrange(125), rng.randrange(125))
-        assert (g(x) - ref.evaluate_sum_form(g, x)).sup_norm() == 0
+        assert (g(x) - ref.evaluate_sum_form(J, fam, x)).sup_norm() == 0
+
+
+def test_glue_answers_where_a_support_reaches_past_the_domain():
+    """The domain B(1, 5^-4) is finer than its one support B(1, 5^-3), which
+    misses A = B(0, 5^-1): 1 + 5^3 lies outside the domain but in that
+    support, so the glue answers there, as the enumerated family does; no
+    support holds 1 + 5^2 or 2."""
+    f = fn("x0*x0")
+    J = jet_field_from_function(f, (Ball(vec(0), 1),), resolution=1, k=1)
+    domain = Ball(vec(1), 4)
+    g = whitney_extend(J, domain, 4)
+    expected = ref.glue(J, domain, 4)
+    x = vec(1 + 125)
+    assert not domain.contains(x)
+    assert g(x) == expected(x) == f(x)
+    for n in (1 + 25, 2):
+        for glue in (g, expected):
+            with pytest.raises(PadicError):
+                glue(vec(n))
+
+
+def test_glue_too_coarse_where_the_domain_is_far_from_a():
+    """At resolution 2 no support fits (s0 + 1 = 3).  The domain B(1/5, 1)
+    lies farther from A = B(0, 5^-1) than the ball B(0, 1) that the
+    coarseness count adds, so only T = resolution - s0 <= 0 refuses it."""
+    f = fn("x0*x0")
+    J = jet_field_from_function(f, (Ball(vec(0), 1),), resolution=1, k=1)
+    domain = Ball(PAdicVector([PAdicNumber.from_fraction(P, Fraction(1, 5))]), 0)
+    with pytest.raises(PadicError, match="too coarse"):
+        ref.glue(J, domain, 2)
+    with pytest.raises(PadicError, match="too coarse"):
+        whitney_extend(J, domain, 2)
+    x = domain.center + vec(7)
+    assert whitney_extend(J, domain, 3)(x) == ref.glue(J, domain, 3)(x)
 
 
 def test_tabulate_gives_grid_function():

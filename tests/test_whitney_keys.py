@@ -18,7 +18,8 @@ import qpcalc.whitney as whitney
 from qpcalc.funcs import MultiPoly, SymbolicFunction, as_polynomials
 from qpcalc.measure import CosetTree, coset_key, enumerate_cosets
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError
-from qpcalc.whitney import (JetField, RadiusFunction, dist_to_set,
+from qpcalc.whitney import (JetField, RadiusFunction, build_h,
+                            disjoint_ball_family, dist_to_set,
                             jet_compat_modulus, jet_field_from_function,
                             lipschitz_gauge_check, whitney_extend)
 
@@ -86,7 +87,7 @@ def test_distance_exponent_matches_subtraction(case):
     h = RadiusFunction(A, A[0].p, 2)
     expected = ref.dist_exp(A, x)
     assert h.dist_exp(x) == expected
-    assert h.dist_exp(x) == expected            # the kept exponent
+    assert h.dist_exp(x) == expected            # asked again, the same
     assert whitney.dist_exp(A, x) == expected
     assert dist_to_set(A, x) == ref.dist_to_set(A, x)
     if expected is None:
@@ -248,23 +249,43 @@ def test_substitute_and_recenter_match_naive_composition(data):
 # the glue at every domain representative
 # ---------------------------------------------------------------------------
 
+def _finest(p, m, k, cosets=400):
+    """The finest resolution at which a level-k ball has <= cosets cosets."""
+    res = k
+    while p ** (m * (res + 1 - k)) <= cosets:
+        res += 1
+    return res
+
+
 @st.composite
 def glue_cases(draw):
-    """A polynomial of degree <= 3 on two balls of a domain of
-    radius 1 or p, glued at a resolution fine enough for every support:
-    2 + max(0, D) + 1 <= resolution with D < the largest radius of A."""
-    # (p, m, domain rad_exp k, the finest resolution with <= 300 cosets)
-    p, m, k, finest = draw(st.sampled_from([
-        (2, 1, 0, 8), (2, 1, -1, 7), (3, 1, 0, 5), (3, 1, -1, 4),
-        (5, 1, 0, 3), (2, 2, 0, 4), (2, 2, -1, 3)]))
-    jet_res = draw(st.integers(1, min(2, finest - 2)))
-    # two balls, so that psi picks the first representative of the nearer
-    centers = [PAdicVector.from_ints(p, [draw(st.integers(0, p**3))
-                                         for _ in range(m)], prec=12)
-               for _ in range(2)]
-    A = tuple(Ball(c, draw(st.integers(1, jet_res))) for c in centers)
-    coarsest = max(3, max(a.rad_exp for a in A) + 2)
-    resolution = min(finest, coarsest + draw(st.integers(0, 1)))
+    """A polynomial of degree <= 3 on one to three balls, glued over a
+    domain of radius p^1 .. p^-1 centred off 0 at any resolution up to 400
+    cosets: fine enough for every support or too coarse, with A covering,
+    meeting or missing the domain."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
+    k = draw(st.integers(-1, 1))
+    finest = _finest(p, m, k)
+    jet_res = draw(st.integers(1, 2))
+    dc = [draw(st.integers(0, p**3)) for _ in range(m)]
+    # balls near the domain centre, anywhere, or at the centre (A may
+    # cover the domain), so that psi picks the first representative of
+    # the nearer
+    balls = []
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.integers(0, 2))
+        if where == 0:
+            center = [a + p ** draw(st.integers(0, 3)) * draw(
+                st.integers(1, p**2)) for a in dc]
+        elif where == 1:
+            center = [draw(st.integers(0, p**3)) for _ in range(m)]
+        else:
+            center = dc
+        balls.append(Ball(PAdicVector.from_ints(p, center, prec=12),
+                          draw(st.integers(1, jet_res))))
+    A = tuple(balls)
+    # the finest first, where supports fit
+    resolution = finest - draw(st.integers(0, finest - k))
     # a cubic part makes the jets, truncated at degree 2, differ by point
     terms = [f"{draw(st.integers(-4, 4))}*x{draw(st.integers(0, m - 1))}"
              f"*x{draw(st.integers(0, m - 1))}" for _ in range(2)]
@@ -272,14 +293,36 @@ def glue_cases(draw):
     source = "+".join([str(draw(st.integers(0, 9)))] + terms
                       + [f"{draw(st.integers(-4, 4))}*x0"])
     f = SymbolicFunction.from_sources(p, [source], m=m, prec=24)
-    domain = Ball(PAdicVector.zero(p, m), k)
-    return f, A, jet_res, domain, resolution
+    domain = Ball(PAdicVector.from_ints(p, dc, prec=12), k)
+    # off-grid queries: deep digits below a representative or a centre of
+    # A, and points outside the domain
+    queries = []
+    for _ in range(10):
+        base = draw(st.sampled_from([domain.center] + [b.center for b in A]))
+        j = draw(st.integers(k - 2, resolution + 4))
+        queries.append(base + PAdicVector([
+            PAdicNumber.from_fraction(
+                p, Fraction(p) ** j * draw(st.integers(0, p**2)), prec=12)
+            for _ in range(m)]))
+    return f, A, jet_res, domain, resolution, queries
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+def _value_or_error(g, x):
+    try:
+        return g(x)
+    except PadicError:
+        return PadicError
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
 @given(glue_cases())
 def test_glue_matches_reference_at_every_representative(case):
-    f, A, jet_res, domain, resolution = case
+    """The nearest-jet glue gives the reference's value, or its error, at
+    every representative of the domain and at off-grid points; it refuses
+    the glue where the enumerated family is refused; and the family built
+    over the enumerated domain partitions it, with the partition-sum form
+    equal to the glue."""
+    f, A, jet_res, domain, resolution, queries = case
     J = jet_field_from_function(f, A, jet_res, k=1)
     polys = as_polynomials(f)
     for z, jet in J.jets:
@@ -295,12 +338,18 @@ def test_glue_matches_reference_at_every_representative(case):
             whitney_extend(J, domain, resolution)
         return
     g = whitney_extend(J, domain, resolution)
+    reps = enumerate_cosets(domain, resolution)
+    fam = disjoint_ball_family(
+        [y for y in reps if ref.dist_exp(J.A, y) is not None],
+        build_h(J.A, J.p), resolution)
     # each admitted support holds no other admitted site
-    for i, y in enumerate(g.family.sites):
-        assert g.family.support_indices(y) == [i]
-    for x in enumerate_cosets(domain, resolution):
-        assert g(x) == expected[ref.coset_key(x, resolution)]
-        assert ref.evaluate_sum_form(g, x) == g(x)
+    for i, y in enumerate(fam.sites):
+        assert fam.support_indices(y) == [i]
+    for x in reps:
+        assert g(x) == expected(x)
+        assert ref.evaluate_sum_form(J, fam, x) == g(x)
+    for x in queries:
+        assert _value_or_error(g, x) == _value_or_error(expected, x)
 
 
 # ---------------------------------------------------------------------------

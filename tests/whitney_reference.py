@@ -4,7 +4,8 @@ These are the straightforward versions: distances to the closed set are
 sup norms of PAdicVector differences read back as powers of p, coset keys
 are built from truncations, polynomials are composed term by term with
 fresh powers, supports are admitted by comparing each site with every
-admitted one, nearest representatives come from a full scan, the glued
+admitted one, the support holding a point is found by comparing it with
+every site, nearest representatives come from a full scan, the glued
 value off A is also summed over every support that holds the point, the
 gauge check compares every pair of points, and the compatibility modulus
 every pair of representatives with different jets, bounding each quotient
@@ -93,17 +94,18 @@ def nearest_rep_index(reps, y):
 
 
 def glue(J, domain, resolution, s0=2):
-    """{coset key of x: g(x)} over every representative x of the domain:
+    """The glued extension as a point query: a function giving g(x), or
+    raising PadicError, at any x.  Sites are the representatives of the
+    domain admitted greedily in enumeration order when their support
+    B(y, p^-(s0 + max(0, D(y)) + 1)) meets no admitted support.  g(x) is
     the jet of x's own coset on A, and off A the jet of the representative
-    nearest to the one admitted site whose support contains x.  Sites are
-    admitted greedily in enumeration order when their support
-    B(y, p^-(s0 + max(0, D(y)) + 1)) meets no admitted support.  Raises
-    PadicError where whitney_extend must: no site, or a support finer than
-    the resolution."""
+    nearest to the one site whose support contains x, found by subtraction
+    from every site; a point held by no support, or by two, raises.
+    Raises PadicError where whitney_extend must: no site, or a support
+    finer than the resolution."""
     reps = J.reps()
-    points = enumerate_cosets(domain, resolution)
     sites = []
-    for y in points:
+    for y in enumerate_cosets(domain, resolution):
         d = dist_exp(J.A, y)
         if d is None:
             continue
@@ -115,8 +117,8 @@ def glue(J, domain, resolution, s0=2):
             sites.append((y, e))
     if not sites:
         raise PadicError("A covers the domain: no sites")
-    out = {}
-    for x in points:
+
+    def value(x):
         if dist_exp(J.A, x) is None:
             _, polys = J.jet_at(x)
         else:
@@ -125,20 +127,24 @@ def glue(J, domain, resolution, s0=2):
             if len(hits) != 1:
                 raise PadicError("partition property violated")
             _, polys = J.jets[nearest_rep_index(reps, hits[0])]
-        out[coset_key(x, resolution)] = J.evaluate_jet(polys, x)
-    return out
+        return J.evaluate_jet(polys, x)
+
+    return value
 
 
-def evaluate_sum_form(g, x):
-    """The partition-sum form of a WhitneyExtension g at x: the jet at x
-    on A; off A, P_psi(y)(x) summed over every support site y that
-    contains x, without assuming the partition property, so it
-    cross-checks g's single-site evaluation."""
-    if g.family.h.dist_exp(x) is None:
-        return g(x)
-    total = PAdicVector.zero(g.p, g.jets.n)
-    for i in g.family.support_indices(x):
-        total = total + g.jets.evaluate_jet(g._psi_jet(i), x)
+def evaluate_sum_form(J, fam, x):
+    """The partition-sum form of the glue of J over the support family
+    fam at x: the jet at x on A; off A, P_psi(y)(x) summed over every
+    support site y that contains x, psi(y) the first representative
+    nearest y by a full scan.  It assumes no partition property, so it
+    cross-checks the nearest-jet glue."""
+    if dist_exp(J.A, x) is None:
+        _, polys = J.jet_at(x)
+        return J.evaluate_jet(polys, x)
+    total = PAdicVector.zero(J.p, J.n)
+    for i in fam.support_indices(x):
+        _, polys = J.jets[nearest_rep_index(J.reps(), fam.sites[i])]
+        total = total + J.evaluate_jet(polys, x)
     return total
 
 
