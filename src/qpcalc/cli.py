@@ -336,13 +336,16 @@ def cmd_decompose(args) -> int:
     val_floor = min(v.val for v in nonzero)
     ys = decompose_default_ys(p, val_floor, args.tol_exp - val_floor)
     terms = decompose_series(f, ys, args.tol_exp)
-    residual = Fraction(0)
+    worst = None            # least valuation of a residual; None: all zero
     for i, fv in enumerate(values):
         acc = PAdicNumber.zero(p)
         for y, a in terms:
             if not a.values[i][0].is_zero():
                 acc = acc + y
-        residual = max(residual, (fv - acc).norm())
+        v = (fv - acc).val
+        if v is not None and (worst is None or v < worst):
+            worst = v
+    residual = Fraction(0) if worst is None else Fraction(p) ** -worst
     print(f"{len(terms)} terms, max residual {residual}"
           f" (tolerance {Fraction(p) ** -args.tol_exp})")
     if args.out:
@@ -553,6 +556,10 @@ def _identity_item(p: int, prec: int, seed: int, index: int) -> dict:
 
 
 def cmd_identities(args) -> int:
+    if args.samples < 0:
+        raise PadicError(f"--samples must be at least 0, got {args.samples}")
+    if args.jobs < 1:
+        raise PadicError(f"--jobs must be at least 1, got {args.jobs}")
     indices = range(args.samples)
     runner = lambda i: _identity_item(args.p, args.prec, args.seed, i)
     if args.jobs > 1:

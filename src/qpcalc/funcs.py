@@ -182,17 +182,18 @@ class Neg(Expr):
 class ChBall(Expr):
     """Indicator of a ball, applied to the whole input vector."""
 
-    __slots__ = ("ball",)
+    __slots__ = ("ball", "_one", "_zero")
 
     def __init__(self, ball: Ball):
         self.ball = ball
+        # values are immutable, so every evaluation returns these two
+        self._one = PAdicNumber.from_int(ball.p, 1)
+        self._zero = PAdicNumber.zero(ball.p)
 
     def eval(self, x):
         if x.dim != self.ball.dim:
             raise PadicError("indicator dimension mismatch")
-        if self.ball.contains(x):
-            return PAdicNumber.from_int(self.ball.p, 1)
-        return PAdicNumber.zero(self.ball.p)
+        return self._one if self.ball.contains(x) else self._zero
 
     def max_coord(self):
         return self.ball.dim - 1
@@ -625,8 +626,7 @@ def _indicator_at(ball: Ball, x: PAdicVector) -> int:
     if x.dim != ball.dim:
         raise PadicError("indicator dimension mismatch")
     r = ball.rad_exp
-    diffs = [a - c for a, c in zip(x.coords, ball.center.coords)]
-    if any(d.val is not None and d.val < r for d in diffs):
+    if not ball.contains(x):
         return 0
     if any(c.abs_window() is not None and c.abs_window() < r
            for c in x.coords + ball.center.coords):

@@ -318,9 +318,12 @@ class GridFunction:
     tabulated on canonical representatives.  Values live in Q_p^n.
 
     values[i] is the value on the coset of reps[i]; the coset-key index is
-    read only by evaluate(x), for points that are not representatives."""
+    read only by evaluate(x), for points that are not representatives.
+    Grids derived by with_values share reps, the index and the JSON rows
+    of reps, which to_json builds on first use."""
 
-    __slots__ = ("domain", "resolution", "dims", "reps", "values", "_index")
+    __slots__ = ("domain", "resolution", "dims", "reps", "values", "_index",
+                 "_rep_rows")
 
     def __init__(self, domain: Ball, resolution: int, pairs):
         # a centre known to rad_exp digits makes domain.contains exact for
@@ -358,6 +361,7 @@ class GridFunction:
         self.reps = reps
         self.values = values
         self._index = index
+        self._rep_rows = []
 
     @property
     def p(self) -> int:
@@ -373,8 +377,9 @@ class GridFunction:
         """The function on the same grid with values[i] on the coset of
         reps[i]: the grid and its index are shared, not checked again."""
         g = object.__new__(type(self))
-        g.domain, g.resolution, g.reps, g._index = \
-            self.domain, self.resolution, self.reps, self._index
+        g.domain, g.resolution, g.reps, g._index, g._rep_rows = \
+            self.domain, self.resolution, self.reps, self._index, \
+            self._rep_rows
         g.values = list(values)
         g.dims = (self.domain.dim, g.values[0].dim)
         return g
@@ -392,11 +397,20 @@ class GridFunction:
         return v[0]
 
     def to_json(self):
+        rows = self._rep_rows
+        if not rows:
+            rows.extend(rep.to_json() for rep in self.reps)
+        texts = {}          # id of a value object -> its JSON, once per call
+        table = []
+        for row, value in zip(rows, self.values):
+            text = texts.get(id(value))
+            if text is None:
+                text = texts[id(value)] = value.to_json()
+            table.append([row, text])
         return {"domain": self.domain.to_json(),
                 "resolution": self.resolution,
                 "dims": list(self.dims),
-                "table": [[rep.to_json(), value.to_json()]
-                          for rep, value in zip(self.reps, self.values)]}
+                "table": table}
 
     @classmethod
     def from_json(cls, obj) -> "GridFunction":
@@ -644,13 +658,14 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
 
     # each coset is consumed by exactly one net value: the truncation of its
     # residual at the net's absolute depth (its ≺-floor), a nonzero value of
-    # the complete net, so a member of ys
+    # the complete net, so a member of ys.  A nonzero rational p^val * unit
+    # with p not dividing unit is named by (val, unit).
     cut = val_floor + depth
     groups = {}
     for i, r in enumerate(residual):
         t = truncate(r, cut)
         if not t.is_zero():
-            groups.setdefault(t.as_fraction(), []).append(i)
+            groups.setdefault((t.val, t.unit), []).append(i)
 
     one = PAdicVector([PAdicNumber.from_int(p, 1)])
     zero = PAdicVector([PAdicNumber.zero(p)])
@@ -658,7 +673,7 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
     for y in ys:
         if y.is_zero():
             continue
-        members = groups.get(y.as_fraction())
+        members = groups.get((y.val, y.unit))
         if not members:
             continue
         indicator = [zero] * len(residual)

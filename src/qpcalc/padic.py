@@ -593,6 +593,37 @@ def unit_vector(p: int, m: int, i: int, prec: int | None = None) -> PAdicVector:
 
 # -- balls -------------------------------------------------------------------
 
+def _agree_below(x: PAdicVector, y: PAdicVector, k: int) -> bool:
+    """Whether x - y is the zero sentinel or has valuation >= k, decided
+    from the digits below k without building the difference.
+
+    Per coordinate, with v the lesser valuation, the difference that
+    _combine would build is p^v * s truncated below the shorter absolute
+    window w, s = a.unit * p^(a.val - v) - b.unit * p^(b.val - v); it
+    passes iff p^(min(k, w) - v) divides s.  A zero coordinate leaves the
+    other one's valuation, which passes iff it is at least k."""
+    xs = x.coords
+    if not isinstance(y, PAdicVector) or len(xs) != len(y.coords):
+        raise PadicError("dimension mismatch")
+    p = xs[0].p
+    if y.coords[0].p != p:
+        raise PadicError(f"prime mismatch: {p} vs {y.coords[0].p}")
+    for a, b in zip(xs, y.coords):
+        if b.val is None:
+            if a.val is not None and a.val < k:
+                return False
+        elif a.val is None:
+            if b.val < k:
+                return False
+        else:
+            v = min(a.val, b.val)
+            n = min(k, a.val + a.prec, b.val + b.prec) - v
+            if n > 0 and (a.unit * p ** (a.val - v)
+                          - b.unit * p ** (b.val - v)) % p ** n:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed ball B(center, p^(-rad_exp)) in Q_p^m (clopen; any member is a center)."""
@@ -611,13 +642,12 @@ class Ball:
         return Fraction(self.p) ** (-self.rad_exp)
 
     def contains(self, x: PAdicVector) -> bool:
-        v = (x - self.center).val
-        return v is None or v >= self.rad_exp
+        return _agree_below(x, self.center, self.rad_exp)
 
     def relation(self, other: "Ball") -> str:
         """'equal' | 'disjoint' | 'nested' — the ultrametric trichotomy."""
-        v = (self.center - other.center).val
-        if v is not None and v < min(self.rad_exp, other.rad_exp):
+        if not _agree_below(self.center, other.center,
+                            min(self.rad_exp, other.rad_exp)):
             return "disjoint"
         if self.rad_exp == other.rad_exp:
             return "equal"

@@ -163,13 +163,13 @@ class PartitionFamily:
         self.h = h
         self.resolution = resolution
         for y in sites:
-            if not self.admit(y):
+            if not self.admit(y, h.support_exp(y)):
                 raise PadicError(f"site {len(self.sites)} repeats the "
                                  f"support of an earlier site")
 
-    def admit(self, y: PAdicVector) -> bool:
-        """Add y as a site unless an admitted support has y's key."""
-        e = self.h.support_exp(y)
+    def admit(self, y: PAdicVector, e: int) -> bool:
+        """Add y as a site unless an admitted support has y's key; e is
+        h.support_exp(y), which the caller has computed."""
         key = (e, coset_key(y, e))
         if key in self._index:
             return False
@@ -224,7 +224,7 @@ def disjoint_ball_family(reps, h: RadiusFunction,
             raise PadicError(
                 "resolution too coarse for the support radii: need "
                 f"K >= {e}")
-        fam.admit(y)
+        fam.admit(y, e)
     for y in reps:
         fam.site_index_for(y)   # raises unless exactly one support hits
     return fam

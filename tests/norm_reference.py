@@ -11,6 +11,10 @@ through Fraction powers of p, and |u| <= C*|w|^r is tested by raising
 PPow magnitudes to Fraction powers (ppow_le_scaled).
 test_valuations.py requires the integer-valuation versions in qpcalc to
 agree with them; the other references use ppow_le_scaled as the test.
+
+contains_by_subtraction and relation_by_subtraction are the ball tests
+that read the valuation of the whole difference vector x - centre, before
+membership was read off the digits below the radius.
 """
 
 from fractions import Fraction
@@ -45,6 +49,20 @@ def relation(a, b):
     if d > max(r1, r2):
         return "disjoint"
     if r1 == r2:
+        return "equal"
+    return "nested"
+
+
+def contains_by_subtraction(ball, x):
+    v = (x - ball.center).val
+    return v is None or v >= ball.rad_exp
+
+
+def relation_by_subtraction(a, b):
+    v = (a.center - b.center).val
+    if v is not None and v < min(a.rad_exp, b.rad_exp):
+        return "disjoint"
+    if a.rad_exp == b.rad_exp:
         return "equal"
     return "nested"
 

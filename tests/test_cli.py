@@ -480,6 +480,28 @@ def test_identities_byte_identical_across_jobs(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--samples", "-5"], "--samples"),
+    (["--samples", "-1", "--jobs", "2"], "--samples"),
+    (["--jobs", "0"], "--jobs"),
+    (["--jobs", "-3"], "--jobs")])
+def test_identities_refuses_invalid_counts(capsys, tmp_path, argv, flag):
+    """A negative sample count once printed "chain: 0/-5 exact" and exited
+    0, and a job count below 1 ran as if it were 1."""
+    out_path = tmp_path / "ids.json"
+    code, out, err = run(capsys, "identities", "--seed", "1", *argv,
+                         "--out", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be")
+
+
+def test_identities_accepts_zero_samples(capsys):
+    code, out, _ = run(capsys, "identities", "--seed", "1", "--samples", "0")
+    assert code == 0
+    assert "chain: 0/0 exact" in out
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -96,6 +96,73 @@ def test_ball_relation_matches_fraction_norms(data):
     assert b.relation(a) == ref.relation(b, a)
 
 
+@st.composite
+def rewindowed(draw, center):
+    """center + p^j * u per coordinate as an exact rational, given a fresh
+    window of 1..8 digits: a point known to more digits than the centre,
+    or to fewer."""
+    p = center.p
+    j = draw(st.integers(-2, 6))
+    coords = []
+    for c in center.coords:
+        q = c.as_fraction() + draw(st.integers(0, p**2)) * Fraction(p) ** j
+        coords.append(PAdicNumber.from_fraction(p, q,
+                                                prec=draw(st.integers(1, 8))))
+    return PAdicVector(coords)
+
+
+@given(st.data())
+@SETTINGS
+def test_ball_membership_matches_subtraction(data):
+    """contains and relation decide each coordinate from the digits below
+    the radius; the subtraction forms read the valuation of the whole
+    difference vector.  Q_2 to Q_7, zero coordinates, negative valuations,
+    and windows of the point and of the centre both shorter and longer
+    than the radius exponent."""
+    p, m = data.draw(st.sampled_from([2, 3, 5, 7])), data.draw(st.integers(1, 3))
+    ball = Ball(data.draw(vectors(p, m)), data.draw(st.integers(-4, 10)))
+    points = st.one_of(near(ball.center), rewindowed(ball.center))
+    for _ in range(4):
+        x = data.draw(points)
+        assert ball.contains(x) == ref.contains_by_subtraction(ball, x)
+    other = Ball(data.draw(points), data.draw(st.integers(-4, 10)))
+    assert ball.relation(other) == ref.relation_by_subtraction(ball, other)
+    assert other.relation(ball) == ref.relation_by_subtraction(other, ball)
+
+
+def test_ball_membership_pins():
+    # 1e0@5 is known only mod 5, where it agrees with the centre 6: the
+    # observed difference collapses to zero, so the point counts as inside
+    short = PAdicVector([PAdicNumber.from_int(5, 1, prec=1)])
+    ball = Ball(PAdicVector.from_ints(5, [6]), 3)
+    assert ball.contains(short) and ref.contains_by_subtraction(ball, short)
+    # zero coordinates on either side: the other's valuation decides
+    zero = PAdicVector.zero(5, 2)
+    deep = PAdicVector([PAdicNumber.zero(5), PAdicNumber.from_int(5, 25)])
+    assert Ball(zero, 2).contains(deep) and not Ball(zero, 3).contains(deep)
+    assert Ball(deep, 2).contains(zero) and not Ball(deep, 3).contains(zero)
+    assert Ball(zero, 9).contains(zero)
+
+
+@pytest.mark.parametrize("x", [
+    PAdicVector.from_ints(5, [1]),
+    PAdicVector.from_ints(5, [1, 2, 3]),
+    PAdicVector.from_ints(3, [1, 2]),
+    PAdicVector.zero(7, 2)])
+def test_ball_membership_mismatch_raises(x):
+    ball = Ball(PAdicVector.from_ints(5, [1, 2]), 1)
+    other = Ball(x, 1)
+    for new, old in ((lambda: ball.contains(x),
+                      lambda: ref.contains_by_subtraction(ball, x)),
+                     (lambda: ball.relation(other),
+                      lambda: ref.relation_by_subtraction(ball, other))):
+        with pytest.raises(PadicError) as got:
+            new()
+        with pytest.raises(PadicError) as expected:
+            old()
+        assert str(got.value) == str(expected.value)
+
+
 @given(st.data())
 @SETTINGS
 def test_nearest_point_matches_scan(data):
