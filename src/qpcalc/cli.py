@@ -43,13 +43,15 @@ from .measure import (
     DEFAULT_CAP,
     GridFunction,
     ResourceCapExceeded,
+    _check_cap,
     ap_limit,
     decompose_default_ys,
     decompose_series,
+    density_levels,
     union_density,
 )
 from .padic import (WORKING_PREC, Ball, PAdicNumber, PAdicVector, PadicError,
-                    parse_literal)
+                    frac_str, parse_literal)
 from .quotients import (
     QuotientPoint,
     chain_rule_check,
@@ -284,8 +286,10 @@ def cmd_taylor(args) -> int:
 def cmd_density(args) -> int:
     balls = _ball_union(args.set, args.p, args.prec)
     x = _vector(args.at, args.p, args.prec)
-    est = union_density(balls, x, _levels(args.levels),
-                        resolution=args.resolution, cap=args.cap)
+    # the cap bounds the p^(m*(res-j)) totals printed; no coset is listed
+    js, res = density_levels(_levels(args.levels), args.resolution)
+    _check_cap(x.p ** (x.dim * (res - js[0])), args.cap)
+    est = union_density(balls, x, js, resolution=res)
     for j, count, total in est.ratios:
         print(f"j={j}: {Fraction(count, total)} ({count}/{total})")
     print(f"verdict: {est.verdict}")
@@ -305,7 +309,8 @@ def cmd_aplimit(args) -> int:
         p = args.p
     x = _vector(args.x, p, args.prec)
     candidate = _vector(args.value, p, args.prec)
-    verdict, est = ap_limit(f, x, candidate, Fraction(args.eps),
+    eps = Fraction(args.eps)
+    verdict, est = ap_limit(f, x, candidate, eps,
                             _levels(args.levels), resolution=args.resolution)
     for j, count, total in est.ratios:
         print(f"j={j}: off-target density {Fraction(count, total)}"
@@ -314,7 +319,7 @@ def cmd_aplimit(args) -> int:
     if args.out:
         _write_json(args.out, {"verb": "aplimit", "verdict": verdict,
                                "candidate": candidate.to_json(),
-                               "eps": args.eps,
+                               "eps": frac_str(eps),
                                "ratios": [list(r) for r in est.ratios],
                                "density_verdict": est.verdict})
     return EXIT_OK
@@ -391,7 +396,8 @@ def cmd_extend(args) -> int:
 
 def cmd_cheb(args) -> int:
     H = WeightedSiteSet.from_json(_read_json(args.infile))
-    result = chebyshev_radius(H, Fraction(args.r))
+    r = Fraction(args.r)
+    result = chebyshev_radius(H, r)
     if result.zero_radius:
         print("c = 0 (all centers coincide)")
     else:
@@ -399,7 +405,7 @@ def cmd_cheb(args) -> int:
         print(f"c = {H.p}^{e}  (tight at sites {list(result.tight)})")
     print(f"q = {_fmt(result.q)}")
     if args.out:
-        _write_json(args.out, {"verb": "cheb", "r": args.r,
+        _write_json(args.out, {"verb": "cheb", "r": frac_str(r),
                                **result.to_json()})
     return EXIT_OK
 
@@ -432,7 +438,7 @@ def _whitney_glue(J: JetField, args):
     domain = Ball(PAdicVector.zero(J.p, J.m), 0) if args.domain is None \
         else _ball(args.domain, J.p, args.prec)
     resolution = J.resolution if args.resolution is None else args.resolution
-    return whitney_extend(J, domain, resolution, cap=args.cap)
+    return whitney_extend(J, domain, resolution)
 
 
 def cmd_whitney_build(args) -> int:
@@ -468,7 +474,7 @@ def cmd_whitney_verify(args) -> int:
     for order in orders:
         rng = random.Random(f"{args.seed}:{order}")
         samples += sample_quotient_points(J, order, args.samples, rng)
-    rows = verify_whitney(g, J, samples, zeta=args.zeta)
+    rows = verify_whitney(g, J, samples)
     for row in rows:
         print(f"order {row.order}: {row.samples} samples, observed "
               f"{row.observed}, bound {row.bound}, "
@@ -734,7 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     act.add_argument("--x", required=True)
     act.add_argument("--domain", default=None)
     act.add_argument("--resolution", type=int, default=None)
-    act.add_argument("--cap", type=int, default=DEFAULT_CAP)
     act.set_defaults(func=cmd_whitney_eval)
 
     act = actions.add_parser("verify",
@@ -745,10 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="quotient points per order")
     act.add_argument("--seed", type=int, required=True)
     act.add_argument("--orders", default=None, help="default: all j <= k")
-    act.add_argument("--zeta", type=int, default=1)
     act.add_argument("--domain", default=None)
     act.add_argument("--resolution", type=int, default=None)
-    act.add_argument("--cap", type=int, default=DEFAULT_CAP)
     act.set_defaults(func=cmd_whitney_verify)
 
     sub = verbs.add_parser("scan",

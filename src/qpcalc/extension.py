@@ -82,10 +82,6 @@ class SampleSet:
     def m(self) -> int:
         return self.points[0][0].dim
 
-    @property
-    def n(self) -> int:
-        return self.points[0][1].dim
-
     def sites(self):
         return [s for s, _ in self.points]
 
@@ -341,16 +337,6 @@ class PackingResult:
     card_bound: Fraction
     ratio_bounds: tuple      # (lower, upper) as Fractions
     violations: tuple
-
-    def to_json(self):
-        return {
-            "ratio_ok": self.ratio_ok, "card_ok": self.card_ok,
-            "g_x": list(self.g_x),
-            "card": len(self.g_x),
-            "card_bound": frac_str(self.card_bound),
-            "ratio_bounds": [frac_str(b) for b in self.ratio_bounds],
-            "violations": list(self.violations),
-        }
 
 
 def _packing_setup(G, h, b, alpha, beta):

@@ -329,14 +329,6 @@ class LinearMap:
         self.rows = rows
 
     @property
-    def p(self) -> int:
-        return self.rows[0][0].p
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
     def m(self) -> int:
         return len(self.rows[0])
 
@@ -436,20 +428,6 @@ class MultiPoly:
                              {e: c * other for e, c in self.terms.items()})
         self._check(other)
         return MultiPoly(self.m, _mul_terms(self.terms, other.terms))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise PadicError("negative polynomial power")
-        out = MultiPoly.const(self.m, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.m == other.m

@@ -277,40 +277,23 @@ def _scaled(x: PAdicVector, v: int) -> list:
             for c in x.coords]
 
 
-def coset_levels(b: Ball, resolution: int, x: PAdicVector | None = None) -> list:
+def coset_levels(b: Ball, resolution: int) -> list:
     """levels[n]: the level at which the n-th coset of
-    enumerate_cosets(b, resolution) leaves the coset of x, a point of b
-    (default the centre), that is min(resolution, the valuation of its
-    offset from x); so the cosets of B(x, p^-j) are those with level >= j.
+    enumerate_cosets(b, resolution) leaves the coset of the centre, that
+    is min(resolution, the valuation of its offset from the centre); so the
+    cosets of B(centre, p^-j) are those with level >= j.
 
     Read from the enumeration digits, not by subtracting points: within a
     coordinate, coset t has offset digits d_0..d_(n-1) at p^k..p^(k+n-1)
     (k = rad_exp, n = resolution - k) with t = sum d_i p^(n-1-i), so the
-    cosets sharing the first i digits of x's own coset form a block of
-    p^(n-i) consecutive numbers."""
+    cosets sharing the first i digits of the centre's coset (t = 0) form a
+    block of p^(n-i) consecutive numbers."""
     p, k = b.p, b.rad_exp
     n = resolution - k
-    if x is None:
-        at = [0] * b.dim
-    else:
-        v = _least_val(b.center, k)
-        at = []
-        for base, here in zip(_scaled(b.center, v), _scaled(x, v)):
-            off = (here - base) // p ** (k - v) % p ** n
-            t = 0
-            for _ in range(n):
-                off, d = divmod(off, p)
-                t = t * p + d
-            at.append(t)
-    columns = []
-    for t in at:
-        col = [0] * p ** n
-        for i in range(n + 1):          # coarse blocks first, finer ones over
-            size = p ** (n - i)
-            start = t - t % size
-            col[start:start + size] = [k + i] * size
-        columns.append(col)
-    return [min(ls) for ls in itertools.product(*columns)]
+    col = [0] * p ** n
+    for i in range(n + 1):              # coarse blocks first, finer ones over
+        col[:p ** (n - i)] = [k + i] * p ** (n - i)
+    return [min(ls) for ls in itertools.product(*[col] * b.dim)]
 
 
 class GridFunction:
@@ -441,13 +424,12 @@ class DensityEstimate:
     ratios: list of (j, count, total) — mu(S_j ∩ A)/mu(S_j) = count/total at
     S_j = B(x, p^-j), counted over every radius-p^-res coset of S_j.
     verdict is one of 'converges-to-0' / 'converges-to-1' / 'inconclusive'
-    under the decay profile ratio_j <= p^-(j-j0) on the last three
-    resolutions.
+    under the decay profile ratio_j <= p^-(j-j0), j0 the coarsest level,
+    on the last three resolutions.
     """
     ratios: tuple
     verdict: str
     p: int
-    decay_from: int
 
     def csv_rows(self):
         return [(j, c, t) for j, c, t in self.ratios]
@@ -483,25 +465,22 @@ def density_levels(j_range, resolution: int | None = None):
     return js, res
 
 
-def level_estimate(p: int, m: int, js, res: int, hits: Counter,
-                   decay_from: int | None = None) -> DensityEstimate:
+def level_estimate(p: int, m: int, js, res: int,
+                   hits: Counter) -> DensityEstimate:
     """The DensityEstimate of a set of which hits[L] cosets of B(x, p^-js[0])
     leave x at level L (coset_levels): level j counts those with L >= j,
     out of the p^(m*(res-j)) cosets of B(x, p^-j)."""
     return _estimate(p, m, js, res,
-                     [sum(c for L, c in hits.items() if L >= j) for j in js],
-                     decay_from)
+                     [sum(c for L, c in hits.items() if L >= j) for j in js])
 
 
-def _estimate(p: int, m: int, js, res: int, counts,
-              decay_from: int | None = None) -> DensityEstimate:
+def _estimate(p: int, m: int, js, res: int, counts) -> DensityEstimate:
     entries = [(j, c, p ** (m * (res - j))) for j, c in zip(js, counts)]
-    j0 = js[0] if decay_from is None else decay_from
-    return DensityEstimate(tuple(entries), _verdict(p, entries, j0), p, j0)
+    return DensityEstimate(tuple(entries), _verdict(p, entries, js[0]), p)
 
 
 def density_at(indicator, x: PAdicVector, j_range, resolution: int | None = None,
-               cap: int = DEFAULT_CAP, decay_from: int | None = None) -> DensityEstimate:
+               cap: int = DEFAULT_CAP) -> DensityEstimate:
     """Exact density ratios of {indicator} in B(x, p^-j) for j in j_range.
 
     The balls are nested, so the coarsest is enumerated once, the indicator
@@ -516,12 +495,11 @@ def density_at(indicator, x: PAdicVector, j_range, resolution: int | None = None
     levels = coset_levels(b, res)
     hits = Counter(L for L, z in zip(levels, enumerate_cosets(b, res, cap=cap))
                    if indicator(z))
-    return level_estimate(x.p, x.dim, js, res, hits, decay_from)
+    return level_estimate(x.p, x.dim, js, res, hits)
 
 
 def union_density(balls, x: PAdicVector, j_range,
-                  resolution: int | None = None,
-                  cap: int = DEFAULT_CAP) -> DensityEstimate:
+                  resolution: int | None = None) -> DensityEstimate:
     """density_at(lambda z: any(b.contains(z) for b in balls), x, ...),
     counted on the coset tree instead of by enumeration.
 
@@ -534,12 +512,10 @@ def union_density(balls, x: PAdicVector, j_range,
     k, c_i's window and z_i's, which below the resolution is decided by
     the digits the coset fixes.  A coset at the resolution that a ball
     still splits is its canonical representative's, tested with contains
-    as enumeration would.  `cap` bounds each level's coset count, as for
-    density_at, although nothing is enumerated.
+    as enumeration would.  Nothing is enumerated, so nothing is capped.
     """
     js, res = density_levels(j_range, resolution)
     p, m = x.p, x.dim
-    _check_cap(p ** (m * (res - js[0])), cap)
     for b in balls:
         if b.dim != m:
             raise PadicError("dimension mismatch")

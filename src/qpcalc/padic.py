@@ -253,14 +253,6 @@ class PAdicNumber:
             return b
         return b / self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise PadicError("negative powers: divide explicitly")
-        out = PAdicNumber.from_int(self.p, 1, prec=max(self.prec, 1))
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -514,9 +506,6 @@ class PAdicVector:
     def __getitem__(self, i):
         return self.coords[i]
 
-    def __len__(self):
-        return len(self.coords)
-
     def __iter__(self):
         return iter(self.coords)
 
@@ -732,9 +721,6 @@ class PPow:
 
     def __gt__(self, other):
         return other < self
-
-    def __ge__(self, other):
-        return other <= self
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; only for integral exponents."""

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .funcs import LinearMap, MultiPoly, SymbolicFunction, local_jet
 from .measure import (DEFAULT_CAP, CosetTree, DensityEstimate, GridFunction,
-                      coset_key, coset_levels, density_levels,
-                      enumerate_cosets, first_gaps, gap_val, level_estimate)
+                      coset_key, density_levels, enumerate_cosets,
+                      first_gaps, gap_val, level_estimate)
 from .padic import (
     Ball,
     PAdicNumber,
@@ -201,10 +201,6 @@ class IdentityCheck:
     rhs: PAdicVector
     equal: bool
 
-    def to_json(self):
-        return {"lhs": self.lhs.to_json(), "rhs": self.rhs.to_json(),
-                "equal": self.equal}
-
 
 def _identity(lhs: PAdicVector, rhs: PAdicVector) -> IdentityCheck:
     return IdentityCheck(lhs, rhs, all(c.is_zero() for c in (lhs - rhs).coords))
@@ -313,7 +309,9 @@ def holder_scan(f: GridFunction, r) -> HolderScan:
 
     The pairs split across the children of a level-L coset C are at distance
     p^-L, so the maximum is that of p^(L*r) * diam f(C) over the branching
-    cosets of the grid's CosetTree: O(N*K) subtractions.  The witness is the
+    cosets of the grid's CosetTree: O(N*K) subtractions.  Representatives
+    are known to at least the resolution and distinct there, so every pair
+    splits at some coset and the tree has no leaves.  The witness is the
     first pair in (i, j) order attaining it, as an all-pairs loop with a
     strict comparison would report."""
     r = Fraction(r)
@@ -334,16 +332,6 @@ def holder_scan(f: GridFunction, r) -> HolderScan:
             # the pairs at the largest gap v all split here: a pair inside
             # one child is closer and would make a larger ratio
             attaining += first_gaps(values, members, children, v, 1)
-    for leaf in tree.leaves():
-        for a, i in enumerate(leaf):
-            for j in leaf[a + 1:]:
-                ratio = _pair_ratio(f, i, j, r)
-                if ratio.exp is None:
-                    continue
-                if ratio > best:
-                    best, attaining = ratio, []
-                if ratio == best:
-                    attaining.append((i, j))
     witness = None
     if attaining:
         i, j = min(attaining)
@@ -369,14 +357,6 @@ class ApDerivative:
     def verdict(self) -> str:
         return self.estimate.verdict
 
-    def to_json(self):
-        return {
-            "linear_map": self.linear_map.to_json(),
-            "verdict": self.verdict,
-            "eps": [self.eps.numerator, self.eps.denominator],
-            "bad_set_ratios": self.estimate.csv_rows(),
-        }
-
 
 def _gradient_map(f: SymbolicFunction, x: PAdicVector) -> LinearMap:
     """The exact gradient at x of f's local normal form."""
@@ -398,8 +378,10 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     Points in one level-j_min coset share the ball B(x, p^-j_min), so it is
     enumerated once at `resolution` and f is evaluated once per coset of
     it (when a point first needs it), the values stored by position; each
-    point's bad set is counted over that one list, every coset at the
-    levels it has not left the point by (coset_levels).  Only one ball's
+    point's bad set is counted over that one list, every coset z at the
+    levels it has not left the point by, min(resolution, val(z - x)): a
+    counted z - x is nonzero at its window, so its valuation lies below
+    both windows and is exact.  Only one ball's
     table is held at a time, so `cap` and memory stay per ball."""
     eps = Fraction(eps)
     if not points:
@@ -423,7 +405,7 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
                 reps = enumerate_cosets(ball, res, cap=cap)
                 values = [None] * len(reps)
             hits = Counter()
-            for n, (z, L) in enumerate(zip(reps, coset_levels(ball, res, x))):
+            for n, z in enumerate(reps):
                 dz = z - x
                 if dz.val is None:
                     continue
@@ -431,7 +413,7 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
                     values[n] = f(z)
                 err = values[n] - fx - t.apply(dz)
                 if not tolerance.holds(err.val, dz.val):
-                    hits[L] += 1
+                    hits[min(res, dz.val)] += 1
             out[i] = ApDerivative(linear_map=t, eps=eps,
                                   estimate=level_estimate(p, m, js, res, hits))
     return out

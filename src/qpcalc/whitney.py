@@ -389,7 +389,7 @@ def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
 # ---------------------------------------------------------------------------
 
 def _quotient_bound(Q: MultiPoly, z: PAdicVector, order: int,
-                    zeta: int = 1) -> PPow:
+                    zeta: int) -> PPow:
     """Ultrametric bound for the order-j difference quotient of Q at z,
     over unit directions and increments of norm <= p^(-zeta).
 
@@ -428,10 +428,10 @@ def _jet_signature(polys) -> tuple:
     return tuple(tuple(sorted(poly.terms.items())) for poly in polys)
 
 
-def jet_compat_modulus(J: JetField, delta: Fraction,
-                       zeta: int = 1) -> PPow:
+def jet_compat_modulus(J: JetField, delta: Fraction) -> PPow:
     """rho(S, delta): the worst scaled jet disagreement over representative
-    pairs within delta, all orders j <= k, as an exact power-of-p bound.
+    pairs within delta, all orders j <= k, as an exact power-of-p bound,
+    over the increments |t| <= p^-INCREMENT_EXP that the sampler draws.
 
     The pairs within delta are the pairs in a level-D ball of the
     representatives' CosetTree, and pairs with equal jets contribute
@@ -462,9 +462,10 @@ def jet_compat_modulus(J: JetField, delta: Fraction,
                 if Q.is_zero():
                     continue
                 for j in range(J.k + 1):
-                    bound = _quotient_bound(Q, z, j, zeta)
+                    bound = _quotient_bound(Q, z, j, INCREMENT_EXP)
                     if j:       # order 0 does not depend on the point
-                        bound = max(bound, _quotient_bound(Q, x, j, zeta))
+                        bound = max(bound,
+                                    _quotient_bound(Q, x, j, INCREMENT_EXP))
                     scaled = bound * dpow.pow_frac(Fraction(j - J.k))
                     best = max(best, scaled)
     return best
@@ -502,20 +503,20 @@ class WhitneyExtension:
         return self.jets.evaluate_jet(polys, x)
 
 
-def whitney_extend(J: JetField, domain: Ball, resolution: int,
-                   cap: int = DEFAULT_CAP) -> WhitneyExtension:
+def whitney_extend(J: JetField, domain: Ball,
+                   resolution: int) -> WhitneyExtension:
     """The glued extension of J over the domain at the given resolution,
     refused where the support family over domain \\ A has no site (A
     covers every domain coset) or a support finer than the resolution:
     some y off A needs e(y) = s0 + 1 + max(0, D(y)) > resolution exactly
     when T = resolution - s0 <= 0 or y is within p^-T of a centre of A.
-    Both are counted by union_density; `cap` bounds the domain's cosets."""
+    Both are counted by union_density, which enumerates no coset."""
     h = build_h(J.A, J.p)
     T = resolution - h.s0
 
     def covered(balls) -> int:         # domain cosets the balls cover
         return union_density(balls, domain.center, [domain.rad_exp],
-                             resolution, cap).ratios[0][1]
+                             resolution).ratios[0][1]
 
     inside = covered(J.A)
     if not J.A:
@@ -547,8 +548,13 @@ class WhitneyErrorRow:
                 "dominated": self.dominated}
 
 
+#: the least exponent e of a sampled increment t = p^e: verify_whitney's
+#: bound holds for |t| <= p^-INCREMENT_EXP, so t_exps stay at or above it
+INCREMENT_EXP = 1
+
+
 def sample_quotient_points(J: JetField, order: int, count: int, rng,
-                           t_exps=(1, 2, 3)) -> list:
+                           t_exps=(INCREMENT_EXP, 2, 3)) -> list:
     """Random (z; v; t) with z a jet representative, |v_i| = 1, |t_i| < 1."""
     p = J.p
     m = J.m
@@ -568,7 +574,7 @@ def sample_quotient_points(J: JetField, order: int, count: int, rng,
     return out
 
 
-def verify_whitney(g, J: JetField, samples, zeta: int = 1) -> list:
+def verify_whitney(g, J: JetField, samples) -> list:
     """Per order j <= k: max over the given quotient points of
     |phi^j g - phi^j P_z| (z the point's base), against the decay estimate
     p^j * rho(delta) * |x - z|^(k-j) with delta the largest increment span
@@ -598,8 +604,7 @@ def verify_whitney(g, J: JetField, samples, zeta: int = 1) -> list:
             if span is None:
                 continue
             if span not in rho_cache:
-                rho_cache[span] = jet_compat_modulus(
-                    J, Fraction(p) ** -span, zeta)
+                rho_cache[span] = jet_compat_modulus(J, Fraction(p) ** -span)
             # p^j * rho * |span|^(k-j)
             bound = max(bound, PPow(p, j - span * (J.k - j)) * rho_cache[span])
         observed = PPow.from_val(p, min(

@@ -16,7 +16,7 @@ from qpcalc.quotients import _VALUE_PREC, ApDerivative, StepanoffScan
 
 
 def density_at(indicator, x: PAdicVector, j_range, resolution=None,
-               cap=DEFAULT_CAP, decay_from=None) -> DensityEstimate:
+               cap=DEFAULT_CAP) -> DensityEstimate:
     """Exact density ratios of {indicator} in B(x, p^-j) for j in j_range."""
     js = sorted(j_range)
     if not js:
@@ -30,8 +30,7 @@ def density_at(indicator, x: PAdicVector, j_range, resolution=None,
         reps = enumerate_cosets(Ball(x, j), res, cap=cap)
         count = sum(1 for r in reps if indicator(r))
         entries.append((j, count, len(reps)))
-    j0 = js[0] if decay_from is None else decay_from
-    return DensityEstimate(tuple(entries), _verdict(p, entries, j0), p, j0)
+    return DensityEstimate(tuple(entries), _verdict(p, entries, js[0]), p)
 
 
 def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,

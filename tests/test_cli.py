@@ -140,6 +140,23 @@ def test_aplimit_confirmed(capsys):
     assert "confirmed" in out
 
 
+def test_reports_write_the_parsed_rational(capsys, tmp_path, sites_file):
+    """aplimit's eps and cheb's r are written as the rational they parse
+    to, so every spelling of one value gives one report."""
+    for argv, option, spellings in (
+            (["aplimit", "--p", "5", "--f", "ch(0;1)", "--x", "0",
+              "--value", "1"], "--eps", ("0.5", "1/2", "2/4")),
+            (["cheb", "--in", sites_file], "--r", ("0.5", "1/2", "2/4"))):
+        reports = set()
+        for i, text in enumerate(spellings):
+            path = tmp_path / f"{argv[0]}{i}.json"
+            code, out, _ = run(capsys, *argv, option, text, "--out", str(path))
+            assert code == 0
+            reports.add((out, path.read_bytes()))
+        assert len(reports) == 1
+        assert f'"{option[2:]}": "1/2"' in reports.pop()[1].decode()
+
+
 @pytest.mark.parametrize("argv", [
     ["aplimit", "--p", "5", "--f", "x0", "--x", "0", "--value", "0"],
     ["scan", "--kind", "stepanoff", "--p", "5", "--f", "x0",
@@ -391,16 +408,33 @@ def test_whitney_eval_enumerates_no_domain_coset(capsys, q5_field, monkeypatch):
 
 @pytest.mark.parametrize("extra,code,message", [
     (("--resolution", "2"), 2, "too coarse"),
-    (("--cap", "100"), 3, "cap"),
+    (("--resolution", "6"), 0, "3"),
     (("--domain", "ball(1,0;1)"), 2, "partition property violated"),
 ])
 def test_whitney_eval_exits(capsys, q5_field, extra, code, message):
-    """A resolution below s0 + 1, a domain over the cap, and a point that
-    lies outside the domain and its supports."""
+    """A resolution below s0 + 1 and a point that lies outside the domain
+    and its supports are refused with the message given; a glue over the
+    5^12 domain cosets of resolution 6 prints the value given, as no coset
+    is enumerated."""
     got, out, err = run(capsys, "whitney", "eval", "--jets", q5_field,
                         "--x", "1,2", *extra)
-    assert (got, out) == (code, "")
-    assert message in err
+    assert got == code
+    if code:
+        assert out == "" and message in err
+    else:
+        assert (out, err) == (message + "\n", "")
+
+
+@pytest.mark.parametrize("action", [
+    ("eval", "--x", "1,2"), ("verify", "--seed", "1", "--samples", "1")])
+@pytest.mark.parametrize("option", [("--cap", "100"), ("--zeta", "2")])
+def test_whitney_glue_takes_no_cap_or_zeta(capsys, q5_field, action, option):
+    """The glue counts its domain and the bound is built for the sampler's
+    increments, so neither option exists: argparse refuses both."""
+    code, out, err = run(capsys, "whitney", action[0], "--jets", q5_field,
+                         *action[1:], *option)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 def test_whitney_eval_domain_inside_a_has_no_site(capsys, tmp_path):

@@ -125,6 +125,9 @@ def test_gap_val_matches_pairwise(data):
 @given(grids(), EXPONENTS)
 @SETTINGS
 def test_holder_scan_matches_pairwise(f, r):
+    # representatives distinct at the resolution split at some coset, so
+    # holder_scan reads every pair off the splits
+    assert CosetTree(f.reps).leaves() == []
     ratio, witness = ref.holder_scan(f, r)
     got = holder_scan(f, r)
     assert got.ratio == ratio

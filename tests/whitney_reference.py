@@ -213,9 +213,9 @@ def quotient_bound(Q, z, order, zeta=1):
          for e, c in total.terms.items() if c), default=None))
 
 
-def jet_compat_modulus(J, delta, zeta=1):
+def jet_compat_modulus(J, delta):
     """rho(S, delta) over every pair of representatives in different jet
-    classes."""
+    classes, for increments of norm <= p^-1."""
     p = J.p
     best = PPow.zero(p)
     if delta <= 0:
@@ -240,8 +240,8 @@ def jet_compat_modulus(J, delta, zeta=1):
                         if Q.is_zero():
                             continue
                         for j in range(J.k + 1):
-                            bound = max(quotient_bound(Q, z, j, zeta),
-                                        quotient_bound(Q, x, j, zeta))
+                            bound = max(quotient_bound(Q, z, j),
+                                        quotient_bound(Q, x, j))
                             scaled = bound * dpow.pow_frac(Fraction(j - J.k))
                             best = max(best, scaled)
     return best
