@@ -281,12 +281,7 @@ def extend_lipschitz(S: SampleSet, v: PAdicVector) -> PAdicVector:
     """Value at the nearest site; preserves (C, r) against every site."""
     if not S.certified:
         raise PadicError("sample set is not certified; run certify() first")
-    sites = S.sites()
-    v0, _ = nearest_point(sites, v)
-    for site, value in S.points:
-        if site is v0:
-            return value
-    raise AssertionError("nearest site vanished")  # pragma: no cover
+    return S.points[nearest_index(S.sites(), v)[0]][1]
 
 
 def extend_batch(S: SampleSet, queries) -> list:
@@ -297,32 +292,16 @@ def extend_batch(S: SampleSet, queries) -> list:
 def extend_to_grid(S: SampleSet, domain: Ball, resolution: int,
                    cap: int = DEFAULT_CAP) -> GridFunction:
     """Tabulate the nearest-point extension on a full coset grid, with one
-    CosetTree over the sites and the grid in place of a scan per coset."""
+    CosetTree.nearest query over the sites per coset in place of a scan."""
     if not S.certified:
         raise PadicError("sample set is not certified; run certify() first")
     reps = enumerate_cosets(domain, resolution, cap=cap)
-    sites = S.sites()
-    n = len(sites)
-    # the sites nearest a coset are those in the deepest coset it shares
-    # with a site, all at the same distance: the first in list order wins,
-    # as in nearest_point; sites come first in the tree, so a coset holding
-    # a site lists the first one first
-    tree = CosetTree(sites + reps)
-    nearest = [None] * len(reps)
-    for _, groups in tree.levels:
-        for group in groups:
-            if group[0] < n:
-                for i in group:
-                    if i >= n:
-                        nearest[i - n] = group[0]
-    for leaf in tree.leaves():
-        own = [s for s in leaf if s < n]
-        for i in leaf:
-            if own and i >= n:
-                k, _ = nearest_index([sites[s] for s in own], reps[i - n])
-                nearest[i - n] = own[k]
+    # several sites may share a grid coset, so the walk is cut where the
+    # tree's keys end, not at the resolution
+    tree = CosetTree(S.sites())
     return GridFunction(domain, resolution,
-                        [(rep, S.points[k][1]) for rep, k in zip(reps, nearest)])
+                        [(rep, S.points[tree.nearest(rep, tree.hi)][1])
+                         for rep in reps])
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +363,10 @@ def _packing_at(G, levels, tree, h, b, alpha, beta, x) -> PackingResult:
     p, m = x.p, G[0].dim
     near_x, near_site = ScaledBound(p, alpha), ScaledBound(p, beta)
     # a member of G_x is within p^-L of x, L the least of the levels of
-    # alpha*|h(x)| and of beta*|h(y)| over the sites: the members of x's
-    # group there, or at the last level the windows decide, are compared
-    path, _ = tree.locate(x, min(near_x.least(hxv.val),
-                                 near_site.least(min(levels))))
+    # alpha*|h(x)| and of beta*|h(y)| over the sites: the members of the
+    # last group on x's path there are compared
+    path = tree.locate(x, min(near_x.least(hxv.val),
+                              near_site.least(min(levels))))
     g_x = [i for i in (path[-1][1] if path else ())
            if near_x.holds(d := (x - G[i]).val, hxv.val)
            or near_site.holds(d, levels[i])]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import (
+    DEFAULT_PREC,
     Ball,
     PAdicNumber,
     PAdicVector,
@@ -31,12 +32,6 @@ from .padic import (
 )
 
 DEFAULT_CAP = 10**7
-
-# Extra window digits stamped onto enumerated representatives.  A canonical
-# representative is an exact point (its digits at and above the enumeration
-# resolution are zero), so a wide window is honest and keeps arithmetic on
-# grid values from collapsing to one-digit precision.
-DEFAULT_REP_PREC = 12
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -145,7 +140,8 @@ class CosetTree:
     finite subset of Q_p^m (Schikhof, Ultrametric Calculus, 1984).
 
     Levels run from lo = min(0, lowest coordinate valuation), where all
-    points share one coset, down to hi = the shortest coordinate window.
+    points share one coset, down to hi = the shortest coordinate window
+    (lo when every coordinate is an exact zero).
     Up to hi coset keys are exact, so two points in different children of
     a level-L coset (L < hi) are at observed distance exactly p^-L.  Points
     still sharing a level-hi coset form a leaf: their distance is left to
@@ -155,19 +151,18 @@ class CosetTree:
     levels: [(L, groups)], groups a list of member tuples in index order,
       holding every coset whose parent had two or more members;
     splits: [(L, members, children)] for every level-L coset (L < hi) whose
-      members fall into two or more level-(L+1) cosets;
-    window: the shortest coordinate window, infinite for exact zeros only.
+      members fall into two or more level-(L+1) cosets.
     """
 
-    __slots__ = ("points", "lo", "hi", "window", "levels", "splits",
-                 "_where", "_keyed")
+    __slots__ = ("points", "lo", "hi", "levels", "splits", "_where",
+                 "_keyed")
 
     def __init__(self, points):
         self.points = points = list(points)
         coords = [c for x in points for c in x.coords if not c.is_zero()]
         self.lo = min([0] + [c.val for c in coords])
-        self.window = min(map(_window, coords), default=float("inf"))
-        self.hi = max(self.lo, self.window) if coords else self.lo
+        self.hi = max(self.lo, min((c.abs_window() for c in coords),
+                                   default=self.lo))
         groups = [tuple(range(len(points)))]
         self.levels = [(self.lo, groups)]
         self.splits = []
@@ -211,19 +206,15 @@ class CosetTree:
                      if j == i or (v := (x - self.points[j]).val) is None
                      or v >= L)
 
-    def locate(self, x: PAdicVector, hi: int):
+    def locate(self, x: PAdicVector, hi: int) -> list:
         """The groups a point x, in the tree or not, falls into:
-        (path, decided) with path = [(L, members)], members the points
-        sharing x's level-L coset in index order, from level lo (or the
-        coarser level where hi or a window ends) down to the deepest level
-        <= hi at which there are any.  Keys give the subtraction's
-        distances only as far as the windows of x and of the points reach,
-        so the walk stops there too; decided is False when it stopped
-        there, short of hi, with members left.
-
-        When path and decided hold, the first member of the last group is
-        a first nearest point, at distance p^-L unless L = hi."""
-        limit = min(hi, self.window, *map(_window, x.coords))
+        [(L, members)], members the points sharing x's level-L coset in
+        index order, from level lo (or the coarser level where hi or a
+        window ends) down to the deepest level <= hi at which there are
+        any.  Keys give the subtraction's distances only as far as the
+        windows of x and of the points reach, so the walk stops there too,
+        and at the tree's hi, where a tree of exact zeros ends."""
+        limit = min(hi, self.hi, *map(_window, x.coords))
         path = []
         for L in range(min(self.lo, limit), limit + 1):
             if L not in self._keyed:
@@ -233,7 +224,25 @@ class CosetTree:
             if members is None:
                 break
             path.append((L, members))
-        return path, not path or path[-1][0] < limit or limit == hi
+        return path
+
+    def nearest(self, x: PAdicVector, hi: int) -> int:
+        """nearest_index(self.points, x)[0], the first point nearest x: the
+        first of the deepest group x shares (Schikhof, Ultrametric
+        Calculus, 1984), as the other points split from x above, where the
+        keys are exact.  A group the walk leaves at the windows or hi is
+        compared by subtraction.  An x that shares no coset with the points
+        differs from all of them at one valuation, below the windows, so
+        the first is nearest."""
+        path = self.locate(x, hi)
+        if not path:
+            return 0
+        L, members = path[-1]
+        if len(members) > 1 and \
+                L == min(hi, self.hi, *map(_window, x.coords)):
+            k, _ = nearest_index([self.points[i] for i in members], x)
+            return members[k]
+        return members[0]
 
 
 def _check_cap(count: int, cap: int) -> None:
@@ -252,12 +261,13 @@ def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
     p, m, k = b.p, b.dim, b.rad_exp
     _check_cap(p ** ((resolution - k) * m), cap)
 
-    # representatives are exact points, so they carry generous windows; the
-    # coset identity itself lives in coset_key (truncation to `resolution`).
+    # representatives are exact points, so they carry the window of an
+    # exact value past the resolution; the coset identity itself lives in
+    # coset_key (truncation to `resolution`).
     # Every coordinate is p^v times an integer, v the least valuation of the
     # ball: the representative is that integer mod p^(resolution - v).
     v = _least_val(b.center, k)
-    mod, window = p ** (resolution - v), resolution + DEFAULT_REP_PREC
+    mod, window = p ** (resolution - v), resolution + DEFAULT_PREC
     offsets = [sum(d * p ** (k - v + i) for i, d in enumerate(digits))
                for digits in itertools.product(range(p), repeat=resolution - k)]
     columns = []
@@ -527,7 +537,7 @@ def union_density(balls, x: PAdicVector, j_range,
     shapes = [(_scaled(b.center, s),
                [min(b.rad_exp, _window(c)) for c in b.center.coords])
               for b in balls]
-    window = res + DEFAULT_REP_PREC
+    window = res + DEFAULT_PREC
 
     def gap(a: int, c: int):
         return float("inf") if a == c else s + _vp(a - c, p)

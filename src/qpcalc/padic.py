@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+#: the digits given to a value known exactly: by a constructor called
+#: without a window, to a coerced int or Fraction, and to an enumerated
+#: coset representative past its resolution
 DEFAULT_PREC = 12
 #: the working window of the command line (its --prec default), of parsed
 #: expressions and of Whitney jets and gauges

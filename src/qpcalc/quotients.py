@@ -37,7 +37,6 @@ from .padic import (
     unit_vector,
 )
 
-_DENOM_PREC = 64          # window for n! and assembled denominators
 _VALUE_PREC = 32          # window of exact rational values, such as jet terms
 
 
@@ -91,9 +90,8 @@ def phin(f, n: int, q: QuotientPoint) -> PAdicVector:
         if (n - bits) % 2:
             w = -w
         acc = w if acc is None else acc + w
-    denom = PAdicNumber.from_int(q.x.p, math.factorial(n), prec=_DENOM_PREC)
-    for t in q.ts:
-        denom = denom * t
+    # the exact n! is coerced to a window no shorter than the ts' own
+    denom = math.prod(q.ts, start=math.factorial(n))
     return PAdicVector(c / denom for c in acc)
 
 

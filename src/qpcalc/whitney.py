@@ -17,8 +17,8 @@ from math import factorial
 
 from .extension import holder_violations, packing_check_many
 from .funcs import MultiPoly, SymbolicFunction, local_jet
-from .measure import (DEFAULT_CAP, CosetTree, _window, coset_key,
-                      enumerate_cosets, nearest_index, union_density)
+from .measure import (DEFAULT_CAP, CosetTree, coset_key, enumerate_cosets,
+                      union_density)
 from .padic import (
     WORKING_PREC,
     Ball,
@@ -80,40 +80,22 @@ class RadiusFunction:
 
     Values are powers of p, h is defined off A only, and the Lipschitz
     quotient of h is bounded by b = p^(-s0) (checked pairwise by callers).
-
-    Distances come from coset keys of A's centres: x lies in a ball of
-    radius p^-r when it shares the ball's level-r coset, and off A its
-    distance exponent is the deepest level at which it shares a coset with
-    any centre, read from the centres' CosetTree.  Points whose windows, or
-    the centres', end before the finest radius of A are left to dist_exp.
     """
 
-    __slots__ = ("A", "p", "s0", "_radii", "_members", "_tree")
+    __slots__ = ("A", "p", "s0")
 
     def __init__(self, A, p: int, s0: int):
         self.A = tuple(A)
         self.p = p
         self.s0 = s0
-        self._radii = sorted({ball.rad_exp for ball in self.A})
-        self._members = {(ball.rad_exp, coset_key(ball.center, ball.rad_exp))
-                         for ball in self.A}
-        self._tree = CosetTree(ball.center for ball in self.A)
 
     @property
     def b(self) -> Fraction:
         return Fraction(1, self.p ** self.s0)
 
     def dist_exp(self, x: PAdicVector):
-        """dist_exp(A, x), from one key lookup per distinct radius and the
-        levels of the centre tree."""
-        if not self._radii or min(self._tree.window,
-                                  *map(_window, x.coords)) < self._radii[-1]:
-            return dist_exp(self.A, x)
-        if any((r, coset_key(x, r)) in self._members for r in self._radii):
-            return None
-        # off A every centre is farther than its radius: levels below those
-        path, decided = self._tree.locate(x, self._radii[-1] - 1)
-        return path[-1][0] if path and decided else dist_exp(self.A, x)
+        """dist_exp(A, x): one subtraction per ball of A."""
+        return dist_exp(self.A, x)
 
     def exponent(self, x: PAdicVector) -> int:
         d = self.dist_exp(x)
@@ -310,13 +292,9 @@ class JetField:
         return self.jets[i]
 
     def nearest_rep_index(self, y: PAdicVector) -> int:
-        """Index of the closest representative (first wins on ties): the
-        first rep sharing the deepest coset with y."""
-        path, decided = self.tree.locate(y, self.resolution)
-        if path and decided:
-            return path[-1][1][0]
-        # past the windows, or outside the reps' level-lo coset: a scan
-        return nearest_index(self.reps(), y)[0]
+        """Index of the closest representative (first wins on ties), from
+        the representatives' CosetTree."""
+        return self.tree.nearest(y, self.resolution)
 
     def evaluate_jet(self, polys, x: PAdicVector) -> PAdicVector:
         return PAdicVector(tuple(q.evaluate(x, prec=WORKING_PREC)

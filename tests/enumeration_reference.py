@@ -8,9 +8,9 @@ representatives, digit for digit and window for window, in the same order.
 import itertools
 from fractions import Fraction
 
-from qpcalc.measure import DEFAULT_CAP, DEFAULT_REP_PREC, ResourceCapExceeded
-from qpcalc.padic import (PAdicNumber, PAdicVector, PadicError, _make,
-                          truncate)
+from qpcalc.measure import DEFAULT_CAP, ResourceCapExceeded
+from qpcalc.padic import (DEFAULT_PREC, PAdicNumber, PAdicVector, PadicError,
+                          _make, truncate)
 
 
 def enumerate_cosets(b, resolution, cap=DEFAULT_CAP):
@@ -29,7 +29,7 @@ def enumerate_cosets(b, resolution, cap=DEFAULT_CAP):
     base = [c.as_fraction() for c in b.center.coords]
     if k >= 0 and all(f.denominator == 1 for f in base):
         # integer fast path: representative = (center + offset) mod p^resolution
-        window = resolution + DEFAULT_REP_PREC
+        window = resolution + DEFAULT_PREC
         offsets = [sum(d * p ** (k + i) for i, d in enumerate(digits))
                    for digits in itertools.product(range(p), repeat=resolution - k)]
         reps = []
@@ -42,7 +42,7 @@ def enumerate_cosets(b, resolution, cap=DEFAULT_CAP):
     offsets = [sum(d * scale ** (k + i) for i, d in enumerate(digits))
                for digits in itertools.product(range(p), repeat=resolution - k)]
     vmin = min([k, 0] + [c.val for c in b.center.coords if not c.is_zero()])
-    prec = resolution - vmin + DEFAULT_REP_PREC
+    prec = resolution - vmin + DEFAULT_PREC
     reps = []
     for combo in itertools.product(offsets, repeat=m):
         coords = [_widen(truncate(PAdicNumber.from_fraction(p, bi + off, prec=prec), resolution),
@@ -60,4 +60,4 @@ def _widen(t, resolution):
     """
     if t.is_zero():
         return t
-    return PAdicNumber(t.p, t.val, t.unit, resolution - t.val + DEFAULT_REP_PREC)
+    return PAdicNumber(t.p, t.val, t.unit, resolution - t.val + DEFAULT_PREC)

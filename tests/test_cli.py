@@ -88,6 +88,21 @@ def test_quotient_second_order(capsys):
     assert out == "1\n"
 
 
+def test_quotient_keeps_the_window_of_its_inputs(capsys, tmp_path):
+    # every input is known to 80 digits and 1! is exact: (1 + 5)^3 - 1 =
+    # 5 * 43 is known mod 5^80, so its quotient by t = 5 is 43 known to 79
+    # digits, not cut at a fixed window of 64 for the denominator
+    out_path = tmp_path / "q.json"
+    code, out, _ = run(capsys, "quotient", "--prec", "80", "--f", "x0*x0*x0",
+                       "--x", "1", "--v", "1", "--t", "5",
+                       "--out", str(out_path))
+    assert (code, out) == (0, "43\n")
+    [value] = json.loads(out_path.read_text())["value"]
+    digits, _, rest = value.partition("e")
+    assert rest == "0@5"
+    assert digits.split(",") == ["3", "3", "1"] + ["0"] * 76
+
+
 def test_taylor_exact_route(capsys, tmp_path):
     out_path = tmp_path / "taylor.json"
     code, out, _ = run(capsys, "taylor", "--p", "5", "--f", "x0*x0*x0",

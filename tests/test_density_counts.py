@@ -169,7 +169,7 @@ def test_union_density_short_centre_window(capsys):
 
 
 def test_union_density_past_the_representative_window(capsys):
-    """k = 30 > res + DEFAULT_REP_PREC: the representative 1, known to 14
+    """k = 30 > res + DEFAULT_PREC: the representative 1, known to 14
     digits, cannot tell the centre 1 + 5^20 from itself, so contains takes
     it in, as enumeration did."""
     assert _density_rows(capsys, "--set", "ball(95367431640626;30)",

@@ -8,6 +8,8 @@ some questions lie past the windows and must be settled by subtraction.
 Every example is derandomized, so the suite stays deterministic.
 """
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import whitney_reference as ref
 import qpcalc.whitney as whitney
+from qpcalc.extension import SampleSet, extend_to_grid
 from qpcalc.funcs import MultiPoly, SymbolicFunction, as_polynomials
 from qpcalc.measure import CosetTree, coset_key, enumerate_cosets
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError
@@ -97,10 +100,8 @@ def test_distance_exponent_matches_subtraction(case):
         assert h.support_exp(x) == 2 + max(0, expected) + 1
 
 
-def test_distance_keys_decide_within_the_windows(monkeypatch):
-    """Nested balls, a negative valuation and a short window: keys answer
-    every point whose windows reach the deepest radius; the rest go to
-    subtraction."""
+def test_distance_on_nested_balls_and_short_windows():
+    """Nested balls, a negative valuation and a short window."""
     p = 5
     v = lambda *ns: PAdicVector.from_ints(p, ns, prec=10)
     A = (Ball(v(0, 0), 2), Ball(v(25, 0), 4), Ball(v(3, 1), 1),
@@ -110,18 +111,12 @@ def test_distance_keys_decide_within_the_windows(monkeypatch):
                          PAdicNumber.zero(p)])
     short = PAdicVector([PAdicNumber.from_int(p, 5, prec=1),
                          PAdicNumber.zero(p)])     # known mod 5^2 only
-    calls = []
-    real = whitney.dist_exp
-    monkeypatch.setattr(whitney, "dist_exp",
-                        lambda A, x: calls.append(x) or real(A, x))
     for x, d in [(v(25, 0), None), (v(5, 0), 1), (v(0, 5), 1),
                  (v(8, 1), None), (v(1, 1), 0), (v(50, 0), None),
                  (v(25 + 625, 0), None), (v(1, 2 + 25), 2)]:
         assert h.dist_exp(x) == d
-    assert calls == []
-    assert h.dist_exp(x_neg) == -1            # below every level of the index
+    assert h.dist_exp(x_neg) == -1            # below every radius of A
     assert h.dist_exp(short) == 1             # its window ends before 4
-    assert calls == [x_neg, short]
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +159,9 @@ def test_nearest_rep_matches_scan(case):
     zero = (MultiPoly.zero(points[0].dim),)
     J = JetField(k=0, A=(), resolution=resolution,
                  jets=tuple((z, zero) for z in points))
-    assert J.nearest_rep_index(y) == ref.nearest_rep_index(points, y)
-    path, decided = CosetTree(points).locate(y, resolution)
-    if path and decided and path[-1][0] < resolution:
-        L, members = path[-1]
-        assert (y - points[members[0]]).sup_norm() == Fraction(y.p) ** -L
+    expected = ref.nearest_rep_index(points, y)
+    assert J.nearest_rep_index(y) == expected
+    assert CosetTree(points).nearest(y, resolution) == expected
 
 
 def test_nearest_rep_past_a_window_is_left_to_subtraction():
@@ -181,17 +174,59 @@ def test_nearest_rep_past_a_window_is_left_to_subtraction():
                  jets=tuple((z, (MultiPoly.zero(1),)) for z in points))
     assert ref.nearest_rep_index(points, y) == 0
     assert J.nearest_rep_index(y) == 0
-    path, decided = CosetTree(points).locate(y, 3)
-    assert path and not decided
+    tree = CosetTree(points)
+    assert tree.nearest(y, 3) == 0
+    assert tree.locate(y, 3)[-1] == (1, (0, 1))   # y's window ends the walk
+
+
+def test_nearest_outside_the_level_lo_coset_is_the_first_point():
+    """1/5 shares no coset of level lo = 0 with 6 and 1, both at distance
+    5 from it: the path is empty and the first point is nearest."""
+    p = 5
+    y = PAdicVector([PAdicNumber.from_fraction(p, Fraction(1, 5))])
+    points = [PAdicVector.from_ints(p, [6]), PAdicVector.from_ints(p, [1])]
+    tree = CosetTree(points)
+    assert tree.locate(y, 3) == []
+    assert tree.nearest(y, 3) == ref.nearest_rep_index(points, y) == 0
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(*_):
+        raise TimeoutError(f"no answer within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_nearest_in_a_set_of_one_exact_zero_ends():
+    """The exact zero has no window to end the walk, so the tree's hi
+    ends it, whatever the cut; extend_to_grid's grid holds the exact zero
+    too."""
+    p = 5
+    zero = PAdicVector.zero(p, 2)
+    with time_limit(10):
+        assert CosetTree([zero]).nearest(zero, 10**9) == 0
+        three = PAdicVector.from_ints(p, [3])
+        S = SampleSet([(zero, three)], 0, 1)
+        assert S.certify().ok
+        g = extend_to_grid(S, Ball(zero, 0), 2)
+    assert g.reps[0] == zero
+    assert all(v is three for v in g.values)
 
 
 @SETTINGS
 @given(reps_and_query())
 def test_locate_and_ball_match_subtraction(case):
     """Each group on the query's path holds exactly the points the
-    subtraction puts within p^-L of it; a decided path ends where no point
-    is closer; ball is the same set for a point of the tree, past the
-    windows too."""
+    subtraction puts within p^-L of it; a path that ends above the
+    windows and the cut ends where no point is closer; nearest is the
+    scan's answer at every cut; ball is the same set for a point of the
+    tree, past the windows too."""
     resolution, points, y = case
     tree = CosetTree(points)
 
@@ -200,16 +235,15 @@ def test_locate_and_ball_match_subtraction(case):
                      if (v := (x - z).val) is None or v >= L)
 
     for hi in (resolution - 2, resolution, resolution + 3):
-        path, decided = tree.locate(y, hi)
+        path = tree.locate(y, hi)
         for L, members in path:
             assert members == within(y, L)
-        limit = min(hi, tree.window, *(c.abs_window() or float("inf")
-                                       for c in y.coords))
+        limit = min(hi, tree.hi, *(c.abs_window() or float("inf")
+                                   for c in y.coords))
         last = path[-1][0] if path else min(tree.lo, limit) - 1
-        if decided and last < hi:
+        if last < limit:        # no point is closer
             assert within(y, last + 1) == ()
-        if not decided:         # the windows end first, points left
-            assert path and last == limit < hi
+        assert tree.nearest(y, hi) == ref.nearest_rep_index(points, y)
     for i in range(len(points)):
         for L in range(tree.lo - 1, tree.hi + 3):
             assert tree.ball(i, L) == within(points[i], L)
