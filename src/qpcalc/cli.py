@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -568,8 +569,10 @@ def cmd_identities(args) -> int:
         raise PadicError(f"--jobs must be at least 1, got {args.jobs}")
     indices = range(args.samples)
     runner = lambda i: _identity_item(args.p, args.prec, args.seed, i)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    # results aggregate by index, so fewer threads give the same report
+    workers = min(args.jobs, args.samples, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(runner, indices))
     else:
         results = [runner(i) for i in indices]

@@ -272,7 +272,7 @@ class SymbolicFunction:
 
     def __call__(self, x: PAdicVector) -> PAdicVector:
         self._check_point(x)
-        return PAdicVector(c.eval(x) for c in self.components)
+        return PAdicVector._of(tuple([c.eval(x) for c in self.components]))
 
     def localize(self, x: PAdicVector | None = None) -> tuple:
         """The exact local normal form of f at x: one (numerator,
@@ -341,7 +341,7 @@ class LinearMap:
             for a, c in zip(row[1:], v.coords[1:]):
                 acc = acc + a * c
             out.append(acc)
-        return PAdicVector(out)
+        return PAdicVector._of(tuple(out))
 
     def to_json(self):
         return [[e.format_literal() for e in r] for r in self.rows]
@@ -663,41 +663,23 @@ def local_jet(num: MultiPoly, den: MultiPoly, center, degree: int) -> MultiPoly:
 # expression-language parser
 # ---------------------------------------------------------------------------
 
-_LIT_RE = re.compile(r"\d+(?:,\d+)*e-?\d+@\d+|0@\d+")
-_INT_RE = re.compile(r"\d+")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one alternation, tried in this order at each offset: a digit literal,
+# an integer, a name, a punctuation mark; whitespace matches nothing and is
+# skipped, and any other character is the last alternative's error
+_TOKEN_RE = re.compile(r"(?P<lit>\d+(?:,\d+)*e-?\d+@\d+|0@\d+)|(?P<int>\d+)"
+                       r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<punct>[-+*/();,])|(?P<bad>\S)")
 _COORD_RE = re.compile(r"^x(\d+)$")
 
 
 def _tokenize(src: str):
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _LIT_RE.match(src, i)
-        if m:
-            toks.append(("lit", m.group(), i))
-            i = m.end()
-            continue
-        m = _INT_RE.match(src, i)
-        if m:
-            toks.append(("int", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(src, i)
-        if m:
-            toks.append(("name", m.group(), i))
-            i = m.end()
-            continue
-        if c in "+-*/();,":
-            toks.append((c, c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    toks.append(("end", "", n))
+    for m in _TOKEN_RE.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {text!r}", m.start())
+        toks.append((text if kind == "punct" else kind, text, m.start()))
+    toks.append(("end", "", len(src)))
     return toks
 
 

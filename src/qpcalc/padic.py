@@ -206,13 +206,15 @@ class PAdicNumber:
         return NotImplemented
 
     def __add__(self, other):
-        b = self._coerce(other)
+        b = other if type(other) is PAdicNumber and other.p == self.p \
+            else self._coerce(other)
         return b if b is NotImplemented else _combine(self, b, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = self._coerce(other)
+        b = other if type(other) is PAdicNumber and other.p == self.p \
+            else self._coerce(other)
         return b if b is NotImplemented else _combine(self, b, -1)
 
     def __rsub__(self, other):
@@ -225,7 +227,8 @@ class PAdicNumber:
         return PAdicNumber(self.p, self.val, self.p**self.prec - self.unit, self.prec)
 
     def __mul__(self, other):
-        b = self._coerce(other)
+        b = other if type(other) is PAdicNumber and other.p == self.p \
+            else self._coerce(other)
         if b is NotImplemented:
             return b
         a = self
@@ -237,7 +240,8 @@ class PAdicNumber:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = self._coerce(other)
+        b = other if type(other) is PAdicNumber and other.p == self.p \
+            else self._coerce(other)
         if b is NotImplemented:
             return b
         a = self
@@ -498,6 +502,14 @@ class PAdicVector:
             raise PadicError("mixed primes in one vector")
         self.coords = coords
 
+    @classmethod
+    def _of(cls, coords: tuple) -> "PAdicVector":
+        """The vector of coordinates built by PAdicNumber arithmetic, which
+        already refuses a prime mismatch: nothing is checked again."""
+        x = object.__new__(cls)
+        x.coords = coords
+        return x
+
     @property
     def p(self) -> int:
         return self.coords[0].p
@@ -514,17 +526,19 @@ class PAdicVector:
 
     def __add__(self, other):
         self._same_shape(other)
-        return PAdicVector(a + b for a, b in zip(self.coords, other.coords))
+        return PAdicVector._of(tuple([a + b for a, b in
+                                      zip(self.coords, other.coords)]))
 
     def __sub__(self, other):
         self._same_shape(other)
-        return PAdicVector(a - b for a, b in zip(self.coords, other.coords))
+        return PAdicVector._of(tuple([a - b for a, b in
+                                      zip(self.coords, other.coords)]))
 
     def __neg__(self):
-        return PAdicVector(-a for a in self.coords)
+        return PAdicVector._of(tuple([-a for a in self.coords]))
 
     def scale(self, c: PAdicNumber) -> "PAdicVector":
-        return PAdicVector(c * a for a in self.coords)
+        return PAdicVector._of(tuple([c * a for a in self.coords]))
 
     def _same_shape(self, other):
         if not isinstance(other, PAdicVector) or other.dim != self.dim:

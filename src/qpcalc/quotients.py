@@ -67,7 +67,7 @@ def phi1(f, x: PAdicVector, v: PAdicVector, t: PAdicNumber) -> PAdicVector:
     if t.is_zero():
         raise PadicError("t = 0: use phin_exact_zero for boundary values")
     w = f(x + v.scale(t)) - f(x)
-    return PAdicVector(c / t for c in w)
+    return PAdicVector._of(tuple([c / t for c in w]))
 
 
 def phin(f, n: int, q: QuotientPoint) -> PAdicVector:
@@ -204,6 +204,20 @@ def _identity(lhs: PAdicVector, rhs: PAdicVector) -> IdentityCheck:
     return IdentityCheck(lhs, rhs, all(c.is_zero() for c in (lhs - rhs).coords))
 
 
+def _kept(f):
+    """f with each value kept by its point, for the span of one check:
+    PAdicVector equality is bit-exact, so a kept value is the one that
+    evaluating f again would return."""
+    values = {}
+
+    def kept(z):
+        y = values.get(z)
+        if y is None:
+            y = values[z] = f(z)
+        return y
+    return kept
+
+
 def chain_rule_check(f, u, y: PAdicVector, v: PAdicVector,
                      t: PAdicNumber) -> IdentityCheck:
     """phi1 of the composition f(u(.)) against its coordinate-splitting sum.
@@ -213,6 +227,7 @@ def chain_rule_check(f, u, y: PAdicVector, v: PAdicVector,
     the first j coordinates from u(y) and the rest from u(y+vt); summands
     with phi_j = 0 are zero (the factor annihilates them).
     """
+    f, u = _kept(f), _kept(u)
     lhs = phi1(lambda z: f(u(z)), y, v, t)
     uy = u(y)
     uyt = u(y + v.scale(t))
@@ -236,6 +251,7 @@ def telescope_check(f, x: PAdicVector, v: PAdicVector,
                     t: PAdicNumber) -> IdentityCheck:
     """phi1 along direction v against the coordinate-wise telescoping sum
     sum_i v_i * phi1(f; x + t*sum_{j>i} e_j v_j; e_i; v_i t)."""
+    f = _kept(f)
     lhs = phi1(f, x, v, t)
     m = x.dim
     p = x.p
@@ -258,6 +274,8 @@ def telescope_check(f, x: PAdicVector, v: PAdicVector,
 def product_rule_check(f, g, x: PAdicVector, v: PAdicVector,
                        t: PAdicNumber) -> IdentityCheck:
     """phi1(f*g) = phi1(f)*g(x+vt) + f(x)*phi1(g) for scalar-valued f, g."""
+    f, g = _kept(f), _kept(g)
+
     def prod(z):
         a, b = f(z), g(z)
         if a.dim != 1 or b.dim != 1:

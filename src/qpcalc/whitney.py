@@ -259,9 +259,11 @@ class JetField:
     jets: tuple           # ((rep: PAdicVector, polys: tuple[MultiPoly]), ...)
 
     def __post_init__(self):
-        # coset-key lookup for jet_at
-        by_key = {coset_key(z, self.resolution): i
-                  for i, (z, _) in enumerate(self.jets)}
+        # coset-key lookup for jet_at; one jet per coset, as in a grid table
+        by_key = {}
+        for i, (z, _) in enumerate(self.jets):
+            if by_key.setdefault(coset_key(z, self.resolution), i) != i:
+                raise PadicError("duplicate coset in jet field")
         object.__setattr__(self, "_by_key", by_key)
 
     @cached_property

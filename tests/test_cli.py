@@ -2,12 +2,14 @@
 byte-identical reports across parallelism."""
 
 import json
+import os
 import random
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qpcalc import cli
 from qpcalc.cli import _CHUNK_PARTS, _write_json, main
 from qpcalc.extension import SampleSet, WeightedSiteSet
 from qpcalc.funcs import SymbolicFunction
@@ -379,6 +381,18 @@ def test_whitney_eval_reproduces_polynomial(capsys, jets_file):
     assert out == "49\n"
 
 
+def test_whitney_eval_refuses_two_jets_in_one_coset(capsys, tmp_path):
+    """The later of two jets in one coset once answered: this printed 2."""
+    path = tmp_path / "jets.json"
+    path.write_text(json.dumps(
+        {"k": 0, "resolution": 1, "A": [{"center": ["0@5"], "rad_exp": 1}],
+         "jets": [[["0@5"], [[[[0], "1/1"]]]], [["1e1@5"], [[[[0], "2/1"]]]]]}))
+    code, out, err = run(capsys, "whitney", "eval", "--jets", str(path),
+                         "--x", "0", "--resolution", "5")
+    assert code == 2 and out == ""
+    assert err == "error: duplicate coset in jet field\n"
+
+
 def test_whitney_verify_dominated(capsys, jets_file, tmp_path):
     out_path = tmp_path / "verify.json"
     code, out, _ = run(capsys, "whitney", "verify", "--jets", jets_file,
@@ -527,6 +541,44 @@ def test_identities_byte_identical_across_jobs(capsys, tmp_path):
                       "--jobs", "4", "--out", str(b))
     assert code1 == code2 == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+class _SerialPool:
+    """A ThreadPoolExecutor stand-in that records its size and runs its
+    items in the calling thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("samples, cpus, threads", [
+    (5, 3, [3]), (2, 8, [2]), (5, None, []), (1, 4, []), (0, 4, [])])
+def test_identities_threads_are_capped(capsys, tmp_path, monkeypatch,
+                                       samples, cpus, threads):
+    """--jobs 64 starts no more threads than there are samples or cores,
+    and the report is that of --jobs 1."""
+    one, many = tmp_path / "one.json", tmp_path / "many.json"
+    assert main(["identities", "--seed", "3", "--samples", str(samples),
+                 "--out", str(one)]) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    assert main(["identities", "--seed", "3", "--samples", str(samples),
+                 "--jobs", "64", "--out", str(many)]) == 0
+    capsys.readouterr()
+    assert _SerialPool.sizes == threads
+    assert many.read_bytes() == one.read_bytes()
 
 
 @pytest.mark.parametrize("argv, flag", [

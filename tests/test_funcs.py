@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import tokenize_reference
 from norm_reference import operator_norm
 from qpcalc.funcs import (
     Compose,
@@ -13,6 +14,7 @@ from qpcalc.funcs import (
     LinearMap,
     MultiPoly,
     SymbolicFunction,
+    _tokenize,
     as_polynomial,
     as_polynomials,
     parse_expr,
@@ -185,6 +187,34 @@ def test_recenter_is_translation(coeffs, c, x):
         q.evaluate_fraction([Fraction(c + x)])
 
 
+# the grammar's characters, the whitespace that str.isspace() and the
+# pattern \s both skip, a Unicode digit that \d matches, and characters
+# outside the grammar
+_SOURCE_CHARS = ("0123456789xchomp_eE@,+-*/();" " \t\u00a0\x1c" "\u0663$.\u00e9")
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return tokenize(src)
+    except ExprSyntaxError as exc:
+        return str(exc), exc.offset
+
+
+@given(st.text(alphabet=_SOURCE_CHARS, max_size=40))
+@example("1,2e-3@5*x0 + 0@5")
+@example("ch(3,1;2)\t-\u00a0x1")
+@example("comp(x0*x1;x0;7)")
+@example("12e")
+@example("0@")
+@example("x0 $ 1")
+@example("\x1c\u0663+x_9")
+@example("x0\u00e9")
+@settings(max_examples=500)
+def test_tokenize_matches_the_character_loop(src):
+    assert _tokens_or_error(_tokenize, src) == \
+        _tokens_or_error(tokenize_reference.tokenize, src)
+
+
 # ---------------------------------------------------------------------------
 # linear maps
 # ---------------------------------------------------------------------------
@@ -195,6 +225,28 @@ def test_linear_map_apply_and_norm():
     assert operator_norm(t) == 1
     s = LinearMap([[PAdicNumber.from_fraction(5, Fraction(1, 5))]])
     assert operator_norm(s) == 5
+
+
+def test_linear_map_apply_refuses_a_mixed_prime():
+    t = LinearMap.from_ints(5, [[1, 5], [0, 2]])
+    with pytest.raises(PadicError):
+        t.apply(vec(1, 1, p=3))
+    with pytest.raises(PadicError):
+        LinearMap.from_ints(5, [[2]]).apply(vec(1, p=7))
+
+
+@given(st.lists(st.integers(-200, 200), min_size=6, max_size=6),
+       st.sampled_from((2, 3, 5)))
+def test_built_vectors_equal_their_checked_rebuild(ns, p):
+    """A function value and a linear map's image are built unchecked; each
+    is the vector that the checking constructor makes of its coordinates."""
+    x = vec(*ns[:2], p=p)
+    f = SymbolicFunction.from_sources(
+        p, ["x0*x1 + 3", "x0 - 2*ch(1,2;1)", "x1/(1 + %d*x0)" % p], m=2)
+    t = LinearMap.from_ints(p, [ns[2:4], ns[4:]])
+    for got in (f(x), t.apply(x)):
+        assert type(got.coords) is tuple
+        assert got == PAdicVector(list(got.coords)) and got.p == p
 
 
 def test_linear_map_json_round_trip():

@@ -190,6 +190,33 @@ def test_vector_json_roundtrip():
     assert PAdicVector.from_json(v.to_json()) == v
 
 
+def test_a_foreign_prime_still_raises_and_ints_still_coerce():
+    n3 = PAdicNumber.from_int(3, 1)
+    for op in ("add", "sub", "mul", "div"):
+        with pytest.raises(PadicError):
+            arith(n5(1), n3, op)
+        with pytest.raises(PadicError):
+            arith(n3, n5(1), op)
+    # int and Fraction operands coerce at the window they did before
+    assert n5(3, prec=20) + 2 == n5(3, prec=20) + n5(2, prec=20)
+    assert Fraction(1, 5) * n5(3) == PAdicNumber.from_fraction(
+        5, Fraction(1, 5)) * n5(3)
+
+
+def test_vector_arithmetic_refuses_a_mixed_prime():
+    x5 = PAdicVector.from_ints(5, [1, 2])
+    x3 = PAdicVector.from_ints(3, [1, 2])
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(PadicError):
+            op(x5, x3)
+        with pytest.raises(PadicError):
+            op(x3, x5)
+    with pytest.raises(PadicError):
+        x5.scale(PAdicNumber.from_int(3, 2))
+    with pytest.raises(PadicError):
+        x3.scale(n5(2))
+
+
 def test_unit_vector():
     e1 = unit_vector(5, 3, 1)
     assert [c.as_fraction() for c in e1] == [0, 1, 0]
@@ -602,3 +629,25 @@ def test_large_prime_accepted_and_oversized_rejected():
     # 2^89 - 1 is prime, but past the range the bases certify
     with pytest.raises(PadicError, match="too large"):
         PAdicNumber.from_int(2**89 - 1, 1)
+
+
+@st.composite
+def same_prime_vectors(draw):
+    """Two vectors of one dimension and a scalar, all over one prime."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    m = draw(st.integers(1, 3))
+    coords = st.lists(padics(primes=(p,)), min_size=m, max_size=m)
+    return (PAdicVector(draw(coords)), PAdicVector(draw(coords)),
+            draw(padics(primes=(p,))))
+
+
+@given(same_prime_vectors())
+@settings(max_examples=300)
+def test_vector_arithmetic_equals_its_checked_rebuild(xyc):
+    """+, -, negation and scale build their results unchecked; each is
+    the vector that the checking constructor makes of its coordinates."""
+    x, y, c = xyc
+    for got in (x + y, x - y, -x, x.scale(c), x.scale(3)):
+        assert type(got.coords) is tuple
+        assert got == PAdicVector(list(got.coords))
+        assert got.p == x.p and got.dim == x.dim

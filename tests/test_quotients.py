@@ -3,11 +3,14 @@ vanishing increments, Taylor residuals, the combinatorial identities, Hölder
 scans, and approximate derivatives."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import identity_reference
+from qpcalc import cli, quotients
 from qpcalc.funcs import LinearMap, MultiPoly, SymbolicFunction
 from qpcalc.measure import GridFunction
 from qpcalc.padic import (
@@ -282,6 +285,62 @@ def test_product_rule_unit_factor():
     assert out.equal
     direct = phi1(f, vec(7), vec(1), num(5))
     assert (out.lhs[0] - direct[0]).is_zero()
+
+
+_CHECKS = ("chain_rule_check", "telescope_check", "product_rule_check")
+
+
+def _identity_draws(monkeypatch, count, seed=3):
+    """(check name, arguments) of every check that the identities verb
+    makes on its items 0 .. count-1, recorded without running them."""
+    calls = []
+    for name in _CHECKS:
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(
+            (name, args)) or IdentityCheck(None, None, True))
+    for i in range(count):
+        cli._identity_item(cli.DEFAULT_P, cli.WORKING_PREC, seed, i)
+    monkeypatch.undo()
+    return calls
+
+
+def test_checks_match_the_unkept_reference_bit_for_bit(monkeypatch):
+    draws = _identity_draws(monkeypatch, 300)
+    assert len(draws) == 900
+    for name, args in draws:
+        got = getattr(quotients, name)(*args)
+        want = getattr(identity_reference, name)(*args)
+        assert (got.lhs, got.rhs, got.equal) == \
+            (want.lhs, want.rhs, want.equal), name
+        assert got.lhs == PAdicVector(list(got.lhs.coords))
+
+
+class _Counting:
+    """A function that counts the points it is evaluated at."""
+
+    def __init__(self, f):
+        self.f, self.seen = f, Counter()
+
+    def __call__(self, z):
+        self.seen[z] += 1
+        return self.f(z)
+
+
+def _evaluations(check, name, args):
+    """The point counts of each function that `check` receives."""
+    k = 1 if name == "telescope_check" else 2
+    counting = [_Counting(f) for f in args[:k]]
+    check(*counting, *args[k:])
+    return [c.seen for c in counting]
+
+
+def test_each_check_evaluates_each_distinct_point_once(monkeypatch):
+    repeated = 0
+    for name, args in _identity_draws(monkeypatch, 100):
+        for seen in _evaluations(getattr(quotients, name), name, args):
+            assert max(seen.values()) == 1, name
+        repeated += sum(max(seen.values()) > 1 for seen in _evaluations(
+            getattr(identity_reference, name), name, args))
+    assert repeated > 0     # without the kept values, points repeat
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,19 @@ def test_jet_field_build_and_json():
     assert polys2[0] == polys[0]
 
 
+def test_jet_field_refuses_two_jets_in_one_coset():
+    """0 and 5 share their resolution-1 coset: the later jet once
+    answered for it, although a built field keeps the first."""
+    field = {"k": 0, "resolution": 1,
+             "A": [{"center": ["0@5"], "rad_exp": 1}],
+             "jets": [[["0@5"], [[[[0], "1/1"]]]],
+                      [["1e1@5"], [[[[0], "2/1"]]]]]}
+    with pytest.raises(PadicError, match="duplicate coset"):
+        JetField.from_json(field)
+    field["jets"][1][0] = ["1e0@5"]
+    assert len(JetField.from_json(field).jets) == 2
+
+
 def test_jet_compat_modulus_zero_for_global_polynomial():
     A = two_coset_A()
     f = fn("x0*x0+2*x1", m=2)
