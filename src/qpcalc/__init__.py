@@ -46,7 +46,6 @@ from .measure import (  # noqa: F401
     sphere_measure,
 )
 from .funcs import (  # noqa: F401
-    DomainEscape,
     ExprSyntaxError,
     LinearMap,
     MultiPoly,
@@ -66,6 +65,7 @@ from .quotients import (  # noqa: F401
     phin,
     phin_exact_zero,
     phin_limit,
+    phin_poly,
     product_rule_check,
     stepanoff_scan,
     taylor_eval,

@@ -39,7 +39,7 @@ from .extension import (
     extend_to_grid,
     verify_Ej,
 )
-from .funcs import DomainEscape, ExprSyntaxError, SymbolicFunction
+from .funcs import ExprSyntaxError, SymbolicFunction
 from .measure import (
     DEFAULT_CAP,
     GridFunction,
@@ -122,6 +122,14 @@ def _fmt(value) -> str:
     if isinstance(value, PAdicVector):
         return ",".join(str(c.as_fraction()) for c in value.coords)
     return str(value.as_fraction())
+
+
+def _at_least(args, low: int, *names) -> None:
+    """Refuse a count option below the least value it can mean."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise PadicError(f"--{name} must be at least {low}, got {value}")
 
 
 def _function(args) -> SymbolicFunction:
@@ -273,6 +281,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_taylor(args) -> int:
+    _at_least(args, 0, "n")
     fn = _function(args)
     y = _vector(args.y, args.p, args.prec)
     x = _vector(args.x, args.p, args.prec)
@@ -443,6 +452,7 @@ def _whitney_glue(J: JetField, args):
 
 
 def cmd_whitney_build(args) -> int:
+    _at_least(args, 0, "k", "degree")
     fn = _function(args)
     A = _ball_union(args.set, args.p, args.prec)
     J = jet_field_from_function(fn, A, args.resolution, args.k,
@@ -468,9 +478,12 @@ def cmd_whitney_eval(args) -> int:
 
 
 def cmd_whitney_verify(args) -> int:
+    _at_least(args, 1, "samples")
     J = _jet_field(args)
     g = _whitney_glue(J, args)
     orders = range(J.k + 1) if args.orders is None else _levels(args.orders)
+    if any(not 0 <= j <= J.k for j in orders):
+        raise PadicError(f"--orders must lie in 0..{J.k}, got {args.orders}")
     samples = []
     for order in orders:
         rng = random.Random(f"{args.seed}:{order}")
@@ -530,10 +543,24 @@ def _poly_source(rng: random.Random, m: int, p: int,
     return src
 
 
+def _kept(f):
+    """f with each value kept by its point, for the span of one identity
+    item: PAdicVector equality is bit-exact, so a kept value is the one
+    that evaluating f again would return."""
+    values = {}
+
+    def kept(z):
+        y = values.get(z)
+        if y is None:
+            y = values[z] = f(z)
+        return y
+    return kept
+
+
 def _identity_item(p: int, prec: int, seed: int, index: int) -> dict:
     """One seeded instance of each exact first-order identity; the rng is
     derived from (seed, index) alone so batches split identically for any
-    job count."""
+    job count.  The item's checks share one kept copy of each function."""
     rng = random.Random(f"{seed}:{index}")
     m = rng.choice([1, 2])
     mu = rng.choice([1, 2])
@@ -544,10 +571,9 @@ def _identity_item(p: int, prec: int, seed: int, index: int) -> dict:
             p, [_poly_source(rng, nvars, p, with_ind)
                 for _ in range(components)], m=nvars, prec=prec)
 
-    f = fun(m, indicator)
-    g_outer = fun(mu, indicator)
-    u = fun(m, False, components=mu)
-    h = fun(m, indicator)
+    f, g_outer, u, h = map(_kept, (fun(m, indicator), fun(mu, indicator),
+                                   fun(m, False, components=mu),
+                                   fun(m, indicator)))
     x = PAdicVector.from_ints(
         p, [rng.randrange(p ** 3) for _ in range(m)], prec=prec)
     v_coords = [rng.randrange(p ** 3) for _ in range(m)]
@@ -563,10 +589,8 @@ def _identity_item(p: int, prec: int, seed: int, index: int) -> dict:
 
 
 def cmd_identities(args) -> int:
-    if args.samples < 0:
-        raise PadicError(f"--samples must be at least 0, got {args.samples}")
-    if args.jobs < 1:
-        raise PadicError(f"--jobs must be at least 1, got {args.jobs}")
+    _at_least(args, 0, "samples")
+    _at_least(args, 1, "jobs")
     indices = range(args.samples)
     runner = lambda i: _identity_item(args.p, args.prec, args.seed, i)
     # results aggregate by index, so fewer threads give the same report
@@ -791,6 +815,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:       # argparse: 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        _at_least(args, 1, "prec")
         return args.func(args)
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -798,7 +823,7 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (PadicError, DomainEscape, json.JSONDecodeError, OSError,
+    except (PadicError, json.JSONDecodeError, OSError,
             ValueError, ZeroDivisionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

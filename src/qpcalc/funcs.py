@@ -37,10 +37,6 @@ from .padic import (
 )
 
 
-class DomainEscape(PadicError):
-    """An evaluation point left the declared domain."""
-
-
 class ExprSyntaxError(PadicError):
     """Malformed expression source; `offset` is the byte position."""
 
@@ -236,27 +232,21 @@ class Compose(Expr):
 # ---------------------------------------------------------------------------
 
 class SymbolicFunction:
-    """A tuple of scalar expressions, evaluated exactly on PAdicVectors.
+    """A tuple of scalar expressions, evaluated exactly on PAdicVectors
+    over all of Q_p^m."""
 
-    `domain`, when given, is a Ball; evaluation outside it raises
-    DomainEscape.  Without one the function is taken on all of Q_p^m.
-    """
+    __slots__ = ("p", "m", "components")
 
-    __slots__ = ("p", "m", "components", "domain")
-
-    def __init__(self, p: int, m: int, components, domain: Ball | None = None):
+    def __init__(self, p: int, m: int, components):
         components = tuple(components)
         if not components:
             raise PadicError("a function needs at least one component")
         used = max(c.max_coord() for c in components)
         if used >= m:
             raise PadicError(f"component uses x{used} but m={m}")
-        if domain is not None and (domain.p != p or domain.dim != m):
-            raise PadicError("domain ball does not match (p, m)")
         self.p = p
         self.m = m
         self.components = components
-        self.domain = domain
 
     @property
     def n(self) -> int:
@@ -265,10 +255,6 @@ class SymbolicFunction:
     def _check_point(self, x: PAdicVector) -> None:
         if x.p != self.p or x.dim != self.m:
             raise PadicError("evaluation point does not match (p, m)")
-        if self.domain is not None and not self.domain.contains(x):
-            raise DomainEscape(
-                f"point outside the declared domain ball (radius exponent "
-                f"{self.domain.rad_exp})")
 
     def __call__(self, x: PAdicVector) -> PAdicVector:
         self._check_point(x)
@@ -297,14 +283,13 @@ class SymbolicFunction:
 
     @classmethod
     def from_sources(cls, p: int, sources, m: int | None = None,
-                     prec: int | None = None,
-                     domain: Ball | None = None) -> "SymbolicFunction":
+                     prec: int | None = None) -> "SymbolicFunction":
         if isinstance(sources, str):
             sources = [sources]
         comps = [parse_expr(s, p, prec=prec) for s in sources]
         if m is None:
             m = max(1, 1 + max(c.max_coord() for c in comps))
-        return cls(p, m, comps, domain=domain)
+        return cls(p, m, comps)
 
     def __repr__(self):
         return f"SymbolicFunction({self.m}->{self.n}: {self.to_sources()})"

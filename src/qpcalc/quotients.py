@@ -99,30 +99,45 @@ def phin(f, n: int, q: QuotientPoint) -> PAdicVector:
 # values at vanishing increments and the Taylor expansion
 # ---------------------------------------------------------------------------
 
+def phin_poly(Q: MultiPoly, n: int) -> MultiPoly:
+    """phin of the polynomial Q in m variables, as a polynomial in the
+    (n+1)*m + n variables (x_1..x_m, v_1,1..v_1,m, .., v_n,m, t_1..t_n).
+
+    The alternating sum over the increment subsets S of Q(x + sum_S v_i t_i)
+    is the part of Q(x + v_1 t_1 + ... + v_n t_n) whose monomials contain
+    every t_i (inclusion-exclusion), so one substitution gives it; dividing
+    by t_1...t_n lowers each t-exponent by one, and the division by n! is
+    exact over Q.  It equals phin wherever every t_i is nonzero, and its
+    value at t = 0 is the limit there."""
+    if n < 1:
+        raise PadicError("quotient order must be >= 1")
+    m = Q.m
+    first_t = m * (n + 1)
+    coord = lambda k: MultiPoly.coord(first_t + n, k)
+    args = [coord(k) for k in range(m)]
+    for i in range(n):
+        for k in range(m):
+            args[k] = args[k] + coord(m * (i + 1) + k) * coord(first_t + i)
+    fact = Fraction(1, math.factorial(n))
+    return MultiPoly(first_t + n, {
+        e[:first_t] + tuple(a - 1 for a in e[first_t:]): c * fact
+        for e, c in Q.substitute(args).terms.items() if all(e[first_t:])})
+
+
 def phin_exact_zero(f: SymbolicFunction, n: int, x: PAdicVector,
                     vs) -> PAdicVector:
     """The exact value of phin at t = (0,..,0): the n-fold multilinear
-    (divided-power) form of f at x, the coefficient of t_1...t_n in the
-    degree-n jet of f's local normal form at x + sum v_i t_i, over n!."""
+    (divided-power) form of f at x, phin_poly of the degree-n jet of f's
+    local normal form at x, evaluated at (x, vs, 0)."""
     vs = list(vs)
     if len(vs) != n:
         raise PadicError("need n directions")
     xf = [c.as_fraction() for c in x.coords]
-    vf = [[c.as_fraction() for c in v.coords] for v in vs]
-    # substitute x_k -> x_k + sum_i v_{i,k} * t_i  (t_i the new variables)
-    args = []
-    for k in range(f.m):
-        a = MultiPoly.const(n, xf[k])
-        for i in range(n):
-            if vf[i][k]:
-                a = a + MultiPoly.monomial(n, tuple(1 if j == i else 0
-                                                    for j in range(n)), vf[i][k])
-        args.append(a)
-    fact = Fraction(1, math.factorial(n))
+    point = xf + [c.as_fraction() for v in vs for c in v.coords] + [0] * n
     return PAdicVector(
         PAdicNumber.from_fraction(
-            x.p, local_jet(num, den, xf, n).substitute(args)
-            .coefficient((1,) * n) * fact, prec=_VALUE_PREC)
+            x.p, phin_poly(local_jet(num, den, xf, n), n)
+            .evaluate_fraction(point), prec=_VALUE_PREC)
         for num, den in f.localize(x))
 
 
@@ -204,20 +219,6 @@ def _identity(lhs: PAdicVector, rhs: PAdicVector) -> IdentityCheck:
     return IdentityCheck(lhs, rhs, all(c.is_zero() for c in (lhs - rhs).coords))
 
 
-def _kept(f):
-    """f with each value kept by its point, for the span of one check:
-    PAdicVector equality is bit-exact, so a kept value is the one that
-    evaluating f again would return."""
-    values = {}
-
-    def kept(z):
-        y = values.get(z)
-        if y is None:
-            y = values[z] = f(z)
-        return y
-    return kept
-
-
 def chain_rule_check(f, u, y: PAdicVector, v: PAdicVector,
                      t: PAdicNumber) -> IdentityCheck:
     """phi1 of the composition f(u(.)) against its coordinate-splitting sum.
@@ -227,7 +228,6 @@ def chain_rule_check(f, u, y: PAdicVector, v: PAdicVector,
     the first j coordinates from u(y) and the rest from u(y+vt); summands
     with phi_j = 0 are zero (the factor annihilates them).
     """
-    f, u = _kept(f), _kept(u)
     lhs = phi1(lambda z: f(u(z)), y, v, t)
     uy = u(y)
     uyt = u(y + v.scale(t))
@@ -251,7 +251,6 @@ def telescope_check(f, x: PAdicVector, v: PAdicVector,
                     t: PAdicNumber) -> IdentityCheck:
     """phi1 along direction v against the coordinate-wise telescoping sum
     sum_i v_i * phi1(f; x + t*sum_{j>i} e_j v_j; e_i; v_i t)."""
-    f = _kept(f)
     lhs = phi1(f, x, v, t)
     m = x.dim
     p = x.p
@@ -274,8 +273,6 @@ def telescope_check(f, x: PAdicVector, v: PAdicVector,
 def product_rule_check(f, g, x: PAdicVector, v: PAdicVector,
                        t: PAdicNumber) -> IdentityCheck:
     """phi1(f*g) = phi1(f)*g(x+vt) + f(x)*phi1(g) for scalar-valued f, g."""
-    f, g = _kept(f), _kept(g)
-
     def prod(z):
         a, b = f(z), g(z)
         if a.dim != 1 or b.dim != 1:

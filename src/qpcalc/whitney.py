@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
 
 from .extension import holder_violations, packing_check_many
 from .funcs import MultiPoly, SymbolicFunction, local_jet
@@ -26,7 +25,6 @@ from .padic import (
     PAdicVector,
     PadicError,
     PPow,
-    ScaledBound,
     json_int,
     json_list,
     json_object,
@@ -34,7 +32,7 @@ from .padic import (
     parse_frac,
     rational_val,
 )
-from .quotients import QuotientPoint, phin
+from .quotients import QuotientPoint, phin, phin_poly
 
 #: construction exponents (s0, s1, s2); the gauge scale is b = p^(-s0),
 #: the enlargement factor p^(-s1), and the packing scale offset s2.
@@ -259,6 +257,8 @@ class JetField:
     jets: tuple           # ((rep: PAdicVector, polys: tuple[MultiPoly]), ...)
 
     def __post_init__(self):
+        if self.k < 0:
+            raise PadicError(f"jet order k must be at least 0, got {self.k}")
         # coset-key lookup for jet_at; one jet per coset, as in a grid table
         by_key = {}
         for i, (z, _) in enumerate(self.jets):
@@ -349,6 +349,9 @@ def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
     resolution coset: where balls of A overlap, the first enumeration of a
     coset wins."""
     A = tuple(A)
+    if any(b.p != f.p or b.dim != f.m for b in A):
+        raise PadicError(f"a ball of the closed set is not in Q_{f.p}^{f.m}, "
+                         f"where f is defined")
     try:                    # a source without indicators converts once
         everywhere = f.localize()
     except PadicError:
@@ -368,61 +371,50 @@ def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
 # compatibility modulus
 # ---------------------------------------------------------------------------
 
-def _quotient_bound(Q: MultiPoly, z: PAdicVector, order: int,
-                    zeta: int) -> PPow:
-    """Ultrametric bound for the order-j difference quotient of Q at z,
-    over unit directions and increments of norm <= p^(-zeta).
-
-    Built symbolically: the alternating sum over the increment subsets S
-    of Q(z + sum_S v_i*t_i) is the part of Q(z + v1*t1 + ... + vj*tj)
-    whose monomials contain every t_i (inclusion-exclusion), so one
-    substitution, with the v-coordinates and t's as fresh variables,
-    gives it.  Each such monomial, divided by j! * t1...tj, is bounded by
-    the p-norm of its coefficient times p^(-zeta * its remaining t-degree).
-    Order 0 is the largest coefficient norm, whatever z.
-    """
-    p = z.p
-    m = z.dim
-    j = order
-    if j == 0:
-        # C0 norm over the unit ball: max coefficient norm
-        return PPow.from_val(p, min(
-            (rational_val(c, p) for c in Q.terms.values() if c), default=None))
-    nv = j * m + j
-    args = [MultiPoly.const(nv, z.coords[c].as_fraction())
-            for c in range(m)]
-    for i in range(j):
-        ti = MultiPoly.coord(nv, j * m + i)
-        for c in range(m):
-            args[c] = args[c] + MultiPoly.coord(nv, i * m + c) * ti
-    # the division by j! * t1...tj
-    shift = rational_val(Fraction(factorial(j)), p) + zeta * j
+def _gauss_bound(Q: MultiPoly, p: int) -> PPow:
+    """The order-0 bound: the largest coefficient norm of Q, which bounds
+    |Q| on the unit ball whatever the point."""
     return PPow.from_val(p, min(
-        (rational_val(c, p) + zeta * sum(e[j * m:]) - shift
-         for e, c in Q.substitute(args).terms.items()
-         if all(e[j * m:])),
-        default=None))
+        (rational_val(c, p) for c in Q.terms.values()), default=None))
+
+
+def _quotient_bound(Phi: MultiPoly, n: int, z: PAdicVector,
+                    zeta: int) -> PPow:
+    """Ultrametric bound at z for the order-n quotient whose phin_poly is
+    Phi, over unit directions and increments of norm <= p^(-zeta).
+
+    Phi's terms are grouped by their (v, t) exponents and each group's
+    x-part is evaluated at z; a group is bounded by the p-norm of that
+    coefficient times p^(-zeta * its t-degree)."""
+    p, m = z.p, z.dim
+    xf = [c.as_fraction() for c in z.coords]
+    coeffs = {}
+    for e, c in Phi.terms.items():
+        for a, k in zip(xf, e):
+            if k:
+                c *= a ** k
+        coeffs[e[m:]] = coeffs.get(e[m:], 0) + c
+    return PPow.from_val(p, min(
+        (rational_val(c, p) + zeta * sum(vt[-n:])
+         for vt, c in coeffs.items() if c), default=None))
 
 
 def _jet_signature(polys) -> tuple:
     return tuple(tuple(sorted(poly.terms.items())) for poly in polys)
 
 
-def jet_compat_modulus(J: JetField, delta: Fraction) -> PPow:
-    """rho(S, delta): the worst scaled jet disagreement over representative
-    pairs within delta, all orders j <= k, as an exact power-of-p bound,
+def jet_compat_modulus(J: JetField, D: int) -> PPow:
+    """rho(S, p^-D): the worst scaled jet disagreement over representative
+    pairs within p^-D, all orders j <= k, as an exact power-of-p bound,
     over the increments |t| <= p^-INCREMENT_EXP that the sampler draws.
 
-    The pairs within delta are the pairs in a level-D ball of the
+    The pairs within p^-D are the pairs in a level-D ball of the
     representatives' CosetTree, and pairs with equal jets contribute
     nothing: only pairs of different jet classes are compared, and a field
     of identical jets (a globally polynomial source) costs one pass.
     """
     p = J.p
     best = PPow.zero(p)
-    if delta <= 0:
-        return best
-    D = ScaledBound(p, delta).least()      # |x - z| <= delta iff val >= D
     classes = {}
     cls = [classes.setdefault(_jet_signature(px), len(classes))
            for _, px in J.jets]
@@ -441,13 +433,13 @@ def jet_compat_modulus(J: JetField, delta: Fraction) -> PPow:
                 Q = px[comp] - pz[comp]
                 if Q.is_zero():
                     continue
-                for j in range(J.k + 1):
-                    bound = _quotient_bound(Q, z, j, INCREMENT_EXP)
-                    if j:       # order 0 does not depend on the point
-                        bound = max(bound,
-                                    _quotient_bound(Q, x, j, INCREMENT_EXP))
-                    scaled = bound * dpow.pow_frac(Fraction(j - J.k))
-                    best = max(best, scaled)
+                # order 0 does not depend on the point
+                best = max(best, _gauss_bound(Q, p) * dpow.pow_frac(-J.k))
+                for j in range(1, J.k + 1):
+                    Phi = phin_poly(Q, j)
+                    bound = max(_quotient_bound(Phi, j, y, INCREMENT_EXP)
+                                for y in (x, z))
+                    best = max(best, bound * dpow.pow_frac(j - J.k))
     return best
 
 
@@ -584,7 +576,7 @@ def verify_whitney(g, J: JetField, samples) -> list:
             if span is None:
                 continue
             if span not in rho_cache:
-                rho_cache[span] = jet_compat_modulus(J, Fraction(p) ** -span)
+                rho_cache[span] = jet_compat_modulus(J, span)
             # p^j * rho * |span|^(k-j)
             bound = max(bound, PPow(p, j - span * (J.k - j)) * rho_cache[span])
         observed = PPow.from_val(p, min(

@@ -466,6 +466,100 @@ def test_whitney_glue_takes_no_cap_or_zeta(capsys, q5_field, action, option):
     assert "unrecognized arguments" in err
 
 
+# one argv per verb, with the options argparse requires
+_EVERY_VERB = [
+    ("eval", "--x", "1"), ("quotient", "--x", "1", "--v", "1", "--t", "1"),
+    ("taylor", "--x", "1", "--y", "0", "--n", "1"),
+    ("density", "--set", "ball(0;1)", "--at", "0"),
+    ("aplimit", "--x", "0", "--value", "0"), ("decompose",),
+    ("certify", "--in", "s.json"),
+    ("extend", "--in", "s.json", "--domain", "ball(0;0)", "--resolution", "1"),
+    ("cheb", "--in", "h.json"), ("ej",),
+    ("whitney", "build", "--set", "ball(0;1)", "--resolution", "2", "--k", "1"),
+    ("whitney", "eval", "--jets", "j.json", "--x", "1"),
+    ("whitney", "verify", "--jets", "j.json", "--seed", "1"),
+    ("scan",), ("identities", "--seed", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_VERB, ids=lambda a: " ".join(a[:2]))
+@pytest.mark.parametrize("prec", ["0", "-3"])
+def test_every_verb_refuses_a_window_below_one_digit(capsys, argv, prec):
+    """`eval --f x0+1 --x 3 --prec 0` once printed 0 and exited 0, and
+    `--prec -3` ended in a TypeError traceback."""
+    code, out, err = run(capsys, *argv, "--prec", prec)
+    assert (code, out) == (2, "")
+    assert err == f"error: --prec must be at least 1, got {prec}\n"
+
+
+def _refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_taylor_refuses_a_negative_order(capsys):
+    """This once printed "order -1 ... residual norm 1" and exited 0."""
+    _refused(capsys, ["taylor", "--f", "x0*x0", "--y", "0", "--x", "1",
+                      "--n", "-1"], "--n must be at least 0, got -1")
+
+
+@pytest.mark.parametrize("option, message", [
+    (("--k", "-1"), "--k must be at least 0, got -1"),
+    (("--k", "1", "--degree", "-1"), "--degree must be at least 0, got -1")])
+def test_whitney_build_refuses_a_negative_order(capsys, tmp_path, option,
+                                                message):
+    """--k -1 once wrote 25 jets of order -1, on which verify printed no
+    row and exited 0."""
+    path = tmp_path / "jets.json"
+    _refused(capsys, ["whitney", "build", "--f", "x0*x0", "--set",
+                      "ball(0;1)", "--resolution", "3", *option,
+                      "--out", str(path)], message)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("f, balls, m", [
+    ("x0", "ball(0;1)|ball(0,0;1)", 1), ("x0*x1", "ball(0;1)", 2),
+    ("x0", "ball(0,0;1)", 1)])
+def test_whitney_build_refuses_a_set_outside_the_domain_of_f(
+        capsys, tmp_path, f, balls, m):
+    """A ball of another dimension once gave a jet file that `whitney
+    eval` refused ("a jet term's exponents are a list of 2 integers")."""
+    path = tmp_path / "jets.json"
+    _refused(capsys, ["whitney", "build", "--f", f, "--set", balls,
+                      "--resolution", "2", "--k", "1", "--out", str(path)],
+             f"a ball of the closed set is not in Q_5^{m}, where f is "
+             f"defined")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (("--samples", "0"), "--samples must be at least 1, got 0"),
+    (("--orders=-1",), "--orders must lie in 0..1, got -1"),
+    (("--orders", "0,2"), "--orders must lie in 0..1, got 0,2")])
+def test_whitney_verify_refuses_a_vacuous_check(capsys, jets_file, tmp_path,
+                                                option, message):
+    """--samples 0 once wrote "rows": [] and exited 0, and --orders=-1
+    checked order 0."""
+    path = tmp_path / "verify.json"
+    _refused(capsys, ["whitney", "verify", "--jets", jets_file, "--seed",
+                      "1", *option, "--out", str(path)], message)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("action", [("verify", "--seed", "1"),
+                                    ("eval", "--x", "1")])
+def test_whitney_refuses_a_jet_file_of_negative_order(capsys, jets_file,
+                                                      action):
+    """A file of order -1 once verified with no row and exit 0."""
+    field = json.loads(open(jets_file).read())
+    field["k"] = -1
+    with open(jets_file, "w") as fh:
+        json.dump(field, fh)
+    _refused(capsys, ["whitney", action[0], "--jets", jets_file,
+                      *action[1:]], "jet order k must be at least 0, got -1")
+
+
 def test_whitney_eval_domain_inside_a_has_no_site(capsys, tmp_path):
     """The domain ball(11;2) lies inside A = ball(1;1): no support site."""
     path = tmp_path / "jets.json"

@@ -9,7 +9,6 @@ import tokenize_reference
 from norm_reference import operator_norm
 from qpcalc.funcs import (
     Compose,
-    DomainEscape,
     ExprSyntaxError,
     LinearMap,
     MultiPoly,
@@ -20,7 +19,6 @@ from qpcalc.funcs import (
     parse_expr,
 )
 from qpcalc.padic import (
-    Ball,
     PAdicNumber,
     PAdicVector,
     PadicError,
@@ -114,15 +112,10 @@ def test_source_round_trip():
         assert e.eval(x) == again.eval(x)
 
 
-def test_symbolic_function_shapes_and_domain():
+def test_symbolic_function_shapes():
     f = SymbolicFunction.from_sources(5, ["x0+x1", "x0*x1"])
     assert (f.m, f.n) == (2, 2)
     assert [c.as_fraction() for c in f(vec(2, 3))] == [5, 6]
-    g = SymbolicFunction.from_sources(
-        5, "x0*x0", domain=Ball(PAdicVector.zero(5, 1), 0))
-    outside = PAdicVector([PAdicNumber.from_fraction(5, Fraction(1, 5), prec=8)])
-    with pytest.raises(DomainEscape):
-        g(outside)
 
 
 def compose(outer, inner):
@@ -131,7 +124,7 @@ def compose(outer, inner):
     if inner.p != outer.p or inner.n != outer.m:
         raise PadicError("composition shape mismatch")
     comps = tuple(Compose(c, inner.components) for c in outer.components)
-    return SymbolicFunction(outer.p, inner.m, comps, domain=inner.domain)
+    return SymbolicFunction(outer.p, inner.m, comps)
 
 
 def test_function_composition():

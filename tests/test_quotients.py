@@ -2,14 +2,15 @@
 vanishing increments, Taylor residuals, the combinatorial identities, Hölder
 scans, and approximate derivatives."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-import identity_reference
 from qpcalc import cli, quotients
 from qpcalc.funcs import LinearMap, MultiPoly, SymbolicFunction
 from qpcalc.measure import GridFunction
@@ -34,6 +35,7 @@ from qpcalc.quotients import (
     phin,
     phin_exact_zero,
     phin_limit,
+    phin_poly,
     product_rule_check,
     stepanoff_scan,
     taylor_eval,
@@ -175,6 +177,41 @@ def test_phin_limit_agrees_with_symbolic_multilinear_form():
         assert (near[0] - exact[0]).val >= 6
 
 
+@st.composite
+def p_rationals(draw, p, zero=True):
+    """u * p^e with u a unit-or-not integer up to p^4 and e in -2..3."""
+    u = draw(st.integers(-p ** 4, p ** 4).filter(lambda u: zero or u))
+    return Fraction(u) * Fraction(p) ** draw(st.integers(-2, 3))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_phin_poly_equals_the_subset_sum(data):
+    """phin_poly(Q, n) at (x, v, t) with every t_i nonzero is
+    (1/n!) * sum_S (-1)^(n-|S|) Q(x + sum_S v_i t_i) / (t_1...t_n)."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    m, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    Q = MultiPoly(m, {tuple(data.draw(st.integers(0, 3)) for _ in range(m)):
+                      data.draw(p_rationals(p))
+                      for _ in range(data.draw(st.integers(0, 4)))})
+    x = [data.draw(p_rationals(p)) for _ in range(m)]
+    vs = [[data.draw(p_rationals(p)) for _ in range(m)] for _ in range(n)]
+    ts = [data.draw(p_rationals(p, zero=False)) for _ in range(n)]
+    total = Fraction(0)
+    for mask in range(2 ** n):
+        S = [i for i in range(n) if mask >> i & 1]
+        point = [x[k] + sum(vs[i][k] * ts[i] for i in S) for k in range(m)]
+        total += (-1) ** (n - len(S)) * Q.evaluate_fraction(point)
+    want = total / math.prod(ts) / math.factorial(n)
+    args = x + [c for v in vs for c in v] + ts
+    assert phin_poly(Q, n).evaluate_fraction(args) == want
+
+
+def test_phin_poly_refuses_order_zero():
+    with pytest.raises(PadicError):
+        phin_poly(MultiPoly.coord(1, 0), 0)
+
+
 # ---------------------------------------------------------------------------
 # Taylor expansion
 # ---------------------------------------------------------------------------
@@ -290,13 +327,16 @@ def test_product_rule_unit_factor():
 _CHECKS = ("chain_rule_check", "telescope_check", "product_rule_check")
 
 
-def _identity_draws(monkeypatch, count, seed=3):
+def _identity_draws(monkeypatch, count, seed=3, keep=True):
     """(check name, arguments) of every check that the identities verb
-    makes on its items 0 .. count-1, recorded without running them."""
+    makes on its items 0 .. count-1, recorded without running them; with
+    keep False the functions are the items' own, not their kept copies."""
     calls = []
     for name in _CHECKS:
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(
             (name, args)) or IdentityCheck(None, None, True))
+    if not keep:
+        monkeypatch.setattr(cli, "_kept", lambda f: f)
     for i in range(count):
         cli._identity_item(cli.DEFAULT_P, cli.WORKING_PREC, seed, i)
     monkeypatch.undo()
@@ -304,11 +344,14 @@ def _identity_draws(monkeypatch, count, seed=3):
 
 
 def test_checks_match_the_unkept_reference_bit_for_bit(monkeypatch):
-    draws = _identity_draws(monkeypatch, 300)
-    assert len(draws) == 900
-    for name, args in draws:
+    """Each item's checks, run in order on the functions the item keeps
+    and shares, equal the same checks on functions evaluated afresh."""
+    kept = _identity_draws(monkeypatch, 300)
+    fresh = _identity_draws(monkeypatch, 300, keep=False)
+    assert len(kept) == len(fresh) == 900
+    for (name, args), (_, raw) in zip(kept, fresh):
         got = getattr(quotients, name)(*args)
-        want = getattr(identity_reference, name)(*args)
+        want = getattr(quotients, name)(*raw)
         assert (got.lhs, got.rhs, got.equal) == \
             (want.lhs, want.rhs, want.equal), name
         assert got.lhs == PAdicVector(list(got.lhs.coords))
@@ -325,22 +368,20 @@ class _Counting:
         return self.f(z)
 
 
-def _evaluations(check, name, args):
-    """The point counts of each function that `check` receives."""
-    k = 1 if name == "telescope_check" else 2
-    counting = [_Counting(f) for f in args[:k]]
-    check(*counting, *args[k:])
-    return [c.seen for c in counting]
-
-
-def test_each_check_evaluates_each_distinct_point_once(monkeypatch):
-    repeated = 0
-    for name, args in _identity_draws(monkeypatch, 100):
-        for seen in _evaluations(getattr(quotients, name), name, args):
-            assert max(seen.values()) == 1, name
-        repeated += sum(max(seen.values()) > 1 for seen in _evaluations(
-            getattr(identity_reference, name), name, args))
-    assert repeated > 0     # without the kept values, points repeat
+def test_each_item_evaluates_each_distinct_point_once(monkeypatch):
+    """The item's four functions are kept once and shared by its three
+    checks, so f, which telescope_check and product_rule_check both
+    evaluate at x and x + vt, is evaluated there once."""
+    counting = []
+    kept = cli._kept
+    monkeypatch.setattr(cli, "_kept", lambda f: counting.append(
+        _Counting(f)) or kept(counting[-1]))
+    for i in range(100):
+        counting.clear()
+        cli._identity_item(cli.DEFAULT_P, cli.WORKING_PREC, 3, i)
+        assert len(counting) == 4
+        for c in counting:
+            assert max(c.seen.values()) == 1
 
 
 # ---------------------------------------------------------------------------

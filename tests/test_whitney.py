@@ -281,7 +281,7 @@ def test_jet_compat_modulus_zero_for_global_polynomial():
     A = two_coset_A()
     f = fn("x0*x0+2*x1", m=2)
     J = jet_field_from_function(f, A, resolution=2, k=1)
-    rho = jet_compat_modulus(J, Fraction(1))
+    rho = jet_compat_modulus(J, 0)
     assert rho.exp is None    # all jets identical -> modulus 0
 
 
@@ -291,7 +291,7 @@ def test_jet_compat_modulus_detects_mismatch():
     jets = ((vec(0), (MultiPoly.const(1, 0),)),
             (vec(1), (MultiPoly.const(1, 3),)))
     J = JetField(k=1, A=A, resolution=3, jets=jets)
-    rho = jet_compat_modulus(J, Fraction(1))
+    rho = jet_compat_modulus(J, 0)
     # |3 - 0| = 1 at distance 1, order j=0 scaling |x-z|^(0-1) = 1
     assert rho.as_fraction() == 1
 

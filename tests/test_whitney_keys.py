@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import whitney_reference as ref
+from norm_reference import floor_level
 import qpcalc.whitney as whitney
 from qpcalc.extension import SampleSet, extend_to_grid
 from qpcalc.funcs import MultiPoly, SymbolicFunction, as_polynomials
 from qpcalc.measure import CosetTree, coset_key, enumerate_cosets
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError
+from qpcalc.quotients import phin_poly
 from qpcalc.whitney import (JetField, RadiusFunction, build_h,
                             disjoint_ball_family, dist_to_set,
                             jet_compat_modulus, jet_field_from_function,
@@ -434,22 +436,25 @@ def test_modulus_matches_class_pairs(case, data):
     J = JetField(k=data.draw(st.integers(0, 2)), A=(), resolution=resolution,
                  jets=tuple((z, pool[data.draw(st.integers(0, len(pool) - 1))])
                             for z in points))
-    for delta in (Fraction(0), Fraction(3, p ** 2), *(
+    for delta in (Fraction(3, p ** 2), *(
             Fraction(p) ** -s for s in range(-2, 6))):
-        assert jet_compat_modulus(J, delta) == ref.jet_compat_modulus(J, delta)
+        assert jet_compat_modulus(J, floor_level(delta, p)) == \
+            ref.jet_compat_modulus(J, delta)
 
 
 @SETTINGS
 @given(st.data())
 def test_quotient_bound_matches_the_subset_sum(data):
-    """One substitution, keeping the monomials that contain every t_i,
+    """The bound read off phin_poly, one substitution for every point,
     bounds the order-j quotient as the alternating sum over the 2^j
     increment subsets does: j <= 3, zeta <= 2, points with negative
-    valuations, zero coordinates and short windows."""
+    valuations, zero coordinates and short windows.  Order 0 is the Gauss
+    norm, as in jet_compat_modulus."""
     p = data.draw(st.sampled_from([2, 3, 5]))
     m = data.draw(st.integers(1, 2))
     Q = data.draw(polys(m, max_terms=4, max_degree=3))
     z = PAdicVector([data.draw(scalars(p)) for _ in range(m)])
     j, zeta = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
-    assert whitney._quotient_bound(Q, z, j, zeta) == \
-        ref.quotient_bound(Q, z, j, zeta)
+    bound = whitney._quotient_bound(phin_poly(Q, j), j, z, zeta) if j \
+        else whitney._gauss_bound(Q, p)
+    assert bound == ref.quotient_bound(Q, z, j, zeta)
