@@ -445,10 +445,14 @@ class DensityEstimate:
         return [(j, c, t) for j, c, t in self.ratios]
 
 
+#: the levels the decay profile reads: fewer leave every verdict inconclusive
+VERDICT_LEVELS = 3
+
+
 def _verdict(p: int, entries, j0: int) -> str:
-    if len(entries) < 3:
+    if len(entries) < VERDICT_LEVELS:
         return "inconclusive"
-    tail = entries[-3:]
+    tail = entries[-VERDICT_LEVELS:]
     def decays(vals):
         return all(v <= Fraction(p) ** (-(j - j0)) for j, v in vals)
     if decays([(j, Fraction(c, t)) for j, c, t in tail]):

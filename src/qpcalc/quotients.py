@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .funcs import LinearMap, MultiPoly, SymbolicFunction, local_jet
-from .measure import (DEFAULT_CAP, CosetTree, DensityEstimate, GridFunction,
-                      coset_key, density_levels, enumerate_cosets,
-                      first_gaps, gap_val, level_estimate)
+from .measure import (DEFAULT_CAP, VERDICT_LEVELS, CosetTree,
+                      DensityEstimate, GridFunction, coset_key,
+                      density_levels, enumerate_cosets, first_gaps, gap_val,
+                      level_estimate)
 from .padic import (
     Ball,
     PAdicNumber,
@@ -383,6 +384,121 @@ def _gradient_map(f: SymbolicFunction, x: PAdicVector) -> LinearMap:
                                   for num, den in f.localize(x))])
 
 
+def _int_form(c: PAdicNumber, e: int):
+    """(c / p^e, the absolute window of c): the canonical representative
+    as an integer in units of p^e <= p^val(c).  The zero sentinel is the
+    exact 0, with an infinite window."""
+    if c.val is None:
+        return 0, math.inf
+    return c.unit * c.p ** (c.val - e), c.val + c.prec
+
+
+class _BallTable:
+    """The cosets z of one ball, their coordinates as integer forms in
+    units of p^e, and f(z) with its integer form at the scale p^E of the
+    point that last read it, both made when a point first needs them."""
+
+    def __init__(self, f, reps, e: int):
+        self.f, self.reps, self.e = f, reps, e
+        self.zs = [[_int_form(c, e) for c in z.coords] for z in reps]
+        self.values = [None] * len(reps)
+        self.forms = [None] * len(reps)
+
+    def scale(self, n: int, E: int):
+        """forms[n] = (E, the components of f(z_n) in units of p^E or None
+        when one lies below that scale, the least window of its nonzero
+        components); f(z_n) is evaluated the first time."""
+        if self.values[n] is None:
+            self.values[n] = self.f(self.reps[n])
+        cs = self.values[n].coords
+        ints = None if any(c.val is not None and c.val < E for c in cs) \
+            else [_int_form(c, E)[0] for c in cs]
+        form = self.forms[n] = (E, ints, min(
+            (c.val + c.prec for c in cs if c.val is not None),
+            default=math.inf))
+        return form
+
+
+def _bad_levels(table: _BallTable, x: PAdicVector, t: LinearMap,
+                fx: PAdicVector, tolerance: ScaledBound, res: int) -> Counter:
+    """hits[L]: the cosets z of the table in the bad set of x that leave x
+    at level L = min(res, val(z - x)).
+
+    The pair test is f(z) - f(x) - T(z - x) against eps*|z - x| in
+    windowed arithmetic.  That expression agrees with the same expression
+    on the canonical representatives modulo p^W, W the least window of
+    its nonzero leaves: f(z), f(x) and each product T_ri*dz_i, known below
+    min(v(T_ri) + win dz_i, v(dz_i) + win T_ri), where win dz_i is the
+    shorter window of z_i and x_i.  A zero sentinel is exact and only
+    widens those windows.  A coordinate of z - x that vanishes below its
+    window is that sentinel, so it is 0 here and left out of val(dz), as
+    in PAdicVector.val.  So where thr = F + val(dz) <= W, F the tolerance
+    level, the pair is good exactly when p^thr divides the integer err
+    (Schikhof, Ultrametric Calculus, 1984).  Every other pair (eps = 0,
+    thr > W, or an f(z) below the integer scale) is decided by the
+    windowed expression itself."""
+    p, e, F = x.p, table.e, tolerance.F
+    # err in units of p^E, T in units of p^(E - e), dz in units of p^e
+    E = min([e] + [e + c.val for row in t.rows for c in row
+                   if c.val is not None]
+            + [c.val for c in fx.coords if c.val is not None])
+    T = [[_int_form(c, E - e)[0] for c in row] for row in t.rows]
+    FX = [_int_form(c, E)[0] for c in fx.coords]
+    # per column i, (min v(T_ri), min win T_ri) over its nonzero entries
+    cols = [(min(c.val for c in nz), min(c.val + c.prec for c in nz))
+            if nz else None
+            for nz in ([c for c in col if c.val is not None]
+                       for col in zip(*t.rows))]
+    W_x = min((c.val + c.prec for c in fx.coords if c.val is not None),
+              default=math.inf)
+    xs = [(*_int_form(c, e), col) for c, col in zip(x.coords, cols)]
+    rows = list(zip(FX, T))
+    forms = table.forms
+    hits = Counter()
+    for n, Z in enumerate(table.zs):
+        ds, vdz, W = [], None, W_x
+        for (zi, zw), (xi, xw, col) in zip(Z, xs):
+            d = zi - xi
+            if d:
+                w = zw if zw < xw else xw
+                v, q = e, d
+                while v < w and not q % p:
+                    q //= p
+                    v += 1
+                if v < w:
+                    if vdz is None or v < vdz:
+                        vdz = v
+                    if col is not None:
+                        W = min(W, col[0] + w, v + col[1])
+                else:
+                    d = 0
+            ds.append(d)
+        if vdz is None:
+            continue
+        form = forms[n]
+        if form is None or form[0] != E:
+            form = table.scale(n, E)
+        _, ints, W_z = form
+        if F is not None and ints is not None and F + vdz <= min(W, W_z):
+            good, k = True, F + vdz - E
+            if k > 0:
+                mod = p ** k
+                for a, (b, row) in zip(ints, rows):
+                    a -= b
+                    for c, d in zip(row, ds):
+                        a -= c * d
+                    if a % mod:
+                        good = False
+                        break
+        else:
+            dz = table.reps[n] - x
+            good = tolerance.holds((table.values[n] - fx - t.apply(dz)).val,
+                                   dz.val)
+        if not good:
+            hits[min(res, vdz)] += 1
+    return hits
+
+
 def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
                    resolution: int | None = None,
                    cap: int = DEFAULT_CAP) -> list:
@@ -390,12 +506,13 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
 
     Points in one level-j_min coset share the ball B(x, p^-j_min), so it is
     enumerated once at `resolution` and f is evaluated once per coset of
-    it (when a point first needs it), the values stored by position; each
-    point's bad set is counted over that one list, every coset z at the
-    levels it has not left the point by, min(resolution, val(z - x)): a
-    counted z - x is nonzero at its window, so its valuation lies below
-    both windows and is exact.  Only one ball's
-    table is held at a time, so `cap` and memory stay per ball."""
+    it (when a point first needs it).  Each point's bad set is counted
+    over that one table (_bad_levels), every coset z at the levels it has
+    not left the point by, min(resolution, val(z - x)).  Coordinates and
+    values enter as integers with their windows: where the window decides
+    the tolerance test, one divisibility test on integers decides it, and
+    the windowed expression decides the rest.  Only one ball's table is
+    held at a time, so `cap` and memory stay per ball."""
     eps = Fraction(eps)
     if not points:
         return []
@@ -409,24 +526,16 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
         groups.setdefault(coset_key(x, js[0]), []).append(i)
     out = [None] * len(points)
     for members in groups.values():
-        ball = reps = values = None
+        table = None
         for i in members:
             x = points[i]
             t, fx = _gradient_map(f, x), f(x)
-            if ball is None:
-                ball = Ball(x, js[0])
-                reps = enumerate_cosets(ball, res, cap=cap)
-                values = [None] * len(reps)
-            hits = Counter()
-            for n, z in enumerate(reps):
-                dz = z - x
-                if dz.val is None:
-                    continue
-                if values[n] is None:
-                    values[n] = f(z)
-                err = values[n] - fx - t.apply(dz)
-                if not tolerance.holds(err.val, dz.val):
-                    hits[min(res, dz.val)] += 1
+            if table is None:
+                reps = enumerate_cosets(Ball(x, js[0]), res, cap=cap)
+                table = _BallTable(f, reps, min(
+                    [0] + [c.val for y in [*reps, *(points[k] for k in members)]
+                           for c in y.coords if c.val is not None]))
+            hits = _bad_levels(table, x, t, fx, tolerance, res)
             out[i] = ApDerivative(linear_map=t, eps=eps,
                                   estimate=level_estimate(p, m, js, res, hits))
     return out
@@ -463,7 +572,11 @@ def stepanoff_scan(f: SymbolicFunction, domain: Ball, K: int, eps,
                    cap: int = DEFAULT_CAP) -> StepanoffScan:
     """Fraction of resolution-K grid points of the domain at which
     ap_derivative succeeds (bad set converges to 0) at tolerance eps; `cap`
-    bounds the grid enumeration and each ball's (ap_derivatives)."""
+    bounds the grid enumeration and each ball's (ap_derivatives).  Fewer
+    than VERDICT_LEVELS levels are refused: no point could succeed."""
+    if len(j_range) < VERDICT_LEVELS:
+        raise PadicError(f"a Stepanoff scan needs at least {VERDICT_LEVELS} "
+                         f"levels for a verdict, got {len(j_range)}")
     if resolution is None:
         resolution = max(j_range) + 2
     reps = enumerate_cosets(domain, K, cap=cap)

@@ -412,6 +412,8 @@ def jet_compat_modulus(J: JetField, D: int) -> PPow:
     representatives' CosetTree, and pairs with equal jets contribute
     nothing: only pairs of different jet classes are compared, and a field
     of identical jets (a globally polynomial source) costs one pass.
+    phin_poly is linear in the polynomial, so a pair's quotient is the
+    difference of its classes' quotients, each built once.
     """
     p = J.p
     best = PPow.zero(p)
@@ -420,6 +422,14 @@ def jet_compat_modulus(J: JetField, D: int) -> PPow:
            for _, px in J.jets]
     if len(classes) < 2:
         return best
+    phis = {}
+
+    def phi(i: int, comp: int, j: int) -> MultiPoly:
+        key = cls[i], comp, j
+        if key not in phis:
+            phis[key] = phin_poly(J.jets[i][1][comp], j)
+        return phis[key]
+
     for a, (x, px) in enumerate(J.jets):
         for b in J.tree.ball(a, D):
             if b <= a or cls[b] == cls[a]:
@@ -436,7 +446,7 @@ def jet_compat_modulus(J: JetField, D: int) -> PPow:
                 # order 0 does not depend on the point
                 best = max(best, _gauss_bound(Q, p) * dpow.pow_frac(-J.k))
                 for j in range(1, J.k + 1):
-                    Phi = phin_poly(Q, j)
+                    Phi = phi(a, comp, j) - phi(b, comp, j)
                     bound = max(_quotient_bound(Phi, j, y, INCREMENT_EXP)
                                 for y in (x, z))
                     best = max(best, bound * dpow.pow_frac(j - J.k))

@@ -609,6 +609,19 @@ def test_scan_stepanoff_cap(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("levels", ["2,3", "3"])
+def test_scan_stepanoff_needs_three_levels(capsys, tmp_path, levels):
+    """Below three levels every verdict is inconclusive, so the scan exits
+    2 rather than print a differentiable fraction of 0."""
+    path = tmp_path / "scan.json"
+    code, out, err = run(capsys, "scan", "--p", "5", "--f", "x0*x0",
+                         "--domain", "ball(0;0)", "--K", "2",
+                         "--levels", levels, "--out", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "levels" in err
+    assert not path.exists()
+
+
 def test_scan_holder_constant(capsys):
     code, out, _ = run(capsys, "scan", "--p", "5", "--kind", "holder",
                        "--f", "ch(0;1)", "--domain", "ball(0;0)",

@@ -14,11 +14,11 @@ import density_reference as ref
 from norm_reference import ppow_le_scaled
 from qpcalc import measure
 from qpcalc.cli import main
-from qpcalc.funcs import SymbolicFunction
+from qpcalc.funcs import LinearMap, SymbolicFunction
 from qpcalc.measure import (ap_limit, coset_levels, density_at,
                             enumerate_cosets, union_density)
-from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PPow, ScaledBound,
-                          _make, rational_val)
+from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PadicError, PPow,
+                          ScaledBound, _make, rational_val)
 from qpcalc.quotients import ap_derivative, ap_derivatives, stepanoff_scan
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -238,6 +238,130 @@ def test_ap_derivative_matches_the_reference(case, eps):
         p, ["x0*x0*x0" if m == 1 else "x0*x0*x1+ch(1,0;2)"], m=m)
     assert ap_derivative(f, x, js, eps, resolution=res) == \
         ref.ap_derivative(f, x, js, eps, resolution=res)
+
+
+@st.composite
+def windowed_points(draw, p, m, res):
+    """Points whose nonzero coordinates are known to res, or up to three
+    digits further: the shared table reads every level up to res from a
+    window that reaches it (see CHANGES.md on shorter windows)."""
+    coords = []
+    for _ in range(m):
+        if draw(st.integers(0, 4)) == 0:
+            coords.append(PAdicNumber.zero(p))
+            continue
+        val = draw(st.integers(-2, 3))
+        prec = max(1, res - val) + draw(st.integers(0, 3))
+        coords.append(_make(p, val, draw(st.integers(1, p ** prec - 1)),
+                            val + prec))
+    return PAdicVector(coords)
+
+
+@st.composite
+def stepanoff_cases(draw):
+    """A source of polynomial and indicator terms, with p in numerators and
+    denominators and an optional /(1 + p*q*x_i), points that share a
+    coarsest ball and some that do not, and eps in {0, p^-k, p^k, 5/7}.
+    Windows end at most three digits past the resolution, so where
+    thr = F + val(z - x) passes them the windowed test runs."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 2))
+    js, res = draw(level_sets(p, m))
+    coef = st.sampled_from([1, 2, p, -p, Fraction(1, p), Fraction(3, p * p)])
+    var = st.sampled_from([f"x{i}" for i in range(m)])
+    terms = [f"({draw(coef)})*{draw(var)}*{draw(var)}",
+             f"({draw(coef)})*{draw(var)}", f"({draw(coef)})"]
+    if draw(st.booleans()):
+        terms[0] += f"/(1+{p * draw(st.integers(1, 3))}*{draw(var)})"
+    if draw(st.booleans()):
+        centre = ",".join(str(draw(st.integers(0, p))) for _ in range(m))
+        terms.append(f"{draw(coef)}*ch({centre};{draw(st.integers(1, 2))})")
+    f = SymbolicFunction.from_sources(p, ["+".join(terms)], m=m)
+    pts = [draw(windowed_points(p, m, res))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            pts.append(draw(windowed_points(p, m, res)))
+            continue
+        shift = [PAdicNumber.from_int(p, draw(st.integers(0, p ** 2)))
+                 * Fraction(p) ** js[0] for _ in range(m)]
+        pts.append(pts[0] + PAdicVector(shift))
+    k = draw(st.integers(1, 3))
+    eps = draw(st.sampled_from([Fraction(0), Fraction(p) ** -k,
+                                Fraction(p) ** k, Fraction(5, 7)]))
+    return f, pts, js, res, eps
+
+
+def _outcome(compute):
+    """The value, or the kind of PadicError raised on the way."""
+    try:
+        return compute()
+    except PadicError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(stepanoff_cases())
+def test_ap_derivatives_match_the_reference(case):
+    f, pts, js, res, eps = case
+    assert _outcome(lambda: ap_derivatives(f, pts, js, eps, resolution=res)) \
+        == _outcome(lambda: [ref.ap_derivative(f, x, js, eps, resolution=res)
+                             for x in pts])
+
+
+def _counting_apply(monkeypatch):
+    calls = []
+    original = LinearMap.apply
+
+    def counting(self, v):
+        calls.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(LinearMap, "apply", counting)
+    return calls
+
+
+def test_integers_decide_every_pair_of_the_benchmark_scan(monkeypatch):
+    calls = _counting_apply(monkeypatch)
+    f = SymbolicFunction.from_sources(5, ["-4+2*x0+x0*x0"], m=1)
+    scan = stepanoff_scan(f, Ball(PAdicVector.zero(5, 1), 0), 2,
+                          Fraction(1, 25))
+    assert (scan.good, scan.total) == (25, 25)
+    assert calls == []
+
+
+def test_eps_zero_takes_the_windowed_test(monkeypatch):
+    calls = _counting_apply(monkeypatch)
+    f = SymbolicFunction.from_sources(5, ["-4+2*x0+x0*x0"], m=1)
+    domain = Ball(PAdicVector.zero(5, 1), 0)
+    new = stepanoff_scan(f, domain, 2, 0)
+    assert len(calls) == 25 * 624
+    assert new == ref.stepanoff_scan(f, domain, 2, 0)
+
+
+def test_short_windows_take_the_windowed_test(monkeypatch):
+    """x = 3 known to two digits: thr = 4 + val(z - x) passes the window
+    W = 2 of every difference, so no pair is decided on integers."""
+    calls = _counting_apply(monkeypatch)
+    f = SymbolicFunction.from_sources(5, ["x0*x0*x0"], m=1)
+    x = PAdicVector([_make(5, 0, 3, 2)])
+    eps = Fraction(1, 625)
+    new = ap_derivative(f, x, (0, 1, 2), eps, resolution=2)
+    assert len(calls) == 24
+    assert new == ref.ap_derivative(f, x, (0, 1, 2), eps, resolution=2)
+
+
+def test_a_short_value_window_takes_the_windowed_test():
+    """On ball(0;3) f is 64 known to window 7 (constants read at prec 1);
+    off it f is x0, exact to 24 digits.  At x = 1 and z = 192, err =
+    64 - 192 vanishes at window 7 but not mod 2^8 = p^thr: only the
+    window of f(z) keeps the integer test from calling z bad."""
+    f = SymbolicFunction.from_sources(2, ["x0-x0*ch(0;3)+64*ch(0;3)"],
+                                      m=1, prec=1)
+    x = PAdicVector([PAdicNumber.from_int(2, 1, prec=24)])
+    eps = Fraction(1, 256)
+    new = ap_derivative(f, x, (0, 1, 2), eps, resolution=8)
+    assert new == ref.ap_derivative(f, x, (0, 1, 2), eps, resolution=8)
+    assert new.estimate.ratios[0] == (0, 126, 256)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import whitney_reference as ref
 from qpcalc.funcs import MultiPoly, SymbolicFunction
 from qpcalc.measure import GridFunction, enumerate_cosets
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError, vdp_compare, Order
+from qpcalc import whitney
 from qpcalc.quotients import QuotientPoint, phin
 from qpcalc.whitney import (
     JetField,
@@ -294,6 +295,25 @@ def test_jet_compat_modulus_detects_mismatch():
     rho = jet_compat_modulus(J, 0)
     # |3 - 0| = 1 at distance 1, order j=0 scaling |x-z|^(0-1) = 1
     assert rho.as_fraction() == 1
+
+
+def test_jet_compat_modulus_builds_each_class_quotient_once(monkeypatch):
+    """25 jets of x0^4 on ball(0;1), each its own class: 300 pairs at
+    D = 0, but at most classes * n * k = 50 symbolic quotients."""
+    calls = []
+    original = whitney.phin_poly
+
+    def counting(Q, n):
+        calls.append(n)
+        return original(Q, n)
+
+    monkeypatch.setattr(whitney, "phin_poly", counting)
+    J = jet_field_from_function(fn("x0*x0*x0*x0", m=1), (Ball(vec(0), 1),),
+                                resolution=3, k=2)
+    classes = len({tuple(tuple(sorted(q.terms.items())) for q in px)
+                   for _, px in J.jets})
+    assert jet_compat_modulus(J, 0).exp is not None
+    assert 0 < len(calls) <= classes * J.n * J.k
 
 
 # ---------------------------------------------------------------------------
