@@ -39,7 +39,18 @@ from .extension import (
     extend_to_grid,
     verify_Ej,
 )
-from .funcs import ExprSyntaxError, SymbolicFunction
+from .funcs import (
+    Add,
+    ChBall,
+    Const,
+    Coord,
+    Expr,
+    ExprSyntaxError,
+    Mul,
+    Neg,
+    Sub,
+    SymbolicFunction,
+)
 from .measure import (
     DEFAULT_CAP,
     GridFunction,
@@ -527,20 +538,41 @@ def cmd_scan(args) -> int:
 # the seeded identity suite
 # ---------------------------------------------------------------------------
 
-def _poly_source(rng: random.Random, m: int, p: int,
-                 indicator: bool) -> str:
-    terms = []
+_COEFFS = (-4, -3, -2, -1, 1, 2, 3, 4)
+
+
+def _poly_expr(rng: random.Random, m: int, p: int, indicator: bool,
+               prec: int) -> Expr:
+    """A random polynomial in x0..x_(m-1) of one to three terms with
+    nonzero coefficients in -4..4, plus a*ch(c;k) when indicator is set.
+    It is the tree that parse_expr builds from the source text, such as
+    "-4*x0*x0-2*x0+1*ch(3;1)", made without that text: a later negative
+    coefficient c subtracts its term with -c, a negative first one is
+    Neg(Const(-c)), and each term is a left-leaning Mul chain."""
+    def const(n):
+        return Const(PAdicNumber.from_int(p, n, prec=prec))
+
+    expr = None
     for _ in range(rng.randrange(1, 4)):
-        c = rng.choice([c for c in range(-4, 5) if c])
-        factors = [str(c)]
+        c = rng.choice(_COEFFS)
+        term = const(abs(c))
+        if expr is None and c < 0:
+            term = Neg(term)
         for coord in range(m):
-            factors.extend([f"x{coord}"] * rng.randrange(0, 3))
-        terms.append("*".join(factors))
-    src = "+".join(terms).replace("+-", "-")
+            for _ in range(rng.randrange(0, 3)):
+                term = Mul(term, Coord(coord))
+        if expr is None:
+            expr = term
+        elif c > 0:
+            expr = Add(expr, term)
+        else:
+            expr = Sub(expr, term)
     if indicator:
-        center = ",".join(str(rng.randrange(p ** 2)) for _ in range(m))
-        src += f"+{rng.randrange(1, p)}*ch({center};{rng.randrange(3)})"
-    return src
+        center = PAdicVector.from_ints(
+            p, [rng.randrange(p ** 2) for _ in range(m)], prec=prec)
+        a = const(rng.randrange(1, p))
+        expr = Add(expr, Mul(a, ChBall(Ball(center, rng.randrange(3)))))
+    return expr
 
 
 def _kept(f):
@@ -567,9 +599,9 @@ def _identity_item(p: int, prec: int, seed: int, index: int) -> dict:
     indicator = rng.random() < 0.5
 
     def fun(nvars: int, with_ind: bool, components: int = 1):
-        return SymbolicFunction.from_sources(
-            p, [_poly_source(rng, nvars, p, with_ind)
-                for _ in range(components)], m=nvars, prec=prec)
+        return SymbolicFunction(p, nvars, [
+            _poly_expr(rng, nvars, p, with_ind, prec)
+            for _ in range(components)])
 
     f, g_outer, u, h = map(_kept, (fun(m, indicator), fun(mu, indicator),
                                    fun(m, False, components=mu),

@@ -239,7 +239,7 @@ def chain_rule_check(f, u, y: PAdicVector, v: PAdicVector,
         phi_j = (uyt[j - 1] - uy[j - 1]) / t
         if phi_j.is_zero():
             continue
-        w_j = PAdicVector(list(uy.coords[:j]) + list(uyt.coords[j:]))
+        w_j = PAdicVector._of(uy.coords[:j] + uyt.coords[j:])
         e_j = unit_vector(p, m, j - 1)
         term = phi1(f, w_j, e_j, t * phi_j).scale(phi_j)
         rhs = term if rhs is None else rhs + term
@@ -278,12 +278,12 @@ def product_rule_check(f, g, x: PAdicVector, v: PAdicVector,
         a, b = f(z), g(z)
         if a.dim != 1 or b.dim != 1:
             raise PadicError("product rule needs scalar-valued functions")
-        return PAdicVector([a[0] * b[0]])
+        return PAdicVector._of((a[0] * b[0],))
 
     lhs = phi1(prod, x, v, t)
     xt = x + v.scale(t)
-    rhs = PAdicVector([phi1(f, x, v, t)[0] * g(xt)[0]
-                       + f(x)[0] * phi1(g, x, v, t)[0]])
+    rhs = PAdicVector._of((phi1(f, x, v, t)[0] * g(xt)[0]
+                           + f(x)[0] * phi1(g, x, v, t)[0],))
     return _identity(lhs, rhs)
 
 
@@ -512,7 +512,9 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     values enter as integers with their windows: where the window decides
     the tolerance test, one divisibility test on integers decides it, and
     the windowed expression decides the rest.  Only one ball's table is
-    held at a time, so `cap` and memory stay per ball."""
+    held at a time, so `cap` and memory stay per ball.  A point with a
+    nonzero coordinate whose absolute window ends before the resolution
+    is refused: it agrees there with several cosets of its ball."""
     eps = Fraction(eps)
     if not points:
         return []
@@ -521,6 +523,13 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
         raise PadicError("the tolerance eps must be >= 0")
     tolerance = ScaledBound(p, eps)
     js, res = density_levels(j_range, resolution)
+    for x in points:
+        for c in x.coords:
+            w = c.abs_window()
+            if w is not None and w < res:
+                raise PadicError(
+                    f"a point coordinate known only mod p^{w} falls short "
+                    f"of the resolution {res}: its coset there is undecided")
     groups = {}
     for i, x in enumerate(points):
         groups.setdefault(coset_key(x, js[0]), []).append(i)

@@ -704,6 +704,18 @@ def test_identities_refuses_invalid_counts(capsys, tmp_path, argv, flag):
     assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_identities_refuses_a_composite_prime(capsys, tmp_path, jobs):
+    """The suite's constants certify the prime, on every thread count."""
+    out_path = tmp_path / "ids.json"
+    code, out, err = run(capsys, "identities", "--p", "4", "--seed", "1",
+                         "--samples", "3", "--jobs", jobs,
+                         "--out", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert err == "error: 4 is not a prime\n"
+
+
 def test_identities_accepts_zero_samples(capsys):
     code, out, _ = run(capsys, "identities", "--seed", "1", "--samples", "0")
     assert code == 0

@@ -7,6 +7,7 @@ runs derandomized, so the suite stays deterministic."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,6 +237,11 @@ def test_ap_derivative_matches_the_reference(case, eps):
         return                      # the indicator radius is undecided
     f = SymbolicFunction.from_sources(
         p, ["x0*x0*x0" if m == 1 else "x0*x0*x1+ch(1,0;2)"], m=m)
+    if any(c.abs_window() is not None and c.abs_window() < res
+           for c in x.coords):
+        with pytest.raises(PadicError, match="short of the resolution"):
+            ap_derivative(f, x, js, eps, resolution=res)
+        return
     assert ap_derivative(f, x, js, eps, resolution=res) == \
         ref.ap_derivative(f, x, js, eps, resolution=res)
 
@@ -243,8 +249,8 @@ def test_ap_derivative_matches_the_reference(case, eps):
 @st.composite
 def windowed_points(draw, p, m, res):
     """Points whose nonzero coordinates are known to res, or up to three
-    digits further: the shared table reads every level up to res from a
-    window that reaches it (see CHANGES.md on shorter windows)."""
+    digits further: a shorter window is refused, since the shared table
+    reads every level up to res."""
     coords = []
     for _ in range(m):
         if draw(st.integers(0, 4)) == 0:
@@ -362,6 +368,37 @@ def test_a_short_value_window_takes_the_windowed_test():
     new = ap_derivative(f, x, (0, 1, 2), eps, resolution=8)
     assert new == ref.ap_derivative(f, x, (0, 1, 2), eps, resolution=8)
     assert new.estimate.ratios[0] == (0, 126, 256)
+
+
+def test_a_point_known_short_of_the_resolution_is_refused():
+    """(1 known to one digit, 4) agrees at resolution 2 with two cosets of
+    its ball, which the bad-set counts once took for two cosets of one
+    level: ratios (2, 2, 1) and the verdict converges-to-1, where the
+    reference counts (2, 1, 1).  Such a point is refused, alone or after a
+    point of its ball."""
+    f = SymbolicFunction.from_sources(2, ["x0*x0+x0+1"], m=2)
+    short = PAdicNumber.from_int(2, 1, prec=1)
+    first = PAdicVector([short, PAdicNumber.zero(2)])
+    second = PAdicVector([short, PAdicNumber.from_int(2, 4)])
+    for pts in ([first, second], [second]):
+        with pytest.raises(PadicError, match="short of the resolution 2"):
+            ap_derivatives(f, pts, (0, 1, 2), 0, resolution=2)
+    known = PAdicVector([PAdicNumber.from_int(2, 1, prec=2),
+                         PAdicNumber.from_int(2, 4)])
+    assert ap_derivatives(f, [known], (0, 1, 2), 0, resolution=2) == \
+        [ref.ap_derivative(f, known, (0, 1, 2), 0, resolution=2)]
+
+
+@pytest.mark.parametrize("resolution, code", [(13, 0), (14, 2)])
+def test_scan_refuses_a_resolution_past_the_grid_windows(capsys, resolution,
+                                                         code):
+    """Grid representatives at K = 1 are known to 1 + 12 digits."""
+    assert main(["scan", "--kind", "stepanoff", "--p", "2", "--f", "x0*x0",
+                 "--domain", "ball(0;0)", "--K", "1", "--levels", "1,2,3",
+                 "--resolution", str(resolution), "--eps", "1/4"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "short of the resolution 14" in err
 
 
 # ---------------------------------------------------------------------------

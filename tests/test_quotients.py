@@ -11,8 +11,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import identity_source_reference
 from qpcalc import cli, quotients
-from qpcalc.funcs import LinearMap, MultiPoly, SymbolicFunction
+from qpcalc.funcs import (ChBall, Const, Coord, LinearMap, MultiPoly, Neg,
+                          SymbolicFunction)
 from qpcalc.measure import GridFunction
 from qpcalc.padic import (
     Ball,
@@ -382,6 +384,62 @@ def test_each_item_evaluates_each_distinct_point_once(monkeypatch):
         assert len(counting) == 4
         for c in counting:
             assert max(c.seen.values()) == 1
+
+
+def _shape(e):
+    """The expression tree as nested tuples, each constant with its
+    window: equal shapes are equal trees."""
+    if isinstance(e, Const):
+        v = e.value
+        return ("Const", v.p, v.val, v.unit, v.prec)
+    if isinstance(e, Coord):
+        return ("Coord", e.index)
+    if isinstance(e, ChBall):
+        return ("ChBall", e.ball.rad_exp,
+                tuple(_shape(Const(c)) for c in e.ball.center.coords))
+    if isinstance(e, Neg):
+        return ("Neg", _shape(e.a))
+    return (type(e).__name__, _shape(e.a), _shape(e.b))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_poly_expr_is_the_parsed_source(p):
+    """cli._poly_expr builds the tree that parse_expr builds from the
+    source text the suite once printed (identity_source_reference), with
+    the same draws, for both arities, with and without an indicator."""
+    for seed in range(2000):
+        for m in (1, 2):
+            for indicator in (False, True):
+                a = random.Random(f"{seed}:{m}:{indicator}")
+                b = random.Random(f"{seed}:{m}:{indicator}")
+                built = cli._poly_expr(a, m, p, indicator, cli.WORKING_PREC)
+                parsed = identity_source_reference.poly_expr(
+                    b, m, p, indicator, cli.WORKING_PREC)
+                assert built.to_source() == parsed.to_source()
+                assert _shape(built) == _shape(parsed)
+                assert a.getstate() == b.getstate()
+
+
+def _checked(monkeypatch, p, count):
+    """(lhs, rhs, equal) of every check that the identities verb makes on
+    its items 0 .. count-1, with the items' results."""
+    checks = []
+    for name in _CHECKS:
+        monkeypatch.setattr(cli, name, lambda *args, real=getattr(
+            quotients, name): checks.append(real(*args)) or checks[-1])
+    items = [cli._identity_item(p, cli.WORKING_PREC, 11, i)
+             for i in range(count)]
+    return items, [(c.lhs, c.rhs, c.equal) for c in checks]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_identity_items_match_the_source_route(monkeypatch, p):
+    """Every check of an item sees the same values whether its functions
+    are built as trees or parsed from their source."""
+    built = _checked(monkeypatch, p, 100)
+    monkeypatch.setattr(cli, "_poly_expr", identity_source_reference.poly_expr)
+    assert _checked(monkeypatch, p, 100) == built
+    assert len(built[1]) == 300
 
 
 # ---------------------------------------------------------------------------
