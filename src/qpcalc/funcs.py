@@ -17,7 +17,8 @@ The canonical argument separator is ';'.  A ',' is tolerated as a separator
 wherever it cannot be confused with the digit commas of a literal: literal
 tokens are matched greedily first, so `ch(1,2;0)` means center coordinates 1
 and 2 while `1,2e0@5` is the single literal 11.  Parse errors carry the byte
-offset of the offending token.
+offset of the offending token; an expression more than MAX_DEPTH levels deep
+is one of them.
 """
 
 from __future__ import annotations
@@ -27,12 +28,18 @@ from fractions import Fraction
 from math import comb
 
 from .padic import (
+    _ZERO,
     WORKING_PREC,
     Ball,
     PAdicNumber,
     PAdicVector,
     PadicError,
     PrecisionZeroDivision,
+    _negated,
+    _product,
+    _quotient,
+    _sum,
+    _triples_agree_below,
     parse_literal,
 )
 
@@ -50,11 +57,28 @@ class ExprSyntaxError(PadicError):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """A scalar expression over coordinates x0..x_{m-1}.  Immutable."""
+    """A scalar expression over coordinates x0..x_{m-1}.  Immutable.
+
+    Evaluation walks the tree on (val, unit, prec) triples, the fields of
+    a PAdicNumber with (None, 0, 0) the zero sentinel, combined by the
+    window rules of qpcalc.padic; only the caller builds a PAdicNumber,
+    one per result."""
 
     __slots__ = ()
 
     def eval(self, x: PAdicVector) -> PAdicNumber:
+        """The value at one point."""
+        p = x.p
+        try:
+            v, u, n = self.eval_triple(p, _triples(x))
+        except IndexError:
+            raise PadicError(f"coordinate x{self.max_coord()} outside "
+                             f"dimension {x.dim}") from None
+        return PAdicNumber(p, v, u, n)
+
+    def eval_triple(self, p: int, xs: tuple) -> tuple:
+        """The triple of the value at the point whose coordinates have the
+        triples xs.  A coordinate past len(xs) raises IndexError."""
         raise NotImplementedError
 
     def max_coord(self) -> int:
@@ -68,14 +92,21 @@ class Expr:
         return f"<expr {self.to_source()}>"
 
 
+def _triples(x: PAdicVector) -> tuple:
+    return tuple([(c.val, c.unit, c.prec) for c in x.coords])
+
+
 class Const(Expr):
-    __slots__ = ("value",)
+    __slots__ = ("value", "_triple")
 
     def __init__(self, value: PAdicNumber):
         self.value = value
+        self._triple = (value.val, value.unit, value.prec)
 
-    def eval(self, x):
-        return self.value
+    def eval_triple(self, p, xs):
+        if p != self.value.p:
+            raise PadicError(f"prime mismatch: {self.value.p} vs {p}")
+        return self._triple
 
     def max_coord(self):
         return -1
@@ -92,10 +123,8 @@ class Coord(Expr):
             raise PadicError("coordinate index must be >= 0")
         self.index = index
 
-    def eval(self, x):
-        if self.index >= x.dim:
-            raise PadicError(f"coordinate x{self.index} outside dimension {x.dim}")
-        return x[self.index]
+    def eval_triple(self, p, xs):
+        return xs[self.index]
 
     def max_coord(self):
         return self.index
@@ -123,24 +152,30 @@ class Add(_Binary):
     __slots__ = ()
     _symbol = "+"
 
-    def eval(self, x):
-        return self.a.eval(x) + self.b.eval(x)
+    def eval_triple(self, p, xs):
+        av, au, an = self.a.eval_triple(p, xs)
+        bv, bu, bn = self.b.eval_triple(p, xs)
+        return _sum(p, av, au, an, bv, bu, bn, 1)
 
 
 class Sub(_Binary):
     __slots__ = ()
     _symbol = "-"
 
-    def eval(self, x):
-        return self.a.eval(x) - self.b.eval(x)
+    def eval_triple(self, p, xs):
+        av, au, an = self.a.eval_triple(p, xs)
+        bv, bu, bn = self.b.eval_triple(p, xs)
+        return _sum(p, av, au, an, bv, bu, bn, -1)
 
 
 class Mul(_Binary):
     __slots__ = ()
     _symbol = "*"
 
-    def eval(self, x):
-        return self.a.eval(x) * self.b.eval(x)
+    def eval_triple(self, p, xs):
+        av, au, an = self.a.eval_triple(p, xs)
+        bv, bu, bn = self.b.eval_triple(p, xs)
+        return _product(p, av, au, an, bv, bu, bn)
 
 
 class Div(_Binary):
@@ -150,13 +185,14 @@ class Div(_Binary):
     __slots__ = ()
     _symbol = "/"
 
-    def eval(self, x):
-        denom = self.b.eval(x)
-        if denom.is_zero():
+    def eval_triple(self, p, xs):
+        bv, bu, bn = self.b.eval_triple(p, xs)
+        if bv is None:
             raise PrecisionZeroDivision(
                 "expression denominator vanishes at an evaluation point "
                 "(nonvanishing assertion failed)")
-        return self.a.eval(x) / denom
+        av, au, an = self.a.eval_triple(p, xs)
+        return _quotient(p, av, au, an, bv, bu, bn)
 
 
 class Neg(Expr):
@@ -165,8 +201,9 @@ class Neg(Expr):
     def __init__(self, a: Expr):
         self.a = a
 
-    def eval(self, x):
-        return -self.a.eval(x)
+    def eval_triple(self, p, xs):
+        v, u, n = self.a.eval_triple(p, xs)
+        return _negated(p, v, u, n)
 
     def max_coord(self):
         return self.a.max_coord()
@@ -178,18 +215,21 @@ class Neg(Expr):
 class ChBall(Expr):
     """Indicator of a ball, applied to the whole input vector."""
 
-    __slots__ = ("ball", "_one", "_zero")
+    __slots__ = ("ball", "_center", "_one")
 
     def __init__(self, ball: Ball):
         self.ball = ball
-        # values are immutable, so every evaluation returns these two
-        self._one = PAdicNumber.from_int(ball.p, 1)
-        self._zero = PAdicNumber.zero(ball.p)
+        self._center = _triples(ball.center)
+        one = PAdicNumber.from_int(ball.p, 1)
+        self._one = (one.val, one.unit, one.prec)
 
-    def eval(self, x):
-        if x.dim != self.ball.dim:
+    def eval_triple(self, p, xs):
+        if len(xs) != len(self._center):
             raise PadicError("indicator dimension mismatch")
-        return self._one if self.ball.contains(x) else self._zero
+        if p != self.ball.p:
+            raise PadicError(f"prime mismatch: {self.ball.p} vs {p}")
+        return self._one if _triples_agree_below(
+            p, xs, self._center, self.ball.rad_exp) else _ZERO
 
     def max_coord(self):
         return self.ball.dim - 1
@@ -215,9 +255,9 @@ class Compose(Expr):
         self.outer = outer
         self.inners = inners
 
-    def eval(self, x):
-        y = PAdicVector(g.eval(x) for g in self.inners)
-        return self.outer.eval(y)
+    def eval_triple(self, p, xs):
+        return self.outer.eval_triple(
+            p, tuple([g.eval_triple(p, xs) for g in self.inners]))
 
     def max_coord(self):
         return max(g.max_coord() for g in self.inners)
@@ -258,7 +298,11 @@ class SymbolicFunction:
 
     def __call__(self, x: PAdicVector) -> PAdicVector:
         self._check_point(x)
-        return PAdicVector._of(tuple([c.eval(x) for c in self.components]))
+        p, xs, out = self.p, _triples(x), []
+        for c in self.components:
+            v, u, n = c.eval_triple(p, xs)
+            out.append(PAdicNumber(p, v, u, n))
+        return PAdicVector._of(tuple(out))
 
     def localize(self, x: PAdicVector | None = None) -> tuple:
         """The exact local normal form of f at x: one (numerator,
@@ -668,12 +712,28 @@ def _tokenize(src: str):
     return toks
 
 
+#: The deepest expression the parser accepts.  Each parenthesis, call and
+#: unary minus around a value counts one level, and so does each operator
+#: of a chain: a chain builds a left-leaning tree, so a sum of n terms is
+#: n - 1 levels deep.  Every walk of a parsed tree recurses once per level
+#: and the parser four times per parenthesis, which keeps both inside
+#: Python's default recursion limit of 1000.
+MAX_DEPTH = 200
+
+_CALLS = ("ch", "comp")
+
+
 class _Parser:
+    """Precedence climbing.  Each rule returns (expr, depth), the depth
+    counted against MAX_DEPTH; `open` counts the parentheses being read,
+    so that too deep a nest is refused before it can exhaust the stack."""
+
     def __init__(self, src: str, p: int, prec: int | None):
         self.toks = _tokenize(src)
         self.pos = 0
         self.p = p
         self.prec = prec
+        self.open = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -685,31 +745,42 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def level(depth: int, off: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError("expression nests too deeply", off)
+        return depth
+
     # precedence climbing ----------------------------------------------------
 
-    def expr(self) -> Expr:
-        left = self.term()
+    def expr(self):
+        left, depth = self.term()
         while self.peek()[0] in "+-":
-            op = self.take()[0]
-            right = self.term()
+            op, _, off = self.take()
+            right, d = self.term()
             left = Add(left, right) if op == "+" else Sub(left, right)
-        return left
+            depth = self.level(max(depth, d) + 1, off)
+        return left, depth
 
-    def term(self) -> Expr:
-        left = self.unary()
+    def term(self):
+        left, depth = self.unary()
         while self.peek()[0] in "*/":
-            op = self.take()[0]
-            right = self.unary()
+            op, _, off = self.take()
+            right, d = self.unary()
             left = Mul(left, right) if op == "*" else Div(left, right)
-        return left
+            depth = self.level(max(depth, d) + 1, off)
+        return left, depth
 
-    def unary(self) -> Expr:
-        if self.peek()[0] == "-":
-            self.take()
-            return Neg(self.unary())
-        return self.atom()
+    def unary(self):
+        signs = []
+        while self.peek()[0] == "-":
+            signs.append(self.take()[2])
+        e, depth = self.atom()
+        for off in reversed(signs):
+            e, depth = Neg(e), self.level(depth + 1, off)
+        return e, depth
 
-    def atom(self) -> Expr:
+    def atom(self):
         kind, text, off = self.peek()
         if kind == "lit":
             self.take()
@@ -721,64 +792,66 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"literal is {v.p}-adic but the context prime is {self.p}",
                     off)
-            return Const(_widen_const(v, self.prec))
+            return Const(_widen_const(v, self.prec)), 0
         if kind == "int":
             self.take()
             return Const(PAdicNumber.from_int(self.p, int(text),
-                                              prec=self.prec))
+                                              prec=self.prec)), 0
         if kind == "name":
             m = _COORD_RE.match(text)
             if m:
                 self.take()
-                return Coord(int(m.group(1)))
-            if text == "ch":
-                return self.ch_call()
-            if text == "comp":
-                return self.comp_call()
-            raise ExprSyntaxError(f"unknown name {text!r}", off)
-        if kind == "(":
+                return Coord(int(m.group(1))), 0
+            if text not in _CALLS:
+                raise ExprSyntaxError(f"unknown name {text!r}", off)
             self.take()
-            e = self.expr()
-            self.take(")")
-            return e
-        raise ExprSyntaxError("expected a value", off)
+            off = self.take("(")[2]
+        elif kind == "(":
+            self.take()
+        else:
+            raise ExprSyntaxError("expected a value", off)
+        # a parenthesis, or a call's: the arguments are read here, not in
+        # a helper, so that each level costs the parser only four frames
+        self.open = self.level(self.open + 1, off)
+        args = [self.expr() + (self.peek()[2],)]
+        while kind == "name" and self.peek()[0] in (";", ","):
+            self.take()
+            args.append(self.expr() + (self.peek()[2],))
+        self.take(")")
+        self.open -= 1
+        depth = self.level(max(d for _, d, _ in args) + 1, off)
+        if kind == "(":
+            return args[0][0], depth
+        if len(args) < 2:
+            raise ExprSyntaxError(f"{text} needs at least two arguments",
+                                  self.peek()[2])
+        if text == "ch":
+            return self.ch_call(args), depth
+        return self.comp_call(args), depth
 
     # calls --------------------------------------------------------------
 
-    def _call_args(self, name: str):
-        self.take("name")
-        self.take("(")
-        args = [(self.expr(), self.peek()[2])]
-        while self.peek()[0] in (";", ","):
-            self.take()
-            args.append((self.expr(), self.peek()[2]))
-        self.take(")")
-        if len(args) < 2:
-            raise ExprSyntaxError(f"{name} needs at least two arguments",
-                                  self.peek()[2])
-        return args
-
-    def ch_call(self) -> Expr:
-        args = self._call_args("ch")
+    @staticmethod
+    def ch_call(args) -> Expr:
         center = []
-        for e, off in args[:-1]:
+        for e, _, off in args[:-1]:
             v = _fold_const(e)
             if v is None:
                 raise ExprSyntaxError("ch center coordinates must be constant",
                                       off)
             center.append(v)
-        last, off = args[-1]
+        last, _, off = args[-1]
         k = _fold_const(last)
         if k is None or (not k.is_zero() and k.as_fraction().denominator != 1):
             raise ExprSyntaxError("ch radius exponent must be an integer", off)
         rad_exp = 0 if k.is_zero() else int(k.as_fraction())
         return ChBall(Ball(PAdicVector(center), rad_exp))
 
-    def comp_call(self) -> Expr:
-        args = self._call_args("comp")
-        off = args[1][1]
+    @staticmethod
+    def comp_call(args) -> Expr:
+        off = args[1][2]
         try:
-            return Compose(args[0][0], [e for e, _ in args[1:]])
+            return Compose(args[0][0], [e for e, _, _ in args[1:]])
         except PadicError as e:
             raise ExprSyntaxError(str(e), off) from e
 
@@ -815,11 +888,7 @@ def _fold_const(e: Expr):
 def parse_expr(src: str, p: int, prec: int | None = None) -> Expr:
     """Parse one scalar expression; errors carry byte offsets."""
     parser = _Parser(src, p, prec if prec is not None else WORKING_PREC)
-    try:
-        e = parser.expr()
-    except RecursionError:
-        raise ExprSyntaxError("expression nests too deeply",
-                              parser.peek()[2]) from None
+    e, _ = parser.expr()
     kind, text, off = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {text!r}", off)

@@ -224,18 +224,17 @@ class PAdicNumber:
     def __neg__(self):
         if self.val is None:
             return self
-        return PAdicNumber(self.p, self.val, self.p**self.prec - self.unit, self.prec)
+        v, u, n = _negated(self.p, self.val, self.unit, self.prec)
+        return PAdicNumber(self.p, v, u, n)
 
     def __mul__(self, other):
         b = other if type(other) is PAdicNumber and other.p == self.p \
             else self._coerce(other)
         if b is NotImplemented:
             return b
-        a = self
-        if a.val is None or b.val is None:
-            return PAdicNumber.zero(a.p)
-        n = min(a.prec, b.prec)
-        return PAdicNumber(a.p, a.val + b.val, a.unit * b.unit % a.p**n, n)
+        v, u, n = _product(self.p, self.val, self.unit, self.prec,
+                           b.val, b.unit, b.prec)
+        return PAdicNumber(self.p, v, u, n)
 
     __rmul__ = __mul__
 
@@ -244,15 +243,14 @@ class PAdicNumber:
             else self._coerce(other)
         if b is NotImplemented:
             return b
-        a = self
         if b.val is None:
             raise PrecisionZeroDivision(
                 "division by a value indistinguishable from zero at the current precision")
-        if a.val is None:
-            return a
-        n = min(a.prec, b.prec)
-        m = a.p**n
-        return PAdicNumber(a.p, a.val - b.val, a.unit * pow(b.unit, -1, m) % m, n)
+        if self.val is None:
+            return self
+        v, u, n = _quotient(self.p, self.val, self.unit, self.prec,
+                            b.val, b.unit, b.prec)
+        return PAdicNumber(self.p, v, u, n)
 
     def __rtruediv__(self, other):
         b = self._coerce(other)
@@ -321,29 +319,84 @@ def _digit_texts(p: int) -> tuple:
     return table
 
 
+# -- the window rules --------------------------------------------------------
+#
+# Each rule maps the (val, unit, prec) fields of its operands to those of
+# the result, with (None, 0, 0) the zero sentinel.  The operators above and
+# the expression walk of qpcalc.funcs both compute through them, so a window
+# is propagated the same way whichever builds the value.
+
+_ZERO = (None, 0, 0)
+
+
+def _canon(p: int, val: int, raw: int, abs_window: int) -> tuple:
+    """p^val * raw truncated to the digits below abs_window, canonical: the
+    zero sentinel when none of them is nonzero."""
+    n = abs_window - val
+    if n <= 0:
+        return _ZERO
+    raw %= p**n
+    if raw == 0:
+        return _ZERO
+    while raw % p == 0:
+        raw //= p
+        val += 1
+        n -= 1
+    return val, raw, n
+
+
+def _sum(p: int, av, au: int, an: int, bv, bu: int, bn: int,
+         sign: int) -> tuple:
+    """a + sign*b, sign = +-1: known up to the shorter absolute window."""
+    if bv is None:
+        return av, au, an
+    if av is None:
+        return (bv, bu, bn) if sign > 0 else _negated(p, bv, bu, bn)
+    wa, wb = av + an, bv + bn
+    w = wa if wa < wb else wb
+    if av <= bv:
+        return _canon(p, av, au + sign * bu * p ** (bv - av), w)
+    return _canon(p, bv, au * p ** (av - bv) + sign * bu, w)
+
+
+def _negated(p: int, v, u: int, n: int) -> tuple:
+    """-a: the same valuation and window, the complementary unit."""
+    return _ZERO if v is None else (v, p**n - u, n)
+
+
+def _product(p: int, av, au: int, an: int, bv, bu: int, bn: int) -> tuple:
+    """a * b: known to the shorter relative window."""
+    if av is None or bv is None:
+        return _ZERO
+    n = an if an < bn else bn
+    return av + bv, au * bu % p**n, n
+
+
+def _quotient(p: int, av, au: int, an: int, bv, bu: int, bn: int) -> tuple:
+    """a / b for a nonzero b: the shorter relative window, the unit times
+    the inverse of b's modulo p to that window."""
+    if av is None:
+        return _ZERO
+    n = an if an < bn else bn
+    m = p**n
+    return av - bv, au * pow(bu, -1, m) % m, n
+
+
 def _combine(a: PAdicNumber, b: PAdicNumber, sign: int) -> PAdicNumber:
     """a + sign*b, sign = +-1, in one step: for -1 the digits and window
-    of a + (-b).  The result is known up to the shorter absolute window."""
+    of a + (-b)."""
     if b.val is None:
         return a
     if a.val is None:
         return b if sign > 0 else -b
-    v = min(a.val, b.val)
-    w = min(a.val + a.prec, b.val + b.prec)
-    s = a.unit * a.p ** (a.val - v) + sign * b.unit * a.p ** (b.val - v)
-    return _make(a.p, v, s, w)
+    v, u, n = _sum(a.p, a.val, a.unit, a.prec, b.val, b.unit, b.prec, sign)
+    return PAdicNumber(a.p, v, u, n)
 
 
 def _make(p: int, val: int, raw: int, abs_window: int) -> PAdicNumber:
     """Canonicalize p^val * raw truncated to digits below abs_window."""
-    if raw == 0:
-        return PAdicNumber.zero(p)
-    t = _vp(raw, p)
-    v = val + t
-    if v >= abs_window:
-        return PAdicNumber.zero(p)
-    unit = (raw // p**t) % p ** (abs_window - v)
-    return PAdicNumber(p, v, unit, abs_window - v)
+    v, u, n = _canon(p, val, raw, abs_window)
+    return PAdicNumber(p, v, u, n)
 
 
 def truncate(x: PAdicNumber, abs_exp: int) -> PAdicNumber:
@@ -601,13 +654,7 @@ def unit_vector(p: int, m: int, i: int, prec: int | None = None) -> PAdicVector:
 
 def _agree_below(x: PAdicVector, y: PAdicVector, k: int) -> bool:
     """Whether x - y is the zero sentinel or has valuation >= k, decided
-    from the digits below k without building the difference.
-
-    Per coordinate, with v the lesser valuation, the difference that
-    _combine would build is p^v * s truncated below the shorter absolute
-    window w, s = a.unit * p^(a.val - v) - b.unit * p^(b.val - v); it
-    passes iff p^(min(k, w) - v) divides s.  A zero coordinate leaves the
-    other one's valuation, which passes iff it is at least k."""
+    from the digits below k without building the difference."""
     xs = x.coords
     if not isinstance(y, PAdicVector) or len(xs) != len(y.coords):
         raise PadicError("dimension mismatch")
@@ -615,19 +662,37 @@ def _agree_below(x: PAdicVector, y: PAdicVector, k: int) -> bool:
     if y.coords[0].p != p:
         raise PadicError(f"prime mismatch: {p} vs {y.coords[0].p}")
     for a, b in zip(xs, y.coords):
-        if b.val is None:
-            if a.val is not None and a.val < k:
-                return False
-        elif a.val is None:
-            if b.val < k:
-                return False
-        else:
-            v = min(a.val, b.val)
-            n = min(k, a.val + a.prec, b.val + b.prec) - v
-            if n > 0 and (a.unit * p ** (a.val - v)
-                          - b.unit * p ** (b.val - v)) % p ** n:
-                return False
+        if not _agrees_below(p, a.val, a.unit, a.prec, b.val, b.unit, b.prec,
+                             k):
+            return False
     return True
+
+
+def _triples_agree_below(p: int, xs, ys, k: int) -> bool:
+    """_agree_below on the (val, unit, prec) triples of two points of one
+    dimension."""
+    for (av, au, an), (bv, bu, bn) in zip(xs, ys):
+        if not _agrees_below(p, av, au, an, bv, bu, bn, k):
+            return False
+    return True
+
+
+def _agrees_below(p: int, av, au: int, an: int, bv, bu: int, bn: int,
+                  k: int) -> bool:
+    """Whether a - b is the zero sentinel or has valuation >= k.
+
+    With v the lesser valuation, the difference that _sum would build is
+    p^v * s truncated below the shorter absolute window w, s = a.unit *
+    p^(a.val - v) - b.unit * p^(b.val - v); it passes iff p^(min(k, w) - v)
+    divides s.  A zero coordinate leaves the other one's valuation, which
+    passes iff it is at least k."""
+    if bv is None:
+        return av is None or av >= k
+    if av is None:
+        return bv >= k
+    v = av if av < bv else bv
+    n = min(k, av + an, bv + bn) - v
+    return n <= 0 or not (au * p ** (av - v) - bu * p ** (bv - v)) % p ** n
 
 
 @dataclass(frozen=True)

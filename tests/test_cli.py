@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from qpcalc import cli
 from qpcalc.cli import _CHUNK_PARTS, _write_json, main
 from qpcalc.extension import SampleSet, WeightedSiteSet
-from qpcalc.funcs import SymbolicFunction
+from qpcalc.funcs import MAX_DEPTH, SymbolicFunction
 from qpcalc.measure import GridFunction
 from qpcalc.padic import PAdicNumber, PAdicVector
 
@@ -863,8 +863,8 @@ MALFORMED += [
 @pytest.mark.parametrize("argv", MALFORMED, ids=lambda a: " ".join(a[:2]))
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     """A top-level array, a coordinate written as a number, a pair list
-    that is a number, and an expression nested past the interpreter's
-    recursion limit are refused with exit 2 and one error line."""
+    that is a number, and an expression nested past funcs.MAX_DEPTH are
+    refused with exit 2 and one error line."""
     argv = list(argv)
     flag = "--f" if argv[0] == "eval" else \
         "--jets" if argv[0] == "whitney" else "--in"
@@ -877,6 +877,28 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith(("error:", "parse error:"))
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb,op,at_bound", [
+    (("eval", "--x", "1"), "+", str(MAX_DEPTH + 1)),
+    (("quotient", "--x", "1", "--v", "1", "--t", "5"), "*", None)])
+def test_a_chain_past_the_depth_bound_exits_2(capsys, tmp_path, verb, op,
+                                              at_bound):
+    """A flat chain of MAX_DEPTH operators is evaluated; one of 3000
+    operators, which overflowed the stack in the tree walks, exits 2 with
+    one stderr line and writes no report."""
+    out_file = tmp_path / "r.json"
+    code, out, _ = run(capsys, *verb, "--p", "5",
+                       "--f", op.join(["x0"] * (MAX_DEPTH + 1)))
+    assert code == 0
+    if at_bound is not None:
+        assert out.strip() == at_bound
+    code, out, err = run(capsys, *verb, "--p", "5", "--out", str(out_file),
+                         "--f", op.join(["x0"] * 3000))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: expression nests too deeply")
+    assert len(err.splitlines()) == 1
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("V", [100, 1000])

@@ -6,12 +6,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tokenize_reference
+from eval_reference import eval_reference
 from norm_reference import operator_norm
 from qpcalc.funcs import (
+    MAX_DEPTH,
+    Add,
+    ChBall,
     Compose,
+    Const,
+    Coord,
+    Div,
     ExprSyntaxError,
     LinearMap,
+    Mul,
     MultiPoly,
+    Neg,
+    Sub,
     SymbolicFunction,
     _tokenize,
     as_polynomial,
@@ -19,10 +29,12 @@ from qpcalc.funcs import (
     parse_expr,
 )
 from qpcalc.padic import (
+    Ball,
     PAdicNumber,
     PAdicVector,
     PadicError,
     PrecisionZeroDivision,
+    _make,
 )
 
 
@@ -133,6 +145,178 @@ def test_function_composition():
     c = compose(f, u)
     assert c.m == 1 and c.n == 1
     assert c(vec(6))[0].as_fraction() == 216
+
+
+# ---------------------------------------------------------------------------
+# evaluation on (val, unit, prec) triples
+# ---------------------------------------------------------------------------
+
+@st.composite
+def padic_values(draw, p, zero_weight=4):
+    """Zero, or p^val * unit known to a short window: 1 to 5 digits."""
+    if draw(st.integers(0, zero_weight)) == 0:
+        return PAdicNumber.zero(p)
+    window = draw(st.integers(1, 5))
+    return _make(p, draw(st.integers(-2, 3)),
+                 draw(st.integers(1, p ** window - 1)), draw(st.integers(-2, 3))
+                 + window)
+
+
+@st.composite
+def constants(draw, p):
+    """A rational carrying a power of p, given a window of 1 to 8 digits."""
+    a = draw(st.integers(-30, 30))
+    if a == 0:
+        return Const(PAdicNumber.zero(p))
+    q = Fraction(a * p ** draw(st.integers(0, 2)),
+                 draw(st.integers(1, 6)) * p ** draw(st.integers(0, 2)))
+    return Const(PAdicNumber.from_fraction(p, q, prec=draw(st.integers(1, 8))))
+
+
+@st.composite
+def trees(draw, p, m, depth):
+    """An expression over x0..x_{m-1} of every node kind; `cancel` is a
+    difference of two copies of one subtree, a sum that collapses to the
+    zero sentinel (or, where a window is short, to a few digits)."""
+    kinds = ["const", "coord"]
+    if depth:
+        kinds += ["add", "sub", "mul", "div", "neg", "ch", "comp", "cancel"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "const":
+        return draw(constants(p))
+    if kind == "coord":
+        return Coord(draw(st.integers(0, m - 1)))
+    if kind == "ch":
+        center = PAdicVector([draw(padic_values(p)) for _ in range(m)])
+        return ChBall(Ball(center, draw(st.integers(-1, 3))))
+    if kind == "comp":
+        k = draw(st.integers(1, 2))
+        inners = [draw(trees(p, m, depth - 1)) for _ in range(k)]
+        return Compose(draw(trees(p, k, depth - 1)), inners)
+    a = draw(trees(p, m, depth - 1))
+    if kind == "neg":
+        return Neg(a)
+    if kind == "cancel":
+        return Sub(a, a) if draw(st.booleans()) else Add(a, Neg(a))
+    node = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind]
+    return node(a, draw(trees(p, m, depth - 1)))
+
+
+def _outcome(fn):
+    """(val, unit, prec) of the value, or the exception's type and text."""
+    try:
+        v = fn()
+    except PadicError as e:
+        return type(e), str(e)
+    return v.val, v.unit, v.prec
+
+
+@st.composite
+def cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 2))
+    comps = [draw(trees(p, m, draw(st.integers(0, 4))))
+             for _ in range(draw(st.integers(1, 2)))]
+    points = [PAdicVector([draw(padic_values(p)) for _ in range(m)])
+              for _ in range(3)]
+    return SymbolicFunction(p, m, comps), points
+
+
+@given(cases())
+@settings(derandomize=True, max_examples=600, deadline=None)
+def test_triple_walk_matches_the_node_by_node_walk(case):
+    """Every component of f(x), and Expr.eval, has the (val, unit, prec)
+    of the walk that builds a PAdicNumber per node, or raises what it
+    raises."""
+    f, points = case
+    for x in points:
+        try:
+            got = [(v.val, v.unit, v.prec) for v in f(x)]
+        except PadicError as e:
+            got = (type(e), str(e))
+        want = [_outcome(lambda c=c: eval_reference(c, x))
+                for c in f.components]
+        failed = [w for w in want if len(w) == 2]
+        assert got == (failed[0] if failed else want)
+        for c, w in zip(f.components, want):
+            assert _outcome(lambda c=c: c.eval(x)) == w
+
+
+def test_triple_walk_refuses_what_the_reference_refuses():
+    """A vanishing denominator, a coordinate outside the point, an
+    indicator of the wrong dimension and a point over another prime raise
+    as the node-by-node walk does."""
+    x = vec(5)
+    for src in ["1/(x0-5)", "x0/(x0*x0-25)", "comp(1/x0;x0-5)"]:
+        e = parse_expr(src, 5)
+        with pytest.raises(PrecisionZeroDivision) as got:
+            e.eval(x)
+        with pytest.raises(PrecisionZeroDivision) as want:
+            eval_reference(e, x)
+        assert str(got.value) == str(want.value)
+    e = parse_expr("x0+x1", 5)
+    with pytest.raises(PadicError, match="coordinate x1 outside dimension 1"):
+        e.eval(x)
+    e = parse_expr("ch(0,0;1)", 5)
+    with pytest.raises(PadicError, match="indicator dimension mismatch"):
+        e.eval(x)
+    for src in ["x0+3", "ch(0;1)", "comp(x0*x0;x0+1)"]:
+        e = parse_expr(src, 5)
+        for walk in (e.eval, lambda y: eval_reference(e, y)):
+            with pytest.raises(PadicError, match="prime mismatch"):
+                walk(vec(3, p=7))
+
+
+def test_one_value_built_per_component(monkeypatch):
+    """A call builds exactly one PAdicNumber per component, whatever the
+    tree holds: divisions, indicators and compositions included."""
+    f = SymbolicFunction.from_sources(5, [
+        "(x0*x0+3*x1)/(1+5*x1)-2*ch(1,2;1)",
+        "comp(x0*x1+ch(3,0;1)/(1+5*x0); x0+x1; 1/(1+5*x0*x1))",
+        "-x0+1,2e-1@5*ch(0,0;0)"], m=2)
+    points = [vec(a, b) for a in range(-3, 4) for b in (0, 1, 7, 26)]
+    built = [0]
+    init = PAdicNumber.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(PAdicNumber, "__init__", counted)
+    for x in points:
+        before = built[0]
+        f(x)
+        assert built[0] - before == f.n
+
+
+def test_deep_chains_are_refused_past_the_bound():
+    """A chain of MAX_DEPTH operators parses, evaluates, localizes and
+    prints; one operator more, a deeper nest or a 3000-term chain is
+    refused with "expression nests too deeply"."""
+    x = vec(2)
+    for op, value in (("+", 2 * (MAX_DEPTH + 1)), ("*", 2 ** (MAX_DEPTH + 1))):
+        e = parse_expr(op.join(["x0"] * (MAX_DEPTH + 1)), 5)
+        assert e.eval(x) == num(value)
+        f = SymbolicFunction(5, 1, [e])
+        assert f(x)[0] == e.eval(x)
+        assert e.max_coord() == 0
+        assert e.to_source().count("x0") == MAX_DEPTH + 1
+        (num_poly, _), = f.localize(x)
+        assert num_poly.evaluate_fraction([2]) == value
+    nests = ["(" * MAX_DEPTH + "x0" + ")" * MAX_DEPTH,
+             "-" * MAX_DEPTH + "x0",
+             "comp(" * MAX_DEPTH + "x0" + ";x0)" * MAX_DEPTH]
+    for src in nests:
+        assert parse_expr(src, 5).eval(x).as_fraction() == 2
+    for src in ["+".join(["x0"] * (MAX_DEPTH + 2)),
+                "*".join(["x0"] * 3000),
+                "(" * (MAX_DEPTH + 1) + "x0" + ")" * (MAX_DEPTH + 1),
+                "(" * 5000 + "x0" + ")" * 5000,
+                "-" * (MAX_DEPTH + 1) + "x0",
+                "comp(" * (MAX_DEPTH + 1) + "x0" + ";x0)" * (MAX_DEPTH + 1),
+                "1+(" + "x0-" * MAX_DEPTH + "x0)"]:
+        with pytest.raises(ExprSyntaxError, match="nests too deeply"):
+            parse_expr(src, 5)
 
 
 # ---------------------------------------------------------------------------
