@@ -720,8 +720,6 @@ def _tokenize(src: str):
 #: Python's default recursion limit of 1000.
 MAX_DEPTH = 200
 
-_CALLS = ("ch", "comp")
-
 
 class _Parser:
     """Precedence climbing.  Each rule returns (expr, depth), the depth
@@ -802,7 +800,7 @@ class _Parser:
             if m:
                 self.take()
                 return Coord(int(m.group(1))), 0
-            if text not in _CALLS:
+            if text not in ("ch", "comp"):
                 raise ExprSyntaxError(f"unknown name {text!r}", off)
             self.take()
             off = self.take("(")[2]
