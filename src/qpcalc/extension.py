@@ -18,8 +18,8 @@ from .measure import (DEFAULT_CAP, CosetTree, GridFunction, _window,
                       coset_key, enumerate_cosets, first_gaps, gap_val,
                       nearest_index)
 from .padic import (Ball, PAdicVector, PadicError, PPow, ScaledBound,
-                    frac_str, from_json as number_from_json, json_object,
-                    json_pairs, parse_frac)
+                    frac_str, from_json as number_from_json,
+                    holder_exponent, json_object, json_pairs, parse_frac)
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +67,7 @@ class SampleSet:
             seen.add(key)
         self.points = points
         self.C = Fraction(C)
-        self.r = Fraction(r)
-        if not 0 < self.r <= 1:
-            raise PadicError("Hölder exponent must lie in (0, 1]")
+        self.r = holder_exponent(r)
         if self.C < 0:
             raise PadicError("Hölder constant must be nonnegative")
         self.certified = False
@@ -226,9 +224,7 @@ def chebyshev_radius(H: WeightedSiteSet, r) -> ChebyshevResult:
     The candidates are maximized per branching coset of the centers'
     CosetTree, in O(N*K).
     """
-    r = Fraction(r)
-    if not 0 < r <= 1:
-        raise PadicError("Hölder exponent must lie in (0, 1]")
+    r = holder_exponent(r)
     pairs = H.pairs
     p = H.p
     weights = [x.norm_pow() for _, x in pairs]
@@ -275,18 +271,6 @@ def nearest_point(T, v: PAdicVector):
         raise PadicError("empty site list")
     i, d = nearest_index(T, v)
     return T[i], d.sup_norm()
-
-
-def extend_lipschitz(S: SampleSet, v: PAdicVector) -> PAdicVector:
-    """Value at the nearest site; preserves (C, r) against every site."""
-    if not S.certified:
-        raise PadicError("sample set is not certified; run certify() first")
-    return S.points[nearest_index(S.sites(), v)[0]][1]
-
-
-def extend_batch(S: SampleSet, queries) -> list:
-    """Extension over many query points; order-independent by construction."""
-    return [extend_lipschitz(S, v) for v in queries]
 
 
 def extend_to_grid(S: SampleSet, domain: Ball, resolution: int,
@@ -449,7 +433,7 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
     compared pair by pair.  Points admitting no j in the budget are
     reported unassigned.
     """
-    r = Fraction(r)
+    r = holder_exponent(r)
     K = f.resolution
     p = f.p
     if j_range is None:

@@ -85,7 +85,13 @@ class Expr:
         """Largest coordinate index used, -1 if none."""
         raise NotImplementedError
 
+    #: binding strength in the grammar: 1 for + and -, 2 for * and /,
+    #: 3 for unary minus, 4 for an atom
+    _prec = 4
+
     def to_source(self) -> str:
+        """Source text that parse_expr reads back as this tree, with the
+        parentheses the grammar needs and no others."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -145,12 +151,19 @@ class _Binary(Expr):
         return max(self.a.max_coord(), self.b.max_coord())
 
     def to_source(self):
-        return f"({self.a.to_source()}{self._symbol}{self.b.to_source()})"
+        # chains lean left, so a right operand of equal binding needs them
+        a, b = self.a.to_source(), self.b.to_source()
+        if self.a._prec < self._prec:
+            a = f"({a})"
+        if self.b._prec <= self._prec:
+            b = f"({b})"
+        return f"{a}{self._symbol}{b}"
 
 
 class Add(_Binary):
     __slots__ = ()
     _symbol = "+"
+    _prec = 1
 
     def eval_triple(self, p, xs):
         av, au, an = self.a.eval_triple(p, xs)
@@ -161,6 +174,7 @@ class Add(_Binary):
 class Sub(_Binary):
     __slots__ = ()
     _symbol = "-"
+    _prec = 1
 
     def eval_triple(self, p, xs):
         av, au, an = self.a.eval_triple(p, xs)
@@ -171,6 +185,7 @@ class Sub(_Binary):
 class Mul(_Binary):
     __slots__ = ()
     _symbol = "*"
+    _prec = 2
 
     def eval_triple(self, p, xs):
         av, au, an = self.a.eval_triple(p, xs)
@@ -184,6 +199,7 @@ class Div(_Binary):
 
     __slots__ = ()
     _symbol = "/"
+    _prec = 2
 
     def eval_triple(self, p, xs):
         bv, bu, bn = self.b.eval_triple(p, xs)
@@ -197,6 +213,7 @@ class Div(_Binary):
 
 class Neg(Expr):
     __slots__ = ("a",)
+    _prec = 3
 
     def __init__(self, a: Expr):
         self.a = a
@@ -209,7 +226,8 @@ class Neg(Expr):
         return self.a.max_coord()
 
     def to_source(self):
-        return f"(-{self.a.to_source()})"
+        a = self.a.to_source()
+        return f"-({a})" if self.a._prec < self._prec else f"-{a}"
 
 
 class ChBall(Expr):

@@ -38,11 +38,6 @@ class ResourceCapExceeded(RuntimeError):
     """An enumeration would exceed the configured coset cap."""
 
 
-def ball_measure(b: Ball) -> Fraction:
-    """Haar measure of a ball: p^(-rad_exp * dim) (mu(Z_p) = 1 normalization)."""
-    return Fraction(b.p) ** (-b.rad_exp * b.dim)
-
-
 def sphere_measure(p: int, l: int) -> Fraction:
     """mu{x in Q_p : |x| = p^(-l)} = p^(-l) - p^(-l-1)."""
     return Fraction(p) ** (-l) - Fraction(p) ** (-l - 1)

@@ -456,25 +456,6 @@ def from_json(obj) -> PAdicNumber:
     return _make(p, val, unit, val + len(digits))
 
 
-# -- named operation entry points -------------------------------------------
-
-def arith(a: PAdicNumber, b: PAdicNumber, op: str) -> PAdicNumber:
-    """Dispatch add/sub/mul/div with exact window propagation."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise PadicError(f"unknown operation {op!r}")
-
-
-def norm(x: PAdicNumber) -> Fraction:
-    return x.norm()
-
-
 # -- van der Put ordering ---------------------------------------------------
 
 class Order(enum.IntEnum):
@@ -638,10 +619,6 @@ class PAdicVector:
     @classmethod
     def zero(cls, p: int, m: int) -> "PAdicVector":
         return cls(PAdicNumber.zero(p) for _ in range(m))
-
-
-def sup_norm(x: PAdicVector) -> Fraction:
-    return x.sup_norm()
 
 
 def unit_vector(p: int, m: int, i: int, prec: int | None = None) -> PAdicVector:
@@ -878,6 +855,14 @@ def parse_frac(s) -> Fraction:
         raise PadicError(f"malformed rational {s!r}: expected n or n/d")
     a, _, b = s.partition("/")
     return Fraction(int(a), int(b or 1))
+
+
+def holder_exponent(r) -> Fraction:
+    """r as a Fraction, refused unless it lies in (0, 1]."""
+    r = Fraction(r)
+    if not 0 < r <= 1:
+        raise PadicError("Hölder exponent must lie in (0, 1]")
+    return r
 
 
 def json_object(obj, what: str) -> dict:

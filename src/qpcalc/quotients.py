@@ -35,6 +35,7 @@ from .padic import (
     PPow,
     ScaledBound,
     frac_str,
+    holder_exponent,
     unit_vector,
 )
 
@@ -328,9 +329,7 @@ def holder_scan(f: GridFunction, r) -> HolderScan:
     splits at some coset and the tree has no leaves.  The witness is the
     first pair in (i, j) order attaining it, as an all-pairs loop with a
     strict comparison would report."""
-    r = Fraction(r)
-    if not 0 < r <= 1:
-        raise PadicError("Hölder exponent must lie in (0, 1]")
+    r = holder_exponent(r)
     reps, values = f.reps, f.values
     tree = CosetTree(reps)
     best = PPow.zero(f.p)

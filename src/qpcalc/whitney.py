@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .extension import holder_violations, packing_check_many
+from .extension import packing_check_many
 from .funcs import MultiPoly, SymbolicFunction, local_jet
 from .measure import (DEFAULT_CAP, CosetTree, coset_key, enumerate_cosets,
                       union_density)
@@ -37,16 +37,6 @@ from .quotients import QuotientPoint, phin, phin_poly
 #: construction exponents (s0, s1, s2); the gauge scale is b = p^(-s0),
 #: the enlargement factor p^(-s1), and the packing scale offset s2.
 DEFAULT_CONSTANTS = (2, 0, -1)
-
-
-def validate_constants(s0: int, s1: int, s2: int) -> None:
-    """The inequalities the gluing constants must satisfy."""
-    if not (s0 >= 1 and s1 <= 0 and s2 >= -1):
-        raise PadicError("need s0 >= 1, s1 <= 0, s2 >= -1")
-    if not abs(s1) + 1 < s0:
-        raise PadicError("need |s1| + 1 < s0")
-    if not s0 + s2 >= 0:
-        raise PadicError("need s0 + s2 >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +102,6 @@ class RadiusFunction:
 
 def build_h(A, p: int, s0: int = DEFAULT_CONSTANTS[0]) -> RadiusFunction:
     return RadiusFunction(A, p, s0)
-
-
-def lipschitz_gauge_check(h: RadiusFunction, points) -> tuple:
-    """(ok, witness): |h(x)-h(y)| <= b|x-y| over all pairs, exactly: the
-    (C, r) = (b, 1) certificate of the points with values h.  The witness
-    is the first failing pair in (i, j) order."""
-    tree = CosetTree(points)
-    found = holder_violations(tree, [PAdicVector([h(x)]) for x in tree.points],
-                              h.b, 1, 1)
-    if found:
-        i, j = found[0][:2]
-        return False, (tree.points[i], tree.points[j])
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +206,15 @@ def family_packing_reports(fam: PartitionFamily, xs) -> list:
 # jets
 # ---------------------------------------------------------------------------
 
-def jet_from_function(f: SymbolicFunction, z: PAdicVector, k: int,
-                      degree: int | None = None):
-    """Taylor jet of f at z: the Taylor polynomial through total degree
-    `degree` (default k+1) of f's exact local normal form N/D at z (see
-    `SymbolicFunction.localize`), whose coefficients are the multilinear
-    difference-quotient values at vanishing increments.
+def _jet(local, z: PAdicVector, degree: int):
+    """Taylor jet at z through total degree `degree` of f's exact local
+    normal form `local` = N/D at z (see `SymbolicFunction.localize`), whose
+    coefficients are the multilinear difference-quotient values at
+    vanishing increments.
 
     Returns a tuple of polynomials in the ambient coordinates, one per
     output component; evaluating at z reproduces f(z).
     """
-    return _jet(f.localize(z), z, k + 1 if degree is None else degree)
-
-
-def _jet(local, z: PAdicVector, degree: int):
-    """The jet at z of the local normal form `local` of f."""
     center = [c.as_fraction() for c in z.coords]
     return tuple(local_jet(num, den, center, degree) for num, den in local)
 

@@ -287,6 +287,20 @@ def test_ej_verifies(capsys):
     assert "verified" in out
 
 
+@pytest.mark.parametrize("r", ["0", "-1", "3/2"])
+def test_ej_refuses_an_exponent_outside_the_unit_interval(capsys, tmp_path,
+                                                          r):
+    """An r outside (0, 1] gives no Hölder classes: exit 2 with one line,
+    not "verified"."""
+    path = tmp_path / "ej.json"
+    code, out, err = run(capsys, "ej", "--p", "5", "--f", "x0",
+                         "--domain", "ball(0;0)", "--resolution", "2",
+                         f"--r={r}", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: Hölder exponent must lie in (0, 1]\n"
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # whitney verbs
 # ---------------------------------------------------------------------------

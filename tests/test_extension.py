@@ -15,8 +15,6 @@ from qpcalc.extension import (
     chebyshev_feasible,
     chebyshev_radius,
     decompose_Ej,
-    extend_batch,
-    extend_lipschitz,
     extend_to_grid,
     nearest_point,
     packing_check,
@@ -216,10 +214,11 @@ def test_nearest_point_tie_takes_first():
 
 def test_extend_requires_certification():
     s = SampleSet([(vec(0), vec(0)), (vec(1), vec(1))], C=1, r=1)
+    domain = Ball(PAdicVector.zero(P, 1), 0)
     with pytest.raises(PadicError):
-        extend_lipschitz(s, vec(2))
+        extend_to_grid(s, domain, 2)
     s.certify()
-    out = extend_lipschitz(s, vec(26))  # nearest site is 1 (distance 1/25)
+    out = extend_to_grid(s, domain, 2).evaluate(vec(26))  # nearest site is 1
     assert out.coords[0].as_fraction() == 1
 
 
@@ -248,8 +247,8 @@ def test_extension_preserves_constant_exactly(r):
                 keep.append(cand)
         s = SampleSet(keep, C=C, r=r)
         assert s.certify().ok
-    grid = enumerate_cosets(Ball(PAdicVector.zero(P, 1), 0), 2)
-    ext = extend_batch(s, grid)
+    g = extend_to_grid(s, Ball(PAdicVector.zero(P, 1), 0), 2)
+    grid, ext = g.reps, g.values
     for i in range(len(grid)):
         for site, value in s.points:
             du = (grid[i] - site).sup_norm()

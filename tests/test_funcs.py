@@ -124,6 +124,86 @@ def test_source_round_trip():
         assert e.eval(x) == again.eval(x)
 
 
+def _tree(e):
+    """The node structure of e, with the source of each leaf."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e).__name__, _tree(e.a), _tree(e.b)
+    if isinstance(e, Neg):
+        return "Neg", _tree(e.a)
+    if isinstance(e, Compose):
+        return ("Compose", _tree(e.outer)) + tuple(map(_tree, e.inners))
+    return e.to_source()
+
+
+@st.composite
+def source_texts(draw, p, depth):
+    """Expression text of every grammar rule: literals, integers,
+    coordinates, redundant parentheses, runs of unary minus, mixed
+    operator chains, indicators and compositions, with stray spaces."""
+    kinds = ["int", "lit", "coord"]
+    if depth:
+        kinds += ["paren", "neg", "chain", "chain", "ch", "comp"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return str(draw(st.integers(0, 3 * p)))
+    if kind == "lit":
+        if draw(st.integers(0, 5)) == 0:
+            return f"0@{p}"
+        digits = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+        return (",".join(map(str, digits))
+                + f"e{draw(st.integers(-2, 2))}@{p}")
+    if kind == "coord":
+        return f"x{draw(st.integers(0, 1))}"
+    sub = source_texts(p, depth - 1)
+    if kind == "paren":
+        return f"({draw(sub)})"
+    if kind == "neg":
+        return "-" * draw(st.integers(1, 2)) + draw(sub)
+    if kind == "chain":
+        text = draw(sub)
+        for _ in range(draw(st.integers(1, 4))):
+            op = draw(st.sampled_from(["+", "-", "*", "/", " - ", "*-"]))
+            text += op + draw(sub)
+        return text
+    if kind == "ch":
+        return (f"ch({draw(st.integers(0, 3 * p))};"
+                f"{draw(st.integers(-1, 3))})")
+    k = draw(st.integers(1, 2))
+    outer = draw(source_texts(p, depth - 1).filter(
+        lambda s: "x1" not in s or k == 2))
+    return "comp(" + ";".join([outer] + [draw(sub) for _ in range(k)]) + ")"
+
+
+@given(st.data())
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_printed_source_parses_back(data):
+    """For every e that parse_expr accepts, e.to_source() parses back to
+    the same tree, which prints the same source."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    text = data.draw(source_texts(p, 4))
+    try:
+        e = parse_expr(text, p)
+    except ExprSyntaxError:
+        return
+    again = parse_expr(e.to_source(), p)
+    assert again.to_source() == e.to_source()
+    assert _tree(again) == _tree(e)
+
+
+def test_printed_long_chains_parse_back():
+    """Chains print flat, so a chain the parser accepts prints as source it
+    accepts: the 150- and 201-term sums, a mixed 150-term chain and a
+    product with a parenthesized 150-term sum print as they were written."""
+    for src in ["+".join(["x0"] * 150), "+".join(["x0"] * (MAX_DEPTH + 1)),
+                "-".join(["x0", "x1*x0", "-x1"] * 50),
+                "x0*(" + "+".join(["x1"] * 150) + ")"]:
+        e = parse_expr(src, 5)
+        assert e.to_source() == src
+        assert parse_expr(e.to_source(), 5).to_source() == src
+    assert parse_expr("(x0-(x1-x0))*-(x0/(x1*x0))", 5).to_source() == \
+        "(x0-(x1-x0))*-(x0/(x1*x0))"
+
+
 def test_symbolic_function_shapes():
     f = SymbolicFunction.from_sources(5, ["x0+x1", "x0*x1"])
     assert (f.m, f.n) == (2, 2)

@@ -16,7 +16,7 @@ from qpcalc.measure import enumerate_cosets
 from qpcalc.padic import (Ball, PAdicVector, PadicError, PrecisionZeroDivision,
                           rational_val)
 from qpcalc.quotients import phin_exact_zero
-from qpcalc.whitney import jet_from_function
+from qpcalc.whitney import _jet
 
 
 class Source:
@@ -129,8 +129,8 @@ def test_jet_of_n_over_d_matches_f_to_the_next_order(src, data):
     h = [p ** k * data.draw(st.integers(0, p ** 2)) for _ in range(m)]
     h[data.draw(st.integers(0, m - 1))] = p ** k * data.draw(
         st.sampled_from([1, 2, p + 1]))
-    jet = jet_from_function(f, PAdicVector.from_ints(p, z, prec=24), 0,
-                            degree=d)[0]
+    at = PAdicVector.from_ints(p, z, prec=24)
+    jet = _jet(f.localize(at), at, d)[0]
     x = [a + b for a, b in zip(z, h)]
     assert jet.evaluate_fraction(z) == src(z)
     gap = src(x) - jet.evaluate_fraction(x)
@@ -186,4 +186,4 @@ def test_indicator_mix_jets_at_every_depth_3_point():
     assert len(reps) == 125
     for z in reps:
         jump = MultiPoly.const(1, 3 if ball.contains(z) else 0)
-        assert jet_from_function(f, z, 1) == (poly + jump,)
+        assert _jet(f.localize(z), z, 2) == (poly + jump,)

@@ -4,6 +4,7 @@ Oracle values were derived by independent rational arithmetic (Fraction) and
 by hand digit expansion, and are frozen here as literals.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,10 @@ from qpcalc.padic import (
     PadicError,
     PPow,
     PrecisionZeroDivision,
-    arith,
     frac_str,
     from_json,
-    norm,
     parse_frac,
     parse_literal,
-    sup_norm,
     truncate,
     unit_vector,
     vdp_compare,
@@ -44,7 +42,7 @@ def n5(x, prec=None):
 # ---------------------------------------------------------------------------
 
 def test_div_75_by_5_is_15():
-    q = arith(n5(75), n5(5), "div")
+    q = n5(75) / n5(5)
     assert q.val == 1
     assert q.digits()[0] == 3
     assert q.as_fraction() == 15
@@ -52,13 +50,13 @@ def test_div_75_by_5_is_15():
 
 def test_add_zero_identity():
     x = n5(37)
-    assert arith(PAdicNumber.zero(5), x, "add") == x
-    assert arith(x, PAdicNumber.zero(5), "add") == x
+    assert PAdicNumber.zero(5) + x == x
+    assert x + PAdicNumber.zero(5) == x
 
 
 def test_self_subtraction_gives_the_zero_sentinel():
     x = n5(1234)
-    z = arith(x, x, "sub")
+    z = x - x
     assert z.is_zero()
     assert z.val is None
     assert z.digits() == ()
@@ -68,18 +66,18 @@ def test_self_subtraction_gives_the_zero_sentinel():
 def test_division_by_indistinguishable_zero_raises():
     x = n5(7)
     with pytest.raises(PrecisionZeroDivision):
-        arith(x, x - x, "div")
+        x / (x - x)
 
 
 def test_prime_mismatch_rejected():
     with pytest.raises(PadicError):
-        arith(n5(1), PAdicNumber.from_int(3, 1), "add")
+        n5(1) + PAdicNumber.from_int(3, 1)
 
 
 def test_norm_examples():
-    assert norm(PAdicNumber.zero(5)) == 0
-    assert norm(n5(75)) == Fraction(1, 25)
-    assert norm(PAdicNumber.from_fraction(5, Fraction(1, 5))) == 5
+    assert PAdicNumber.zero(5).norm() == 0
+    assert n5(75).norm() == Fraction(1, 25)
+    assert PAdicNumber.from_fraction(5, Fraction(1, 5)).norm() == 5
 
 
 def test_literal_parse_example():
@@ -179,10 +177,10 @@ def test_dense_sequence_respects_val_floor():
 
 def test_sup_norm_examples():
     v = PAdicVector.from_ints(5, [5, 1])
-    assert sup_norm(v) == 1
+    assert v.sup_norm() == 1
     w = PAdicVector([PAdicNumber.from_fraction(5, Fraction(1, 5)), n5(25)])
-    assert sup_norm(w) == 5
-    assert sup_norm(PAdicVector.zero(5, 2)) == 0
+    assert w.sup_norm() == 5
+    assert PAdicVector.zero(5, 2).sup_norm() == 0
 
 
 def test_vector_json_roundtrip():
@@ -192,11 +190,11 @@ def test_vector_json_roundtrip():
 
 def test_a_foreign_prime_still_raises_and_ints_still_coerce():
     n3 = PAdicNumber.from_int(3, 1)
-    for op in ("add", "sub", "mul", "div"):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(PadicError):
-            arith(n5(1), n3, op)
+            op(n5(1), n3)
         with pytest.raises(PadicError):
-            arith(n3, n5(1), op)
+            op(n3, n5(1))
     # int and Fraction operands coerce at the window they did before
     assert n5(3, prec=20) + 2 == n5(3, prec=20) + n5(2, prec=20)
     assert Fraction(1, 5) * n5(3) == PAdicNumber.from_fraction(
@@ -557,11 +555,9 @@ def test_arith_matches_rational_arithmetic_when_exact(x, y):
     with Fraction arithmetic."""
     if not same_prime(x, y):
         return
-    for op, f in (("add", lambda a, b: a + b),
-                  ("sub", lambda a, b: a - b),
-                  ("mul", lambda a, b: a * b)):
-        got = arith(x, y, op)
-        want = f(x.as_fraction(), y.as_fraction())
+    for op in (operator.add, operator.sub, operator.mul):
+        got = op(x, y)
+        want = op(x.as_fraction(), y.as_fraction())
         if want == 0:
             assert got.is_zero() or got.as_fraction() != 0  # truncation may round away
         else:

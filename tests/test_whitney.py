@@ -8,8 +8,9 @@ from functools import lru_cache
 import pytest
 
 import whitney_reference as ref
+from qpcalc.extension import holder_violations
 from qpcalc.funcs import MultiPoly, SymbolicFunction
-from qpcalc.measure import GridFunction, enumerate_cosets
+from qpcalc.measure import CosetTree, GridFunction, enumerate_cosets
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError, vdp_compare, Order
 from qpcalc import whitney
 from qpcalc.quotients import QuotientPoint, phin
@@ -23,10 +24,7 @@ from qpcalc.whitney import (
     family_packing_reports,
     jet_compat_modulus,
     jet_field_from_function,
-    jet_from_function,
-    lipschitz_gauge_check,
     sample_quotient_points,
-    validate_constants,
     verify_whitney,
     whitney_extend,
 )
@@ -91,18 +89,19 @@ def test_radius_function_is_gauge_lipschitz():
     dom = Ball(PAdicVector.zero(P, 2), 0)
     pts = [y for y in enumerate_cosets(dom, 2)
            if dist_to_set(A, y) != 0]
-    ok, witness = lipschitz_gauge_check(h, pts[:40])
-    assert ok, witness
+    tree = CosetTree(pts[:40])
+    # (C, r) = (b, 1): |h(x) - h(y)| <= b|x - y| on every pair
+    assert holder_violations(tree, [PAdicVector([h(x)]) for x in tree.points],
+                             h.b, 1, 1) == []
 
 
 def test_validate_constants():
-    validate_constants(2, 0, -1)
-    with pytest.raises(PadicError):
-        validate_constants(1, 0, -1)    # |s1|+1 < s0 fails
-    with pytest.raises(PadicError):
-        validate_constants(3, -3, 0)    # |s1|+1 < s0 fails
-    with pytest.raises(PadicError):
-        validate_constants(2, 0, -3)    # s2 >= -1 fails
+    """The gluing constants (s0, s1, s2) meet the construction's
+    inequalities."""
+    s0, s1, s2 = whitney.DEFAULT_CONSTANTS
+    assert s0 >= 1 and s1 <= 0 and s2 >= -1
+    assert abs(s1) + 1 < s0
+    assert s0 + s2 >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +202,22 @@ def test_family_packing_bounds():
 # jets
 # ---------------------------------------------------------------------------
 
+def jet(f, z, degree):
+    """f's Taylor jet at z through total degree `degree`."""
+    return whitney._jet(f.localize(z), z, degree)
+
+
 def test_jet_of_affine_is_itself():
     f = fn("3*x0+2")
     z = vec(7)
-    polys = jet_from_function(f, z, k=0)
+    polys = jet(f, z, 1)
     assert polys[0] == MultiPoly.monomial(1, (1,), 3) + MultiPoly.const(1, 2)
 
 
 def test_jet_of_square_reproduces_function():
     f = fn("x0*x0")
     z = vec(4)
-    polys = jet_from_function(f, z, k=1)   # degree k+1 = 2 keeps everything
+    polys = jet(f, z, 2)   # degree 2 keeps everything
     assert polys[0] == MultiPoly.monomial(1, (2,), 1)
 
 
@@ -221,7 +225,7 @@ def test_jet_of_cube_truncates():
     # degree-2 truncation about z: z^3 + 3z^2(y-z) + 3z(y-z)^2
     f = fn("x0*x0*x0")
     z = vec(2)
-    polys = jet_from_function(f, z, k=1)
+    polys = jet(f, z, 2)
     y = MultiPoly.coord(1, 0)
     w = y - MultiPoly.const(1, 2)
     expect = MultiPoly.const(1, 8) + w * Fraction(12) + w * w * Fraction(6)
@@ -234,7 +238,7 @@ def test_jet_of_cube_truncates():
 def test_jet_exposed_truncation_degree():
     f = fn("x0*x0*x0")
     z = vec(2)
-    polys = jet_from_function(f, z, k=1, degree=1)
+    polys = jet(f, z, 1)
     w = MultiPoly.coord(1, 0) - MultiPoly.const(1, 2)
     assert polys[0] == MultiPoly.const(1, 8) + w * Fraction(12)
 
@@ -245,8 +249,8 @@ def test_jet_limit_route_matches_polynomial_route():
     f_poly = fn("x0*x0+3*x0")
     f_mixed = fn("x0*x0+3*x0+ch(4;1)")   # indicator of B(4,1/5): 0 near z=1
     z = vec(1)
-    a = jet_from_function(f_poly, z, k=1)
-    b = jet_from_function(f_mixed, z, k=1)
+    a = jet(f_poly, z, 2)
+    b = jet(f_mixed, z, 2)
     assert a[0] == b[0]
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import whitney_reference as ref
 from norm_reference import floor_level
 import qpcalc.whitney as whitney
-from qpcalc.extension import SampleSet, extend_to_grid
+from qpcalc.extension import SampleSet, extend_to_grid, holder_violations
 from qpcalc.funcs import MultiPoly, SymbolicFunction, as_polynomials
 from qpcalc.measure import CosetTree, coset_key, enumerate_cosets
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError
@@ -26,7 +26,7 @@ from qpcalc.quotients import phin_poly
 from qpcalc.whitney import (JetField, RadiusFunction, build_h,
                             disjoint_ball_family, dist_to_set,
                             jet_compat_modulus, jet_field_from_function,
-                            lipschitz_gauge_check, whitney_extend)
+                            whitney_extend)
 
 SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -417,8 +417,11 @@ def test_gauge_check_matches_pairwise(case, data):
         table.setdefault(x, pool[data.draw(st.integers(0, len(pool) - 1))])
     h = TableGauge(table, data.draw(st.sampled_from(
         [Fraction(1, p * p), Fraction(1, p), 1, p])))
-    assert lipschitz_gauge_check(h, points) == \
-        ref.lipschitz_gauge_check(h, points)
+    tree = CosetTree(points)
+    found = holder_violations(tree, [PAdicVector([h(x)]) for x in tree.points],
+                              h.b, 1, 1)
+    witness = (points[found[0][0]], points[found[0][1]]) if found else None
+    assert (not found, witness) == ref.lipschitz_gauge_check(h, points)
 
 
 @SETTINGS
