@@ -13,6 +13,9 @@ Expression grammar (version 1):
     call       := 'ch' '(' const (';' const)* ';' int ')'   ball indicator
                 | 'comp' '(' expr (';' expr)+ ')'           composition
 
+In ch(center;k) the centre coordinates and k, an integer with negatives
+allowed, are expressions without coordinates: ch(0;-1) is 1 on p^-1 Z_p.
+
 The canonical argument separator is ';'.  A ',' is tolerated as a separator
 wherever it cannot be confused with the digit commas of a literal: literal
 tokens are matched greedily first, so `ch(1,2;0)` means center coordinates 1
@@ -293,7 +296,7 @@ class SymbolicFunction:
     """A tuple of scalar expressions, evaluated exactly on PAdicVectors
     over all of Q_p^m."""
 
-    __slots__ = ("p", "m", "components")
+    __slots__ = ("p", "m", "components", "_form")
 
     def __init__(self, p: int, m: int, components):
         components = tuple(components)
@@ -305,6 +308,7 @@ class SymbolicFunction:
         self.p = p
         self.m = m
         self.components = components
+        self._form = None           # the point-free localize(), () if none
 
     @property
     def n(self) -> int:
@@ -339,6 +343,21 @@ class SymbolicFunction:
             self._check_point(x)
         leaves = _coord_pairs(self.m)
         return tuple(_local(c, x, leaves, self.m) for c in self.components)
+
+    def jet(self, x: PAdicVector, degree: int) -> tuple:
+        """The Taylor polynomials of f at x through total degree `degree`,
+        one per component in the ambient coordinates: local_jet of the
+        local normal form at x.  The form of a source without indicators
+        holds everywhere, so it is made once and kept."""
+        self._check_point(x)
+        if self._form is None:
+            try:
+                self._form = self.localize()
+            except PadicError:
+                self._form = ()
+        center = [c.as_fraction() for c in x.coords]
+        return tuple(local_jet(num, den, center, degree)
+                     for num, den in self._form or self.localize(x))
 
     def to_sources(self) -> list:
         return [c.to_source() for c in self.components]
@@ -625,7 +644,12 @@ def _local(expr: Expr, at, leaves, m: int) -> tuple:
         inner = [_local(g, at, leaves, m) for g in expr.inners]
         y = None if at is None else PAdicVector(g.eval(at)
                                                 for g in expr.inners)
-        return _local(expr.outer, y, inner, m)
+        num, den = _local(expr.outer, y, inner, m)
+        # D vanishes where an inner's does, also one the outer leaves out
+        for _, d in inner:
+            if d.total_degree():
+                num, den = num * d, den * d
+        return num, den
     n1, d1 = _local(expr.a, at, leaves, m)
     n2, d2 = _local(expr.b, at, leaves, m)
     if isinstance(expr, Mul):
@@ -847,21 +871,19 @@ class _Parser:
 
     # calls --------------------------------------------------------------
 
-    @staticmethod
-    def ch_call(args) -> Expr:
+    def ch_call(self, args) -> Expr:
         center = []
         for e, _, off in args[:-1]:
-            v = _fold_const(e)
-            if v is None:
+            if e.max_coord() >= 0:
                 raise ExprSyntaxError("ch center coordinates must be constant",
                                       off)
-            center.append(v)
+            center.append(PAdicNumber(self.p, *e.eval_triple(self.p, ())))
         last, _, off = args[-1]
-        k = _fold_const(last)
-        if k is None or (not k.is_zero() and k.as_fraction().denominator != 1):
-            raise ExprSyntaxError("ch radius exponent must be an integer", off)
-        rad_exp = 0 if k.is_zero() else int(k.as_fraction())
-        return ChBall(Ball(PAdicVector(center), rad_exp))
+        if last.max_coord() < 0:    # read exactly: a constant's form is N/1
+            k = _local(last, None, [], 0)[0].coefficient(())
+            if k.denominator == 1:
+                return ChBall(Ball(PAdicVector(center), int(k)))
+        raise ExprSyntaxError("ch radius exponent must be an integer", off)
 
     @staticmethod
     def comp_call(args) -> Expr:
@@ -878,27 +900,6 @@ def _widen_const(v: PAdicNumber, prec: int | None) -> PAdicNumber:
     if v.is_zero() or prec is None or v.prec >= prec:
         return v
     return PAdicNumber(v.p, v.val, v.unit, prec)
-
-
-def _fold_const(e: Expr):
-    """Collapse a constant expression to its value, or None."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Neg):
-        v = _fold_const(e.a)
-        return None if v is None else -v
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        a, b = _fold_const(e.a), _fold_const(e.b)
-        if a is None or b is None:
-            return None
-        if isinstance(e, Add):
-            return a + b
-        if isinstance(e, Sub):
-            return a - b
-        if isinstance(e, Mul):
-            return a * b
-        return a / b
-    return None
 
 
 def parse_expr(src: str, p: int, prec: int | None = None) -> Expr:

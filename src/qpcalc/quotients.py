@@ -1,5 +1,5 @@
 """Partial difference quotients on Q_p^m, their exact values at vanishing
-increments (read from the local normal form of `SymbolicFunction.localize`),
+increments (read from the jets of `SymbolicFunction.jet`),
 the Taylor expansion with exact residual, combinatorial
 differentiation identities (chain, telescoping, product), Hölder constant
 scans, and approximate derivatives with their bad-set densities.
@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .funcs import LinearMap, MultiPoly, SymbolicFunction, local_jet
+from .funcs import LinearMap, MultiPoly, SymbolicFunction
 from .measure import (DEFAULT_CAP, VERDICT_LEVELS, CosetTree,
                       DensityEstimate, GridFunction, coset_key,
                       density_levels, enumerate_cosets, first_gaps, gap_val,
@@ -129,18 +129,14 @@ def phin_poly(Q: MultiPoly, n: int) -> MultiPoly:
 def phin_exact_zero(f: SymbolicFunction, n: int, x: PAdicVector,
                     vs) -> PAdicVector:
     """The exact value of phin at t = (0,..,0): the n-fold multilinear
-    (divided-power) form of f at x, phin_poly of the degree-n jet of f's
-    local normal form at x, evaluated at (x, vs, 0)."""
+    (divided-power) form of f at x, phin_poly of f's degree-n jet at x,
+    evaluated at (x, vs, 0)."""
     vs = list(vs)
     if len(vs) != n:
         raise PadicError("need n directions")
-    xf = [c.as_fraction() for c in x.coords]
-    point = xf + [c.as_fraction() for v in vs for c in v.coords] + [0] * n
-    return PAdicVector(
-        PAdicNumber.from_fraction(
-            x.p, phin_poly(local_jet(num, den, xf, n), n)
-            .evaluate_fraction(point), prec=_VALUE_PREC)
-        for num, den in f.localize(x))
+    point = [c.as_fraction() for y in (x, *vs) for c in y.coords] + [0] * n
+    return _values(x.p, [phin_poly(q, n).evaluate_fraction(point)
+                         for q in f.jet(x, n)])
 
 
 # The value at vanishing increments is exact, so the limit is this value:
@@ -187,19 +183,16 @@ def taylor_eval(f: SymbolicFunction, n: int, y: PAdicVector,
     arithmetic, so a polynomial of degree <= n+1 leaves residual exactly 0.
     """
     yf = [c.as_fraction() for c in y.coords]
-    xf = [c.as_fraction() for c in x.coords]
-    hf = [a - b for a, b in zip(xf, yf)]
+    hf = [c.as_fraction() - b for c, b in zip(x.coords, yf)]
     zero = (0,) * f.m
-    centred = [local_jet(num, den, yf, n + 1).recenter(yf)
-               for num, den in f.localize(y)]
+    centred = [q.recenter(yf) for q in f.jet(y, n + 1)]
     total = [q.coefficient(zero) for q in centred]
     terms = []
     for j in range(1, n + 2):
         tj = [q.homogeneous_part(j).evaluate_fraction(hf) for q in centred]
         terms.append(_values(x.p, tj))
         total = [a + b for a, b in zip(total, tj)]
-    fx = [local_jet(num, den, xf, 0).coefficient(zero)
-          for num, den in f.localize(x)]
+    fx = [q.coefficient(zero) for q in f.jet(x, 0)]
     return TaylorExpansion(
         y=y, x=x, n=n, total=_values(x.p, total),
         residual=_values(x.p, [a - b for a, b in zip(fx, total)]),
@@ -373,14 +366,9 @@ class ApDerivative:
 
 def _gradient_map(f: SymbolicFunction, x: PAdicVector) -> LinearMap:
     """The exact gradient at x of f's local normal form."""
-    m, p = x.dim, x.p
-    xf = [c.as_fraction() for c in x.coords]
-    units = [tuple(int(i == k) for k in range(m)) for i in range(m)]
-    return LinearMap([[PAdicNumber.from_fraction(p, jet.coefficient(e),
-                                                 prec=_VALUE_PREC)
-                       for e in units]
-                      for jet in (local_jet(num, den, xf, 1)
-                                  for num, den in f.localize(x))])
+    units = [tuple(int(i == k) for k in range(x.dim)) for i in range(x.dim)]
+    return LinearMap([_values(x.p, [jet.coefficient(e) for e in units])
+                      for jet in f.jet(x, 1)])
 
 
 def _int_form(c: PAdicNumber, e: int):

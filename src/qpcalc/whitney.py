@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .extension import packing_check_many
-from .funcs import MultiPoly, SymbolicFunction, local_jet
+from .funcs import MultiPoly, SymbolicFunction
 from .measure import (DEFAULT_CAP, CosetTree, coset_key, enumerate_cosets,
                       union_density)
 from .padic import (
@@ -58,11 +58,6 @@ def dist_exp(A, x: PAdicVector):
     return best
 
 
-def dist_to_set(A, x: PAdicVector) -> Fraction:
-    """Exact sup-norm distance from x to a finite union of coset balls."""
-    return PPow.from_val(x.p, dist_exp(A, x)).as_fraction()
-
-
 class RadiusFunction:
     """h(x) = p^(e(x)) with |h(x)| = p^(-s0) * min(1, dist(x, A)).
 
@@ -72,7 +67,7 @@ class RadiusFunction:
 
     __slots__ = ("A", "p", "s0")
 
-    def __init__(self, A, p: int, s0: int):
+    def __init__(self, A, p: int, s0: int = DEFAULT_CONSTANTS[0]):
         self.A = tuple(A)
         self.p = p
         self.s0 = s0
@@ -98,10 +93,6 @@ class RadiusFunction:
     def support_exp(self, x: PAdicVector) -> int:
         """Radius exponent of the support ball B(x, |pi*h(x)|)."""
         return self.exponent(x) + 1
-
-
-def build_h(A, p: int, s0: int = DEFAULT_CONSTANTS[0]) -> RadiusFunction:
-    return RadiusFunction(A, p, s0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +196,6 @@ def family_packing_reports(fam: PartitionFamily, xs) -> list:
 # ---------------------------------------------------------------------------
 # jets
 # ---------------------------------------------------------------------------
-
-def _jet(local, z: PAdicVector, degree: int):
-    """Taylor jet at z through total degree `degree` of f's exact local
-    normal form `local` = N/D at z (see `SymbolicFunction.localize`), whose
-    coefficients are the multilinear difference-quotient values at
-    vanishing increments.
-
-    Returns a tuple of polynomials in the ambient coordinates, one per
-    output component; evaluating at z reproduces f(z).
-    """
-    center = [c.as_fraction() for c in z.coords]
-    return tuple(local_jet(num, den, center, degree) for num, den in local)
-
 
 @dataclass(frozen=True)
 class JetField:
@@ -323,17 +301,13 @@ def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
     if any(b.p != f.p or b.dim != f.m for b in A):
         raise PadicError(f"a ball of the closed set is not in Q_{f.p}^{f.m}, "
                          f"where f is defined")
-    try:                    # a source without indicators converts once
-        everywhere = f.localize()
-    except PadicError:
-        everywhere = None
     degree = k + 1 if degree is None else degree
     jets = {}
     for ball in A:
         for z in enumerate_cosets(ball, resolution, cap=cap):
             key = coset_key(z, resolution)
             if key not in jets:
-                jets[key] = (z, _jet(everywhere or f.localize(z), z, degree))
+                jets[key] = (z, f.jet(z, degree))
     return JetField(k=k, A=A, resolution=resolution,
                     jets=tuple(jets.values()))
 
@@ -464,7 +438,7 @@ def whitney_extend(J: JetField, domain: Ball,
     some y off A needs e(y) = s0 + 1 + max(0, D(y)) > resolution exactly
     when T = resolution - s0 <= 0 or y is within p^-T of a centre of A.
     Both are counted by union_density, which enumerates no coset."""
-    h = build_h(J.A, J.p)
+    h = RadiusFunction(J.A, J.p)
     T = resolution - h.s0
 
     def covered(balls) -> int:         # domain cosets the balls cover

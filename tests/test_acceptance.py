@@ -40,9 +40,9 @@ from qpcalc.padic import (
 )
 from qpcalc.quotients import stepanoff_scan, taylor_eval
 from qpcalc.whitney import (
-    build_h,
+    RadiusFunction,
     disjoint_ball_family,
-    dist_to_set,
+    dist_exp,
     family_packing_reports,
     jet_field_from_function,
     sample_quotient_points,
@@ -276,8 +276,8 @@ def test_criterion_07_whitney_two_coset_geometry():
     p = 5
     A = (Ball(_vec(p, 0, 0), 1), Ball(_vec(p, 2, 3), 1))
     dom = Ball(PAdicVector.zero(p, 2), 0)
-    h = build_h(A, p)
-    reps = [y for y in enumerate_cosets(dom, 3) if dist_to_set(A, y) != 0]
+    h = RadiusFunction(A, p)
+    reps = [y for y in enumerate_cosets(dom, 3) if dist_exp(A, y) is not None]
     fam = disjoint_ball_family(reps, h, 3)
 
     for x in reps:

@@ -512,6 +512,19 @@ def _refused(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_ch_radius_is_an_integer_negatives_allowed(capsys):
+    """ch(0;-1) is 1 on p^-1 Z_p; it once folded its radius to 5^24 - 1 and
+    printed 0 here.  A radius that is not an integer exits 2."""
+    assert run(capsys, "eval", "--p", "5", "--x", "1", "--f",
+               "ch(0;-1)") == (0, "1\n", "")
+    for src in ["ch(0;1/2)", "ch(0;x0)"]:
+        code, out, err = run(capsys, "eval", "--p", "5", "--x", "1",
+                             "--f", src)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "ch radius exponent must be an integer" in err
+
+
 def test_taylor_refuses_a_negative_order(capsys):
     """This once printed "order -1 ... residual norm 1" and exited 0."""
     _refused(capsys, ["taylor", "--f", "x0*x0", "--y", "0", "--x", "1",

@@ -108,6 +108,25 @@ def test_ball_indicator_rejects_nonconstant_center():
         parse_expr("ch(x0;1)", 5)
 
 
+def test_ch_radius_is_an_exact_integer():
+    """The radius is read as a rational, not folded in Z_5: ch(0;-1) once
+    got the radius exponent 5^24 - 1, and ch(0;1/2) 29802322387695313."""
+    fifth, tiny = (PAdicVector([PAdicNumber.from_fraction(5, Fraction(1, d))])
+                   for d in (5, 25))
+    for src in ["ch(0;-1)", "ch(0;2-3)"]:
+        e = parse_expr(src, 5)
+        assert e.ball.rad_exp == -1
+        assert e.eval(vec(1)).as_fraction() == e.eval(fifth).as_fraction() == 1
+        assert e.eval(tiny).is_zero()
+    for src in ["ch(0;1/2)", "ch(0;x0)"]:
+        with pytest.raises(ExprSyntaxError,
+                           match="ch radius exponent must be an integer"):
+            parse_expr(src, 5)
+    a, b = parse_expr("ch(2*3;1)", 5), parse_expr("ch(6;1)", 5)
+    assert (a.ball.center, a.ball.rad_exp) == (b.ball.center, b.ball.rad_exp)
+    assert a.to_source() == b.to_source()
+
+
 def test_composition_expression():
     e = parse_expr("comp(x0*x0; x0+1)", 5)
     assert e.eval(vec(4)).as_fraction() == 25

@@ -15,8 +15,7 @@ from qpcalc.funcs import MultiPoly, SymbolicFunction, as_polynomials, local_jet
 from qpcalc.measure import enumerate_cosets
 from qpcalc.padic import (Ball, PAdicVector, PadicError, PrecisionZeroDivision,
                           rational_val)
-from qpcalc.quotients import phin_exact_zero
-from qpcalc.whitney import _jet
+from qpcalc.quotients import phin_exact_zero, stepanoff_scan, taylor_eval
 
 
 class Source:
@@ -130,12 +129,51 @@ def test_jet_of_n_over_d_matches_f_to_the_next_order(src, data):
     h[data.draw(st.integers(0, m - 1))] = p ** k * data.draw(
         st.sampled_from([1, 2, p + 1]))
     at = PAdicVector.from_ints(p, z, prec=24)
-    jet = _jet(f.localize(at), at, d)[0]
+    jet = f.jet(at, d)[0]
     x = [a + b for a, b in zip(z, h)]
     assert jet.evaluate_fraction(z) == src(z)
     gap = src(x) - jet.evaluate_fraction(x)
     vh = min(rational_val(Fraction(c), p) for c in h if c)
     assert gap == 0 or rational_val(gap, p) >= (d + 1) * vh
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sources(), st.data())
+def test_jet_is_local_jet_of_the_form_at_the_point(src, data):
+    """f.jet(z, d), which keeps the form of a source without indicators,
+    is local_jet of f.localize(z) at z."""
+    f = src.function()
+    z = _point(data.draw, src.m, src.p ** 4)
+    d = data.draw(st.integers(0, 3))
+    at = PAdicVector.from_ints(src.p, z, prec=24)
+    for _ in range(2):                  # made, then read from the kept form
+        assert f.jet(at, d) == tuple(local_jet(num, den, z, d)
+                                     for num, den in f.localize(at))
+
+
+def test_a_source_is_localized_once_or_once_per_point(monkeypatch):
+    """Across a Stepanoff scan and a Taylor expansion, a source without
+    indicators is localized once, point-free; a source with one is tried
+    point-free once and localized once at each point whose jet is read."""
+    calls = []
+    localize = SymbolicFunction.localize
+
+    def counted(self, x=None):
+        calls.append(x)
+        return localize(self, x)
+
+    monkeypatch.setattr(SymbolicFunction, "localize", counted)
+    domain = Ball(PAdicVector.zero(5, 1), 0)
+    y, x = (PAdicVector.from_ints(5, [c], prec=24) for c in (2, 7))
+    reps = enumerate_cosets(domain, 1)
+    for source, at_points in (("x0*x0+3", []),
+                              ("x0*x0+3*ch(2;1)", reps + [y, x])):
+        calls.clear()
+        f = SymbolicFunction.from_sources(5, [source])
+        stepanoff_scan(f, domain, 1, Fraction(1, 25))
+        taylor_eval(f, 1, y, x)
+        assert calls.count(None) == 1
+        assert [c for c in calls if c is not None] == at_points
 
 
 def test_localize_reads_indicators_and_compositions_at_the_point():
@@ -174,6 +212,16 @@ def test_jet_refuses_a_denominator_vanishing_at_the_centre():
         local_jet(num, den, [0], 2)
     with pytest.raises(PrecisionZeroDivision):
         SymbolicFunction.from_sources(5, ["1/(x0-x0)"]).localize()
+    # an inner that the outer leaves out still divides: f is not defined at 0
+    f = SymbolicFunction.from_sources(5, ["comp(1;1/x0)"])
+    (_, den), = f.localize()
+    assert den.evaluate_fraction([0]) == 0
+    zero, one = (PAdicVector.from_ints(5, [c], prec=24) for c in (0, 1))
+    with pytest.raises(PrecisionZeroDivision):
+        f.jet(zero, 1)
+    with pytest.raises(PrecisionZeroDivision):
+        taylor_eval(f, 1, one, zero)
+    assert f.jet(one, 1) == (MultiPoly.const(1, 1),)
 
 
 def test_indicator_mix_jets_at_every_depth_3_point():
@@ -186,4 +234,4 @@ def test_indicator_mix_jets_at_every_depth_3_point():
     assert len(reps) == 125
     for z in reps:
         jump = MultiPoly.const(1, 3 if ball.contains(z) else 0)
-        assert _jet(f.localize(z), z, 2) == (poly + jump,)
+        assert f.jet(z, 2) == (poly + jump,)

@@ -17,10 +17,10 @@ from qpcalc.quotients import QuotientPoint, phin
 from qpcalc.whitney import (
     JetField,
     PartitionFamily,
+    RadiusFunction,
     WhitneyExtension,
-    build_h,
     disjoint_ball_family,
-    dist_to_set,
+    dist_exp,
     family_packing_reports,
     jet_compat_modulus,
     jet_field_from_function,
@@ -56,27 +56,27 @@ def two_coset_A():
 
 def test_dist_inside_is_zero():
     A = two_coset_A()
-    assert dist_to_set(A, vec(0, 5)) == 0      # inside the first coset
-    assert dist_to_set(A, vec(7, 3)) == 0      # inside the second
+    assert dist_exp(A, vec(0, 5)) is None      # inside the first coset
+    assert dist_exp(A, vec(7, 3)) is None      # inside the second
 
 
 def test_dist_point_set():
-    # A = {0} realized as a tiny ball; distance to x is |x|.
+    # A = {0} realized as a tiny ball; distance to x is |x| = p^-dist_exp.
     A = (Ball(vec(0), 6),)
-    assert dist_to_set(A, vec(5)) == Fraction(1, 5)
-    assert dist_to_set(A, vec(3)) == 1
+    assert dist_exp(A, vec(5)) == 1
+    assert dist_exp(A, vec(3)) == 0
 
 
 def test_dist_two_cosets_in_line():
     A = (Ball(vec(0), 2), Ball(vec(3), 2))
-    assert dist_to_set(A, vec(1)) == 1          # min(|1-0|, |1-3|) = 1
-    assert dist_to_set(A, vec(25)) == 0
-    assert dist_to_set(A, vec(5)) == Fraction(1, 5)
+    assert dist_exp(A, vec(1)) == 0             # min(|1-0|, |1-3|) = 1
+    assert dist_exp(A, vec(25)) is None
+    assert dist_exp(A, vec(5)) == 1             # distance 1/5
 
 
 def test_radius_function_values():
     A = (Ball(vec(0), 6),)
-    h = build_h(A, P, s0=2)
+    h = RadiusFunction(A, P)
     assert h(vec(3)).norm() == Fraction(1, 25)           # dist 1, capped
     assert h(vec(5)).norm() == Fraction(1, 125)          # dist 1/5
     with pytest.raises(PadicError):
@@ -85,10 +85,10 @@ def test_radius_function_values():
 
 def test_radius_function_is_gauge_lipschitz():
     A = two_coset_A()
-    h = build_h(A, P, s0=2)
+    h = RadiusFunction(A, P)
     dom = Ball(PAdicVector.zero(P, 2), 0)
     pts = [y for y in enumerate_cosets(dom, 2)
-           if dist_to_set(A, y) != 0]
+           if dist_exp(A, y) is not None]
     tree = CosetTree(pts[:40])
     # (C, r) = (b, 1): |h(x) - h(y)| <= b|x - y| on every pair
     assert holder_violations(tree, [PAdicVector([h(x)]) for x in tree.points],
@@ -111,10 +111,10 @@ def test_validate_constants():
 @lru_cache(maxsize=None)
 def _standard_family(resolution=3):
     A = two_coset_A()
-    h = build_h(A, P, s0=2)
+    h = RadiusFunction(A, P)
     dom = Ball(PAdicVector.zero(P, 2), 0)
     reps = [y for y in enumerate_cosets(dom, resolution)
-            if dist_to_set(A, y) != 0]
+            if dist_exp(A, y) is not None]
     return A, h, reps, disjoint_ball_family(reps, h, resolution)
 
 
@@ -157,10 +157,10 @@ def test_partition_rejects_points_of_A():
 
 def test_family_resolution_validation():
     A = two_coset_A()
-    h = build_h(A, P, s0=2)
+    h = RadiusFunction(A, P)
     dom = Ball(PAdicVector.zero(P, 2), 0)
     reps = [y for y in enumerate_cosets(dom, 2)
-            if dist_to_set(A, y) != 0]
+            if dist_exp(A, y) is not None]
     with pytest.raises(PadicError, match="resolution"):
         disjoint_ball_family(reps, h, 2)   # supports need K >= 3
 
@@ -168,7 +168,7 @@ def test_family_resolution_validation():
 def test_single_coset_family_is_single_site():
     # W one coset with support radius equal to its own: first rep wins.
     A = (Ball(vec(0), 1),)
-    h = build_h(A, P, s0=2)
+    h = RadiusFunction(A, P)
     coset = Ball(vec(1), 1)
     reps = enumerate_cosets(coset, 3)
     fam = disjoint_ball_family(reps, h, 3)
@@ -181,7 +181,7 @@ def test_family_refuses_two_sites_with_one_support():
     """Two sites sharing their support key would hide each other from the
     partition certificate, so the family refuses the second."""
     A = (Ball(vec(0), 1),)
-    h = build_h(A, P, s0=2)
+    h = RadiusFunction(A, P)
     reps = enumerate_cosets(Ball(vec(1), 1), 4)
     assert h.support_exp(reps[0]) == h.support_exp(reps[1]) == 3
     assert PartitionFamily([reps[0]], h, 4).support_indices(reps[1]) == [0]
@@ -202,22 +202,17 @@ def test_family_packing_bounds():
 # jets
 # ---------------------------------------------------------------------------
 
-def jet(f, z, degree):
-    """f's Taylor jet at z through total degree `degree`."""
-    return whitney._jet(f.localize(z), z, degree)
-
-
 def test_jet_of_affine_is_itself():
     f = fn("3*x0+2")
     z = vec(7)
-    polys = jet(f, z, 1)
+    polys = f.jet(z, 1)
     assert polys[0] == MultiPoly.monomial(1, (1,), 3) + MultiPoly.const(1, 2)
 
 
 def test_jet_of_square_reproduces_function():
     f = fn("x0*x0")
     z = vec(4)
-    polys = jet(f, z, 2)   # degree 2 keeps everything
+    polys = f.jet(z, 2)   # degree 2 keeps everything
     assert polys[0] == MultiPoly.monomial(1, (2,), 1)
 
 
@@ -225,7 +220,7 @@ def test_jet_of_cube_truncates():
     # degree-2 truncation about z: z^3 + 3z^2(y-z) + 3z(y-z)^2
     f = fn("x0*x0*x0")
     z = vec(2)
-    polys = jet(f, z, 2)
+    polys = f.jet(z, 2)
     y = MultiPoly.coord(1, 0)
     w = y - MultiPoly.const(1, 2)
     expect = MultiPoly.const(1, 8) + w * Fraction(12) + w * w * Fraction(6)
@@ -238,7 +233,7 @@ def test_jet_of_cube_truncates():
 def test_jet_exposed_truncation_degree():
     f = fn("x0*x0*x0")
     z = vec(2)
-    polys = jet(f, z, 1)
+    polys = f.jet(z, 1)
     w = MultiPoly.coord(1, 0) - MultiPoly.const(1, 2)
     assert polys[0] == MultiPoly.const(1, 8) + w * Fraction(12)
 
@@ -249,8 +244,8 @@ def test_jet_limit_route_matches_polynomial_route():
     f_poly = fn("x0*x0+3*x0")
     f_mixed = fn("x0*x0+3*x0+ch(4;1)")   # indicator of B(4,1/5): 0 near z=1
     z = vec(1)
-    a = jet(f_poly, z, 2)
-    b = jet(f_mixed, z, 2)
+    a = f_poly.jet(z, 2)
+    b = f_mixed.jet(z, 2)
     assert a[0] == b[0]
 
 

@@ -23,8 +23,7 @@ from qpcalc.funcs import MultiPoly, SymbolicFunction, as_polynomials
 from qpcalc.measure import CosetTree, coset_key, enumerate_cosets
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError
 from qpcalc.quotients import phin_poly
-from qpcalc.whitney import (JetField, RadiusFunction, build_h,
-                            disjoint_ball_family, dist_to_set,
+from qpcalc.whitney import (JetField, RadiusFunction, disjoint_ball_family,
                             jet_compat_modulus, jet_field_from_function,
                             whitney_extend)
 
@@ -94,7 +93,6 @@ def test_distance_exponent_matches_subtraction(case):
     assert h.dist_exp(x) == expected
     assert h.dist_exp(x) == expected            # asked again, the same
     assert whitney.dist_exp(A, x) == expected
-    assert dist_to_set(A, x) == ref.dist_to_set(A, x)
     if expected is None:
         with pytest.raises(PadicError):
             h.exponent(x)
@@ -377,7 +375,7 @@ def test_glue_matches_reference_at_every_representative(case):
     reps = enumerate_cosets(domain, resolution)
     fam = disjoint_ball_family(
         [y for y in reps if ref.dist_exp(J.A, y) is not None],
-        build_h(J.A, J.p), resolution)
+        RadiusFunction(J.A, J.p), resolution)
     # each admitted support holds no other admitted site
     for i, y in enumerate(fam.sites):
         assert fam.support_indices(y) == [i]
