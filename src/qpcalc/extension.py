@@ -61,7 +61,8 @@ class SampleSet:
         for site, value in points:
             if site.p != p or site.dim != m or value.p != p or value.dim != n:
                 raise PadicError("inconsistent shapes in sample set")
-            key = tuple(c.as_fraction() for c in site.coords)
+            # (val, unit) of a canonical number is one-to-one with its value
+            key = tuple([(c.val, c.unit) for c in site.coords])
             if key in seen:
                 raise PadicError("duplicate site in sample set")
             seen.add(key)

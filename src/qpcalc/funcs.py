@@ -42,6 +42,7 @@ from .padic import (
     _product,
     _quotient,
     _sum,
+    _triples,
     _triples_agree_below,
     parse_literal,
 )
@@ -99,10 +100,6 @@ class Expr:
 
     def __repr__(self):
         return f"<expr {self.to_source()}>"
-
-
-def _triples(x: PAdicVector) -> tuple:
-    return tuple([(c.val, c.unit, c.prec) for c in x.coords])
 
 
 class Const(Expr):
@@ -879,8 +876,11 @@ class _Parser:
                                       off)
             center.append(PAdicNumber(self.p, *e.eval_triple(self.p, ())))
         last, _, off = args[-1]
-        if last.max_coord() < 0:    # read exactly: a constant's form is N/1
-            k = _local(last, None, [], 0)[0].coefficient(())
+        if last.max_coord() < 0:
+            # read exactly: a constant's form is N/1.  Its indicators are
+            # decided on their constant inner values, whatever the point.
+            k = _local(last, PAdicVector.zero(self.p, 1), [], 0)[0] \
+                .coefficient(())
             if k.denominator == 1:
                 return ChBall(Ball(PAdicVector(center), int(k)))
         raise ExprSyntaxError("ch radius exponent must be an integer", off)

@@ -331,7 +331,8 @@ class GridFunction:
                 n = value.dim
             elif value.dim != n:
                 raise PadicError("inconsistent value dimension in grid table")
-            if any(_window(c) < resolution for c in rep.coords):
+            if any(c.val is not None and c.val + c.prec < resolution
+                   for c in rep.coords):
                 raise PadicError(
                     f"grid representative {rep!r} is known to fewer than "
                     f"{resolution} digits")

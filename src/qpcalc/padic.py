@@ -423,14 +423,26 @@ def parse_literal(s: str) -> PAdicNumber:
     m = _LITERAL_RE.match(s)
     if not m:
         raise PadicError(f"malformed p-adic literal: {s!r}")
-    digits = [int(d) for d in m.group(1).split(",")]
-    val = int(m.group(2))
-    p = int(m.group(3))
+    ds, val, p = m.groups()
+    val, p = int(val), int(p)
     _check_prime(p)
-    if any(d >= p for d in digits):
-        raise PadicError(f"digit out of range for p={p} in literal {s!r}")
-    unit = sum(d * p**i for i, d in enumerate(digits))
-    return _make(p, val, unit, val + len(digits))
+    n = ds.count(",") + 1
+    unit = None
+    if len(ds) == 2 * n - 1 and p <= 36:
+        # one character per digit: the digits, most significant first, are
+        # the base-p text of the unit (int() reads every digit \d matches)
+        try:
+            unit = int(ds[::-2], p)
+        except ValueError:      # a digit >= p, or past int's length limit
+            pass
+    if unit is None:
+        digits = [int(d) for d in ds.split(",")]
+        if max(digits) >= p:
+            raise PadicError(f"digit out of range for p={p} in literal {s!r}")
+        unit = _unit(p, digits)
+    if unit % p:        # d0 != 0 and unit < p^n: already canonical
+        return PAdicNumber(p, val, unit, n)
+    return _make(p, val, unit, val + n)
 
 
 def from_json(obj) -> PAdicNumber:
@@ -440,7 +452,7 @@ def from_json(obj) -> PAdicNumber:
     except (KeyError, TypeError):
         raise PadicError(f"malformed p-adic JSON number: {obj!r}") from None
     if type(p) is not int or type(digits) is not list \
-            or any(type(d) is not int for d in digits) \
+            or not {*map(type, digits)} <= {int} \
             or (val is not None and type(val) is not int):
         raise PadicError(f"non-integer entry in p-adic JSON number: {obj!r}")
     _check_prime(p)
@@ -450,10 +462,17 @@ def from_json(obj) -> PAdicNumber:
         return PAdicNumber.zero(p)
     if not digits:
         raise PadicError(f"nonzero p-adic JSON number without digits: {obj!r}")
-    if any(not 0 <= d < p for d in digits):
+    if min(digits) < 0 or max(digits) >= p:
         raise PadicError(f"digit out of range for p={p} in {obj!r}")
-    unit = sum(d * p**i for i, d in enumerate(digits))
-    return _make(p, val, unit, val + len(digits))
+    return _make(p, val, _unit(p, digits), val + len(digits))
+
+
+def _unit(p: int, digits) -> int:
+    """d0 + d1*p + d2*p^2 + ..., folded from the last digit."""
+    unit = 0
+    for d in reversed(digits):
+        unit = unit * p + d
+    return unit
 
 
 # -- van der Put ordering ---------------------------------------------------
@@ -606,11 +625,15 @@ class PAdicVector:
 
     @classmethod
     def from_json(cls, arr) -> "PAdicVector":
-        if type(arr) is not list or not arr \
-                or any(type(s) is not str for s in arr):
+        if type(arr) is not list or {*map(type, arr)} != {str}:
             raise PadicError(f"a p-adic JSON vector is a non-empty list of "
                              f"literal strings, got {arr!r}")
-        return cls(parse_literal(s) for s in arr)
+        coords = tuple([parse_literal(s) for s in arr])
+        p = coords[0].p
+        for c in coords:
+            if c.p != p:
+                raise PadicError("mixed primes in one vector")
+        return cls._of(coords)
 
     @classmethod
     def from_ints(cls, p: int, ns, prec: int | None = None) -> "PAdicVector":
@@ -638,11 +661,12 @@ def _agree_below(x: PAdicVector, y: PAdicVector, k: int) -> bool:
     p = xs[0].p
     if y.coords[0].p != p:
         raise PadicError(f"prime mismatch: {p} vs {y.coords[0].p}")
-    for a, b in zip(xs, y.coords):
-        if not _agrees_below(p, a.val, a.unit, a.prec, b.val, b.unit, b.prec,
-                             k):
-            return False
-    return True
+    return _triples_agree_below(p, _triples(x), _triples(y), k)
+
+
+def _triples(x: PAdicVector) -> tuple:
+    """The (val, unit, prec) triple of each coordinate of x."""
+    return tuple([(c.val, c.unit, c.prec) for c in x.coords])
 
 
 def _triples_agree_below(p: int, xs, ys, k: int) -> bool:

@@ -277,7 +277,8 @@ class JetField:
                         raise PadicError(f"a jet term's exponents are a list "
                                          f"of {z.dim} integers, not {exps!r}")
                     e = tuple(json_int(x, "jet term exponent") for x in exps)
-                    terms[e] = terms.get(e, 0) + parse_frac(c)
+                    q = parse_frac(c)
+                    terms[e] = terms[e] + q if e in terms else q
                 polys.append(MultiPoly(z.dim, terms))
             jets.append((z, tuple(polys)))
         if not jets:

@@ -83,6 +83,19 @@ def test_sample_set_rejects_duplicate_sites():
         SampleSet([(vec(3), vec(0)), (vec(3), vec(1))], C=1, r=1)
 
 
+def test_sample_set_duplicates_are_equal_values_whatever_their_windows():
+    """Two sites are one when their values are equal: 3 known to 1 and to
+    3 digits, or two exact zeros; 3 and 3*5 differ."""
+    def site(*texts):
+        return PAdicVector.from_json(list(texts))
+    for a, b in [(site("3e0@5", "0@5"), site("3,0,0e0@5", "0@5")),
+                 (site("0@5"), site("0@5"))]:
+        with pytest.raises(PadicError, match="duplicate site"):
+            SampleSet([(a, vec(0)), (b, vec(1))], C=1, r=1)
+    assert len(SampleSet([(site("3e0@5"), vec(0)), (site("3e1@5"), vec(1))],
+                         C=1, r=1).points) == 2
+
+
 def test_sample_set_json_round_trip():
     s = SampleSet([(vec(0), vec(7)), (vec(1), vec(2))],
                   C=Fraction(3, 2), r=Fraction(1, 2))

@@ -127,6 +127,20 @@ def test_ch_radius_is_an_exact_integer():
     assert a.to_source() == b.to_source()
 
 
+def test_ch_radius_decides_its_indicators_on_their_constant_values():
+    """A radius holding an indicator of constants is read as the integer
+    that indicator makes: 1 lies in Z_5 but neither 1/5 nor 1 lies in
+    B(0, 5^-30)."""
+    for src, k in [("ch(0;comp(ch(0;0);1))", 1),
+                   ("ch(0;2*comp(ch(0;0);1))", 2),
+                   ("ch(0;comp(ch(0;0);1/5))", 0),
+                   ("ch(0;comp(ch(0;30);1)-1)", -1)]:
+        assert parse_expr(src, 5).ball.rad_exp == k
+    with pytest.raises(ExprSyntaxError,
+                       match="ch radius exponent must be an integer"):
+        parse_expr("ch(0;comp(ch(0;0);1)/2)", 5)
+
+
 def test_composition_expression():
     e = parse_expr("comp(x0*x0; x0+1)", 5)
     assert e.eval(vec(4)).as_fraction() == 25

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import literal_reference
 from norm_reference import ppow_le_scaled
 from qpcalc import padic
 from qpcalc.padic import (
@@ -105,6 +106,130 @@ def test_noncanonical_literal_is_normalized():
     # leading zero digit: 0,3e0@5 is 3*5 = canonical val 1, one known digit lost
     x = parse_literal("0,3e0@5")
     assert x.val == 1 and x.digits() == (3,)
+
+
+def test_literals_read_non_ascii_decimal_digits():
+    """\\d and int() read every Unicode decimal digit, in the digits and
+    in the prime alike."""
+    assert parse_literal("٣e0@5") == parse_literal("3e0@5")
+    assert parse_literal("1e0@٥") == parse_literal("1e0@5")
+
+
+# Arabic-Indic 0 and 3, extended Arabic-Indic 5, Devanagari 7, fullwidth 9
+_WIDE_DIGITS = "٠٣۵७９"
+_PARSE_PRIMES = (2, 3, 5, 7, 11, 13, 31, 37)
+_NON_PRIMES = (0, 1, 4, 9, 35)
+
+
+@st.composite
+def literal_texts(draw):
+    """Literal text as a user may write it: the prime or a non-prime, 1-30
+    digits each in range, out of range, with leading zeros or non-ASCII,
+    valuations of either sign with leading zeros, surrounding whitespace;
+    the zero form; and text outside the grammar."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.text(alphabet="0123456789,e-@ \n٣", max_size=24))
+    p = draw(st.sampled_from(_PARSE_PRIMES + _NON_PRIMES))
+    arabic = str(p).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    ptext = draw(st.sampled_from((str(p), f"0{p}", arabic)))
+    if kind == 1:
+        return f"0@{ptext}"
+    top = max(p, 2)
+    digit = st.integers(0, top - 1).map(str)
+    if kind > 5:
+        digit = st.one_of(
+            digit, digit, st.integers(0, 2 * top + 3).map(str),
+            st.builds(lambda z, d: "0" * z + str(d),
+                      st.integers(1, 2), st.integers(0, top - 1)),
+            st.sampled_from(_WIDE_DIGITS))
+    digits = draw(st.lists(digit, min_size=1, max_size=30))
+    val = draw(st.integers(-40, 40))
+    vtext = draw(st.sampled_from((str(val), f"{'-' if val < 0 else ''}0"
+                                  f"{abs(val)}")))
+    pad = st.sampled_from(("", " ", "\t", "\n", " \n"))
+    return f"{draw(pad)}{','.join(digits)}e{vtext}@{ptext}{draw(pad)}"
+
+
+def _parsed_or_refused(parse, arg):
+    """The fields of what parse builds, or the type and text of its
+    refusal."""
+    try:
+        x = parse(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(x, PAdicVector):
+        return tuple((c.p, c.val, c.unit, c.prec) for c in x.coords)
+    return x.p, x.val, x.unit, x.prec
+
+
+@given(literal_texts())
+@settings(derandomize=True, max_examples=800, deadline=None)
+@example("٣e0@5")
+@example("1e0@٥")
+@example("1,2,10e0@11")
+@example("1,2,3e0@37")
+@example("9,9e-3@31")
+@example("0,0,3e-1@5")
+@example("0,0e0@5")
+@example("1,5e0@5")
+@example("1e0@4")
+@example("10e0@4")
+@example(" 1,1e0@2\n")
+@example("0@9")
+def test_parse_literal_matches_the_digit_fold(text):
+    """parse_literal builds what the digit-by-digit parser built, or
+    refuses with the same exception and message."""
+    assert _parsed_or_refused(parse_literal, text) == \
+        _parsed_or_refused(literal_reference.parse_literal, text)
+
+
+@given(st.one_of(
+    st.lists(st.one_of(literal_texts(), literal_texts(), st.integers(),
+                       st.none()), max_size=3),
+    st.lists(st.sampled_from(("1,2e0@5", "3e-1@5", "0@5", "1e0@7",
+                              "0@7")), max_size=3),
+    st.sampled_from(("1e0@5", {"0": "1e0@5"}, ("1e0@5",), None))))
+@settings(derandomize=True, max_examples=500, deadline=None)
+@example([])
+@example(["1e0@5", "1e0@7"])
+@example(["1e0@5", 3])
+@example(["bad", 3])
+@example(["0@5", "0@5"])
+def test_vector_from_json_matches_the_checking_constructor(arr):
+    """PAdicVector.from_json builds the vector that the checking
+    constructor built from the same literals, or refuses as it did: empty,
+    non-string and mixed-prime lists included."""
+    assert _parsed_or_refused(PAdicVector.from_json, arr) == \
+        _parsed_or_refused(literal_reference.vector_from_json, arr)
+
+
+_JSON_ENTRY = st.one_of(st.integers(-2, 14), st.none(), st.booleans(),
+                        st.just(1.5), st.just("1"))
+
+
+@given(st.one_of(
+    st.fixed_dictionaries({
+        "p": st.one_of(st.sampled_from(_PARSE_PRIMES + _NON_PRIMES),
+                       _JSON_ENTRY),
+        "val": st.one_of(st.integers(-5, 5), _JSON_ENTRY),
+        "digits": st.one_of(st.lists(st.integers(0, 12), max_size=20),
+                            st.lists(_JSON_ENTRY, max_size=4),
+                            _JSON_ENTRY)}),
+    st.sampled_from(({"p": 5}, [5, 0, [1]], "1e0@5", None))))
+@settings(derandomize=True, max_examples=500, deadline=None)
+@example({"p": 5, "val": 0, "digits": [0, 0, 3]})
+@example({"p": 5, "val": None, "digits": []})
+@example({"p": 5, "val": None, "digits": [1]})
+@example({"p": 5, "val": 1, "digits": []})
+@example({"p": 5, "val": 1, "digits": [-1]})
+@example({"p": 5, "val": 1, "digits": [True]})
+@example({"p": 4, "val": 1, "digits": [7]})
+def test_number_from_json_matches_the_digit_sum(obj):
+    """from_json decodes a JSON number as the generator checks and the
+    digit sum did, or refuses it with the same message."""
+    assert _parsed_or_refused(from_json, obj) == \
+        _parsed_or_refused(literal_reference.number_from_json, obj)
 
 
 def test_vdp_examples():

@@ -277,6 +277,14 @@ def test_jet_field_refuses_two_jets_in_one_coset():
     assert len(JetField.from_json(field).jets) == 2
 
 
+def test_jet_field_adds_the_coefficients_of_a_repeated_term():
+    field = {"k": 1, "resolution": 1,
+             "A": [{"center": ["0@5"], "rad_exp": 1}],
+             "jets": [[["0@5"], [[[[1], "1/2"], [[0], "3/1"], [[1], "1/3"]]]]]}
+    _, (poly,) = JetField.from_json(field).jets[0]
+    assert poly.terms == {(0,): 3, (1,): Fraction(5, 6)}
+
+
 def test_jet_compat_modulus_zero_for_global_polynomial():
     A = two_coset_A()
     f = fn("x0*x0+2*x1", m=2)
