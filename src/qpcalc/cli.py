@@ -25,10 +25,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .extension import (
@@ -623,15 +621,10 @@ def _identity_item(p: int, prec: int, seed: int, index: int) -> dict:
 def cmd_identities(args) -> int:
     _at_least(args, 0, "samples")
     _at_least(args, 1, "jobs")
-    indices = range(args.samples)
-    runner = lambda i: _identity_item(args.p, args.prec, args.seed, i)
-    # results aggregate by index, so fewer threads give the same report
-    workers = min(args.jobs, args.samples, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, indices))
-    else:
-        results = [runner(i) for i in indices]
+    # one loop in index order: threads under the GIL were never faster,
+    # so --jobs is checked and otherwise unused
+    results = [_identity_item(args.p, args.prec, args.seed, i)
+               for i in range(args.samples)]
     names = ("chain", "telescope", "product")
     passed = {name: sum(1 for r in results if r[name]) for name in names}
     failures = [{"index": i, "identity": name}

@@ -14,9 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .measure import (DEFAULT_CAP, CosetTree, GridFunction, _window,
-                      coset_key, enumerate_cosets, first_gaps, gap_val,
-                      nearest_index)
+from .measure import (DEFAULT_CAP, CosetTree, GridFunction, coset_key,
+                      enumerate_cosets, first_gaps, gap_val, nearest_index)
 from .padic import (Ball, PAdicVector, PadicError, PPow, ScaledBound,
                     frac_str, from_json as number_from_json,
                     holder_exponent, json_object, json_pairs, parse_frac)
@@ -451,8 +450,9 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
 
     def tally(L, group, T):
         if T not in classes:
-            classes[T] = [coset_key(v, T) if all(_window(c) >= T for c in v)
-                          else None for v in values]
+            classes[T] = [coset_key(v, T)
+                          if all(c.abs_window() >= T for c in v) else None
+                          for v in values]
         key = (L, group[0], T)
         if key not in tallies:
             cls = classes[T]

@@ -674,8 +674,7 @@ def _indicator_at(ball: Ball, x: PAdicVector) -> int:
     r = ball.rad_exp
     if not ball.contains(x):
         return 0
-    if any(c.abs_window() is not None and c.abs_window() < r
-           for c in x.coords + ball.center.coords):
+    if any(c.abs_window() < r for c in x.coords + ball.center.coords):
         raise PadicError(
             f"a window ends before the indicator radius exponent {r}: "
             f"membership is undecided")

@@ -48,14 +48,12 @@ def coset_key(x: PAdicVector, resolution: int):
     per coordinate, the (val, unit) of its truncation at `resolution`,
     read off the canonical digits without building the truncation (a
     unit below p^prec needs no cut at its window)."""
-    return tuple((None, 0) if c.val is None or c.val >= resolution
-                 else (c.val, c.unit % c.p ** (resolution - c.val))
-                 for c in x.coords)
-
-
-def _window(c: PAdicNumber):
-    """Absolute digit window of a coordinate; the zero sentinel is exact."""
-    return float("inf") if c.is_zero() else c.abs_window()
+    key = []
+    for c in x.coords:
+        v = c.val
+        key.append((None, 0) if v is None or v >= resolution
+                   else (v, c.unit % c.p ** (resolution - v)))
+    return tuple(key)
 
 
 def nearest_index(points, x: PAdicVector):
@@ -81,7 +79,7 @@ def gap_val(vectors):
     """
     best = None
     for col in zip(*(v.coords for v in vectors)):
-        ref = max(col, key=_window)
+        ref = max(col, key=PAdicNumber.abs_window)
         for c in col:
             d = (c - ref).val
             if d is not None and (best is None or d < best):
@@ -101,7 +99,7 @@ def first_gaps(values, members, children, G: int, budget: int) -> list:
     pair reported and per short member."""
     child = {i: k for k, group in enumerate(children) for i in group}
     cls = {i: coset_key(values[i], G + 1) for i in members
-           if all(_window(c) > G for c in values[i])}
+           if all(c.abs_window() > G for c in values[i])}
     later, total = {}, 0
     by_child, by_cls, by_both = Counter(), Counter(), Counter()
     for i in reversed(members):
@@ -209,7 +207,7 @@ class CosetTree:
         any.  Keys give the subtraction's distances only as far as the
         windows of x and of the points reach, so the walk stops there too,
         and at the tree's hi, where a tree of exact zeros ends."""
-        limit = min(hi, self.hi, *map(_window, x.coords))
+        limit = min(hi, self.hi, *(c.abs_window() for c in x.coords))
         path = []
         for L in range(min(self.lo, limit), limit + 1):
             if L not in self._keyed:
@@ -234,7 +232,7 @@ class CosetTree:
             return 0
         L, members = path[-1]
         if len(members) > 1 and \
-                L == min(hi, self.hi, *map(_window, x.coords)):
+                L == min(hi, self.hi, *(c.abs_window() for c in x.coords)):
             k, _ = nearest_index([self.points[i] for i in members], x)
             return members[k]
         return members[0]
@@ -316,7 +314,8 @@ class GridFunction:
     def __init__(self, domain: Ball, resolution: int, pairs):
         # a centre known to rad_exp digits makes domain.contains exact for
         # representatives known to resolution >= rad_exp digits
-        if any(_window(c) < domain.rad_exp for c in domain.center.coords):
+        if any(c.abs_window() < domain.rad_exp
+               for c in domain.center.coords):
             raise PadicError(
                 f"domain centre {domain.center!r} is known to fewer than "
                 f"{domain.rad_exp} digits")
@@ -331,8 +330,7 @@ class GridFunction:
                 n = value.dim
             elif value.dim != n:
                 raise PadicError("inconsistent value dimension in grid table")
-            if any(c.val is not None and c.val + c.prec < resolution
-                   for c in rep.coords):
+            if any(c.abs_window() < resolution for c in rep.coords):
                 raise PadicError(
                     f"grid representative {rep!r} is known to fewer than "
                     f"{resolution} digits")
@@ -535,7 +533,7 @@ def union_density(balls, x: PAdicVector, j_range,
     s = min((_least_val(b.center, js[0]) for b in balls), default=js[0])
     s = min(s, _least_val(x, s))
     shapes = [(_scaled(b.center, s),
-               [min(b.rad_exp, _window(c)) for c in b.center.coords])
+               [min(b.rad_exp, c.abs_window()) for c in b.center.coords])
               for b in balls]
     window = res + DEFAULT_PREC
 

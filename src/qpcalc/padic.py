@@ -187,9 +187,12 @@ class PAdicNumber:
         return Fraction(self.p) ** self.val * self.unit
 
     def abs_window(self):
-        """Absolute exponent up to which digits are known (None = exact zero)."""
+        """Absolute exponent up to which digits are known: the digits at
+        p^i for i below it.  The exact zero is known to every digit, so its
+        window is math.inf.  Outside this module's arithmetic and
+        membership rules, every window is read here."""
         if self.val is None:
-            return None
+            return math.inf
         return self.val + self.prec
 
     # -- arithmetic ----------------------------------------------------------

@@ -372,38 +372,47 @@ def _gradient_map(f: SymbolicFunction, x: PAdicVector) -> LinearMap:
 
 
 def _int_form(c: PAdicNumber, e: int):
-    """(c / p^e, the absolute window of c): the canonical representative
-    as an integer in units of p^e <= p^val(c).  The zero sentinel is the
-    exact 0, with an infinite window."""
-    if c.val is None:
-        return 0, math.inf
-    return c.unit * c.p ** (c.val - e), c.val + c.prec
+    """(c / p^e, c.abs_window()): the canonical representative as an
+    integer in units of p^e <= p^val(c).  The zero sentinel is the exact 0."""
+    return (0 if c.is_zero() else c.unit * c.p ** (c.val - e)), \
+        c.abs_window()
+
+
+def _vals(cs) -> list:
+    """The valuations of the nonzero numbers among cs."""
+    return [c.val for c in cs if not c.is_zero()]
 
 
 class _BallTable:
-    """The cosets z of one ball, their coordinates as integer forms in
-    units of p^e, and f(z) with its integer form at the scale p^E of the
-    point that last read it, both made when a point first needs them."""
+    """The cosets z of one shared ball B(x0, p^-j), x0 its first point, at
+    one integer scale: each z's coordinates in units of p^e, and f(z) in
+    units of p^E with the least window of its components.  e, the least of
+    0, j and x0's valuations, is at most every valuation in the ball.  E is the least valuation among e, the
+    points' f(x), e + those of their gradient entries, and the f(z) they
+    need, so no pair test rescales.
 
-    def __init__(self, f, reps, e: int):
-        self.f, self.reps, self.e = f, reps, e
+    Every point needs every coset but the one whose representative it
+    equals within their windows, its own resolution coset's.  x0's is the
+    first, so all cosets are needed but that first one when every point
+    equals its representative; then f is not made there."""
+
+    def __init__(self, f, reps, points, maps, j: int):
+        p, self.reps = reps[0].p, reps
+        e = self.e = min([0, j] + _vals(points[0].coords))
         self.zs = [[_int_form(c, e) for c in z.coords] for z in reps]
-        self.values = [None] * len(reps)
-        self.forms = [None] * len(reps)
-
-    def scale(self, n: int, E: int):
-        """forms[n] = (E, the components of f(z_n) in units of p^E or None
-        when one lies below that scale, the least window of its nonzero
-        components); f(z_n) is evaluated the first time."""
-        if self.values[n] is None:
-            self.values[n] = self.f(self.reps[n])
-        cs = self.values[n].coords
-        ints = None if any(c.val is not None and c.val < E for c in cs) \
-            else [_int_form(c, E)[0] for c in cs]
-        form = self.forms[n] = (E, ints, min(
-            (c.val + c.prec for c in cs if c.val is not None),
-            default=math.inf))
-        return form
+        # f is made at the cosets from n0 on
+        n0 = int(all(zi == xi or not (zi - xi) % p ** (min(zw, xw) - e)
+                     for x in points for (zi, zw), (xi, xw) in
+                     zip(self.zs[0], (_int_form(c, e) for c in x.coords))))
+        made = [f(z) for z in reps[n0:]]
+        gradients = [c for t, _ in maps for row in t.rows for c in row]
+        values = [c for y in [fx for _, fx in maps] + made for c in y.coords]
+        E = self.E = min([e] + [e + v for v in _vals(gradients)]
+                         + _vals(values))
+        self.values = [None] * n0 + made
+        self.forms = [None] * n0 + [([_int_form(c, E)[0] for c in y.coords],
+                                     min(c.abs_window() for c in y.coords))
+                                    for y in made]
 
 
 def _bad_levels(table: _BallTable, x: PAdicVector, t: LinearMap,
@@ -414,37 +423,30 @@ def _bad_levels(table: _BallTable, x: PAdicVector, t: LinearMap,
     The pair test is f(z) - f(x) - T(z - x) against eps*|z - x| in
     windowed arithmetic.  That expression agrees with the same expression
     on the canonical representatives modulo p^W, W the least window of
-    its nonzero leaves: f(z), f(x) and each product T_ri*dz_i, known below
+    its leaves: f(z), f(x) and each product T_ri*dz_i, known below
     min(v(T_ri) + win dz_i, v(dz_i) + win T_ri), where win dz_i is the
-    shorter window of z_i and x_i.  A zero sentinel is exact and only
-    widens those windows.  A coordinate of z - x that vanishes below its
-    window is that sentinel, so it is 0 here and left out of val(dz), as
-    in PAdicVector.val.  So where thr = F + val(dz) <= W, F the tolerance
-    level, the pair is good exactly when p^thr divides the integer err
-    (Schikhof, Ultrametric Calculus, 1984).  Every other pair (eps = 0,
-    thr > W, or an f(z) below the integer scale) is decided by the
-    windowed expression itself."""
-    p, e, F = x.p, table.e, tolerance.F
+    shorter window of z_i and x_i.  A zero is exact, its window infinite,
+    so it only widens W.  A coordinate of z - x that vanishes below its
+    window is the zero sentinel, so it is 0 here and left out of val(dz),
+    as in PAdicVector.val.  So where thr = F + val(dz) <= W, F the
+    tolerance level, the pair is good exactly when p^thr divides the
+    integer err, read at the table's one scale p^E (Schikhof, Ultrametric
+    Calculus, 1984).  The other pairs (eps = 0, or thr > W) are decided by
+    the windowed expression itself."""
+    p, e, E, F = x.p, table.e, table.E, tolerance.F
     # err in units of p^E, T in units of p^(E - e), dz in units of p^e
-    E = min([e] + [e + c.val for row in t.rows for c in row
-                   if c.val is not None]
-            + [c.val for c in fx.coords if c.val is not None])
     T = [[_int_form(c, E - e)[0] for c in row] for row in t.rows]
     FX = [_int_form(c, E)[0] for c in fx.coords]
-    # per column i, (min v(T_ri), min win T_ri) over its nonzero entries
-    cols = [(min(c.val for c in nz), min(c.val + c.prec for c in nz))
-            if nz else None
-            for nz in ([c for c in col if c.val is not None]
-                       for col in zip(*t.rows))]
-    W_x = min((c.val + c.prec for c in fx.coords if c.val is not None),
-              default=math.inf)
-    xs = [(*_int_form(c, e), col) for c, col in zip(x.coords, cols)]
+    # per column i, (min v(T_ri), min win T_ri): infinite for a zero column
+    cols = [(min(_vals(col), default=math.inf),
+             min(c.abs_window() for c in col)) for col in zip(*t.rows)]
+    W_x = min(c.abs_window() for c in fx.coords)
+    xs = [(*_int_form(c, e), *col) for c, col in zip(x.coords, cols)]
     rows = list(zip(FX, T))
-    forms = table.forms
     hits = Counter()
     for n, Z in enumerate(table.zs):
         ds, vdz, W = [], None, W_x
-        for (zi, zw), (xi, xw, col) in zip(Z, xs):
+        for (zi, zw), (xi, xw, vt, wt) in zip(Z, xs):
             d = zi - xi
             if d:
                 w = zw if zw < xw else xw
@@ -455,18 +457,14 @@ def _bad_levels(table: _BallTable, x: PAdicVector, t: LinearMap,
                 if v < w:
                     if vdz is None or v < vdz:
                         vdz = v
-                    if col is not None:
-                        W = min(W, col[0] + w, v + col[1])
+                    W = min(W, vt + w, v + wt)
                 else:
                     d = 0
             ds.append(d)
         if vdz is None:
             continue
-        form = forms[n]
-        if form is None or form[0] != E:
-            form = table.scale(n, E)
-        _, ints, W_z = form
-        if F is not None and ints is not None and F + vdz <= min(W, W_z):
+        ints, W_z = table.forms[n]
+        if F is not None and F + vdz <= min(W, W_z):
             good, k = True, F + vdz - E
             if k > 0:
                 mod = p ** k
@@ -493,15 +491,16 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
 
     Points in one level-j_min coset share the ball B(x, p^-j_min), so it is
     enumerated once at `resolution` and f is evaluated once per coset of
-    it (when a point first needs it).  Each point's bad set is counted
+    it that some point needs (_BallTable).  Each point's bad set is counted
     over that one table (_bad_levels), every coset z at the levels it has
     not left the point by, min(resolution, val(z - x)).  Coordinates and
-    values enter as integers with their windows: where the window decides
-    the tolerance test, one divisibility test on integers decides it, and
-    the windowed expression decides the rest.  Only one ball's table is
+    values enter as integers at one scale per ball, with their windows:
+    where the window decides the tolerance test, one divisibility test on
+    integers decides it, and the windowed expression decides the rest
+    (eps = 0, or a threshold past the window).  Only one ball's table is
     held at a time, so `cap` and memory stay per ball.  A point with a
-    nonzero coordinate whose absolute window ends before the resolution
-    is refused: it agrees there with several cosets of its ball."""
+    coordinate whose absolute window ends before the resolution is
+    refused: it agrees there with several cosets of its ball."""
     eps = Fraction(eps)
     if not points:
         return []
@@ -512,8 +511,7 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     js, res = density_levels(j_range, resolution)
     for x in points:
         for c in x.coords:
-            w = c.abs_window()
-            if w is not None and w < res:
+            if (w := c.abs_window()) < res:
                 raise PadicError(
                     f"a point coordinate known only mod p^{w} falls short "
                     f"of the resolution {res}: its coset there is undecided")
@@ -522,15 +520,13 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
         groups.setdefault(coset_key(x, js[0]), []).append(i)
     out = [None] * len(points)
     for members in groups.values():
-        table = None
-        for i in members:
-            x = points[i]
-            t, fx = _gradient_map(f, x), f(x)
-            if table is None:
-                reps = enumerate_cosets(Ball(x, js[0]), res, cap=cap)
-                table = _BallTable(f, reps, min(
-                    [0] + [c.val for y in [*reps, *(points[k] for k in members)]
-                           for c in y.coords if c.val is not None]))
+        xs = [points[i] for i in members]
+        # a first point that f refuses exits 2 ahead of a ball past the cap
+        maps = [(_gradient_map(f, xs[0]), f(xs[0]))]
+        reps = enumerate_cosets(Ball(xs[0], js[0]), res, cap=cap)
+        maps += [(_gradient_map(f, x), f(x)) for x in xs[1:]]
+        table = _BallTable(f, reps, xs, maps, js[0])
+        for i, x, (t, fx) in zip(members, xs, maps):
             hits = _bad_levels(table, x, t, fx, tolerance, res)
             out[i] = ApDerivative(linear_map=t, eps=eps,
                                   estimate=level_estimate(p, m, js, res, hits))

@@ -104,12 +104,11 @@ class PartitionFamily:
     one index (e, coset key of y at e) -> site position.  Two sites with one
     key would have one support, so a repeated key is refused."""
 
-    __slots__ = ("sites", "h", "resolution", "_index", "_levels")
+    __slots__ = ("sites", "h", "_index", "_levels")
 
-    def __init__(self, sites, h: RadiusFunction, resolution: int):
+    def __init__(self, sites, h: RadiusFunction):
         self.sites, self._index, self._levels = [], {}, []
         self.h = h
-        self.resolution = resolution
         for y in sites:
             if not self.admit(y, h.support_exp(y)):
                 raise PadicError(f"site {len(self.sites)} repeats the "
@@ -165,7 +164,7 @@ def disjoint_ball_family(reps, h: RadiusFunction,
     reps = list(reps)
     if not reps:
         raise PadicError("empty site list")
-    fam = PartitionFamily((), h, resolution)
+    fam = PartitionFamily((), h)
     for y in reps:
         e = h.support_exp(y)
         if e > resolution:

@@ -232,13 +232,11 @@ def test_stepanoff_failures_keep_grid_order():
 @given(densities(), st.sampled_from(EPSILONS))
 def test_ap_derivative_matches_the_reference(case, eps):
     p, m, x, js, res = case
-    if any(c.abs_window() is not None and c.abs_window() < 2
-           for c in x.coords):
+    if any(c.abs_window() < 2 for c in x.coords):
         return                      # the indicator radius is undecided
     f = SymbolicFunction.from_sources(
         p, ["x0*x0*x0" if m == 1 else "x0*x0*x1+ch(1,0;2)"], m=m)
-    if any(c.abs_window() is not None and c.abs_window() < res
-           for c in x.coords):
+    if any(c.abs_window() < res for c in x.coords):
         with pytest.raises(PadicError, match="short of the resolution"):
             ap_derivative(f, x, js, eps, resolution=res)
         return
@@ -333,6 +331,22 @@ def test_integers_decide_every_pair_of_the_benchmark_scan(monkeypatch):
                           Fraction(1, 25))
     assert (scan.good, scan.total) == (25, 25)
     assert calls == []
+
+
+def test_f_below_a_point_scale_is_decided_on_integers(monkeypatch):
+    """f is x0 + 1/125 on B(3, 5^-2), of valuation -3 there, and x0 off
+    it.  The points 8, 13, 18 and 23 have f(x) of valuation 0, and they
+    share their level-1 ball with those cosets: the ball's one integer
+    scale takes in every f(z) its points need, so no pair is left to the
+    windowed test."""
+    calls = _counting_apply(monkeypatch)
+    f = SymbolicFunction.from_sources(5, ["x0+ch(3;2)/125"], m=1)
+    domain = Ball(PAdicVector.zero(5, 1), 0)
+    eps = Fraction(1, 25)
+    new = stepanoff_scan(f, domain, 2, eps)
+    assert calls == []
+    assert (new.good, new.total) == (25, 25)
+    assert new == ref.stepanoff_scan(f, domain, 2, eps)
 
 
 def test_eps_zero_takes_the_windowed_test(monkeypatch):

@@ -184,9 +184,9 @@ def test_family_refuses_two_sites_with_one_support():
     h = RadiusFunction(A, P)
     reps = enumerate_cosets(Ball(vec(1), 1), 4)
     assert h.support_exp(reps[0]) == h.support_exp(reps[1]) == 3
-    assert PartitionFamily([reps[0]], h, 4).support_indices(reps[1]) == [0]
+    assert PartitionFamily([reps[0]], h).support_indices(reps[1]) == [0]
     with pytest.raises(PadicError, match="site 1 repeats the support"):
-        PartitionFamily([reps[0], reps[1]], h, 4)
+        PartitionFamily([reps[0], reps[1]], h)
 
 
 def test_family_packing_bounds():

@@ -238,8 +238,7 @@ def test_locate_and_ball_match_subtraction(case):
         path = tree.locate(y, hi)
         for L, members in path:
             assert members == within(y, L)
-        limit = min(hi, tree.hi, *(c.abs_window() or float("inf")
-                                   for c in y.coords))
+        limit = min(hi, tree.hi, *(c.abs_window() for c in y.coords))
         last = path[-1][0] if path else min(tree.lo, limit) - 1
         if last < limit:        # no point is closer
             assert within(y, last + 1) == ()
