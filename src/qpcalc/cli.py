@@ -358,6 +358,8 @@ def cmd_decompose(args) -> int:
                                    "residual": "0"})
         return EXIT_OK
     val_floor = min(v.val for v in nonzero)
+    # the dense sequence has one member per net value: count it first
+    _check_cap(p ** (args.tol_exp - val_floor), args.cap)
     ys = decompose_default_ys(p, val_floor, args.tol_exp - val_floor)
     terms = decompose_series(f, ys, args.tol_exp)
     worst = None            # least valuation of a residual; None: all zero

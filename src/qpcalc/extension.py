@@ -420,9 +420,10 @@ class EjDecomposition:
 
 
 def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
-    """Assign each grid point z the least j such that for every scale
-    p^(-l), j < l <= K, the bad set {x in B(z, p^(-l)) :
-    |f(x)-f(z)| > p^j |x-z|^r} fills less than half the ball.
+    """Assign each grid point z the least j in j_range (0..K-1 by default,
+    in any order) such that for every scale p^(-l), j < l <= K, the bad
+    set {x in B(z, p^(-l)) : |f(x)-f(z)| > p^j |x-z|^r} fills less than
+    half the ball.
 
     Measures are exact coset counts at the grid resolution.  The points at
     distance p^-L from z are z's level-L coset less its level-(L+1) coset
@@ -436,8 +437,7 @@ def decompose_Ej(f: GridFunction, r, j_range=None) -> EjDecomposition:
     r = holder_exponent(r)
     K = f.resolution
     p = f.p
-    if j_range is None:
-        j_range = range(0, K)
+    j_range = range(0, K) if j_range is None else sorted(j_range)
     # the bound p^j * |x - z|^r of each class j that checks a level l > j
     bounds = {j: ScaledBound(p, Fraction(p) ** j, r)
               for j in j_range if j < K - 1}

@@ -1,6 +1,6 @@
 """Symbolic functions on Q_p^m: exact expression trees, exact multivariate
-polynomials over Q, linear maps under the sup operator norm, and the small
-expression language shared with the command line.
+polynomials over Q, and the small expression language shared with the
+command line.
 
 Expression grammar (version 1):
 
@@ -371,58 +371,6 @@ class SymbolicFunction:
 
     def __repr__(self):
         return f"SymbolicFunction({self.m}->{self.n}: {self.to_sources()})"
-
-
-class LinearMap:
-    """An n x m matrix of p-adic entries; exact application, sup operator
-    norm = the largest entry norm."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows or not rows[0]:
-            raise PadicError("empty matrix")
-        m = len(rows[0])
-        if any(len(r) != m for r in rows):
-            raise PadicError("ragged matrix")
-        p = rows[0][0].p
-        if any(e.p != p for r in rows for e in r):
-            raise PadicError("mixed primes in matrix")
-        self.rows = rows
-
-    @property
-    def m(self) -> int:
-        return len(self.rows[0])
-
-    def apply(self, v: PAdicVector) -> PAdicVector:
-        if v.dim != self.m:
-            raise PadicError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = row[0] * v[0]
-            for a, c in zip(row[1:], v.coords[1:]):
-                acc = acc + a * c
-            out.append(acc)
-        return PAdicVector._of(tuple(out))
-
-    def to_json(self):
-        return [[e.format_literal() for e in r] for r in self.rows]
-
-    @classmethod
-    def from_json(cls, arr) -> "LinearMap":
-        return cls([[parse_literal(s) for s in r] for r in arr])
-
-    @classmethod
-    def from_ints(cls, p: int, rows, prec: int | None = None) -> "LinearMap":
-        return cls([[PAdicNumber.from_int(p, e, prec=prec) for e in r]
-                    for r in rows])
-
-    def __eq__(self, other):
-        return isinstance(other, LinearMap) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"LinearMap({self.to_json()})"
 
 
 # ---------------------------------------------------------------------------

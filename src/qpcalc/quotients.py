@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .funcs import LinearMap, MultiPoly, SymbolicFunction
+from .funcs import MultiPoly, SymbolicFunction
 from .measure import (DEFAULT_CAP, VERDICT_LEVELS, CosetTree,
                       DensityEstimate, GridFunction, coset_key,
                       density_levels, enumerate_cosets, first_gaps, gap_val,
@@ -34,6 +34,9 @@ from .padic import (
     PadicError,
     PPow,
     ScaledBound,
+    _product,
+    _sum,
+    _triples,
     frac_str,
     holder_exponent,
     unit_vector,
@@ -355,7 +358,10 @@ def holder_scan(f: GridFunction, r) -> HolderScan:
 
 @dataclass(frozen=True)
 class ApDerivative:
-    linear_map: LinearMap
+    """The gradient T at a point, one tuple of PAdicNumbers per component
+    of f, and the density estimate of its bad set at tolerance eps."""
+
+    linear_map: tuple
     estimate: DensityEstimate   # density of the bad set
     eps: Fraction
 
@@ -364,11 +370,12 @@ class ApDerivative:
         return self.estimate.verdict
 
 
-def _gradient_map(f: SymbolicFunction, x: PAdicVector) -> LinearMap:
-    """The exact gradient at x of f's local normal form."""
+def _gradient_map(f: SymbolicFunction, x: PAdicVector) -> tuple:
+    """The exact gradient at x of f's local normal form: row r holds the
+    partial derivatives of component r."""
     units = [tuple(int(i == k) for k in range(x.dim)) for i in range(x.dim)]
-    return LinearMap([_values(x.p, [jet.coefficient(e) for e in units])
-                      for jet in f.jet(x, 1)])
+    return tuple(_values(x.p, [jet.coefficient(e) for e in units]).coords
+                 for jet in f.jet(x, 1))
 
 
 def _int_form(c: PAdicNumber, e: int):
@@ -405,7 +412,7 @@ class _BallTable:
                      for x in points for (zi, zw), (xi, xw) in
                      zip(self.zs[0], (_int_form(c, e) for c in x.coords))))
         made = [f(z) for z in reps[n0:]]
-        gradients = [c for t, _ in maps for row in t.rows for c in row]
+        gradients = [c for t, _ in maps for row in t for c in row]
         values = [c for y in [fx for _, fx in maps] + made for c in y.coords]
         E = self.E = min([e] + [e + v for v in _vals(gradients)]
                          + _vals(values))
@@ -415,10 +422,28 @@ class _BallTable:
                                     for y in made]
 
 
-def _bad_levels(table: _BallTable, x: PAdicVector, t: LinearMap,
+def _windowed_vals(p: int, z, fz, x, fx, t) -> tuple:
+    """(val(err), val(dz)) for err = f(z) - f(x) - T(dz), dz = z - x, on the
+    (val, unit, prec) triples of z, f(z), x, f(x) and of T's rows, in the
+    steps of the vector arithmetic: dz_i = z_i - x_i, acc_r = T_r0*dz_0 +
+    T_r1*dz_1 + ... from the left, err_r = (f(z)_r - f(x)_r) - acc_r.
+    Each step is padic's window rule for it, so the valuations are those
+    of the PAdicVector expression."""
+    dz = [_sum(p, *a, *b, -1) for a, b in zip(z, x)]
+    err = []
+    for row, a, b in zip(t, fz, fx):
+        acc = _product(p, *row[0], *dz[0])
+        for c, d in zip(row[1:], dz[1:]):
+            acc = _sum(p, *acc, *_product(p, *c, *d), 1)
+        err.append(_sum(p, *_sum(p, *a, *b, -1), *acc, -1)[0])
+    return (min([v for v in err if v is not None] or [None]),
+            min([v for v, _, _ in dz if v is not None] or [None]))
+
+
+def _bad_levels(table: _BallTable, x: PAdicVector, t: tuple,
                 fx: PAdicVector, tolerance: ScaledBound, res: int) -> Counter:
     """hits[L]: the cosets z of the table in the bad set of x that leave x
-    at level L = min(res, val(z - x)).
+    at level L = min(res, val(z - x)), for the gradient rows t at x.
 
     The pair test is f(z) - f(x) - T(z - x) against eps*|z - x| in
     windowed arithmetic.  That expression agrees with the same expression
@@ -432,17 +457,21 @@ def _bad_levels(table: _BallTable, x: PAdicVector, t: LinearMap,
     tolerance level, the pair is good exactly when p^thr divides the
     integer err, read at the table's one scale p^E (Schikhof, Ultrametric
     Calculus, 1984).  The other pairs (eps = 0, or thr > W) are decided by
-    the windowed expression itself."""
+    the windowed expression itself, walked on (val, unit, prec) triples
+    through padic's window rules (_windowed_vals): those of x, f(x) and T
+    are made once, those of z and f(z) only for such a pair."""
     p, e, E, F = x.p, table.e, table.E, tolerance.F
     # err in units of p^E, T in units of p^(E - e), dz in units of p^e
-    T = [[_int_form(c, E - e)[0] for c in row] for row in t.rows]
+    T = [[_int_form(c, E - e)[0] for c in row] for row in t]
     FX = [_int_form(c, E)[0] for c in fx.coords]
     # per column i, (min v(T_ri), min win T_ri): infinite for a zero column
     cols = [(min(_vals(col), default=math.inf),
-             min(c.abs_window() for c in col)) for col in zip(*t.rows)]
+             min(c.abs_window() for c in col)) for col in zip(*t)]
     W_x = min(c.abs_window() for c in fx.coords)
     xs = [(*_int_form(c, e), *col) for c, col in zip(x.coords, cols)]
     rows = list(zip(FX, T))
+    xt, fxt = _triples(x), _triples(fx)
+    tt = [[(c.val, c.unit, c.prec) for c in row] for row in t]
     hits = Counter()
     for n, Z in enumerate(table.zs):
         ds, vdz, W = [], None, W_x
@@ -476,9 +505,9 @@ def _bad_levels(table: _BallTable, x: PAdicVector, t: LinearMap,
                         good = False
                         break
         else:
-            dz = table.reps[n] - x
-            good = tolerance.holds((table.values[n] - fx - t.apply(dz)).val,
-                                   dz.val)
+            good = tolerance.holds(*_windowed_vals(
+                p, _triples(table.reps[n]), _triples(table.values[n]),
+                xt, fxt, tt))
         if not good:
             hits[min(res, vdz)] += 1
     return hits
@@ -496,8 +525,9 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     not left the point by, min(resolution, val(z - x)).  Coordinates and
     values enter as integers at one scale per ball, with their windows:
     where the window decides the tolerance test, one divisibility test on
-    integers decides it, and the windowed expression decides the rest
-    (eps = 0, or a threshold past the window).  Only one ball's table is
+    integers decides it, and the windowed expression, walked on (val,
+    unit, prec) triples by padic's window rules, decides the rest (eps =
+    0, or a threshold past the window).  Only one ball's table is
     held at a time, so `cap` and memory stay per ball.  A point with a
     coordinate whose absolute window ends before the resolution is
     refused: it agrees there with several cosets of its ball."""

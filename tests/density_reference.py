@@ -8,7 +8,7 @@ give the same ratios, verdicts and failures."""
 from fractions import Fraction
 
 from norm_reference import ppow_le_scaled
-from qpcalc.funcs import LinearMap, local_jet
+from qpcalc.funcs import local_jet
 from qpcalc.measure import (DEFAULT_CAP, DensityEstimate, GridFunction,
                             _verdict, enumerate_cosets)
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError, PPow
@@ -67,18 +67,28 @@ def ap_derivative(f, x: PAdicVector, j_range, eps, resolution=None,
     m, p = x.dim, x.p
     xf = [c.as_fraction() for c in x.coords]
     units = [tuple(int(i == k) for k in range(m)) for i in range(m)]
-    t = LinearMap([[PAdicNumber.from_fraction(p, jet.coefficient(e),
+    t = tuple(tuple(PAdicNumber.from_fraction(p, jet.coefficient(e),
                                               prec=_VALUE_PREC)
-                    for e in units]
-                   for jet in (local_jet(num, den, xf, 1)
-                               for num, den in f.localize(x))])
+                    for e in units)
+              for jet in (local_jet(num, den, xf, 1)
+                          for num, den in f.localize(x)))
     fx = f(x)
+
+    def apply(dz: PAdicVector) -> PAdicVector:
+        """T(dz), row by row: T_r0*dz_0 + T_r1*dz_1 + ... from the left."""
+        out = []
+        for row in t:
+            acc = row[0] * dz[0]
+            for a, c in zip(row[1:], dz.coords[1:]):
+                acc = acc + a * c
+            out.append(acc)
+        return PAdicVector(out)
 
     def bad(z: PAdicVector) -> bool:
         dz = z - x
         if dz.val is None:
             return False
-        err = (f(z) - fx - t.apply(dz)).norm_pow()
+        err = (f(z) - fx - apply(dz)).norm_pow()
         return not ppow_le_scaled(err, eps, dz.norm_pow())
 
     est = density_at(bad, x, j_range, resolution=resolution, cap=cap)

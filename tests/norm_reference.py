@@ -5,10 +5,9 @@ These are the formulas qpcalc used when norms were compared as Fractions:
 when that norm of x - centre is at most the radius, two balls are
 disjoint when their centres are farther apart than the larger radius, and
 the nearest point of a list is found by a scan that keeps the first
-strictly smaller Fraction distance, a linear map's operator norm is its
-largest entry norm, the level of a rational bound is found by stepping
-through Fraction powers of p, and |u| <= C*|w|^r is tested by raising
-PPow magnitudes to Fraction powers (ppow_le_scaled).
+strictly smaller Fraction distance, the level of a rational bound is found
+by stepping through Fraction powers of p, and |u| <= C*|w|^r is tested by
+raising PPow magnitudes to Fraction powers (ppow_le_scaled).
 test_valuations.py requires the integer-valuation versions in qpcalc to
 agree with them; the other references use ppow_le_scaled as the test.
 
@@ -28,11 +27,6 @@ def sup_norm(x):
 
 def norm_pow(x):
     return PPow.from_norm(x.p, sup_norm(x))
-
-
-def operator_norm(t):
-    """The sup operator norm of a LinearMap: its largest entry norm."""
-    return max(e.norm() for r in t.rows for e in r)
 
 
 def radius(ball):

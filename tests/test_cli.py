@@ -213,6 +213,16 @@ def test_decompose_reports_residual(capsys, tmp_path):
         GridFunction.from_json(term["set"])
 
 
+def test_decompose_counts_its_dense_sequence_against_the_cap(capsys):
+    """--tol-exp 6 over values of valuation 0 needs 5^6 = 15625 net
+    values: past --cap 1000, refused before any is built."""
+    code, out, err = run(capsys, "decompose", "--p", "5", "--f", "x0",
+                         "--domain", "ball(0;0)", "--resolution", "1",
+                         "--tol-exp", "6", "--cap", "1000")
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap: 15625 ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # extension verbs
 # ---------------------------------------------------------------------------
@@ -284,6 +294,14 @@ def test_ej_verifies(capsys):
     assert code == 0
     assert "E_0: 25 points" in out
     assert "verified" in out
+
+
+def test_ej_finds_the_least_class_whatever_the_order_of_the_j_range(capsys):
+    argv = ["ej", "--p", "5", "--f", "x0*x0*x0+ch(3;2)", "--domain",
+            "ball(0;0)", "--resolution", "3", "--j-range"]
+    up, down = run(capsys, *argv, "0,1,2"), run(capsys, *argv, "2,1,0")
+    assert up == down
+    assert up[1].startswith("E_0: 120 points\nE_1: 5 points\n")
 
 
 @pytest.mark.parametrize("r", ["0", "-1", "3/2"])

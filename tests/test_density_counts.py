@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import density_reference as ref
 from norm_reference import ppow_le_scaled
-from qpcalc import measure
+from qpcalc import measure, quotients
 from qpcalc.cli import main
-from qpcalc.funcs import LinearMap, SymbolicFunction
+from qpcalc.funcs import SymbolicFunction
 from qpcalc.measure import (ap_limit, coset_levels, density_at,
                             enumerate_cosets, union_density)
 from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PadicError, PPow,
@@ -263,10 +263,11 @@ def windowed_points(draw, p, m, res):
 
 @st.composite
 def stepanoff_cases(draw):
-    """A source of polynomial and indicator terms, with p in numerators and
-    denominators and an optional /(1 + p*q*x_i), points that share a
-    coarsest ball and some that do not, and eps in {0, p^-k, p^k, 5/7}.
-    Windows end at most three digits past the resolution, so where
+    """One or two components drawn from a pool of polynomial and indicator
+    terms, with p in numerators and denominators and an optional
+    /(1 + p*q*x_i), so T has one row or two; points that share a coarsest
+    ball and some that do not, and eps in {0, p^-k, p^k, 5/7}.  Windows
+    end at most three digits past the resolution, so where
     thr = F + val(z - x) passes them the windowed test runs."""
     p = draw(st.sampled_from([2, 3, 5]))
     m = draw(st.integers(1, 2))
@@ -280,7 +281,11 @@ def stepanoff_cases(draw):
     if draw(st.booleans()):
         centre = ",".join(str(draw(st.integers(0, p))) for _ in range(m))
         terms.append(f"{draw(coef)}*ch({centre};{draw(st.integers(1, 2))})")
-    f = SymbolicFunction.from_sources(p, ["+".join(terms)], m=m)
+    sources = ["+".join(terms)]
+    if draw(st.booleans()):
+        sources.append("+".join(draw(st.lists(
+            st.sampled_from(terms), min_size=1, max_size=3, unique=True))))
+    f = SymbolicFunction.from_sources(p, sources, m=m)
     pts = [draw(windowed_points(p, m, res))]
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
@@ -312,20 +317,21 @@ def test_ap_derivatives_match_the_reference(case):
                              for x in pts])
 
 
-def _counting_apply(monkeypatch):
+def _counting_windowed(monkeypatch):
+    """The pairs left to the windowed test, one call each."""
     calls = []
-    original = LinearMap.apply
+    original = quotients._windowed_vals
 
-    def counting(self, v):
-        calls.append(v)
-        return original(self, v)
+    def counting(p, z, *rest):
+        calls.append(z)
+        return original(p, z, *rest)
 
-    monkeypatch.setattr(LinearMap, "apply", counting)
+    monkeypatch.setattr(quotients, "_windowed_vals", counting)
     return calls
 
 
 def test_integers_decide_every_pair_of_the_benchmark_scan(monkeypatch):
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_windowed(monkeypatch)
     f = SymbolicFunction.from_sources(5, ["-4+2*x0+x0*x0"], m=1)
     scan = stepanoff_scan(f, Ball(PAdicVector.zero(5, 1), 0), 2,
                           Fraction(1, 25))
@@ -339,7 +345,7 @@ def test_f_below_a_point_scale_is_decided_on_integers(monkeypatch):
     share their level-1 ball with those cosets: the ball's one integer
     scale takes in every f(z) its points need, so no pair is left to the
     windowed test."""
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_windowed(monkeypatch)
     f = SymbolicFunction.from_sources(5, ["x0+ch(3;2)/125"], m=1)
     domain = Ball(PAdicVector.zero(5, 1), 0)
     eps = Fraction(1, 25)
@@ -350,7 +356,7 @@ def test_f_below_a_point_scale_is_decided_on_integers(monkeypatch):
 
 
 def test_eps_zero_takes_the_windowed_test(monkeypatch):
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_windowed(monkeypatch)
     f = SymbolicFunction.from_sources(5, ["-4+2*x0+x0*x0"], m=1)
     domain = Ball(PAdicVector.zero(5, 1), 0)
     new = stepanoff_scan(f, domain, 2, 0)
@@ -361,7 +367,7 @@ def test_eps_zero_takes_the_windowed_test(monkeypatch):
 def test_short_windows_take_the_windowed_test(monkeypatch):
     """x = 3 known to two digits: thr = 4 + val(z - x) passes the window
     W = 2 of every difference, so no pair is decided on integers."""
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_windowed(monkeypatch)
     f = SymbolicFunction.from_sources(5, ["x0*x0*x0"], m=1)
     x = PAdicVector([_make(5, 0, 3, 2)])
     eps = Fraction(1, 625)

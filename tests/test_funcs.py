@@ -1,4 +1,4 @@
-"""Expression language, polynomial, and linear-map tests."""
+"""Expression language and polynomial tests."""
 
 from fractions import Fraction
 
@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import tokenize_reference
 from eval_reference import eval_reference
-from norm_reference import operator_norm
 from qpcalc.funcs import (
     MAX_DEPTH,
     Add,
@@ -17,7 +16,6 @@ from qpcalc.funcs import (
     Coord,
     Div,
     ExprSyntaxError,
-    LinearMap,
     Mul,
     MultiPoly,
     Neg,
@@ -506,39 +504,17 @@ def test_tokenize_matches_the_character_loop(src):
 
 
 # ---------------------------------------------------------------------------
-# linear maps
+# vectors built unchecked
 # ---------------------------------------------------------------------------
 
-def test_linear_map_apply_and_norm():
-    t = LinearMap.from_ints(5, [[1, 5], [0, 2]])
-    assert [c.as_fraction() for c in t.apply(vec(1, 1))] == [6, 2]
-    assert operator_norm(t) == 1
-    s = LinearMap([[PAdicNumber.from_fraction(5, Fraction(1, 5))]])
-    assert operator_norm(s) == 5
-
-
-def test_linear_map_apply_refuses_a_mixed_prime():
-    t = LinearMap.from_ints(5, [[1, 5], [0, 2]])
-    with pytest.raises(PadicError):
-        t.apply(vec(1, 1, p=3))
-    with pytest.raises(PadicError):
-        LinearMap.from_ints(5, [[2]]).apply(vec(1, p=7))
-
-
-@given(st.lists(st.integers(-200, 200), min_size=6, max_size=6),
+@given(st.lists(st.integers(-200, 200), min_size=2, max_size=2),
        st.sampled_from((2, 3, 5)))
 def test_built_vectors_equal_their_checked_rebuild(ns, p):
-    """A function value and a linear map's image are built unchecked; each
-    is the vector that the checking constructor makes of its coordinates."""
-    x = vec(*ns[:2], p=p)
+    """A function value is built unchecked; it is the vector that the
+    checking constructor makes of its coordinates."""
+    x = vec(*ns, p=p)
     f = SymbolicFunction.from_sources(
         p, ["x0*x1 + 3", "x0 - 2*ch(1,2;1)", "x1/(1 + %d*x0)" % p], m=2)
-    t = LinearMap.from_ints(p, [ns[2:4], ns[4:]])
-    for got in (f(x), t.apply(x)):
-        assert type(got.coords) is tuple
-        assert got == PAdicVector(list(got.coords)) and got.p == p
-
-
-def test_linear_map_json_round_trip():
-    t = LinearMap.from_ints(5, [[2, 7], [1, 0]])
-    assert LinearMap.from_json(t.to_json()) == t
+    got = f(x)
+    assert type(got.coords) is tuple
+    assert got == PAdicVector(list(got.coords)) and got.p == p
