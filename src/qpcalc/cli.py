@@ -44,6 +44,7 @@ from .funcs import (
     Coord,
     Expr,
     ExprSyntaxError,
+    KeptFunction,
     Mul,
     Neg,
     Sub,
@@ -575,24 +576,11 @@ def _poly_expr(rng: random.Random, m: int, p: int, indicator: bool,
     return expr
 
 
-def _kept(f):
-    """f with each value kept by its point, for the span of one identity
-    item: PAdicVector equality is bit-exact, so a kept value is the one
-    that evaluating f again would return."""
-    values = {}
-
-    def kept(z):
-        y = values.get(z)
-        if y is None:
-            y = values[z] = f(z)
-        return y
-    return kept
-
-
 def _identity_item(p: int, prec: int, seed: int, index: int) -> dict:
     """One seeded instance of each exact first-order identity; the rng is
     derived from (seed, index) alone so batches split identically for any
-    job count.  The item's checks share one kept copy of each function."""
+    job count.  The item's checks share one KeptFunction of each
+    function, which evaluates it once per distinct point."""
     rng = random.Random(f"{seed}:{index}")
     m = rng.choice([1, 2])
     mu = rng.choice([1, 2])
@@ -603,9 +591,9 @@ def _identity_item(p: int, prec: int, seed: int, index: int) -> dict:
             _poly_expr(rng, nvars, p, with_ind, prec)
             for _ in range(components)])
 
-    f, g_outer, u, h = map(_kept, (fun(m, indicator), fun(mu, indicator),
-                                   fun(m, False, components=mu),
-                                   fun(m, indicator)))
+    f, g_outer, u, h = map(KeptFunction, (
+        fun(m, indicator), fun(mu, indicator), fun(m, False, components=mu),
+        fun(m, indicator)))
     x = PAdicVector.from_ints(
         p, [rng.randrange(p ** 3) for _ in range(m)], prec=prec)
     v_coords = [rng.randrange(p ** 3) for _ in range(m)]

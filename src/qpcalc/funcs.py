@@ -316,12 +316,18 @@ class SymbolicFunction:
             raise PadicError("evaluation point does not match (p, m)")
 
     def __call__(self, x: PAdicVector) -> PAdicVector:
-        self._check_point(x)
-        p, xs, out = self.p, _triples(x), []
-        for c in self.components:
-            v, u, n = c.eval_triple(p, xs)
-            out.append(PAdicNumber(p, v, u, n))
-        return PAdicVector._of(tuple(out))
+        p = x.p
+        return PAdicVector._of(tuple([
+            PAdicNumber(p, v, u, n)
+            for v, u, n in self.eval_triples(p, _triples(x))]))
+
+    def eval_triples(self, p: int, xs: tuple) -> tuple:
+        """The (val, unit, prec) triple of each component at the point of
+        Q_p^m whose coordinates have the triples xs: the one evaluator,
+        which __call__ wraps."""
+        if p != self.p or len(xs) != self.m:
+            raise PadicError("evaluation point does not match (p, m)")
+        return tuple([c.eval_triple(p, xs) for c in self.components])
 
     def localize(self, x: PAdicVector | None = None) -> tuple:
         """The exact local normal form of f at x: one (numerator,
@@ -371,6 +377,24 @@ class SymbolicFunction:
 
     def __repr__(self):
         return f"SymbolicFunction({self.m}->{self.n}: {self.to_sources()})"
+
+
+class KeptFunction:
+    """f's triple evaluator with each value kept by the triples of its
+    point, for a span of work that evaluates f at a few points many times,
+    such as one item of the identity suite.  Triples are bit-exact, so a
+    kept value is the one that evaluating f again would return."""
+
+    __slots__ = ("f", "_values")
+
+    def __init__(self, f):
+        self.f, self._values = f, {}
+
+    def eval_triples(self, p: int, xs: tuple) -> tuple:
+        y = self._values.get(xs)
+        if y is None or p != self.f.p:      # f refuses a foreign prime
+            y = self._values[xs] = self.f.eval_triples(p, xs)
+        return y
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,8 @@ class PAdicNumber:
         """Absolute exponent up to which digits are known: the digits at
         p^i for i below it.  The exact zero is known to every digit, so its
         window is math.inf.  Outside this module's arithmetic and
-        membership rules, every window is read here."""
+        membership rules, every window is read here, or by _abs_window
+        from a (val, unit, prec) triple."""
         if self.val is None:
             return math.inf
         return self.val + self.prec
@@ -325,11 +326,18 @@ def _digit_texts(p: int) -> tuple:
 # -- the window rules --------------------------------------------------------
 #
 # Each rule maps the (val, unit, prec) fields of its operands to those of
-# the result, with (None, 0, 0) the zero sentinel.  The operators above and
-# the expression walk of qpcalc.funcs both compute through them, so a window
-# is propagated the same way whichever builds the value.
+# the result, with (None, 0, 0) the zero sentinel.  The operators above,
+# the expression walk of qpcalc.funcs and the quotient and identity walks of
+# qpcalc.quotients all compute through them, so a window is propagated the
+# same way whichever builds the value.
 
 _ZERO = (None, 0, 0)
+
+
+def _abs_window(c: tuple):
+    """PAdicNumber.abs_window of the value whose triple is c."""
+    v, _, n = c
+    return math.inf if v is None else v + n
 
 
 def _canon(p: int, val: int, raw: int, abs_window: int) -> tuple:
@@ -645,12 +653,6 @@ class PAdicVector:
     @classmethod
     def zero(cls, p: int, m: int) -> "PAdicVector":
         return cls(PAdicNumber.zero(p) for _ in range(m))
-
-
-def unit_vector(p: int, m: int, i: int, prec: int | None = None) -> PAdicVector:
-    """Standard basis vector e_i."""
-    return PAdicVector(PAdicNumber.from_int(p, 1 if j == i else 0, prec=prec)
-                       for j in range(m))
 
 
 # -- balls -------------------------------------------------------------------

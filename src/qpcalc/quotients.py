@@ -28,18 +28,21 @@ from .measure import (DEFAULT_CAP, VERDICT_LEVELS, CosetTree,
                       density_levels, enumerate_cosets, first_gaps, gap_val,
                       level_estimate)
 from .padic import (
+    _ZERO,
+    DEFAULT_PREC,
     Ball,
     PAdicNumber,
     PAdicVector,
     PadicError,
     PPow,
     ScaledBound,
+    _abs_window,
     _product,
+    _quotient,
     _sum,
     _triples,
     frac_str,
     holder_exponent,
-    unit_vector,
 )
 
 _VALUE_PREC = 32          # window of exact rational values, such as jet terms
@@ -68,11 +71,11 @@ class QuotientPoint:
 
 
 def phi1(f, x: PAdicVector, v: PAdicVector, t: PAdicNumber) -> PAdicVector:
-    """[f(x+vt) - f(x)] / t, exactly."""
-    if t.is_zero():
-        raise PadicError("t = 0: use phin_exact_zero for boundary values")
-    w = f(x + v.scale(t)) - f(x)
-    return PAdicVector._of(tuple([c / t for c in w]))
+    """[f(x+vt) - f(x)] / t, exactly, walked on triples as the identity
+    checks walk it."""
+    p, xs, vs, tt = _operands(x, v, t)
+    return _vector(p, _difference(p, f.eval_triples(p, _moved(p, xs, vs, tt)),
+                                  f.eval_triples(p, xs), tt))
 
 
 def phin(f, n: int, q: QuotientPoint) -> PAdicVector:
@@ -213,8 +216,68 @@ class IdentityCheck:
     equal: bool
 
 
-def _identity(lhs: PAdicVector, rhs: PAdicVector) -> IdentityCheck:
-    return IdentityCheck(lhs, rhs, all(c.is_zero() for c in (lhs - rhs).coords))
+# phi1 and the identity checks walk (val, unit, prec) triples through
+# padic's window rules in the steps of the PAdicVector expressions their
+# docstrings state, coordinate by coordinate, so every triple is the one
+# that PAdicNumber arithmetic would build; lhs and rhs become PAdicVectors
+# at the end.  A function is anything with SymbolicFunction's
+# eval_triples, such as the KeptFunction one identity item shares.
+
+_ONE = (0, 1, DEFAULT_PREC)     # the 1 of a basis vector, as from_int made it
+
+
+def _operands(x: PAdicVector, v: PAdicVector, t: PAdicNumber) -> tuple:
+    """(p, triples of x, of v, of t) for a first quotient along v by t;
+    a zero t, or a v or t of another dimension or prime, is refused."""
+    if t.is_zero():
+        raise PadicError("t = 0: use phin_exact_zero for boundary values")
+    if v.dim != x.dim or {v.p, t.p} != {x.p}:
+        raise PadicError("x, v and t differ in dimension or prime")
+    return x.p, _triples(x), _triples(v), (t.val, t.unit, t.prec)
+
+
+def _moved(p: int, xs: tuple, vs: tuple, t: tuple) -> tuple:
+    """x + v*t."""
+    return tuple([_sum(p, *a, *_product(p, *t, *b), 1)
+                  for a, b in zip(xs, vs)])
+
+
+def _stepped(p: int, xs: tuple, i: int, s: tuple) -> tuple:
+    """x + e_i*s: the other coordinates gain s*0, the zero sentinel, and
+    stay as they are."""
+    return xs[:i] + (_sum(p, *xs[i], *_product(p, *s, *_ONE), 1),) \
+        + xs[i + 1:]
+
+
+def _difference(p: int, a: tuple, b: tuple, s: tuple) -> list:
+    """(a - b) / s per coordinate, s nonzero."""
+    return [_quotient(p, *_sum(p, *c, *d, -1), *s) for c, d in zip(a, b)]
+
+
+def _along_basis(p: int, f, w: tuple, i: int, s: tuple) -> list:
+    """phi1(f; w; e_i; s), s nonzero."""
+    return _difference(p, f.eval_triples(p, _stepped(p, w, i, s)),
+                       f.eval_triples(p, w), s)
+
+
+def _plus_scaled(p: int, acc, c: tuple, w: list) -> list:
+    """acc + c*w per coordinate; c*w itself when acc is None."""
+    cw = [_product(p, *c, *d) for d in w]
+    return cw if acc is None else [_sum(p, *a, *b, 1)
+                                   for a, b in zip(acc, cw)]
+
+
+def _vector(p: int, cs) -> PAdicVector:
+    return PAdicVector._of(tuple([PAdicNumber(p, *c) for c in cs]))
+
+
+def _identity(p: int, lhs: list, rhs) -> IdentityCheck:
+    """lhs against rhs, the zero vector when rhs is None: equal when every
+    coordinate of lhs - rhs is the zero sentinel."""
+    if rhs is None:
+        rhs = [_ZERO] * len(lhs)
+    return IdentityCheck(_vector(p, lhs), _vector(p, rhs), all([
+        _sum(p, *a, *b, -1)[0] is None for a, b in zip(lhs, rhs)]))
 
 
 def chain_rule_check(f, u, y: PAdicVector, v: PAdicVector,
@@ -226,62 +289,63 @@ def chain_rule_check(f, u, y: PAdicVector, v: PAdicVector,
     the first j coordinates from u(y) and the rest from u(y+vt); summands
     with phi_j = 0 are zero (the factor annihilates them).
     """
-    lhs = phi1(lambda z: f(u(z)), y, v, t)
-    uy = u(y)
-    uyt = u(y + v.scale(t))
-    m = uy.dim
-    p = y.p
+    p, ys, vs, tt = _operands(y, v, t)
+    uyt = u.eval_triples(p, _moved(p, ys, vs, tt))
+    fyt = f.eval_triples(p, uyt)
+    uy = u.eval_triples(p, ys)
+    lhs = _difference(p, fyt, f.eval_triples(p, uy), tt)
     rhs = None
-    for j in range(1, m + 1):
-        phi_j = (uyt[j - 1] - uy[j - 1]) / t
-        if phi_j.is_zero():
+    for j in range(len(uy)):
+        phi_j = _quotient(p, *_sum(p, *uyt[j], *uy[j], -1), *tt)
+        if phi_j[0] is None:
             continue
-        w_j = PAdicVector._of(uy.coords[:j] + uyt.coords[j:])
-        e_j = unit_vector(p, m, j - 1)
-        term = phi1(f, w_j, e_j, t * phi_j).scale(phi_j)
-        rhs = term if rhs is None else rhs + term
-    if rhs is None:
-        rhs = PAdicVector.zero(p, lhs.dim)
-    return _identity(lhs, rhs)
+        w_j = uy[:j + 1] + uyt[j + 1:]
+        s = _product(p, *tt, *phi_j)
+        rhs = _plus_scaled(p, rhs, phi_j, _along_basis(p, f, w_j, j, s))
+    return _identity(p, lhs, rhs)
 
 
 def telescope_check(f, x: PAdicVector, v: PAdicVector,
                     t: PAdicNumber) -> IdentityCheck:
     """phi1 along direction v against the coordinate-wise telescoping sum
-    sum_i v_i * phi1(f; x + t*sum_{j>i} e_j v_j; e_i; v_i t)."""
-    lhs = phi1(f, x, v, t)
-    m = x.dim
-    p = x.p
+    sum_i v_i * phi1(f; x + t*sum_{j>i} e_j v_j; e_i; v_i t), the tail
+    point built as x + e_(i+1)*(v_(i+1)*t) + ... over the nonzero v_j."""
+    p, xs, vs, tt = _operands(x, v, t)
+    lhs = _difference(p, f.eval_triples(p, _moved(p, xs, vs, tt)),
+                      f.eval_triples(p, xs), tt)
+    m = len(xs)
     rhs = None
-    for i in range(1, m + 1):
-        v_i = v[i - 1]
-        if v_i.is_zero():
+    for i in range(m):
+        v_i = vs[i]
+        if v_i[0] is None:
             continue
-        tail = x
-        for j in range(i + 1, m + 1):
-            if not v[j - 1].is_zero():
-                tail = tail + unit_vector(p, m, j - 1).scale(v[j - 1] * t)
-        term = phi1(f, tail, unit_vector(p, m, i - 1), v_i * t).scale(v_i)
-        rhs = term if rhs is None else rhs + term
-    if rhs is None:
-        rhs = PAdicVector.zero(p, lhs.dim)
-    return _identity(lhs, rhs)
+        tail = xs
+        for j in range(i + 1, m):
+            if vs[j][0] is not None:
+                tail = _stepped(p, tail, j, _product(p, *vs[j], *tt))
+        rhs = _plus_scaled(p, rhs, v_i, _along_basis(
+            p, f, tail, i, _product(p, *v_i, *tt)))
+    return _identity(p, lhs, rhs)
 
 
 def product_rule_check(f, g, x: PAdicVector, v: PAdicVector,
                        t: PAdicNumber) -> IdentityCheck:
     """phi1(f*g) = phi1(f)*g(x+vt) + f(x)*phi1(g) for scalar-valued f, g."""
-    def prod(z):
-        a, b = f(z), g(z)
-        if a.dim != 1 or b.dim != 1:
-            raise PadicError("product rule needs scalar-valued functions")
-        return PAdicVector._of((a[0] * b[0],))
+    p, xs, vs, tt = _operands(x, v, t)
 
-    lhs = phi1(prod, x, v, t)
-    xt = x + v.scale(t)
-    rhs = PAdicVector._of((phi1(f, x, v, t)[0] * g(xt)[0]
-                           + f(x)[0] * phi1(g, x, v, t)[0],))
-    return _identity(lhs, rhs)
+    def values(z):
+        a, b = f.eval_triples(p, z), g.eval_triples(p, z)
+        if len(a) != 1 or len(b) != 1:
+            raise PadicError("product rule needs scalar-valued functions")
+        return a[0], b[0]
+
+    (fa, ga), (fb, gb) = values(_moved(p, xs, vs, tt)), values(xs)
+    lhs = _difference(p, (_product(p, *fa, *ga),), (_product(p, *fb, *gb),),
+                      tt)
+    (df,), (dg,) = _difference(p, (fa,), (fb,), tt), \
+        _difference(p, (ga,), (gb,), tt)
+    return _identity(p, lhs, [_sum(p, *_product(p, *df, *ga),
+                                   *_product(p, *fb, *dg), 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -378,25 +442,35 @@ def _gradient_map(f: SymbolicFunction, x: PAdicVector) -> tuple:
                  for jet in f.jet(x, 1))
 
 
-def _int_form(c: PAdicNumber, e: int):
-    """(c / p^e, c.abs_window()): the canonical representative as an
-    integer in units of p^e <= p^val(c).  The zero sentinel is the exact 0."""
-    return (0 if c.is_zero() else c.unit * c.p ** (c.val - e)), \
-        c.abs_window()
+def _point_map(f: SymbolicFunction, x: PAdicVector) -> tuple:
+    """(T, the triples of T's rows, the triples of f(x)) at x, T the
+    gradient rows of _gradient_map."""
+    t = _gradient_map(f, x)
+    return t, [[(c.val, c.unit, c.prec) for c in row] for row in t], \
+        f.eval_triples(x.p, _triples(x))
+
+
+def _int_form(p: int, c: tuple, e: int):
+    """(c / p^e, its absolute window) for the triple c: the canonical
+    representative as an integer in units of p^e <= p^val(c).  The zero
+    sentinel is the exact 0."""
+    v, u, _ = c
+    return (0 if v is None else u * p ** (v - e)), _abs_window(c)
 
 
 def _vals(cs) -> list:
-    """The valuations of the nonzero numbers among cs."""
-    return [c.val for c in cs if not c.is_zero()]
+    """The valuations of the nonzero numbers among the triples cs."""
+    return [c[0] for c in cs if c[0] is not None]
 
 
 class _BallTable:
     """The cosets z of one shared ball B(x0, p^-j), x0 its first point, at
-    one integer scale: each z's coordinates in units of p^e, and f(z) in
-    units of p^E with the least window of its components.  e, the least of
-    0, j and x0's valuations, is at most every valuation in the ball.  E is the least valuation among e, the
-    points' f(x), e + those of their gradient entries, and the f(z) they
-    need, so no pair test rescales.
+    one integer scale: the (val, unit, prec) triples of each z and of f(z),
+    made once, z's coordinates in units of p^e, and f(z) in units of p^E
+    with the least window of its components.  e, the least of 0, j and
+    x0's valuations, is at most every valuation in the ball.  E is the
+    least valuation among e, the points' f(x), e + those of their gradient
+    entries, and the f(z) they need, so no pair test rescales.
 
     Every point needs every coset but the one whose representative it
     equals within their windows, its own resolution coset's.  x0's is the
@@ -404,21 +478,23 @@ class _BallTable:
     equals its representative; then f is not made there."""
 
     def __init__(self, f, reps, points, maps, j: int):
-        p, self.reps = reps[0].p, reps
-        e = self.e = min([0, j] + _vals(points[0].coords))
-        self.zs = [[_int_form(c, e) for c in z.coords] for z in reps]
+        p = self.p = reps[0].p
+        self.triples = [_triples(z) for z in reps]
+        e = self.e = min([0, j] + _vals(_triples(points[0])))
+        self.zs = [[_int_form(p, c, e) for c in z] for z in self.triples]
         # f is made at the cosets from n0 on
         n0 = int(all(zi == xi or not (zi - xi) % p ** (min(zw, xw) - e)
                      for x in points for (zi, zw), (xi, xw) in
-                     zip(self.zs[0], (_int_form(c, e) for c in x.coords))))
-        made = [f(z) for z in reps[n0:]]
-        gradients = [c for t, _ in maps for row in t for c in row]
-        values = [c for y in [fx for _, fx in maps] + made for c in y.coords]
+                     zip(self.zs[0], (_int_form(p, c, e)
+                                      for c in _triples(x)))))
+        made = [f.eval_triples(p, z) for z in self.triples[n0:]]
+        gradients = [c for _, t, _ in maps for row in t for c in row]
+        values = [c for y in [fx for _, _, fx in maps] + made for c in y]
         E = self.E = min([e] + [e + v for v in _vals(gradients)]
                          + _vals(values))
         self.values = [None] * n0 + made
-        self.forms = [None] * n0 + [([_int_form(c, E)[0] for c in y.coords],
-                                     min(c.abs_window() for c in y.coords))
+        self.forms = [None] * n0 + [([_int_form(p, c, E)[0] for c in y],
+                                     min(map(_abs_window, y)))
                                     for y in made]
 
 
@@ -440,10 +516,11 @@ def _windowed_vals(p: int, z, fz, x, fx, t) -> tuple:
             min([v for v, _, _ in dz if v is not None] or [None]))
 
 
-def _bad_levels(table: _BallTable, x: PAdicVector, t: tuple,
-                fx: PAdicVector, tolerance: ScaledBound, res: int) -> Counter:
+def _bad_levels(table: _BallTable, x: tuple, t: tuple, fx: tuple,
+                tolerance: ScaledBound, res: int) -> Counter:
     """hits[L]: the cosets z of the table in the bad set of x that leave x
-    at level L = min(res, val(z - x)), for the gradient rows t at x.
+    at level L = min(res, val(z - x)), for the gradient rows t at x; x,
+    the rows of t and f(x) are given as (val, unit, prec) triples.
 
     The pair test is f(z) - f(x) - T(z - x) against eps*|z - x| in
     windowed arithmetic.  That expression agrees with the same expression
@@ -458,20 +535,18 @@ def _bad_levels(table: _BallTable, x: PAdicVector, t: tuple,
     integer err, read at the table's one scale p^E (Schikhof, Ultrametric
     Calculus, 1984).  The other pairs (eps = 0, or thr > W) are decided by
     the windowed expression itself, walked on (val, unit, prec) triples
-    through padic's window rules (_windowed_vals): those of x, f(x) and T
-    are made once, those of z and f(z) only for such a pair."""
-    p, e, E, F = x.p, table.e, table.E, tolerance.F
+    through padic's window rules (_windowed_vals), on the triples that the
+    table and the point already hold."""
+    p, e, E, F = table.p, table.e, table.E, tolerance.F
     # err in units of p^E, T in units of p^(E - e), dz in units of p^e
-    T = [[_int_form(c, E - e)[0] for c in row] for row in t]
-    FX = [_int_form(c, E)[0] for c in fx.coords]
+    T = [[_int_form(p, c, E - e)[0] for c in row] for row in t]
+    FX = [_int_form(p, c, E)[0] for c in fx]
     # per column i, (min v(T_ri), min win T_ri): infinite for a zero column
-    cols = [(min(_vals(col), default=math.inf),
-             min(c.abs_window() for c in col)) for col in zip(*t)]
-    W_x = min(c.abs_window() for c in fx.coords)
-    xs = [(*_int_form(c, e), *col) for c, col in zip(x.coords, cols)]
+    cols = [(min(_vals(col), default=math.inf), min(map(_abs_window, col)))
+            for col in zip(*t)]
+    W_x = min(map(_abs_window, fx))
+    xs = [(*_int_form(p, c, e), *col) for c, col in zip(x, cols)]
     rows = list(zip(FX, T))
-    xt, fxt = _triples(x), _triples(fx)
-    tt = [[(c.val, c.unit, c.prec) for c in row] for row in t]
     hits = Counter()
     for n, Z in enumerate(table.zs):
         ds, vdz, W = [], None, W_x
@@ -506,8 +581,7 @@ def _bad_levels(table: _BallTable, x: PAdicVector, t: tuple,
                         break
         else:
             good = tolerance.holds(*_windowed_vals(
-                p, _triples(table.reps[n]), _triples(table.values[n]),
-                xt, fxt, tt))
+                p, table.triples[n], table.values[n], x, fx, t))
         if not good:
             hits[min(res, vdz)] += 1
     return hits
@@ -552,12 +626,12 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     for members in groups.values():
         xs = [points[i] for i in members]
         # a first point that f refuses exits 2 ahead of a ball past the cap
-        maps = [(_gradient_map(f, xs[0]), f(xs[0]))]
+        maps = [_point_map(f, xs[0])]
         reps = enumerate_cosets(Ball(xs[0], js[0]), res, cap=cap)
-        maps += [(_gradient_map(f, x), f(x)) for x in xs[1:]]
+        maps += [_point_map(f, x) for x in xs[1:]]
         table = _BallTable(f, reps, xs, maps, js[0])
-        for i, x, (t, fx) in zip(members, xs, maps):
-            hits = _bad_levels(table, x, t, fx, tolerance, res)
+        for i, x, (t, tt, fx) in zip(members, xs, maps):
+            hits = _bad_levels(table, _triples(x), tt, fx, tolerance, res)
             out[i] = ApDerivative(linear_map=t, eps=eps,
                                   estimate=level_estimate(p, m, js, res, hits))
     return out

@@ -27,7 +27,6 @@ from qpcalc.padic import (
     parse_frac,
     parse_literal,
     truncate,
-    unit_vector,
     vdp_compare,
     vdp_compare_full,
     vdp_dense_sequence,
@@ -338,11 +337,6 @@ def test_vector_arithmetic_refuses_a_mixed_prime():
         x5.scale(PAdicNumber.from_int(3, 2))
     with pytest.raises(PadicError):
         x3.scale(n5(2))
-
-
-def test_unit_vector():
-    e1 = unit_vector(5, 3, 1)
-    assert [c.as_fraction() for c in e1] == [0, 1, 0]
 
 
 def test_truncate_to_coset_representative():

@@ -11,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import identity_reference
 import identity_source_reference
 from qpcalc import cli, quotients
 from qpcalc.funcs import (ChBall, Const, Coord, MultiPoly, Neg,
@@ -23,7 +24,6 @@ from qpcalc.padic import (
     PAdicVector,
     PadicError,
     PPow,
-    unit_vector,
     vdp_compare,
 )
 from qpcalc.quotients import (
@@ -332,13 +332,14 @@ _CHECKS = ("chain_rule_check", "telescope_check", "product_rule_check")
 def _identity_draws(monkeypatch, count, seed=3, keep=True):
     """(check name, arguments) of every check that the identities verb
     makes on its items 0 .. count-1, recorded without running them; with
-    keep False the functions are the items' own, not their kept copies."""
+    keep False the functions are the items' own SymbolicFunctions, not the
+    KeptFunctions that memoize their triple evaluators."""
     calls = []
     for name in _CHECKS:
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(
             (name, args)) or IdentityCheck(None, None, True))
     if not keep:
-        monkeypatch.setattr(cli, "_kept", lambda f: f)
+        monkeypatch.setattr(cli, "KeptFunction", lambda f: f)
     for i in range(count):
         cli._identity_item(cli.DEFAULT_P, cli.WORKING_PREC, seed, i)
     monkeypatch.undo()
@@ -360,14 +361,15 @@ def test_checks_match_the_unkept_reference_bit_for_bit(monkeypatch):
 
 
 class _Counting:
-    """A function that counts the points it is evaluated at."""
+    """A function whose triple evaluator counts the points it is asked
+    at, by their triples."""
 
     def __init__(self, f):
-        self.f, self.seen = f, Counter()
+        self.f, self.p, self.seen = f, f.p, Counter()
 
-    def __call__(self, z):
-        self.seen[z] += 1
-        return self.f(z)
+    def eval_triples(self, p, xs):
+        self.seen[xs] += 1
+        return self.f.eval_triples(p, xs)
 
 
 def test_each_item_evaluates_each_distinct_point_once(monkeypatch):
@@ -375,8 +377,8 @@ def test_each_item_evaluates_each_distinct_point_once(monkeypatch):
     checks, so f, which telescope_check and product_rule_check both
     evaluate at x and x + vt, is evaluated there once."""
     counting = []
-    kept = cli._kept
-    monkeypatch.setattr(cli, "_kept", lambda f: counting.append(
+    kept = cli.KeptFunction
+    monkeypatch.setattr(cli, "KeptFunction", lambda f: counting.append(
         _Counting(f)) or kept(counting[-1]))
     for i in range(100):
         counting.clear()
@@ -440,6 +442,94 @@ def test_identity_items_match_the_source_route(monkeypatch, p):
     monkeypatch.setattr(cli, "_poly_expr", identity_source_reference.poly_expr)
     assert _checked(monkeypatch, p, 100) == built
     assert len(built[1]) == 300
+
+
+@pytest.mark.parametrize("prec, index, failing", [
+    (1, 4, "telescope_check"), (6, 36, "product_rule_check"),
+    (6, 130, "product_rule_check")])
+def test_short_window_failures_are_the_reference_ones(monkeypatch, prec,
+                                                      index, failing):
+    """At p = 2 and seed 1 the suite reports telescope inexact at item 4
+    with a one-digit window, and product at items 36 and 130 with six
+    digits, where a side collapses to the zero sentinel.  The walk gives
+    those verdicts, and the reference's lhs and rhs, bit for bit."""
+    calls = []
+    for name in _CHECKS:
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(
+            (name, args)) or IdentityCheck(None, None, True))
+    monkeypatch.setattr(cli, "KeptFunction", lambda f: f)
+    cli._identity_item(2, prec, 1, index)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    for name, args in calls:
+        got = getattr(quotients, name)(*args)
+        want = getattr(identity_reference, name)(*args)
+        assert (got.lhs, got.rhs, got.equal) == \
+            (want.lhs, want.rhs, want.equal), name
+        assert got.equal == (name != failing), name
+
+
+def _walk_outcome(run):
+    """(lhs, rhs, equal) of a check, its PAdicVector for phi1, or the
+    refusal it raises."""
+    try:
+        out = run()
+    except PadicError as e:
+        return ("refused", type(e), str(e))
+    if isinstance(out, IdentityCheck):
+        return out.lhs, out.rhs, out.equal
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_triple_walk_matches_the_vector_reference(data):
+    """phi1 and the three checks, walked on triples, give the lhs, rhs and
+    verdict of the PAdicVector-level reference (identity_reference) bit
+    for bit, at every window from 1 to 24 digits: increments c*p^k and
+    1/p, directions with a zero coordinate, constant inner functions
+    (every phi_j = 0), and t = 0, which both refuse."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    prec = data.draw(st.integers(1, 24), label="prec")
+    m = data.draw(st.integers(1, 2), label="m")
+    mu = data.draw(st.integers(1, 2), label="mu")
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+
+    def fun(nvars, components=1, constant=False):
+        # _poly_expr in no variables draws a constant polynomial
+        return SymbolicFunction(p, nvars, [cli._poly_expr(
+            rng, 0 if constant else nvars, p,
+            not constant and rng.random() < 0.5, prec)
+            for _ in range(components)])
+
+    def point(draw_zero):
+        coord = st.integers(-p ** 3, p ** 3)
+        if draw_zero:
+            coord = st.one_of(st.just(0), coord)
+        return PAdicVector([PAdicNumber.from_fraction(
+            p, Fraction(data.draw(coord), p ** data.draw(st.integers(0, 1))),
+            prec=prec) for _ in range(m)])
+
+    f, g, h = fun(m), fun(mu), fun(m)
+    u = fun(m, components=mu, constant=data.draw(st.booleans(), label="cu"))
+    x, v = point(False), point(True)
+    kind = data.draw(st.sampled_from(["c*p^k", "1/p", "0"]), label="t")
+    if kind == "c*p^k":
+        t = PAdicNumber.from_int(p, data.draw(st.integers(1, p - 1))
+                                 * p ** data.draw(st.integers(0, 2)), prec=prec)
+    elif kind == "1/p":
+        t = PAdicNumber.from_fraction(p, Fraction(1, p), prec=prec)
+    else:
+        t = PAdicNumber.zero(p)
+    for name, args in (("phi1", (f, x, v, t)),
+                       ("chain_rule_check", (g, u, x, v, t)),
+                       ("telescope_check", (f, x, v, t)),
+                       ("product_rule_check", (f, h, x, v, t))):
+        got = _walk_outcome(lambda: getattr(quotients, name)(*args))
+        want = _walk_outcome(lambda: getattr(identity_reference, name)(*args))
+        assert got == want, name
+        if kind == "0":
+            assert got[0] == "refused", name
 
 
 # ---------------------------------------------------------------------------
