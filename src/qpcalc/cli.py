@@ -137,7 +137,7 @@ def _fmt(value) -> str:
 def _at_least(args, low: int, *names) -> None:
     """Refuse a count option below the least value it can mean."""
     for name in names:
-        value = getattr(args, name)
+        value = getattr(args, name, None)      # None: the verb lacks it
         if value is not None and value < low:
             raise PadicError(f"--{name} must be at least {low}, got {value}")
 
@@ -314,7 +314,7 @@ def cmd_density(args) -> int:
         print(f"j={j}: {Fraction(count, total)} ({count}/{total})")
     print(f"verdict: {est.verdict}")
     if args.out:
-        _write_csv(args.out, est.csv_rows())
+        _write_csv(args.out, est.ratios)
     return EXIT_OK
 
 
@@ -542,6 +542,13 @@ def cmd_scan(args) -> int:
 _COEFFS = (-4, -3, -2, -1, 1, 2, 3, 4)
 
 
+@functools.lru_cache(maxsize=64)
+def _const(p: int, n: int, prec: int) -> Const:
+    """The Const node of n that the drawn trees share: a Const is never
+    changed after it is built."""
+    return Const(PAdicNumber.from_int(p, n, prec=prec))
+
+
 def _poly_expr(rng: random.Random, m: int, p: int, indicator: bool,
                prec: int) -> Expr:
     """A random polynomial in x0..x_(m-1) of one to three terms with
@@ -550,13 +557,10 @@ def _poly_expr(rng: random.Random, m: int, p: int, indicator: bool,
     "-4*x0*x0-2*x0+1*ch(3;1)", made without that text: a later negative
     coefficient c subtracts its term with -c, a negative first one is
     Neg(Const(-c)), and each term is a left-leaning Mul chain."""
-    def const(n):
-        return Const(PAdicNumber.from_int(p, n, prec=prec))
-
     expr = None
     for _ in range(rng.randrange(1, 4)):
         c = rng.choice(_COEFFS)
-        term = const(abs(c))
+        term = _const(p, abs(c), prec)
         if expr is None and c < 0:
             term = Neg(term)
         for coord in range(m):
@@ -571,7 +575,7 @@ def _poly_expr(rng: random.Random, m: int, p: int, indicator: bool,
     if indicator:
         center = PAdicVector.from_ints(
             p, [rng.randrange(p ** 2) for _ in range(m)], prec=prec)
-        a = const(rng.randrange(1, p))
+        a = _const(p, rng.randrange(1, p), prec)
         expr = Add(expr, Mul(a, ChBall(Ball(center, rng.randrange(3)))))
     return expr
 
@@ -638,13 +642,16 @@ def cmd_identities(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, out=True):
-    sub.add_argument("--p", type=int, default=DEFAULT_P,
-                     help="prime (default 5)")
-    sub.add_argument("--prec", type=int, default=WORKING_PREC,
-                     help="working window of digits (default 24)")
-    if out:
-        sub.add_argument("--out", help="write the machine-readable report here")
+def _add_common(sub, p=True, prec=True):
+    """--out, and --p and --prec unless the verb takes its prime, or its
+    prime and every value, from its JSON input."""
+    if p:
+        sub.add_argument("--p", type=int, default=DEFAULT_P,
+                         help="prime (default 5)")
+    if prec:
+        sub.add_argument("--prec", type=int, default=WORKING_PREC,
+                         help="working window of digits (default 24)")
+    sub.add_argument("--out", help="write the machine-readable report here")
 
 
 def _add_function(sub):
@@ -660,7 +667,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qpcalc",
         description="exact desk-scale computation in Q_p: difference "
                     "quotients, densities, extensions, and their checks")
-    verbs = parser.add_subparsers(dest="verb", required=True)
+    # an option is read under its full name only: with prefixes allowed,
+    # extend's --p would be read as --prec, and density's --r as
+    # --resolution
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    verbs = parser.add_subparsers(dest="verb", required=True,
+                                  parser_class=exact)
 
     sub = verbs.add_parser("eval", help="evaluate an expression at a point")
     _add_common(sub)
@@ -726,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("certify",
                            help="all-pairs Hölder certificate of a sample set")
-    _add_common(sub)
+    _add_common(sub, p=False, prec=False)
     sub.add_argument("--in", dest="infile", required=True,
                      help="SampleSet JSON")
     sub.add_argument("--max-violations", type=int, default=8)
@@ -734,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("extend",
                            help="nearest-point extension of a certified sample set")
-    _add_common(sub)
+    _add_common(sub, p=False)
     sub.add_argument("--in", dest="infile", required=True,
                      help="SampleSet JSON")
     sub.add_argument("--domain", required=True)
@@ -744,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("cheb",
                            help="weighted Chebyshev radius of a site set")
-    _add_common(sub)
+    _add_common(sub, p=False, prec=False)
     sub.add_argument("--in", dest="infile", required=True,
                      help="WeightedSiteSet JSON")
     sub.add_argument("--r", default="1", help="Hölder exponent in (0,1]")
@@ -763,7 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_ej)
 
     sub = verbs.add_parser("whitney", help="jet fields and the glued extension")
-    actions = sub.add_subparsers(dest="action", required=True)
+    actions = sub.add_subparsers(dest="action", required=True,
+                                 parser_class=exact)
 
     act = actions.add_parser("build", help="jet field of f on a closed set")
     _add_common(act)
@@ -777,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     act.set_defaults(func=cmd_whitney_build)
 
     act = actions.add_parser("eval", help="evaluate the glued extension")
-    _add_common(act)
+    _add_common(act, p=False)
     act.add_argument("--jets", required=True, help="JetField JSON")
     act.add_argument("--x", required=True)
     act.add_argument("--domain", default=None)
@@ -786,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     act = actions.add_parser("verify",
                              help="quotient-error bounds of the glued extension")
-    _add_common(act)
+    _add_common(act, p=False)
     act.add_argument("--jets", required=True, help="JetField JSON")
     act.add_argument("--samples", type=int, default=25,
                      help="quotient points per order")

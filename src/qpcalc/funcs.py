@@ -434,10 +434,6 @@ class MultiPoly:
         e[i] = 1
         return cls(m, {tuple(e): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, m: int, exps, c=1) -> "MultiPoly":
-        return cls(m, {tuple(exps): Fraction(c)})
-
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other):
@@ -663,7 +659,8 @@ def as_polynomial(expr: Expr, m: int) -> MultiPoly:
 
 
 def as_polynomials(f: SymbolicFunction) -> list:
-    """One exact polynomial per component, or raise PadicError."""
+    """One exact polynomial per component, or raise PadicError.  No verb
+    calls it: the benchmark's tracer (qpbench/tracing.py) times it."""
     return [as_polynomial(c, f.m) for c in f.components]
 
 

@@ -238,10 +238,10 @@ class CosetTree:
         return members[0]
 
 
-def _check_cap(count: int, cap: int) -> None:
+def _check_cap(count: int, cap: int, what: str = "cosets") -> None:
     if count > cap:
         raise ResourceCapExceeded(
-            f"{count} cosets exceed the cap of {cap}; raise the cap or coarsen")
+            f"{count} {what} exceed the cap of {cap}; raise the cap or coarsen")
 
 
 def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
@@ -434,9 +434,6 @@ class DensityEstimate:
     ratios: tuple
     verdict: str
     p: int
-
-    def csv_rows(self):
-        return [(j, c, t) for j, c, t in self.ratios]
 
 
 #: the levels the decay profile reads: fewer leave every verdict inconclusive

@@ -173,7 +173,9 @@ class PAdicNumber:
         return tuple(out)
 
     def norm(self) -> Fraction:
-        """|x| = p^(-val); exactly 0 for the zero sentinel."""
+        """|x| = p^(-val); exactly 0 for the zero sentinel.  No verb reads
+        it: acceptance criterion 1 checks the ultrametric inequality and
+        multiplicativity of |x| through it."""
         return self.norm_pow().as_fraction()
 
     def norm_pow(self) -> "PPow":
@@ -715,20 +717,8 @@ class Ball:
     def dim(self) -> int:
         return self.center.dim
 
-    def radius(self) -> Fraction:
-        return Fraction(self.p) ** (-self.rad_exp)
-
     def contains(self, x: PAdicVector) -> bool:
         return _agree_below(x, self.center, self.rad_exp)
-
-    def relation(self, other: "Ball") -> str:
-        """'equal' | 'disjoint' | 'nested' — the ultrametric trichotomy."""
-        if not _agree_below(self.center, other.center,
-                            min(self.rad_exp, other.rad_exp)):
-            return "disjoint"
-        if self.rad_exp == other.rad_exp:
-            return "equal"
-        return "nested"
 
     def to_json(self):
         return {"center": self.center.to_json(), "rad_exp": self.rad_exp}

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .funcs import MultiPoly, SymbolicFunction
 from .measure import (DEFAULT_CAP, VERDICT_LEVELS, CosetTree,
-                      DensityEstimate, GridFunction, coset_key,
+                      DensityEstimate, GridFunction, _check_cap, coset_key,
                       density_levels, enumerate_cosets, first_gaps, gap_val,
                       level_estimate)
 from .padic import (
@@ -68,14 +68,6 @@ class QuotientPoint:
     @property
     def order(self) -> int:
         return len(self.vs)
-
-
-def phi1(f, x: PAdicVector, v: PAdicVector, t: PAdicNumber) -> PAdicVector:
-    """[f(x+vt) - f(x)] / t, exactly, walked on triples as the identity
-    checks walk it."""
-    p, xs, vs, tt = _operands(x, v, t)
-    return _vector(p, _difference(p, f.eval_triples(p, _moved(p, xs, vs, tt)),
-                                  f.eval_triples(p, xs), tt))
 
 
 def phin(f, n: int, q: QuotientPoint) -> PAdicVector:
@@ -216,7 +208,7 @@ class IdentityCheck:
     equal: bool
 
 
-# phi1 and the identity checks walk (val, unit, prec) triples through
+# The identity checks walk (val, unit, prec) triples through
 # padic's window rules in the steps of the PAdicVector expressions their
 # docstrings state, coordinate by coordinate, so every triple is the one
 # that PAdicNumber arithmetic would build; lhs and rhs become PAdicVectors
@@ -602,7 +594,8 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     integers decides it, and the windowed expression, walked on (val,
     unit, prec) triples by padic's window rules, decides the rest (eps =
     0, or a threshold past the window).  Only one ball's table is
-    held at a time, so `cap` and memory stay per ball.  A point with a
+    held at a time, so memory stays per ball; `cap` bounds each ball's
+    cosets and its pair tests, points times cosets.  A point with a
     coordinate whose absolute window ends before the resolution is
     refused: it agrees there with several cosets of its ball."""
     eps = Fraction(eps)
@@ -625,8 +618,10 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     out = [None] * len(points)
     for members in groups.values():
         xs = [points[i] for i in members]
-        # a first point that f refuses exits 2 ahead of a ball past the cap
+        # a first point that f refuses exits 2 ahead of a ball past the cap;
+        # each point of the ball is tested against each of its cosets
         maps = [_point_map(f, xs[0])]
+        _check_cap(len(xs) * p ** (m * (res - js[0])), cap, "pair tests")
         reps = enumerate_cosets(Ball(xs[0], js[0]), res, cap=cap)
         maps += [_point_map(f, x) for x in xs[1:]]
         table = _BallTable(f, reps, xs, maps, js[0])

@@ -65,12 +65,12 @@ class RadiusFunction:
     quotient of h is bounded by b = p^(-s0) (checked pairwise by callers).
     """
 
-    __slots__ = ("A", "p", "s0")
+    __slots__ = ("A", "p")
+    s0 = DEFAULT_CONSTANTS[0]
 
-    def __init__(self, A, p: int, s0: int = DEFAULT_CONSTANTS[0]):
+    def __init__(self, A, p: int):
         self.A = tuple(A)
         self.p = p
-        self.s0 = s0
 
     @property
     def b(self) -> Fraction:
@@ -125,9 +125,6 @@ class PartitionFamily:
         if e not in self._levels:
             self._levels = sorted(self._levels + [e])
         return True
-
-    def support(self, i: int) -> Ball:
-        return Ball(self.sites[i], self.h.support_exp(self.sites[i]))
 
     def support_indices(self, x: PAdicVector) -> list:
         """Indices of every admitted support containing x.  A support at

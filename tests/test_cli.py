@@ -13,7 +13,7 @@ from qpcalc.cli import _CHUNK_PARTS, _write_json, main
 from qpcalc.extension import SampleSet, WeightedSiteSet
 from qpcalc.funcs import MAX_DEPTH, SymbolicFunction
 from qpcalc.measure import GridFunction
-from qpcalc.padic import PAdicNumber, PAdicVector
+from qpcalc.padic import Ball, PAdicNumber, PAdicVector
 
 P = 5
 
@@ -156,6 +156,26 @@ def test_aplimit_confirmed(capsys):
     assert "confirmed" in out
 
 
+def test_aplimit_on_a_grid_counts_at_its_resolution(capsys, tmp_path):
+    """With no --resolution, a grid read with --in is counted at its own
+    resolution, 4 here, and not at the finest level 3."""
+    f = SymbolicFunction.from_sources(P, ["x0*x0+ch(1;1)"])
+    grid = GridFunction.from_callable(Ball(vec(0), 0), 4, f)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid.to_json()))
+    argv = ["aplimit", "--in", str(path), "--x", "1", "--value", "2",
+            "--eps", "1/25"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "j=1: off-target density 4/5 (100/125)",
+        "j=2: off-target density 0 (0/25)",
+        "j=3: off-target density 0 (0/5)",
+        "ap-limit 2 at 1: confirmed"]
+    assert run(capsys, *argv, "--resolution", "4")[:2] == (0, out)
+    assert run(capsys, *argv, "--resolution", "3")[:2] != (0, out)
+
+
 def test_reports_write_the_parsed_rational(capsys, tmp_path, sites_file):
     """aplimit's eps and cheb's r are written as the rational they parse
     to, so every spelling of one value gives one report."""
@@ -211,6 +231,15 @@ def test_decompose_reports_residual(capsys, tmp_path):
     # the indicator sets round-trip as grid functions
     for term in obj["terms"]:
         GridFunction.from_json(term["set"])
+
+
+def test_decompose_of_zero_has_no_terms(capsys, tmp_path):
+    out_path = tmp_path / "zero.json"
+    code, out, _ = run(capsys, "decompose", "--p", "5", "--f", "0",
+                       "--domain", "ball(0;0)", "--out", str(out_path))
+    assert (code, out) == (0, "0 terms (function is identically zero)\n")
+    assert json.loads(out_path.read_text()) == \
+        {"residual": "0", "terms": [], "verb": "decompose"}
 
 
 def test_decompose_counts_its_dense_sequence_against_the_cap(capsys):
@@ -278,6 +307,31 @@ def test_extend_writes_grid(capsys, sample_file, tmp_path):
     assert "25 cosets" in out
     g = GridFunction.from_json(json.loads(out_path.read_text()))
     assert (g.evaluate(vec(1)) - vec(3)).sup_norm() == 0
+
+
+def test_extend_refuses_a_set_that_fails_its_constants(capsys, tmp_path):
+    """|1 - 0| = 1 > 1 * |5 - 0|: the set is not (1, 1)-Hölder, so no
+    grid is written."""
+    bad = SampleSet([(vec(0), vec(0)), (vec(5), vec(1))], 1, 1)
+    path, out_path = tmp_path / "bad.json", tmp_path / "grid.json"
+    path.write_text(json.dumps(bad.to_json()))
+    code, out, _ = run(capsys, "extend", "--in", str(path), "--domain",
+                       "ball(0;0)", "--resolution", "1", "--out",
+                       str(out_path))
+    assert (code, out) == \
+        (1, "sample set is not (1, 1)-Hölder; refusing to extend\n")
+    assert not out_path.exists()
+
+
+def test_cheb_over_coincident_centres_has_radius_zero(capsys, tmp_path):
+    H = WeightedSiteSet([(vec(3), num(1)), (vec(3), num(5))])
+    path, out_path = tmp_path / "same.json", tmp_path / "cheb.json"
+    path.write_text(json.dumps(H.to_json()))
+    code, out, _ = run(capsys, "cheb", "--in", str(path), "--out",
+                       str(out_path))
+    assert (code, out) == (0, "c = 0 (all centers coincide)\nq = 3\n")
+    report = json.loads(out_path.read_text())
+    assert report["zero_radius"] is True and report["tight"] == []
 
 
 def test_cheb_reports_radius_and_center(capsys, sites_file):
@@ -497,15 +551,14 @@ def test_whitney_glue_takes_no_cap_or_zeta(capsys, q5_field, action, option):
     assert "unrecognized arguments" in err
 
 
-# one argv per verb, with the options argparse requires
+# one argv per verb that takes --prec, with the options argparse requires
 _EVERY_VERB = [
     ("eval", "--x", "1"), ("quotient", "--x", "1", "--v", "1", "--t", "1"),
     ("taylor", "--x", "1", "--y", "0", "--n", "1"),
     ("density", "--set", "ball(0;1)", "--at", "0"),
     ("aplimit", "--x", "0", "--value", "0"), ("decompose",),
-    ("certify", "--in", "s.json"),
     ("extend", "--in", "s.json", "--domain", "ball(0;0)", "--resolution", "1"),
-    ("cheb", "--in", "h.json"), ("ej",),
+    ("ej",),
     ("whitney", "build", "--set", "ball(0;1)", "--resolution", "2", "--k", "1"),
     ("whitney", "eval", "--jets", "j.json", "--x", "1"),
     ("whitney", "verify", "--jets", "j.json", "--seed", "1"),
@@ -521,6 +574,33 @@ def test_every_verb_refuses_a_window_below_one_digit(capsys, argv, prec):
     code, out, err = run(capsys, *argv, "--prec", prec)
     assert (code, out) == (2, "")
     assert err == f"error: --prec must be at least 1, got {prec}\n"
+
+
+_READS_ITS_INPUT = {
+    "certify": ("certify", "--in", "s.json"),
+    "cheb": ("cheb", "--in", "h.json"),
+    "extend": ("extend", "--in", "s.json", "--domain", "ball(0;0)",
+               "--resolution", "1"),
+    "whitney eval": ("whitney", "eval", "--jets", "j.json", "--x", "1"),
+    "whitney verify": ("whitney", "verify", "--jets", "j.json", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("verb,option", [
+    pytest.param(_READS_ITS_INPUT[name], option, id=f"{name} {option[0]}")
+    for name, option in (
+        ("certify", ("--p", "7")), ("certify", ("--prec", "8")),
+        ("cheb", ("--p", "7")), ("cheb", ("--prec", "8")),
+        ("extend", ("--p", "7")), ("whitney eval", ("--p", "7")),
+        ("whitney verify", ("--p", "7")))])
+def test_a_verb_that_reads_its_input_refuses_p_and_prec(capsys, verb, option):
+    """These verbs take their prime, and certify and cheb every window,
+    from their JSON input; `certify --p 7` on a 5-adic file once ran in
+    Q_5 and exited 0.  Argparse now refuses each option before any file
+    is read."""
+    code, out, err = run(capsys, *verb, *option)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 def _refused(capsys, argv, message):
@@ -651,6 +731,32 @@ def test_scan_stepanoff_cap(capsys, tmp_path):
         assert code == 0
         reports.append((out, path.read_bytes()))
     assert reports[0] == reports[1]
+
+
+def test_scan_stepanoff_counts_pair_tests_against_the_cap(capsys,
+                                                          monkeypatch):
+    """Each point of a ball is tested against each of the ball's cosets.
+    At K = 2 in Z_5 a level-1 ball holds 5 points and 625 cosets, 3125
+    pair tests.  At K = 3 in Z_5^2 it holds 625 points and 5^8 cosets,
+    2.4e8 pair tests, past the default cap though its cosets are not: it
+    is refused once the grid is enumerated, before any ball is."""
+    argv = ["scan", "--p", "5", "--f", "x0*x0", "--domain", "ball(0;0)",
+            "--K", "2", "--eps", "1/25"]
+    assert run(capsys, *argv, "--cap", "3125")[0] == 0
+    assert run(capsys, *argv, "--cap", "3124") == (3, "", (
+        "resource cap: 3125 pair tests exceed the cap of 3124; "
+        "raise the cap or coarsen\n"))
+    from qpcalc import quotients
+    calls = []
+    real = quotients.enumerate_cosets
+    monkeypatch.setattr(quotients, "enumerate_cosets",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    code, out, err = run(capsys, "scan", "--kind", "stepanoff", "--p", "5",
+                         "--f", "x0*x1", "--m", "2", "--domain",
+                         "ball(0,0;0)", "--K", "3", "--eps", "1/25")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: 244140625 pair tests exceed")
+    assert [K for _, K in calls] == [3]
 
 
 @pytest.mark.parametrize("levels", ["2,3", "3"])

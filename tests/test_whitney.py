@@ -133,11 +133,13 @@ def test_family_covers_and_is_disjoint():
     # uniform |h| = 5^-2 means supports are radius-5^-3 cosets: one site per
     # res-3 coset of W (23 res-1 cosets x 625 each), disjoint by construction.
     assert len(fam.sites) == 23 * 625
+    def radius(y):          # of the support ball B(y, p^-e(y))
+        return Fraction(P) ** -h.support_exp(y)
+
     for i in range(0, len(fam.sites), 37):
         for j in range(i + 1, min(i + 5, len(fam.sites))):
-            bi, bj = fam.support(i), fam.support(j)
-            assert (fam.sites[i] - fam.sites[j]).sup_norm() > \
-                max(bi.radius(), bj.radius())
+            yi, yj = fam.sites[i], fam.sites[j]
+            assert (yi - yj).sup_norm() > max(radius(yi), radius(yj))
     for y in reps[::11]:
         fam.site_index_for(y)   # exactly one support
 
@@ -206,14 +208,14 @@ def test_jet_of_affine_is_itself():
     f = fn("3*x0+2")
     z = vec(7)
     polys = f.jet(z, 1)
-    assert polys[0] == MultiPoly.monomial(1, (1,), 3) + MultiPoly.const(1, 2)
+    assert polys[0] == MultiPoly(1, {(1,): Fraction(3), (0,): Fraction(2)})
 
 
 def test_jet_of_square_reproduces_function():
     f = fn("x0*x0")
     z = vec(4)
     polys = f.jet(z, 2)   # degree 2 keeps everything
-    assert polys[0] == MultiPoly.monomial(1, (2,), 1)
+    assert polys[0] == MultiPoly(1, {(2,): Fraction(1)})
 
 
 def test_jet_of_cube_truncates():

@@ -88,7 +88,7 @@ def union_and_point(draw):
 @given(union_and_point())
 def test_distance_exponent_matches_subtraction(case):
     A, x = case
-    h = RadiusFunction(A, A[0].p, 2)
+    h = RadiusFunction(A, A[0].p)
     expected = ref.dist_exp(A, x)
     assert h.dist_exp(x) == expected
     assert h.dist_exp(x) == expected            # asked again, the same
@@ -106,7 +106,7 @@ def test_distance_on_nested_balls_and_short_windows():
     v = lambda *ns: PAdicVector.from_ints(p, ns, prec=10)
     A = (Ball(v(0, 0), 2), Ball(v(25, 0), 4), Ball(v(3, 1), 1),
          Ball(v(1, 2), 3))
-    h = RadiusFunction(A, p, 2)
+    h = RadiusFunction(A, p)
     x_neg = PAdicVector([PAdicNumber.from_fraction(p, Fraction(1, 5)),
                          PAdicNumber.zero(p)])
     short = PAdicVector([PAdicNumber.from_int(p, 5, prec=1),

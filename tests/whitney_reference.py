@@ -29,7 +29,7 @@ def dist_to_set(A, x):
     best = None
     for ball in A:
         d = (x - ball.center).sup_norm()
-        d = Fraction(0) if d <= ball.radius() else d
+        d = Fraction(0) if d <= Fraction(ball.p) ** -ball.rad_exp else d
         if best is None or d < best:
             best = d
     return best
