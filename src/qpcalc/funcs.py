@@ -26,6 +26,7 @@ is one of them.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from math import comb
@@ -38,6 +39,7 @@ from .padic import (
     PAdicVector,
     PadicError,
     PrecisionZeroDivision,
+    _abs_window,
     _negated,
     _product,
     _quotient,
@@ -347,20 +349,24 @@ class SymbolicFunction:
         leaves = _coord_pairs(self.m)
         return tuple(_local(c, x, leaves, self.m) for c in self.components)
 
-    def jet(self, x: PAdicVector, degree: int) -> tuple:
-        """The Taylor polynomials of f at x through total degree `degree`,
-        one per component in the ambient coordinates: local_jet of the
-        local normal form at x.  The form of a source without indicators
-        holds everywhere, so it is made once and kept."""
+    def local_form(self, x: PAdicVector) -> tuple:
+        """localize(x).  The form of a source without indicators holds
+        everywhere, so it is made once, point-free, and kept."""
         self._check_point(x)
         if self._form is None:
             try:
                 self._form = self.localize()
             except PadicError:
                 self._form = ()
+        return self._form or self.localize(x)
+
+    def jet(self, x: PAdicVector, degree: int) -> tuple:
+        """The Taylor polynomials of f at x through total degree `degree`,
+        one per component in the ambient coordinates: local_jet of the
+        local normal form at x."""
+        form = self.local_form(x)
         center = [c.as_fraction() for c in x.coords]
-        return tuple(local_jet(num, den, center, degree)
-                     for num, den in self._form or self.localize(x))
+        return tuple(local_jet(num, den, center, degree) for num, den in form)
 
     def to_sources(self) -> list:
         return [c.to_source() for c in self.components]
@@ -662,6 +668,74 @@ def as_polynomials(f: SymbolicFunction) -> list:
     """One exact polynomial per component, or raise PadicError.  No verb
     calls it: the benchmark's tracer (qpbench/tracing.py) times it."""
     return [as_polynomial(c, f.m) for c in f.components]
+
+
+class _Unbounded(Exception):
+    """An expression that reach() does not bound."""
+
+
+def reach(f: SymbolicFunction, vals, wins):
+    """(bounds, balls) for f over a ball whose points have coordinate i of
+    valuation >= vals[i], known to an absolute window >= wins[i] (the
+    exact value of a point is its canonical representative).
+
+    bounds[r] = (V, A) for component r: at every point of the ball, the
+    value that eval_triple walks and the value of the local normal form
+    both have valuation >= V, and they agree modulo p^A.  The rules keep
+    A at most the window of the walked value, and count the zero sentinel
+    of a collapse as its true value, known below A: a sum is known to
+    min(A_a, A_b); a product to min(A_a + V_b, A_b + V_a); a quotient by a
+    constant b of valuation v, with A_b > v, to min(A_a - v, A_b + V_a -
+    2v); a constant to its window; an indicator, 1 to DEFAULT_PREC digits
+    or the exact 0, to DEFAULT_PREC.  So where A >= t, the valuation of
+    the walked value passes t exactly when the local form's does.
+
+    balls: the indicator balls applied to the point, in the order of the
+    walk.  None where the local form may have a non-constant denominator
+    (a divisor with a coordinate or indicator, or one not known past its
+    valuation) or an indicator reads a composition's inner values."""
+    p = f.p
+
+    def walk(e, leaves, outer: bool):
+        if isinstance(e, Const):
+            v = e.value.val
+            return (math.inf, math.inf) if v is None else \
+                (v, e.value.abs_window())
+        if isinstance(e, Coord):
+            return leaves[e.index]
+        if isinstance(e, Neg):
+            return walk(e.a, leaves, outer)
+        if isinstance(e, ChBall):
+            if outer:
+                raise _Unbounded
+            balls.append(e.ball)
+            return 0, _abs_window(e._one)
+        if isinstance(e, Compose):
+            return walk(e.outer, [walk(g, leaves, outer) for g in e.inners],
+                        True)
+        Va, Aa = walk(e.a, leaves, outer)
+        if isinstance(e, Div):
+            if e.b.max_coord() >= 0:
+                raise _Unbounded
+            _, Ab = walk(e.b, leaves, outer)
+            try:
+                v = e.b.eval_triple(p, ())[0]
+            except PadicError:
+                raise _Unbounded from None
+            if v is None or Ab <= v:
+                raise _Unbounded
+            return Va - v, min(Aa - v, Ab + Va - 2 * v)
+        Vb, Ab = walk(e.b, leaves, outer)
+        if isinstance(e, Mul):
+            return Va + Vb, min(Aa + Vb, Ab + Va)
+        return min(Va, Vb), min(Aa, Ab)
+
+    balls = []
+    leaves = list(zip(vals, wins))
+    try:
+        return [walk(c, leaves, False) for c in f.components], balls
+    except _Unbounded:
+        return None
 
 
 def local_jet(num: MultiPoly, den: MultiPoly, center, degree: int) -> MultiPoly:

@@ -11,10 +11,12 @@ honest about finite resolution.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .funcs import SymbolicFunction, reach
 from .padic import (
     DEFAULT_PREC,
     Ball,
@@ -493,9 +495,11 @@ def density_at(indicator, x: PAdicVector, j_range, resolution: int | None = None
     left x by (coset_levels).  The enumeration resolution defaults to
     2*max(j)+1 so that moderately thin sets are still resolved; the
     indicator must be constant on cosets at that resolution (caller's
-    contract, as with set_measure); `cap` bounds that one enumeration.
+    contract, as with set_measure); `cap` bounds that one enumeration, and
+    is checked before anything is allocated.
     """
     js, res = density_levels(j_range, resolution)
+    _check_cap(x.p ** (x.dim * (res - js[0])), cap)
     b = Ball(x, js[0])
     levels = coset_levels(b, res)
     hits = Counter(L for L, z in zip(levels, enumerate_cosets(b, res, cap=cap))
@@ -503,21 +507,98 @@ def density_at(indicator, x: PAdicVector, j_range, resolution: int | None = None
     return level_estimate(x.p, x.dim, js, res, hits)
 
 
+# ---------------------------------------------------------------------------
+# counting on the coset tree
+# ---------------------------------------------------------------------------
+
+def _rep(p: int, s: int, res: int, Y) -> PAdicVector:
+    """The canonical representative enumerate_cosets makes for the
+    resolution-res coset of the point p^s*Y (Y integers)."""
+    window = res + DEFAULT_PREC
+    return PAdicVector(_make(p, s, a % p ** (res - s), window) for a in Y)
+
+
+def _shapes(balls, s: int) -> list:
+    """Per ball, its centre as integers times p^s and, per coordinate, the
+    level below which Ball.contains reads z - c: the least of k and the
+    centre's window (a point past the resolution is known further)."""
+    return [(_scaled(b.center, s),
+             [min(b.rad_exp, c.abs_window()) for c in b.center.coords])
+            for b in balls]
+
+
+def _relation(p: int, s: int, Y, L: int, shape):
+    """1 where the ball of `shape` covers the level-L coset about p^s*Y,
+    0 where it misses it, None where it splits it (the ultrametric
+    trichotomy).  Below the resolution the digits the coset fixes decide
+    it: the ball takes in every z with val(z_i - c_i) >= its level."""
+    C, taus = shape
+    for a, c, t in zip(Y, C, taus):
+        if a != c and s + _vp(a - c, p) < min(t, L):
+            return 0
+    return 1 if all(t <= L for t in taus) else None
+
+
+def _descend(p: int, m: int, s: int, res: int, X, j0: int, decide,
+             cap: int | None = None, spent: int = 0) -> tuple:
+    """(hits, visits): hits[L] counts the resolution-res cosets of
+    B(x, p^-j0), x = p^s*X, in a set that leave x at level L (as
+    coset_levels), counted on the coset tree; visits is `spent` plus the
+    cosets visited, and a visit past `cap` raises ResourceCapExceeded.
+
+    decide(Y, L, shell) counts the set's cosets in the level-L coset about
+    p^s*Y, or returns None to descend to its p^m children.  shell None is a
+    coset holding x, where only 0 or all of its cosets can be counted;
+    otherwise every z of the coset has val(z - x) = shell.  At L = res it
+    must count the one coset."""
+    hits = Counter()
+    visits = spent
+    full = p ** m
+
+    def visit(Y, L, shell):
+        nonlocal visits
+        visits += 1
+        if cap is not None and visits > cap:
+            _check_cap(visits, cap, "coset visits")
+        return decide(Y, L, shell)
+
+    def below(Y, L, shell):
+        c = visit(Y, L, shell)
+        if c is None:
+            step = p ** (L - s)
+            for ds in itertools.product(range(p), repeat=m):
+                below([a + d * step for a, d in zip(Y, ds)], L + 1, shell)
+        else:
+            hits[shell] += c
+
+    for L in range(j0, res + 1):
+        c = visit(X, L, None)
+        if c is not None:
+            if c:
+                for k in range(L, res):
+                    hits[k] += (full - 1) * full ** (res - k - 1)
+                hits[res] += 1
+            break
+        step = p ** (L - s)
+        for ds in itertools.product(range(p), repeat=m):
+            if any(ds):
+                below([a + d * step for a, d in zip(X, ds)], L + 1, L)
+    return hits, visits
+
+
 def union_density(balls, x: PAdicVector, j_range,
                   resolution: int | None = None) -> DensityEstimate:
     """density_at(lambda z: any(b.contains(z) for b in balls), x, ...),
-    counted on the coset tree instead of by enumeration.
+    counted on the coset tree instead of by enumeration (_descend).
 
-    From each B(x, p^-j), a coset at level L that some ball covers counts
-    p^(m*(res-L)) at once, one that every ball misses counts 0, and only
-    one that a ball splits descends to its p^m children (the ultrametric
-    trichotomy).  Ball.contains(z) reads z - c at the shorter window of z
-    and c, and is True where that difference vanishes there; so per
-    coordinate a ball takes in every z with val(z_i - c_i) >= the least of
-    k, c_i's window and z_i's, which below the resolution is decided by
-    the digits the coset fixes.  A coset at the resolution that a ball
-    still splits is its canonical representative's, tested with contains
-    as enumeration would.  Nothing is enumerated, so nothing is capped.
+    A coset that some ball covers counts all its cosets at once, one that
+    every ball misses counts 0, and only one that a ball splits descends
+    to its p^m children (_relation).  Ball.contains(z) reads z - c at the
+    shorter window of z and c, and is True where that difference vanishes
+    there; below the resolution the representatives' windows reach past
+    the coset's digits.  A coset at the resolution that a ball still
+    splits is its canonical representative's, tested with contains as
+    enumeration would.  Nothing is enumerated, so nothing is capped.
     """
     js, res = density_levels(j_range, resolution)
     p, m = x.p, x.dim
@@ -526,37 +607,189 @@ def union_density(balls, x: PAdicVector, j_range,
             raise PadicError("dimension mismatch")
         if b.p != p:
             raise PadicError(f"prime mismatch: {p} vs {b.p}")
-    # every point involved is p^s times an integer
-    s = min((_least_val(b.center, js[0]) for b in balls), default=js[0])
-    s = min(s, _least_val(x, s))
-    shapes = [(_scaled(b.center, s),
-               [min(b.rad_exp, c.abs_window()) for c in b.center.coords])
-              for b in balls]
-    window = res + DEFAULT_PREC
+    s = min([_least_val(x, js[0])]
+            + [_least_val(b.center, js[0]) for b in balls])
+    shapes = _shapes(balls, s)
 
-    def gap(a: int, c: int):
-        return float("inf") if a == c else s + _vp(a - c, p)
-
-    def covered(Y, L: int) -> int:
+    def decide(Y, L: int, shell):
         split = False
-        for C, taus in shapes:
-            gaps = [gap(a, c) for a, c in zip(Y, C)]
-            if any(g < min(t, L) for g, t in zip(gaps, taus)):
-                continue                        # the ball misses this coset
-            if all(t <= L for t in taus):
-                return p ** (m * (res - L))     # ... or covers it
-            split = True
+        for shape in shapes:
+            r = _relation(p, s, Y, L, shape)
+            if r:
+                return p ** (m * (res - L))
+            split = split or r is None
         if not split:
             return 0
         if L == res:
-            z = PAdicVector(_make(p, s, a % p ** (res - s), window) for a in Y)
+            z = _rep(p, s, res, Y)
             return int(any(b.contains(z) for b in balls))
-        step = p ** (L - s)
-        return sum(covered([a + d * step for a, d in zip(Y, ds)], L + 1)
-                   for ds in itertools.product(range(p), repeat=m))
+        return None
 
-    X = _scaled(x, s)
-    return _estimate(p, m, js, res, [covered(X, j) for j in js])
+    hits, _ = _descend(p, m, s, res, _scaled(x, s), js[0], decide)
+    return level_estimate(p, m, js, res, hits)
+
+
+def _taylor(p: int, s: int, terms, X) -> tuple:
+    """(G, D): the integers with P(p^s*(X + H)) = sum_b G[b] H^b / D, for
+    the polynomial P with Fraction coefficients `terms` and integers X:
+    the integer Taylor shift of P(p^s*Y) to Y = X, one variable at a
+    time."""
+    scaled = {b: c * Fraction(p) ** (s * sum(b)) for b, c in terms.items()}
+    D = math.lcm(*[c.denominator for c in scaled.values()])
+    G = {b: int(c * D) for b, c in scaled.items()}
+    for i, a in enumerate(X):
+        if a:
+            shifted = {}
+            for b, g in G.items():
+                e = b[i]
+                for d in range(e + 1):
+                    k = b[:i] + (d,) + b[i + 1:]
+                    shifted[k] = shifted.get(k, 0) \
+                        + g * math.comb(e, d) * a ** (e - d)
+            G = shifted
+    return G, D
+
+
+class _Pieces:
+    """The set of z near x = p^s*X where some polynomial P_r has
+    v(P_r(z)) < c, decided coset by coset (Schikhof, Ultrametric Calculus,
+    1984; Denef, Invent. Math. 1984).  Each P_r is given by its Taylor
+    coefficients at x as integers (_taylor): P_r(x + p^s*H) = sum_b G_b
+    H^b / D.
+
+    On a coset z in a + p^L*Z_p^m, write P_r(a + p^L*u) = sum_a b_a u^a.
+    If every v(b_a) >= c, no z of the coset is in for P_r; if v(b_0) < c
+    and v(b_0) < v(b_a) for every a != 0, every z is in.  A coset is in
+    the set when some P_r puts every z in, and out of it when no P_r puts
+    any in; otherwise the rule leaves it open.  b_0 = P_r(a) is one
+    evaluation, and for a != 0, v(b_a) >= mu + (L - shell) with mu the
+    least v(g_b) + shell*|b| over b != 0, where val(a - x) >= shell; the
+    whole Taylor shift is made only where these bounds leave the rule
+    open, and then decides as the rule does."""
+
+    __slots__ = ("p", "s", "rows")
+
+    def __init__(self, p: int, s: int, rows):
+        self.p, self.s = p, s
+        self.rows = []
+        for G, D in rows:
+            vD = _vp(D, p)
+            items = [(b, g) for b, g in G.items() if g]
+            w0 = next((_vp(g, p) - vD for b, g in items if not any(b)),
+                      math.inf)
+            rest = [(sum(b), _vp(g, p) - vD) for b, g in items if any(b)]
+            self.rows.append((items, vD, w0, rest))
+
+    def at_x(self, L: int, c) -> bool | None:
+        """The rule on the coset B(x, p^-L), where b_a = g_a p^(L|a|)."""
+        k, out = L - self.s, True
+        for _, _, w0, rest in self.rows:
+            low = min([w + k * n for n, w in rest], default=math.inf)
+            if w0 < c and w0 < low:
+                return True
+            out = out and w0 >= c and low >= c
+        return False if out else None
+
+    def off_x(self, H, L: int, shell: int, c) -> bool | None:
+        """The rule on the level-L coset about x + p^s*H, at val(p^s*H) =
+        shell < L."""
+        p, s, out = self.p, self.s, True
+        for items, vD, _, rest in self.rows:
+            b0 = 0
+            for b, g in items:
+                for h, e in zip(H, b):
+                    if e:
+                        g *= h ** e
+                b0 += g
+            v0 = _vp(b0, p) - vD if b0 else math.inf
+            low = min([w + (shell - s) * n for n, w in rest],
+                      default=math.inf) + L - shell
+            if not (v0 < c and v0 < low or v0 >= c and low >= c):
+                low = _shifted_low(p, items, H, L - s) - vD
+            if v0 < c and v0 < low:
+                return True
+            out = out and v0 >= c and low >= c
+        return False if out else None
+
+
+def _shifted_low(p: int, items, H, k: int):
+    """The least v(b_a D) over a != 0 of the polynomial sum_b G_b
+    (H + p^k*u)^b in u: b_a = p^(k|a|) sum_(b >= a) G_b C(b, a)
+    H^(b - a)."""
+    low = math.inf
+    downs = {a for b, _ in items for a in itertools.product(
+        *[range(e + 1) for e in b]) if any(a)}
+    for a in downs:
+        t = 0
+        for b, g in items:
+            if all(e >= d for e, d in zip(b, a)):
+                for h, e, d in zip(H, b, a):
+                    g *= math.comb(e, d) * h ** (e - d)
+                t += g
+        if t:
+            low = min(low, k * sum(a) + _vp(t, p))
+    return low
+
+
+class _Forms:
+    """f's local normal forms on the cosets about p^s*Y: a coset that every
+    indicator ball covers or misses (_relation) has one polynomial per
+    component, read at its representative and kept by the pattern of
+    balls.  The form's denominator is the constant 1 wherever reach()
+    bounds f."""
+
+    __slots__ = ("f", "p", "s", "res", "shapes", "_polys")
+
+    def __init__(self, f, balls, s: int, res: int):
+        self.f, self.p, self.s, self.res = f, f.p, s, res
+        self.shapes = _shapes(balls, s)
+        self._polys = {}
+
+    def key(self, Y, L: int):
+        """The pattern of the coset, None where a ball splits it."""
+        key = []
+        for shape in self.shapes:
+            r = _relation(self.p, self.s, Y, L, shape)
+            if r is None:
+                return None
+            key.append(r)
+        return tuple(key)
+
+    def polys(self, key, Y) -> list:
+        if key not in self._polys:
+            self.keep(key, [num for num, _ in self.f.local_form(
+                _rep(self.p, self.s, self.res, Y))])
+        return self._polys[key]
+
+    def keep(self, key, polys) -> None:
+        """The polynomials of pattern key, read at a point of it."""
+        self._polys.setdefault(key, polys)
+
+
+def descent_forms(f, x: PAdicVector, j0: int, res: int, t, wins=None):
+    """The _Forms for counting a valuation set of f on B(x, p^-j0) by
+    descent, with f known past t: None where reach() cannot bound f
+    there, a bound falls short of t, or an indicator's centre is known to
+    fewer digits than its radius.  Coordinate i has valuation at least
+    min(j0, val(x_i)) on the ball, and the points f is read at are known
+    to the representatives' window res + DEFAULT_PREC, or to wins[i] if
+    shorter."""
+    if not isinstance(f, SymbolicFunction) or (f.p, f.m) != (x.p, x.dim):
+        return None
+    found = reach(f, [j0 if c.val is None else min(j0, c.val)
+                      for c in x.coords],
+                  [min(res + DEFAULT_PREC, w) for w in wins or
+                   [math.inf] * x.dim])
+    if found is None:
+        return None
+    bounds, balls = found
+    if any(A < t for _, A in bounds) or any(
+            b.dim != x.dim or b.p != x.p
+            or any(c.abs_window() < b.rad_exp for c in b.center.coords)
+            for b in balls):
+        return None
+    s = min([_least_val(x, j0)] + [_least_val(b.center, j0) for b in balls])
+    return _Forms(f, balls, s, res)
 
 
 def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
@@ -567,12 +800,20 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
     Returns (verdict, DensityEstimate) with verdict in
     {'confirmed', 'refuted', 'inconclusive'}.  f may be a GridFunction or any
     callable on PAdicVector.  A negative eps is refused.
+
+    For a SymbolicFunction with eps > 0 whose windows reach() bounds past
+    the tolerance level F, the outside set {v(f(z) - candidate) < F} is
+    counted by descent (_Pieces on _descend); the representatives at the
+    resolution that the rule leaves open are tested as enumeration would.
+    Otherwise density_at enumerates.  On both routes `cap` bounds the
+    p^(m*(res - j)) cosets of the coarsest ball.
     """
     if isinstance(candidate, PAdicNumber):
         candidate = PAdicVector([candidate])
     if Fraction(eps) < 0:
         raise PadicError("the tolerance eps must be >= 0")
     tolerance = ScaledBound(x.p, eps)
+    F = tolerance.F
     if isinstance(f, GridFunction):
         fn = f.evaluate
         if resolution is None:
@@ -583,7 +824,36 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
     def outside(z):
         return not tolerance.holds((fn(z) - candidate).val)
 
-    est = density_at(outside, x, j_range, resolution=resolution, cap=cap)
+    js, res = density_levels(j_range, resolution)
+    forms = None if F is None else descent_forms(f, x, js[0], res, F)
+    if forms is None or (candidate.p, candidate.dim) != (x.p, f.n) or \
+            any(c.abs_window() < F for c in candidate.coords):
+        est = density_at(outside, x, js, resolution=res, cap=cap)
+    else:
+        p, m, s = x.p, x.dim, forms.s
+        _check_cap(p ** (m * (res - js[0])), cap)
+        X, zero = _scaled(x, s), (0,) * m
+        target = [c.as_fraction() for c in candidate.coords]
+        pieces = {}
+
+        def decide(Y, L: int, shell):
+            key = forms.key(Y, L)
+            if key is not None:
+                if key not in pieces:
+                    pieces[key] = _Pieces(p, s, [_taylor(p, s, {
+                        **q.terms, zero: q.coefficient(zero) - c}, X)
+                        for q, c in zip(forms.polys(key, Y), target)])
+                rule = pieces[key]
+                inside = rule.at_x(L, F) if shell is None else \
+                    rule.off_x([a - b for a, b in zip(Y, X)], L, shell, F)
+                if inside is not None:
+                    return p ** (m * (res - L)) if inside else 0
+            if L == res:
+                return int(outside(_rep(p, s, res, Y)))
+            return None
+
+        hits, _ = _descend(p, m, s, res, X, js[0], decide)
+        est = level_estimate(p, m, js, res, hits)
     verdict = {"converges-to-0": "confirmed",
                "converges-to-1": "refuted"}.get(est.verdict, "inconclusive")
     return verdict, est

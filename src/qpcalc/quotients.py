@@ -22,11 +22,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .funcs import MultiPoly, SymbolicFunction
+from .funcs import MultiPoly, SymbolicFunction, local_jet
 from .measure import (DEFAULT_CAP, VERDICT_LEVELS, CosetTree,
-                      DensityEstimate, GridFunction, _check_cap, coset_key,
-                      density_levels, enumerate_cosets, first_gaps, gap_val,
-                      level_estimate)
+                      DensityEstimate, GridFunction, _check_cap, _descend,
+                      _Pieces, _rep, _scaled, _taylor, coset_key,
+                      density_levels, descent_forms, enumerate_cosets,
+                      first_gaps, gap_val, level_estimate)
 from .padic import (
     _ZERO,
     DEFAULT_PREC,
@@ -426,20 +427,18 @@ class ApDerivative:
         return self.estimate.verdict
 
 
-def _gradient_map(f: SymbolicFunction, x: PAdicVector) -> tuple:
-    """The exact gradient at x of f's local normal form: row r holds the
-    partial derivatives of component r."""
-    units = [tuple(int(i == k) for k in range(x.dim)) for i in range(x.dim)]
-    return tuple(_values(x.p, [jet.coefficient(e) for e in units]).coords
-                 for jet in f.jet(x, 1))
-
-
 def _point_map(f: SymbolicFunction, x: PAdicVector) -> tuple:
-    """(T, the triples of T's rows, the triples of f(x)) at x, T the
-    gradient rows of _gradient_map."""
-    t = _gradient_map(f, x)
+    """(T, the triples of T's rows, the triples of f(x), f's local normal
+    form at x): T is the exact gradient at x of that form, row r the
+    partial derivatives of component r."""
+    form = f.local_form(x)
+    center = [c.as_fraction() for c in x.coords]
+    units = [tuple(int(i == k) for k in range(x.dim)) for i in range(x.dim)]
+    t = tuple(_values(x.p, [jet.coefficient(e) for e in units]).coords
+              for jet in (local_jet(num, den, center, 1)
+                          for num, den in form))
     return t, [[(c.val, c.unit, c.prec) for c in row] for row in t], \
-        f.eval_triples(x.p, _triples(x))
+        f.eval_triples(x.p, _triples(x)), form
 
 
 def _int_form(p: int, c: tuple, e: int):
@@ -480,8 +479,8 @@ class _BallTable:
                      zip(self.zs[0], (_int_form(p, c, e)
                                       for c in _triples(x)))))
         made = [f.eval_triples(p, z) for z in self.triples[n0:]]
-        gradients = [c for _, t, _ in maps for row in t for c in row]
-        values = [c for y in [fx for _, _, fx in maps] + made for c in y]
+        gradients = [c for _, t, _, _ in maps for row in t for c in row]
+        values = [c for y in [fx for _, _, fx, _ in maps] + made for c in y]
         E = self.E = min([e] + [e + v for v in _vals(gradients)]
                          + _vals(values))
         self.values = [None] * n0 + made
@@ -579,25 +578,89 @@ def _bad_levels(table: _BallTable, x: tuple, t: tuple, fx: tuple,
     return hits
 
 
+def _shell_rules(xs, maps, F, res) -> bool:
+    """Whether the descent decides the ball's pairs as _bad_levels would:
+    where F + val(dz) <= W for every pair it replaces, the integer test
+    reads err on the canonical representatives, and with f known past
+    F + res (descent_forms) so is err of the local forms.  T's rows are
+    rounded from exact jets: each nonzero entry must be known to F, and
+    times a difference known to its window w_i (the shorter of z_i's and
+    x_i's) to F + res."""
+    for x, (t, _, _, _) in zip(xs, maps):
+        for i, col in enumerate(zip(*t)):
+            w = min(res + DEFAULT_PREC, x[i].abs_window())
+            for c in col:
+                if c.val is not None and (c.abs_window() < F
+                                          or c.val + w < F + res):
+                    return False
+    return True
+
+
+def _point_pieces(forms, x: PAdicVector, form) -> callable:
+    """pieces(key, Y): the _Pieces of S(h) = Q(x + h) - Q_x(x) -
+    grad Q_x(x).h on the cosets of pattern key about p^s*Y, Q the local
+    forms there and Q_x x's own, `form`: its constant and linear Taylor
+    terms at x are taken off every pattern's."""
+    p, s = x.p, forms.s
+    X = _scaled(x, s)
+    own = [_taylor(p, s, num.terms, X) for num, _ in form]
+
+    def less_own(taylors) -> _Pieces:
+        rows = []
+        for (G0, D0), (G, D) in zip(own, taylors):
+            lcm = math.lcm(D0, D)
+            row = {b: g * (lcm // D) for b, g in G.items()}
+            for b, g in G0.items():
+                if sum(b) < 2:
+                    row[b] = row.get(b, 0) - g * (lcm // D0)
+            rows.append((row, lcm))
+        return _Pieces(p, s, rows)
+
+    kept = {}
+    key = forms.key(X, forms.res)
+    if key is not None:
+        forms.keep(key, [num for num, _ in form])
+        kept[key] = less_own(own)
+
+    def pieces(key, Y) -> _Pieces:
+        if key not in kept:
+            kept[key] = less_own([_taylor(p, s, q.terms, X)
+                                  for q in forms.polys(key, Y)])
+        return kept[key]
+    return pieces
+
+
 def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
                    resolution: int | None = None,
                    cap: int = DEFAULT_CAP) -> list:
     """ap_derivative at each of `points`, in order.
 
-    Points in one level-j_min coset share the ball B(x, p^-j_min), so it is
-    enumerated once at `resolution` and f is evaluated once per coset of
-    it that some point needs (_BallTable).  Each point's bad set is counted
-    over that one table (_bad_levels), every coset z at the levels it has
-    not left the point by, min(resolution, val(z - x)).  Coordinates and
-    values enter as integers at one scale per ball, with their windows:
-    where the window decides the tolerance test, one divisibility test on
-    integers decides it, and the windowed expression, walked on (val,
-    unit, prec) triples by padic's window rules, decides the rest (eps =
-    0, or a threshold past the window).  Only one ball's table is
-    held at a time, so memory stays per ball; `cap` bounds each ball's
-    cosets and its pair tests, points times cosets.  A point with a
-    coordinate whose absolute window ends before the resolution is
-    refused: it agrees there with several cosets of its ball."""
+    Points in one level-j_min coset share the ball B(x, p^-j_min).  Where
+    eps > 0 and descent_forms bounds f on the ball past F + resolution, F
+    the tolerance level, and T's windows allow it (_shell_rules), each
+    point's bad set is counted on the coset tree (_descend): on the shell
+    val(z - x) = L, z is bad exactly where v(S(z - x)) < F + L, with
+    S(h) = f(x+h) - f(x) - T.h, decided coset by coset (_Pieces).  The
+    representatives the rule leaves open at the resolution, and the
+    point's own resolution coset, take the windowed pair test of
+    _bad_levels.  `cap` bounds each ball's coset visits.
+
+    Elsewhere the ball is enumerated once at `resolution` and f is
+    evaluated once per coset of it that some point needs (_BallTable).
+    Each point's bad set is counted over that one table (_bad_levels),
+    every coset z at the levels it has not left the point by,
+    min(resolution, val(z - x)).  Coordinates and values enter as
+    integers at one scale per ball, with their windows: where the window
+    decides the tolerance test, one divisibility test on integers decides
+    it, and the windowed expression, walked on (val, unit, prec) triples
+    by padic's window rules, decides the rest (eps = 0, or a threshold
+    past the window).  Only one ball's table is held at a time, so memory
+    stays per ball; `cap` bounds each ball's cosets and its pair tests,
+    points times cosets.
+
+    A point with a coordinate whose absolute window ends before the
+    resolution is refused: it agrees there with several cosets of its
+    ball."""
     eps = Fraction(eps)
     if not points:
         return []
@@ -605,6 +668,7 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     if eps < 0:
         raise PadicError("the tolerance eps must be >= 0")
     tolerance = ScaledBound(p, eps)
+    F = tolerance.F
     js, res = density_levels(j_range, resolution)
     for x in points:
         for c in x.coords:
@@ -618,18 +682,68 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     out = [None] * len(points)
     for members in groups.values():
         xs = [points[i] for i in members]
-        # a first point that f refuses exits 2 ahead of a ball past the cap;
-        # each point of the ball is tested against each of its cosets
+        # a first point that f refuses exits 2 ahead of a ball past the cap
         maps = [_point_map(f, xs[0])]
-        _check_cap(len(xs) * p ** (m * (res - js[0])), cap, "pair tests")
-        reps = enumerate_cosets(Ball(xs[0], js[0]), res, cap=cap)
-        maps += [_point_map(f, x) for x in xs[1:]]
-        table = _BallTable(f, reps, xs, maps, js[0])
-        for i, x, (t, tt, fx) in zip(members, xs, maps):
-            hits = _bad_levels(table, _triples(x), tt, fx, tolerance, res)
+        forms = None if F is None else descent_forms(
+            f, xs[0], js[0], res, F + res,
+            [min(x[i].abs_window() for x in xs) for i in range(m)])
+        if forms is not None:
+            maps += [_point_map(f, x) for x in xs[1:]]
+            if not _shell_rules(xs, maps, F, res):
+                forms = None
+        if forms is None:
+            # each point of the ball is tested against each of its cosets
+            _check_cap(len(xs) * p ** (m * (res - js[0])), cap, "pair tests")
+            reps = enumerate_cosets(Ball(xs[0], js[0]), res, cap=cap)
+            maps += [_point_map(f, x) for x in xs[len(maps):]]
+            table = _BallTable(f, reps, xs, maps, js[0])
+            found = [_bad_levels(table, _triples(x), tt, fx, tolerance, res)
+                     for x, (_, tt, fx, _) in zip(xs, maps)]
+        else:
+            found, spent = [], 0
+            for x, (_, tt, fx, form) in zip(xs, maps):
+                hits, spent = _shell_descent(f, forms, x, tt, fx, form,
+                                             tolerance, js[0], res, cap,
+                                             spent)
+                found.append(hits)
+        for i, (t, _, _, _), hits in zip(members, maps, found):
             out[i] = ApDerivative(linear_map=t, eps=eps,
                                   estimate=level_estimate(p, m, js, res, hits))
     return out
+
+
+def _shell_descent(f, forms, x, tt, fx, form, tolerance, j0, res, cap,
+                   spent):
+    """(hits, visits) of x's bad set on the coset tree of B(x, p^-j0)."""
+    p, m, s, F = x.p, x.dim, forms.s, tolerance.F
+    xt, X = _triples(x), _scaled(x, s)
+    pieces = _point_pieces(forms, x, form)
+
+    def paired(Y) -> int:
+        """The windowed pair test of _bad_levels on the representative."""
+        zt = _triples(_rep(p, s, res, Y))
+        err, vdz = _windowed_vals(p, zt, f.eval_triples(p, zt), xt, fx, tt)
+        return int(vdz is not None and not tolerance.holds(err, vdz))
+
+    # the point's own coset counts nothing when x is its representative
+    own = all(_sum(p, *a, *b, -1)[0] is None
+              for a, b in zip(_triples(_rep(p, s, res, X)), xt))
+
+    def decide(Y, L: int, shell):
+        key = forms.key(Y, L)
+        if key is not None:
+            rule = pieces(key, Y)
+            if shell is None:
+                if own and L < res and rule.at_x(L, F + L) is False:
+                    return 0
+            else:
+                inside = rule.off_x([a - b for a, b in zip(Y, X)], L, shell,
+                                    F + shell)
+                if inside is not None:
+                    return p ** (m * (res - L)) if inside else 0
+        return paired(Y) if L == res else None
+
+    return _descend(p, m, s, res, X, j0, decide, cap, spent)
 
 
 def ap_derivative(f: SymbolicFunction, x: PAdicVector, j_range, eps,

@@ -176,6 +176,26 @@ def test_aplimit_on_a_grid_counts_at_its_resolution(capsys, tmp_path):
     assert run(capsys, *argv, "--resolution", "3")[:2] != (0, out)
 
 
+@pytest.mark.parametrize("source", ["f", "grid"])
+def test_aplimit_checks_the_cap_before_it_counts(capsys, tmp_path, source):
+    """5^30 cosets at level 0: the descent (--f) and the enumeration (--in)
+    each refuse them with one resource cap: line before they allocate
+    anything."""
+    if source == "f":
+        head = ["--p", "5", "--f", "x0"]
+    else:
+        f = SymbolicFunction.from_sources(P, ["x0"])
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(
+            GridFunction.from_callable(Ball(vec(0), 0), 2, f).to_json()))
+        head = ["--in", str(path)]
+    assert run(capsys, "aplimit", *head, "--x", "0", "--value", "0",
+               "--eps", "1/25", "--levels", "0,1,2",
+               "--resolution", "30") == (3, "", (
+                   "resource cap: 931322574615478515625 cosets exceed the "
+                   "cap of 10000000; raise the cap or coarsen\n"))
+
+
 def test_reports_write_the_parsed_rational(capsys, tmp_path, sites_file):
     """aplimit's eps and cheb's r are written as the rational they parse
     to, so every spelling of one value gives one report."""
@@ -725,10 +745,10 @@ def test_scan_stepanoff_indicator_mix_full_fraction(capsys):
 
 
 def test_scan_stepanoff_cap(capsys, tmp_path):
-    """--cap bounds the grid and every density estimate; a cap no
-    enumeration reaches changes nothing."""
+    """--cap bounds the grid and, on the table route (eps = 0), every
+    density estimate; a cap no enumeration reaches changes nothing."""
     argv = ["scan", "--p", "5", "--f", "x0*x0", "--domain", "ball(0;0)",
-            "--K", "1", "--eps", "1/25"]
+            "--K", "1", "--eps", "0"]
     code, _, err = run(capsys, *argv, "--cap", "1")
     assert code == 3 and "cap" in err
     code, _, err = run(capsys, *argv, "--cap", "100")   # grid 5, densities 625
@@ -744,13 +764,14 @@ def test_scan_stepanoff_cap(capsys, tmp_path):
 
 def test_scan_stepanoff_counts_pair_tests_against_the_cap(capsys,
                                                           monkeypatch):
-    """Each point of a ball is tested against each of the ball's cosets.
-    At K = 2 in Z_5 a level-1 ball holds 5 points and 625 cosets, 3125
-    pair tests.  At K = 3 in Z_5^2 it holds 625 points and 5^8 cosets,
-    2.4e8 pair tests, past the default cap though its cosets are not: it
-    is refused once the grid is enumerated, before any ball is."""
+    """On the table route (eps = 0) each point of a ball is tested against
+    each of the ball's cosets: at K = 2 in Z_5 a level-1 ball holds 5
+    points and 625 cosets, 3125 pair tests.  At eps = 1/25 the Z_5^2 scan
+    at K = 3 takes the descent, whose 25 balls of 625 points would make
+    2.4e8 pair tests each: it counts the cosets it visits, 26 per point,
+    and enumerates only the grid."""
     argv = ["scan", "--p", "5", "--f", "x0*x0", "--domain", "ball(0;0)",
-            "--K", "2", "--eps", "1/25"]
+            "--K", "2", "--eps", "0"]
     assert run(capsys, *argv, "--cap", "3125")[0] == 0
     assert run(capsys, *argv, "--cap", "3124") == (3, "", (
         "resource cap: 3125 pair tests exceed the cap of 3124; "
@@ -760,12 +781,15 @@ def test_scan_stepanoff_counts_pair_tests_against_the_cap(capsys,
     real = quotients.enumerate_cosets
     monkeypatch.setattr(quotients, "enumerate_cosets",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    code, out, err = run(capsys, "scan", "--kind", "stepanoff", "--p", "5",
-                         "--f", "x0*x1", "--m", "2", "--domain",
-                         "ball(0,0;0)", "--K", "3", "--eps", "1/25")
-    assert (code, out) == (3, "")
-    assert err.startswith("resource cap: 244140625 pair tests exceed")
+    argv = ["scan", "--kind", "stepanoff", "--p", "5", "--f", "x0*x1",
+            "--m", "2", "--domain", "ball(0,0;0)", "--K", "3",
+            "--eps", "1/25"]
+    assert run(capsys, *argv, "--cap", "16250") == (
+        0, "differentiable fraction: 1 (15625/15625)\n", "")
     assert [K for _, K in calls] == [3]
+    assert run(capsys, *argv, "--cap", "16249") == (3, "", (
+        "resource cap: 16250 coset visits exceed the cap of 16249; "
+        "raise the cap or coarsen\n"))
 
 
 @pytest.mark.parametrize("levels", ["2,3", "3"])
