@@ -23,6 +23,7 @@ from .padic import (
     PAdicNumber,
     PAdicVector,
     PadicError,
+    PairTable,
     ScaledBound,
     _make,
     _vp,
@@ -388,14 +389,19 @@ class GridFunction:
     def to_json(self):
         rows = self._rep_rows
         if not rows:
-            rows.extend(rep.to_json() for rep in self.reps)
-        texts = {}          # id of a value object -> its JSON, once per call
-        table = []
-        for row, value in zip(rows, self.values):
-            text = texts.get(id(value))
-            if text is None:
-                text = texts[id(value)] = value.to_json()
-            table.append([row, text])
+            # enumerate_cosets shares coordinate objects among the reps:
+            # format each distinct one once, and share its text
+            literals = {id(c): c for rep in self.reps for c in rep.coords}
+            for key, c in literals.items():
+                literals[key] = c.format_literal()
+            rows.extend([literals[id(c)] for c in rep.coords]
+                        for rep in self.reps)
+        # each distinct value object's JSON, once per call
+        texts = {id(v): v for v in self.values}
+        for key, value in texts.items():
+            texts[key] = value.to_json()
+        table = PairTable([row, texts[id(v)]]
+                          for row, v in zip(rows, self.values))
         return {"domain": self.domain.to_json(),
                 "resolution": self.resolution,
                 "dims": list(self.dims),

@@ -907,10 +907,19 @@ def json_list(obj, what: str) -> list:
     return obj
 
 
+class PairTable(list):
+    """A list of [a, b] rows, a and b lists of strings: a grid table as
+    GridFunction.to_json gives it.  To json.dumps and every reader it is a
+    list; the report writer (cli._write_json) recognises the type and
+    writes the rows without walking each one."""
+    __slots__ = ()
+
+
 def json_pairs(obj, what: str) -> list:
     """obj, when it is a JSON list of two-element lists; PadicError
-    otherwise."""
-    if type(obj) is not list \
+    otherwise.  A PairTable is accepted too: decoded JSON never holds
+    one, so decoded input is judged as before."""
+    if type(obj) is not list and type(obj) is not PairTable \
             or any(type(e) is not list or len(e) != 2 for e in obj):
         raise PadicError(f"{what} are a JSON list of [a, b] pairs")
     return obj

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,7 @@ from qpcalc.cli import _CHUNK_PARTS, _write_json, main
 from qpcalc.extension import SampleSet, WeightedSiteSet
 from qpcalc.funcs import MAX_DEPTH, SymbolicFunction
 from qpcalc.measure import GridFunction
-from qpcalc.padic import Ball, PAdicNumber, PAdicVector
+from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PairTable
 
 P = 5
 
@@ -194,6 +195,20 @@ def test_aplimit_checks_the_cap_before_it_counts(capsys, tmp_path, source):
                "--resolution", "30") == (3, "", (
                    "resource cap: 931322574615478515625 cosets exceed the "
                    "cap of 10000000; raise the cap or coarsen\n"))
+
+
+def test_aplimit_cap_bounds_the_totals_it_counts(capsys):
+    """5^11 cosets at level 1 exceed the default cap, though the descent
+    counts them in a few visits: --cap 10^8 lets aplimit answer, and
+    --cap 1 refuses."""
+    argv = ["aplimit", "--p", "5", "--f", "x0*x0", "--x", "1", "--value",
+            "1", "--eps", "1/25", "--levels", "1,2,3", "--resolution", "12"]
+    refusal = ("resource cap: 48828125 cosets exceed the cap of {}; raise "
+               "the cap or coarsen\n")
+    assert run(capsys, *argv) == (3, "", refusal.format(10000000))
+    code, out, _ = run(capsys, *argv, "--cap", "100000000")
+    assert (code, out.splitlines()[-1]) == (0, "ap-limit 1 at 1: confirmed")
+    assert run(capsys, *argv, "--cap", "1") == (3, "", refusal.format(1))
 
 
 def test_reports_write_the_parsed_rational(capsys, tmp_path, sites_file):
@@ -1090,9 +1105,12 @@ def test_certify_deep_violation_level_in_closed_form(capsys, tmp_path,
 # ---------------------------------------------------------------------------
 
 TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+LEAF = st.lists(TEXT, max_size=3)
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(),
-              st.integers(-10**60, 10**60), st.floats(), TEXT),
+              st.integers(-10**60, 10**60), st.floats(), TEXT,
+              st.lists(st.tuples(LEAF, LEAF).map(list),
+                       max_size=4).map(PairTable)),
     lambda inner: st.one_of(st.lists(inner, max_size=6),
                             st.lists(inner, max_size=6).map(tuple),
                             st.dictionaries(TEXT, inner, max_size=6)),
@@ -1104,6 +1122,23 @@ def _nested(depth, leaf):
     for i in range(depth):
         obj = [obj, i] if i % 2 else {"k": obj, "": []}
     return obj
+
+
+def _terms(rows, count):
+    """A decompose-shaped report: count tables whose rows share the lists
+    of rows, each table with its own value lists, as GridFunction.to_json
+    gives the terms of one grid."""
+    terms = []
+    for k in range(count):
+        one, zero = [f"{k + 1}e0@5"], ["0@5"]
+        terms.append({"y": one, "set": {"table": PairTable(
+            [row, one if (i + k) % 3 else zero]
+            for i, row in enumerate(rows))}})
+    return {"terms": terms}
+
+
+_SHARED = ["1,2e0@5", "3e1@5"]
+_REPS = [[f"{i},1e0@5", f"{i % 7}e2@5"] for i in range(3 * _CHUNK_PARTS + 1)]
 
 
 @given(JSON_VALUES)
@@ -1119,12 +1154,56 @@ def _nested(depth, leaf):
 @example({None: "null key"})
 @example(["v%d" % i for i in range(3 * _CHUNK_PARTS)])
 @example([[i, ["1,2e0@5", "0@5"], {"j": i}] for i in range(_CHUNK_PARTS)])
+@example({"a": PairTable([[["x"], ["1e0@5"]]]),
+          "b": [{"c": PairTable([[["y", "z"], ["0@5"]], [["w"], ["0@5"]]])}]})
+@example({"a": PairTable([[_SHARED, ["0@5"]]]),
+          "b": [[PairTable([[_SHARED, _SHARED], [["x"], _SHARED]])]],
+          "c": PairTable([[_SHARED, ["1e0@5"]]])})
+@example({"empty": PairTable(), "leaves": PairTable([[[], []], [["a"], []]]),
+          "nested": [PairTable(), [PairTable([[[], ["b"]]])]]})
+@example(PairTable([[["caf\u00e9", "\x00\x1f\x7f \"\\/"],
+                     ["\ud800 \udfff \U0001f600"]],
+                    [["\u2028"], ["\n\t"]]]))
+@example(PairTable([row, ["0@5"]] for row in _REPS))
+@example(_terms(_REPS, 4))
+@example({"a": _terms(_REPS[:5], 3), "b": [_terms(_REPS[:5], 2)]})
 def test_report_writer_writes_the_bytes_of_json_dumps(tmp_path_factory, obj):
     """--out reports are json.dumps(obj, sort_keys=True, indent=2) + "\\n"
     byte for byte: escapes of non-ASCII, control characters and lone
     surrogates, big ints, floats and constants, tuples, empty and deeply
-    nested containers, non-str keys, and lists that span several chunks."""
+    nested containers, non-str keys, and lists that span several chunks.
+    Grid tables (PairTable) too: nested at two depths, one list shared by
+    tables at two indents, empty tables and lists, escaped strings in
+    rows, 3 * _CHUNK_PARTS + 1 rows, and decompose-shaped reports whose
+    tables share their row lists, at one indent and at two."""
     path = tmp_path_factory.getbasetemp() / "writer.json"
     _write_json(str(path), obj)
     assert path.read_bytes() == \
         (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
+
+
+def test_report_writer_streams_a_grid_table(tmp_path):
+    """A 20,000-row grid report is written in chunks: while _write_json
+    writes it, the memory it allocates peaks below a quarter of the bytes
+    it writes.  A writer that held the table's text whole would not."""
+    firsts = [f"{i % 5},{i // 5 % 5},{i // 25},0,0,0,0,0,0,0,0,0,0,0,0e0@5"
+              for i in range(200)]
+    seconds = [f"{j % 5},{j // 5 % 5},{j // 25},0,0,0,0,0,0,0,0,0,0,0,0e1@5"
+               for j in range(100)]
+    one, zero = ["1e0@5"], ["0@5"]
+    report = {"domain": {"center": ["0@5", "0@5"], "rad_exp": 0},
+              "resolution": 3, "dims": [2, 1],
+              "table": PairTable([[x, y], one if (i + j) % 3 else zero]
+                                 for i, x in enumerate(firsts)
+                                 for j, y in enumerate(seconds))}
+    path = tmp_path / "grid.json"
+    tracemalloc.start()
+    try:
+        _write_json(str(path), report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert len(report["table"]) == 20000
+    assert peak < written / 4, (peak, written)
+    assert path.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
