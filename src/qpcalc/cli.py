@@ -420,15 +420,23 @@ def cmd_decompose(args) -> int:
                                    "residual": "0"})
         return EXIT_OK
     val_floor = min(v.val for v in nonzero)
-    # the dense sequence has one member per net value: count it first
-    _check_cap(p ** (args.tol_exp - val_floor), args.cap)
-    ys = decompose_default_ys(p, val_floor, args.tol_exp - val_floor)
-    terms = decompose_series(f, ys, args.tol_exp)
+    if args.tol_exp <= val_floor:
+        terms = []          # the empty series meets the tolerance
+    else:
+        # the dense sequence has one member per net value: count it first
+        _check_cap(p ** (args.tol_exp - val_floor), args.cap)
+        ys = decompose_default_ys(p, val_floor, args.tol_exp - val_floor)
+        terms = decompose_series(f, ys, args.tol_exp)
+    # re-check f - Σ y·ch(A) once per class of cosets with one value
+    # object of f and one term membership (indicator value objects)
+    classes = {}
+    for row in zip(values, *[a.values for _, a in terms]):
+        classes.setdefault(tuple(map(id, row)), row)
     worst = None            # least valuation of a residual; None: all zero
-    for i, fv in enumerate(values):
+    for fv, *members in classes.values():
         acc = PAdicNumber.zero(p)
-        for y, a in terms:
-            if not a.values[i][0].is_zero():
+        for (y, _), a in zip(terms, members):
+            if not a[0].is_zero():
                 acc = acc + y
         v = (fv - acc).val
         if v is not None and (worst is None or v < worst):

@@ -91,6 +91,13 @@ class Expr:
         """Largest coordinate index used, -1 if none."""
         raise NotImplementedError
 
+    def balls(self) -> tuple | None:
+        """The ChBall nodes through which the value reads the point, or
+        None when a coordinate or a comp reads it.  Without None, the
+        value (or the error) at a point depends only on the 0/1 values of
+        these indicators there."""
+        raise NotImplementedError
+
     #: binding strength in the grammar: 1 for + and -, 2 for * and /,
     #: 3 for unary minus, 4 for an atom
     _prec = 4
@@ -119,6 +126,9 @@ class Const(Expr):
     def max_coord(self):
         return -1
 
+    def balls(self):
+        return ()
+
     def to_source(self):
         return self.value.format_literal()
 
@@ -137,6 +147,9 @@ class Coord(Expr):
     def max_coord(self):
         return self.index
 
+    def balls(self):
+        return None
+
     def to_source(self):
         return f"x{self.index}"
 
@@ -151,6 +164,9 @@ class _Binary(Expr):
 
     def max_coord(self):
         return max(self.a.max_coord(), self.b.max_coord())
+
+    def balls(self):
+        return _union(self.a.balls(), self.b.balls())
 
     def to_source(self):
         # chains lean left, so a right operand of equal binding needs them
@@ -227,6 +243,9 @@ class Neg(Expr):
     def max_coord(self):
         return self.a.max_coord()
 
+    def balls(self):
+        return self.a.balls()
+
     def to_source(self):
         a = self.a.to_source()
         return f"-({a})" if self.a._prec < self._prec else f"-{a}"
@@ -253,6 +272,9 @@ class ChBall(Expr):
 
     def max_coord(self):
         return self.ball.dim - 1
+
+    def balls(self):
+        return (self,)
 
     def to_source(self):
         cs = ";".join(c.format_literal() for c in self.ball.center.coords)
@@ -282,9 +304,19 @@ class Compose(Expr):
     def max_coord(self):
         return max(g.max_coord() for g in self.inners)
 
+    def balls(self):
+        return None
+
     def to_source(self):
         parts = [self.outer.to_source()] + [g.to_source() for g in self.inners]
         return "comp(" + ";".join(parts) + ")"
+
+
+def _union(a: tuple | None, b: tuple | None) -> tuple | None:
+    """The nodes of a, then those of b not in a; None if either is None."""
+    if a is None or b is None:
+        return None
+    return a + tuple([e for e in b if e not in a])
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +362,13 @@ class SymbolicFunction:
         if p != self.p or len(xs) != self.m:
             raise PadicError("evaluation point does not match (p, m)")
         return tuple([c.eval_triple(p, xs) for c in self.components])
+
+    def balls(self) -> tuple | None:
+        """Expr.balls over every component."""
+        found = ()
+        for c in self.components:
+            found = _union(found, c.balls())
+        return found
 
     def localize(self, x: PAdicVector | None = None) -> tuple:
         """The exact local normal form of f at x: one (numerator,

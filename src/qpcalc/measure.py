@@ -25,6 +25,7 @@ from .padic import (
     PadicError,
     PairTable,
     ScaledBound,
+    _agrees_below,
     _make,
     _vp,
     json_int,
@@ -360,8 +361,21 @@ class GridFunction:
     @classmethod
     def from_callable(cls, domain: Ball, resolution: int, fn,
                       cap: int = DEFAULT_CAP) -> "GridFunction":
+        """fn tabulated on enumerate_cosets(domain, resolution).  fn is
+        called once per class of representatives that it cannot tell
+        apart, at the class's first representative in order, and every
+        member shares that value object: a class is an indicator
+        signature (see _signatures), or one representative."""
         reps = enumerate_cosets(domain, resolution, cap=cap)
-        return cls(domain, resolution, ((r, fn(r)) for r in reps))
+        classes = _signatures(fn, domain, reps) or range(len(reps))
+        values = {}
+
+        def value(rep, key):
+            if key not in values:
+                values[key] = fn(rep)
+            return values[key]
+        return cls(domain, resolution,
+                   ((r, value(r, key)) for r, key in zip(reps, classes)))
 
     def with_values(self, values) -> "GridFunction":
         """The function on the same grid with values[i] on the coset of
@@ -419,6 +433,42 @@ class GridFunction:
                                  f"the domain")
         return cls(domain, json_int(obj["resolution"], "grid resolution"),
                    pairs)
+
+
+def _signatures(fn, domain: Ball, reps) -> list | None:
+    """The indicator signature of each representative, when fn is a
+    SymbolicFunction of domain's (p, m) that reads the point only through
+    ch balls of that prime and dimension: bit b is set iff the
+    representative lies in ball b, so fn's value (or error) is the same
+    at representatives of one signature.  None for any other fn.
+
+    A representative lies in a ball iff each coordinate agrees with the
+    centre's below the radius, the test ChBall.eval_triple makes, so the
+    signature is the AND of one mask per coordinate object; reps share
+    those objects (enumerate_cosets) and keep them alive, so each
+    distinct one is tested once, keyed by its id."""
+    balls = fn.balls() if isinstance(fn, SymbolicFunction) else None
+    p, m = domain.p, domain.dim
+    if balls is None or (fn.p, fn.m) != (p, m) or any(
+            (ch.ball.p, ch.ball.dim) != (p, m) for ch in balls):
+        return None
+    masks = [{} for _ in range(m)]
+    signatures = []
+    for rep in reps:
+        signature = -1
+        for i, c in enumerate(rep.coords):
+            mask = masks[i].get(id(c))
+            if mask is None:
+                mask = 0
+                for b, ch in enumerate(balls):
+                    e = ch.ball.center.coords[i]
+                    if _agrees_below(p, c.val, c.unit, c.prec,
+                                     e.val, e.unit, e.prec, ch.ball.rad_exp):
+                        mask |= 1 << b
+                masks[i][id(c)] = mask
+            signature &= mask
+        signatures.append(signature)
+    return signatures
 
 
 def set_measure(indicator, b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -890,6 +940,10 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
     skipped; ties are impossible as net values are distinct.
 
     Returns a list of (y_n, A_n) with A_n an indicator GridFunction.
+
+    Cosets that share a residual object share its truncation and its
+    differences: each is computed once per distinct object, by its id,
+    with the object held beside it so the id stays its own.
     """
     if f.dims[1] != 1:
         raise PadicError("decompose_series needs a scalar-valued GridFunction")
@@ -907,7 +961,7 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
             f"({p**need} values), got depth {depth}")
 
     residual = [v[0] for v in f.values]
-    for r in residual:
+    for r in _distinct(residual):
         if not r.is_zero() and r.val < val_floor:
             raise PadicError(
                 f"dense sequence too shallow: a value of norm p^{-r.val} needs "
@@ -918,11 +972,15 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
     # the complete net, so a member of ys.  A nonzero rational p^val * unit
     # with p not dividing unit is named by (val, unit).
     cut = val_floor + depth
+    named = {}              # id(r) -> (r, the (val, unit) of its floor)
+    for r in _distinct(residual):
+        t = truncate(r, cut)
+        named[id(r)] = (r, None if t.is_zero() else (t.val, t.unit))
     groups = {}
     for i, r in enumerate(residual):
-        t = truncate(r, cut)
-        if not t.is_zero():
-            groups.setdefault((t.val, t.unit), []).append(i)
+        name = named[id(r)][1]
+        if name is not None:
+            groups.setdefault(name, []).append(i)
 
     one = PAdicVector([PAdicNumber.from_int(p, 1)])
     zero = PAdicVector([PAdicNumber.zero(p)])
@@ -934,15 +992,24 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
         if not members:
             continue
         indicator = [zero] * len(residual)
+        less = {}           # id(r) -> (r, r - y)
         for i in members:
-            residual[i] = residual[i] - y
+            r = residual[i]
+            if id(r) not in less:
+                less[id(r)] = (r, r - y)
+            residual[i] = less[id(r)][1]
             indicator[i] = one
         terms.append((y, f.with_values(indicator)))
 
-    for r in residual:
+    for r in _distinct(residual):
         if not r.is_zero() and r.val < tol_exp:
             raise PadicError("internal: decomposition left residual above tolerance")
     return terms
+
+
+def _distinct(objects) -> list:
+    """The distinct objects of a list, by identity, in first-seen order."""
+    return list({id(o): o for o in objects}.values())
 
 
 def decompose_default_ys(p: int, val_floor: int, depth: int) -> list:
