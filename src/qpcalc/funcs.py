@@ -402,8 +402,13 @@ class SymbolicFunction:
     def jet(self, x: PAdicVector, degree: int) -> tuple:
         """The Taylor polynomials of f at x through total degree `degree`,
         one per component in the ambient coordinates: local_jet of the
-        local normal form at x."""
+        local normal form at x.  Where every component is its own jet (see
+        _own_jet), the form's numerators are returned as they are, with no
+        centre read: the kept form of a source without indicators then
+        gives every point the same MultiPoly objects."""
         form = self.local_form(x)
+        if all(_own_jet(num, den, degree) for num, den in form):
+            return tuple(num for num, _ in form)
         center = [c.as_fraction() for c in x.coords]
         return tuple(local_jet(num, den, center, degree) for num, den in form)
 
@@ -777,6 +782,14 @@ def reach(f: SymbolicFunction, vals, wins):
         return None
 
 
+def _own_jet(num: MultiPoly, den: MultiPoly, degree: int) -> bool:
+    """Whether num/den is its own jet through `degree` at every centre: den
+    is the constant 1 and num has total degree at most `degree`.  Local
+    normal forms fold every other constant denominator into num."""
+    return len(den.terms) == 1 and den.terms.get((0,) * den.m) == 1 \
+        and num.total_degree() <= degree
+
+
 def local_jet(num: MultiPoly, den: MultiPoly, center, degree: int) -> MultiPoly:
     """The Taylor polynomial of num/den about `center` through total degree
     `degree`, in the ambient coordinates: the recentred num times the
@@ -784,6 +797,8 @@ def local_jet(num: MultiPoly, den: MultiPoly, center, degree: int) -> MultiPoly:
     centre raises PrecisionZeroDivision.  A constant den leaves a
     polynomial: of degree at most `degree` it is its own jet, otherwise
     it is shifted to the centre, truncated and shifted back."""
+    if _own_jet(num, den, degree):
+        return num
     num, den = _pair(num, den)
     center = [Fraction(c) for c in center]
     back = [-c for c in center]

@@ -31,6 +31,7 @@ from .padic import (
     json_int,
     json_object,
     json_pairs,
+    literal_texts,
     truncate,
     vdp_dense_sequence,
 )
@@ -405,9 +406,7 @@ class GridFunction:
         if not rows:
             # enumerate_cosets shares coordinate objects among the reps:
             # format each distinct one once, and share its text
-            literals = {id(c): c for rep in self.reps for c in rep.coords}
-            for key, c in literals.items():
-                literals[key] = c.format_literal()
+            literals = literal_texts(self.reps)
             rows.extend([literals[id(c)] for c in rep.coords]
                         for rep in self.reps)
         # each distinct value object's JSON, once per call
@@ -425,7 +424,9 @@ class GridFunction:
     def from_json(cls, obj) -> "GridFunction":
         obj = json_object(obj, "grid function")
         domain = Ball.from_json(obj["domain"])
-        pairs = [(PAdicVector.from_json(r), PAdicVector.from_json(v))
+        literals = {}       # each distinct literal text is parsed once
+        pairs = [(PAdicVector.from_json(r, literals),
+                  PAdicVector.from_json(v, literals))
                  for r, v in json_pairs(obj["table"], "grid table entries")]
         for rep, _ in pairs:
             if not domain.contains(rep):
@@ -439,31 +440,42 @@ def _signatures(fn, domain: Ball, reps) -> list | None:
     """The indicator signature of each representative, when fn is a
     SymbolicFunction of domain's (p, m) that reads the point only through
     ch balls of that prime and dimension: bit b is set iff the
-    representative lies in ball b, so fn's value (or error) is the same
-    at representatives of one signature.  None for any other fn.
-
-    A representative lies in a ball iff each coordinate agrees with the
-    centre's below the radius, the test ChBall.eval_triple makes, so the
-    signature is the AND of one mask per coordinate object; reps share
-    those objects (enumerate_cosets) and keep them alive, so each
-    distinct one is tested once, keyed by its id."""
+    representative lies in ball b (ball_masks), so fn's value (or error)
+    is the same at representatives of one signature.  None for any other
+    fn."""
     balls = fn.balls() if isinstance(fn, SymbolicFunction) else None
     p, m = domain.p, domain.dim
     if balls is None or (fn.p, fn.m) != (p, m) or any(
             (ch.ball.p, ch.ball.dim) != (p, m) for ch in balls):
         return None
+    return ball_masks([ch.ball for ch in balls], reps)
+
+
+def ball_masks(balls, points) -> list:
+    """Per point, the mask whose bit b is set iff the point lies in
+    balls[b], all of one Q_p^m with the points.
+
+    A point lies in a ball iff each coordinate agrees with the centre's
+    below the radius, the test Ball.contains and ChBall.eval_triple make,
+    so the mask is the AND of one mask per coordinate object; points
+    often share those objects (enumerate_cosets, and readers with a
+    literal memo) and keep them alive, so each distinct one is tested
+    once, keyed by its id."""
+    if not points:
+        return []
+    p, m = points[0].p, points[0].dim
     masks = [{} for _ in range(m)]
     signatures = []
-    for rep in reps:
+    for point in points:
         signature = -1
-        for i, c in enumerate(rep.coords):
+        for i, c in enumerate(point.coords):
             mask = masks[i].get(id(c))
             if mask is None:
                 mask = 0
-                for b, ch in enumerate(balls):
-                    e = ch.ball.center.coords[i]
+                for b, ball in enumerate(balls):
+                    e = ball.center.coords[i]
                     if _agrees_below(p, c.val, c.unit, c.prec,
-                                     e.val, e.unit, e.prec, ch.ball.rad_exp):
+                                     e.val, e.unit, e.prec, ball.rad_exp):
                         mask |= 1 << b
                 masks[i][id(c)] = mask
             signature &= mask

@@ -637,11 +637,19 @@ class PAdicVector:
         return [c.format_literal() for c in self.coords]
 
     @classmethod
-    def from_json(cls, arr) -> "PAdicVector":
+    def from_json(cls, arr, literals: dict | None = None) -> "PAdicVector":
+        """The vector of a list of literal texts.  literals, when given, is
+        one document's memo of the texts read so far: a text read before
+        shares its number, so each distinct text is parsed once."""
         if type(arr) is not list or {*map(type, arr)} != {str}:
             raise PadicError(f"a p-adic JSON vector is a non-empty list of "
                              f"literal strings, got {arr!r}")
-        coords = tuple([parse_literal(s) for s in arr])
+        if literals is None:
+            coords = tuple([parse_literal(s) for s in arr])
+        else:
+            coords = tuple([c if (c := literals.get(s)) is not None
+                            else literals.setdefault(s, parse_literal(s))
+                            for s in arr])
         p = coords[0].p
         for c in coords:
             if c.p != p:
@@ -908,11 +916,24 @@ def json_list(obj, what: str) -> list:
 
 
 class PairTable(list):
-    """A list of [a, b] rows, a and b lists of strings: a grid table as
-    GridFunction.to_json gives it.  To json.dumps and every reader it is a
-    list; the report writer (cli._write_json) recognises the type and
-    writes the rows without walking each one."""
+    """A list of [a, b] rows, a a list of strings and b either a list of
+    strings (a grid table, as GridFunction.to_json gives it) or any JSON
+    value (a jet table, as JetField.to_json gives it).  To json.dumps and
+    every reader it is a list; the report writer (cli._write_json)
+    recognises the type and writes the rows without walking each one, and
+    a b that is not a list of strings once per object."""
     __slots__ = ()
+
+
+def literal_texts(points) -> dict:
+    """id(c) -> c.format_literal() for every coordinate object c of the
+    points: a coordinate object that points share is formatted once.  The
+    ids are those of objects the points keep alive, so the map is for the
+    caller's use while it holds them."""
+    texts = {id(c): c for x in points for c in x.coords}
+    for key, c in texts.items():
+        texts[key] = c.format_literal()
+    return texts
 
 
 def json_pairs(obj, what: str) -> list:

@@ -10,25 +10,28 @@ numbers, not smallness of a float.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .extension import packing_check_many
 from .funcs import MultiPoly, SymbolicFunction
-from .measure import (DEFAULT_CAP, CosetTree, coset_key, enumerate_cosets,
-                      union_density)
+from .measure import (DEFAULT_CAP, CosetTree, _check_cap, ball_masks,
+                      coset_key, enumerate_cosets, union_density)
 from .padic import (
     WORKING_PREC,
     Ball,
     PAdicNumber,
     PAdicVector,
     PadicError,
+    PairTable,
     PPow,
     json_int,
     json_list,
     json_object,
     json_pairs,
+    literal_texts,
     parse_frac,
     rational_val,
 )
@@ -202,13 +205,36 @@ class JetField:
     jets: tuple           # ((rep: PAdicVector, polys: tuple[MultiPoly]), ...)
 
     def __post_init__(self):
+        """Refuse anything but one field: jets of one order k >= 0 at
+        representatives of one Q_p^m, each in a ball of A and alone in its
+        resolution coset, each with the same n >= 1 components.  Built and
+        read fields both pass here, once per jet."""
         if self.k < 0:
             raise PadicError(f"jet order k must be at least 0, got {self.k}")
+        if not self.jets:
+            raise PadicError("a jet field holds at least one jet")
+        p, m, n = self.p, self.m, self.n
+        if not n:
+            raise PadicError("a jet has at least one component")
+        for ball in self.A:
+            if ball.p != p or ball.dim != m:
+                raise PadicError(f"a ball of the closed set is not in "
+                                 f"Q_{p}^{m}, where the jets are")
         # coset-key lookup for jet_at; one jet per coset, as in a grid table
         by_key = {}
-        for i, (z, _) in enumerate(self.jets):
+        for i, (z, polys) in enumerate(self.jets):
+            if z.p != p or z.dim != m:
+                raise PadicError(f"jet representative {z!r} is not in "
+                                 f"Q_{p}^{m}, where the first one is")
+            if len(polys) != n:
+                raise PadicError(f"the jet at {z!r} has {len(polys)} "
+                                 f"components, and the first one {n}")
             if by_key.setdefault(coset_key(z, self.resolution), i) != i:
                 raise PadicError("duplicate coset in jet field")
+        for (z, _), mask in zip(self.jets, ball_masks(self.A, self.reps())):
+            if not mask:
+                raise PadicError(f"jet representative {z!r} lies outside "
+                                 f"the closed set")
         object.__setattr__(self, "_by_key", by_key)
 
     @cached_property
@@ -248,40 +274,68 @@ class JetField:
                                  for q in polys))
 
     def to_json(self):
+        """The field's JSON, its jets a PairTable of [representative,
+        tables] rows.  Representatives share coordinate objects
+        (enumerate_cosets) and jets their MultiPolys (SymbolicFunction.jet),
+        so each distinct literal is formatted once, and each distinct
+        tuple of polynomials makes one tables object, which the report
+        writer encodes once.  The memo is keyed by the ids of polynomials
+        this field holds, so it lives for this call only."""
+        literals, tables = literal_texts(self.reps()), {}
+        rows = PairTable()
+        for z, polys in self.jets:
+            key = tuple(map(id, polys))
+            if key not in tables:
+                tables[key] = [sorted([list(e), _fr(c)]
+                                      for e, c in q.terms.items())
+                               for q in polys]
+            rows.append([[literals[id(c)] for c in z.coords], tables[key]])
         return {
             "k": self.k,
             "resolution": self.resolution,
             "A": [b.to_json() for b in self.A],
-            "jets": [[z.to_json(),
-                      [sorted([list(e), _fr(c)] for e, c in q.terms.items())
-                       for q in polys]]
-                     for z, polys in self.jets],
+            "jets": rows,
         }
 
     @classmethod
     def from_json(cls, obj) -> "JetField":
+        """The field of a to_json document.  Each distinct literal text is
+        parsed once, and each distinct jet text builds one tuple of
+        MultiPolys, which every jet of that text shares; every check runs
+        on every distinct text."""
         obj = json_object(obj, "jet field")
         A = tuple(Ball.from_json(b) for b in json_list(obj["A"], "closed set"))
-        jets = []
+        literals, read, jets = {}, {}, []
         for zj, tables in json_pairs(obj["jets"], "jets"):
-            z = PAdicVector.from_json(zj)
-            polys = []
-            for table in json_list(tables, "jet"):
-                terms = {}
-                for exps, c in json_pairs(table, "jet polynomial terms"):
-                    if type(exps) is not list or len(exps) != z.dim:
-                        raise PadicError(f"a jet term's exponents are a list "
-                                         f"of {z.dim} integers, not {exps!r}")
-                    e = tuple(json_int(x, "jet term exponent") for x in exps)
-                    q = parse_frac(c)
-                    terms[e] = terms[e] + q if e in terms else q
-                polys.append(MultiPoly(z.dim, terms))
-            jets.append((z, tuple(polys)))
-        if not jets:
-            raise PadicError("a jet field holds at least one jet")
+            z = PAdicVector.from_json(zj, literals)
+            # marshal (format 2, without back-references) writes 1, 1.0
+            # and true apart, as the checks tell them apart, and its bytes
+            # decode to one value: equal keys are jets of one text
+            key = z.dim, marshal.dumps(tables, 2)
+            polys = read.get(key)
+            if polys is None:
+                polys = read[key] = _read_jet(tables, z.dim)
+            jets.append((z, polys))
         return cls(k=json_int(obj["k"], "jet order k"), A=A,
                    resolution=json_int(obj["resolution"], "jet resolution"),
                    jets=tuple(jets))
+
+
+def _read_jet(tables, m: int) -> tuple:
+    """The MultiPolys in m variables of one jet's decoded tables; the
+    coefficients of a repeated exponent tuple are added."""
+    polys = []
+    for table in json_list(tables, "jet"):
+        terms = {}
+        for exps, c in json_pairs(table, "jet polynomial terms"):
+            if type(exps) is not list or len(exps) != m:
+                raise PadicError(f"a jet term's exponents are a list "
+                                 f"of {m} integers, not {exps!r}")
+            e = tuple(json_int(x, "jet term exponent") for x in exps)
+            q = parse_frac(c)
+            terms[e] = terms[e] + q if e in terms else q
+        polys.append(MultiPoly(m, terms))
+    return tuple(polys)
 
 
 def _fr(c: Fraction) -> str:
@@ -345,7 +399,23 @@ def _jet_signature(polys) -> tuple:
     return tuple(tuple(sorted(poly.terms.items())) for poly in polys)
 
 
-def jet_compat_modulus(J: JetField, D: int) -> PPow:
+class PairBudget:
+    """The pairs that the moduli of one command may bound: each pair of
+    different jet classes that jet_compat_modulus compares spends one, and
+    spending past `cap` raises ResourceCapExceeded (exit 3)."""
+
+    __slots__ = ("cap", "spent")
+
+    def __init__(self, cap: int = DEFAULT_CAP):
+        self.cap, self.spent = cap, 0
+
+    def spend(self, pairs: int) -> None:
+        self.spent += pairs
+        _check_cap(self.spent, self.cap, "pair bounds")
+
+
+def jet_compat_modulus(J: JetField, D: int,
+                       budget: PairBudget | None = None) -> PPow:
     """rho(S, p^-D): the worst scaled jet disagreement over representative
     pairs within p^-D, all orders j <= k, as an exact power-of-p bound,
     over the increments |t| <= p^-INCREMENT_EXP that the sampler draws.
@@ -355,8 +425,11 @@ def jet_compat_modulus(J: JetField, D: int) -> PPow:
     nothing: only pairs of different jet classes are compared, and a field
     of identical jets (a globally polynomial source) costs one pass.
     phin_poly is linear in the polynomial, so a pair's quotient is the
-    difference of its classes' quotients, each built once.
+    difference of its classes' quotients, each built once.  Each pair
+    compared is spent from budget (a fresh DEFAULT_CAP one if None) before
+    it is bounded.
     """
+    budget = PairBudget() if budget is None else budget
     p = J.p
     best = PPow.zero(p)
     classes = {}
@@ -373,9 +446,9 @@ def jet_compat_modulus(J: JetField, D: int) -> PPow:
         return phis[key]
 
     for a, (x, px) in enumerate(J.jets):
-        for b in J.tree.ball(a, D):
-            if b <= a or cls[b] == cls[a]:
-                continue
+        others = [b for b in J.tree.ball(a, D) if b > a and cls[b] != cls[a]]
+        budget.spend(len(others))
+        for b in others:
             z, pz = J.jets[b]
             d = (x - z).val
             if d is None:
@@ -498,13 +571,15 @@ def sample_quotient_points(J: JetField, order: int, count: int, rng,
     return out
 
 
-def verify_whitney(g, J: JetField, samples) -> list:
+def verify_whitney(g, J: JetField, samples, cap: int = DEFAULT_CAP) -> list:
     """Per order j <= k: max over the given quotient points of
     |phi^j g - phi^j P_z| (z the point's base), against the decay estimate
     p^j * rho(delta) * |x - z|^(k-j) with delta the largest increment span
     seen.  Rows report exact observed errors and whether the bound holds.
+    The moduli share one PairBudget of `cap` pair bounds.
     """
     p = J.p
+    budget = PairBudget(cap)
     by_order = {}
     for q in samples:
         by_order.setdefault(q.order, []).append(q)
@@ -528,7 +603,7 @@ def verify_whitney(g, J: JetField, samples) -> list:
             if span is None:
                 continue
             if span not in rho_cache:
-                rho_cache[span] = jet_compat_modulus(J, span)
+                rho_cache[span] = jet_compat_modulus(J, span, budget)
             # p^j * rho * |span|^(k-j)
             bound = max(bound, PPow(p, j - span * (J.k - j)) * rho_cache[span])
         observed = PPow.from_val(p, min(

@@ -574,16 +574,44 @@ def test_whitney_eval_exits(capsys, q5_field, extra, code, message):
         assert (out, err) == (message + "\n", "")
 
 
-@pytest.mark.parametrize("action", [
-    ("eval", "--x", "1,2"), ("verify", "--seed", "1", "--samples", "1")])
-@pytest.mark.parametrize("option", [("--cap", "100"), ("--zeta", "2")])
+_EVAL = ("eval", "--x", "1,2")
+_VERIFY = ("verify", "--seed", "1", "--samples", "1")
+
+
+@pytest.mark.parametrize("option, action", [
+    pytest.param(("--cap", "100"), _EVAL, id="option0-action0"),
+    pytest.param(("--zeta", "2"), _EVAL, id="option1-action0"),
+    pytest.param(("--zeta", "2"), _VERIFY, id="option1-action1")])
 def test_whitney_glue_takes_no_cap_or_zeta(capsys, q5_field, action, option):
     """The glue counts its domain and the bound is built for the sampler's
-    increments, so neither option exists: argparse refuses both."""
+    increments, so eval takes neither option and verify no --zeta:
+    argparse refuses them.  verify's --cap counts the modulus's pair
+    bounds (test_whitney_verify_counts_pair_bounds_against_the_cap)."""
     code, out, err = run(capsys, "whitney", action[0], "--jets", q5_field,
                          *action[1:], *option)
     assert (code, out) == (2, "")
     assert "unrecognized arguments" in err
+
+
+def test_whitney_verify_counts_pair_bounds_against_the_cap(capsys, tmp_path):
+    """The moduli of one verify share one budget of --cap pair bounds: a
+    field of two jet classes answers under the default cap and exits 3,
+    with one stderr line and no report, under a cap below its pairs."""
+    path, report = tmp_path / "jets.json", tmp_path / "rows.json"
+    code, _, _ = run(capsys, "whitney", "build", "--p", "5",
+                     "--f", "x0*x0*x0", "--set", "ball(0;1)",
+                     "--resolution", "3", "--k", "1", "--out", str(path))
+    assert code == 0
+    argv = ("whitney", "verify", "--jets", str(path), "--seed", "1",
+            "--samples", "4", "--out", str(report))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "VIOLATED" not in out
+    report.unlink()
+    code, out, err = run(capsys, *argv, "--cap", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
+    assert "pair bounds exceed the cap of 3" in err
+    assert not report.exists()
 
 
 # one argv per verb, with the options argparse requires; certify and cheb

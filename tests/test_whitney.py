@@ -268,9 +268,10 @@ def test_jet_field_build_and_json():
 
 def test_jet_field_refuses_two_jets_in_one_coset():
     """0 and 5 share their resolution-1 coset: the later jet once
-    answered for it, although a built field keeps the first."""
+    answered for it, although a built field keeps the first.  A is Z_5,
+    so that 1 lies in it too."""
     field = {"k": 0, "resolution": 1,
-             "A": [{"center": ["0@5"], "rad_exp": 1}],
+             "A": [{"center": ["0@5"], "rad_exp": 0}],
              "jets": [[["0@5"], [[[[0], "1/1"]]]],
                       [["1e1@5"], [[[[0], "2/1"]]]]]}
     with pytest.raises(PadicError, match="duplicate coset"):

@@ -152,12 +152,21 @@ def reps_and_query(draw):
     return resolution, points, y
 
 
+def around(points) -> tuple:
+    """A closed set of one ball about 0 that holds every point: a jet
+    field's representatives lie in its set, which these tests never read."""
+    p, m = points[0].p, points[0].dim
+    lo = min([0] + [c.val for x in points for c in x.coords
+                    if c.val is not None])
+    return (Ball(PAdicVector.zero(p, m), lo),)
+
+
 @SETTINGS
 @given(reps_and_query())
 def test_nearest_rep_matches_scan(case):
     resolution, points, y = case
     zero = (MultiPoly.zero(points[0].dim),)
-    J = JetField(k=0, A=(), resolution=resolution,
+    J = JetField(k=0, A=around(points), resolution=resolution,
                  jets=tuple((z, zero) for z in points))
     expected = ref.nearest_rep_index(points, y)
     assert J.nearest_rep_index(y) == expected
@@ -170,7 +179,7 @@ def test_nearest_rep_past_a_window_is_left_to_subtraction():
     p = 5
     y = PAdicVector([PAdicNumber.from_int(p, 1, prec=1)])
     points = [PAdicVector.from_ints(p, [6]), PAdicVector.from_ints(p, [1])]
-    J = JetField(k=0, A=(), resolution=3,
+    J = JetField(k=0, A=around(points), resolution=3,
                  jets=tuple((z, (MultiPoly.zero(1),)) for z in points))
     assert ref.nearest_rep_index(points, y) == 0
     assert J.nearest_rep_index(y) == 0
@@ -433,7 +442,8 @@ def test_modulus_matches_class_pairs(case, data):
     pool = [tuple(data.draw(polys(m, max_terms=3, max_degree=2))
                   for _ in range(n))
             for _ in range(data.draw(st.integers(1, 3)))]
-    J = JetField(k=data.draw(st.integers(0, 2)), A=(), resolution=resolution,
+    J = JetField(k=data.draw(st.integers(0, 2)), A=around(points),
+                 resolution=resolution,
                  jets=tuple((z, pool[data.draw(st.integers(0, len(pool) - 1))])
                             for z in points))
     for delta in (Fraction(3, p ** 2), *(
