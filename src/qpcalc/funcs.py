@@ -401,11 +401,12 @@ class SymbolicFunction:
 
     def jet(self, x: PAdicVector, degree: int) -> tuple:
         """The Taylor polynomials of f at x through total degree `degree`,
-        one per component in the ambient coordinates: local_jet of the
-        local normal form at x.  Where every component is its own jet (see
-        _own_jet), the form's numerators are returned as they are, with no
-        centre read: the kept form of a source without indicators then
-        gives every point the same MultiPoly objects."""
+        one per component, in the ambient coordinates of a jet field: the
+        centred jets of the local normal form at x, shifted back by the one
+        Taylor shift (local_jet).  Where every component is its own jet
+        (see _own_jet), the form's numerators are returned as they are,
+        with no centre read: the kept form of a source without indicators
+        then gives every point the same MultiPoly objects."""
         form = self.local_form(x)
         if all(_own_jet(num, den, degree) for num, den in form):
             return tuple(num for num, _ in form)
@@ -564,21 +565,10 @@ class MultiPoly:
         return MultiPoly(new_m, out)
 
     def recenter(self, center) -> "MultiPoly":
-        """Coefficients of w |-> f(center + w) (exact Taylor rearrangement),
-        by the binomial expansion of each (center_i + w_i)^e_i."""
-        center = [Fraction(c) for c in center]
+        """w |-> f(center + w): the rational view of taylor_shift."""
         if len(center) != self.m:
             raise PadicError("center length mismatch")
-        out = {}
-        for exps, c in self.terms.items():
-            partial = {(): c}
-            for zi, e in zip(center, exps):
-                partial = {key + (a,): coef * comb(e, a) * zi ** (e - a)
-                           for key, coef in partial.items()
-                           for a in range(e + 1)}
-            for k, v in partial.items():
-                out[k] = out.get(k, 0) + v
-        return MultiPoly(self.m, out)
+        return MultiPoly(self.m, taylor_shift(self.terms, center))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -618,6 +608,25 @@ def _mul_terms(a: dict, b: dict) -> dict:
             e = tuple(x + y for x, y in zip(e1, e2))
             t[e] = t.get(e, 0) + c1 * c2
     return t
+
+
+def taylor_shift(terms: dict, center) -> dict:
+    """The coefficient table of w |-> P(center + w), P the polynomial with
+    coefficient table `terms`: the one Taylor shift, variable by variable,
+    (c + w)^e = sum_d C(e, d) c^(e - d) w^d.  Exact on int and Fraction
+    tables and centres alike; zero coefficients may remain, and a zero
+    centre returns `terms` itself."""
+    for i, a in enumerate(center):
+        if a:
+            shifted = {}
+            for b, g in terms.items():
+                e = b[i]
+                for d in range(e + 1):
+                    k = b[:i] + (d,) + b[i + 1:]
+                    shifted[k] = shifted.get(k, 0) \
+                        + g * comb(e, d) * a ** (e - d)
+            terms = shifted
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -790,23 +799,15 @@ def _own_jet(num: MultiPoly, den: MultiPoly, degree: int) -> bool:
         and num.total_degree() <= degree
 
 
-def local_jet(num: MultiPoly, den: MultiPoly, center, degree: int) -> MultiPoly:
+def centred_jet(num: MultiPoly, den: MultiPoly, center, degree: int) -> MultiPoly:
     """The Taylor polynomial of num/den about `center` through total degree
-    `degree`, in the ambient coordinates: the recentred num times the
-    truncated series inverse of the recentred den.  A den vanishing at the
-    centre raises PrecisionZeroDivision.  A constant den leaves a
-    polynomial: of degree at most `degree` it is its own jet, otherwise
-    it is shifted to the centre, truncated and shifted back."""
-    if _own_jet(num, den, degree):
-        return num
+    `degree`, in w = z - center: num's Taylor shift (taylor_shift) times
+    the truncated series inverse of den's.  A den vanishing at the centre
+    raises PrecisionZeroDivision."""
     num, den = _pair(num, den)
-    center = [Fraction(c) for c in center]
-    back = [-c for c in center]
+    jet = num.recenter(center).truncate_total_degree(degree)
     if den.total_degree() == 0:
-        if num.total_degree() <= degree:
-            return num
-        return num.recenter(center).truncate_total_degree(degree) \
-            .recenter(back)
+        return jet
     dz = den.recenter(center).truncate_total_degree(degree)
     d0 = dz.coefficient((0,) * den.m)
     if d0 == 0:
@@ -819,8 +820,13 @@ def local_jet(num: MultiPoly, den: MultiPoly, center, degree: int) -> MultiPoly:
     for _ in range(degree):
         term = (term * u).truncate_total_degree(degree)
         inverse = inverse + term
-    jet = num.recenter(center).truncate_total_degree(degree) * inverse
-    return jet.truncate_total_degree(degree).recenter(back)
+    return (jet * inverse).truncate_total_degree(degree)
+
+
+def local_jet(num: MultiPoly, den: MultiPoly, center, degree: int) -> MultiPoly:
+    """centred_jet shifted back to the ambient coordinates, where a jet
+    field holds its jets."""
+    return centred_jet(num, den, center, degree).recenter([-c for c in center])
 
 
 # ---------------------------------------------------------------------------

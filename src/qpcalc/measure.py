@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .funcs import SymbolicFunction, reach
+from .funcs import SymbolicFunction, reach, taylor_shift
 from .padic import (
     DEFAULT_PREC,
     Ball,
@@ -700,30 +700,18 @@ def union_density(balls, x: PAdicVector, j_range,
 def _taylor(p: int, s: int, terms, X) -> tuple:
     """(G, D): the integers with P(p^s*(X + H)) = sum_b G[b] H^b / D, for
     the polynomial P with Fraction coefficients `terms` and integers X:
-    the integer Taylor shift of P(p^s*Y) to Y = X, one variable at a
-    time."""
+    P(p^s*Y) over one denominator D, moved to Y = X by taylor_shift."""
     scaled = {b: c * Fraction(p) ** (s * sum(b)) for b, c in terms.items()}
     D = math.lcm(*[c.denominator for c in scaled.values()])
-    G = {b: int(c * D) for b, c in scaled.items()}
-    for i, a in enumerate(X):
-        if a:
-            shifted = {}
-            for b, g in G.items():
-                e = b[i]
-                for d in range(e + 1):
-                    k = b[:i] + (d,) + b[i + 1:]
-                    shifted[k] = shifted.get(k, 0) \
-                        + g * math.comb(e, d) * a ** (e - d)
-            G = shifted
-    return G, D
+    return taylor_shift({b: int(c * D) for b, c in scaled.items()}, X), D
 
 
 class _Pieces:
     """The set of z near x = p^s*X where some polynomial P_r has
     v(P_r(z)) < c, decided coset by coset (Schikhof, Ultrametric Calculus,
     1984; Denef, Invent. Math. 1984).  Each P_r is given by its Taylor
-    coefficients at x as integers (_taylor): P_r(x + p^s*H) = sum_b G_b
-    H^b / D.
+    coefficients at x as integers (_taylor, the one Taylor shift over one
+    denominator): P_r(x + p^s*H) = sum_b G_b H^b / D.
 
     On a coset z in a + p^L*Z_p^m, write P_r(a + p^L*u) = sum_a b_a u^a.
     If every v(b_a) >= c, no z of the coset is in for P_r; if v(b_0) < c
@@ -732,8 +720,8 @@ class _Pieces:
     any in; otherwise the rule leaves it open.  b_0 = P_r(a) is one
     evaluation, and for a != 0, v(b_a) >= mu + (L - shell) with mu the
     least v(g_b) + shell*|b| over b != 0, where val(a - x) >= shell; the
-    whole Taylor shift is made only where these bounds leave the rule
-    open, and then decides as the rule does."""
+    same shift of G to H (_shifted_low) is made only where these bounds
+    leave the rule open, and then decides as the rule does."""
 
     __slots__ = ("p", "s", "rows")
 
@@ -742,10 +730,11 @@ class _Pieces:
         self.rows = []
         for G, D in rows:
             vD = _vp(D, p)
-            items = [(b, g) for b, g in G.items() if g]
-            w0 = next((_vp(g, p) - vD for b, g in items if not any(b)),
-                      math.inf)
-            rest = [(sum(b), _vp(g, p) - vD) for b, g in items if any(b)]
+            items = {b: g for b, g in G.items() if g}
+            w0 = next((_vp(g, p) - vD for b, g in items.items()
+                       if not any(b)), math.inf)
+            rest = [(sum(b), _vp(g, p) - vD) for b, g in items.items()
+                    if any(b)]
             self.rows.append((items, vD, w0, rest))
 
     def at_x(self, L: int, c) -> bool | None:
@@ -764,7 +753,7 @@ class _Pieces:
         p, s, out = self.p, self.s, True
         for items, vD, _, rest in self.rows:
             b0 = 0
-            for b, g in items:
+            for b, g in items.items():
                 for h, e in zip(H, b):
                     if e:
                         g *= h ** e
@@ -780,23 +769,13 @@ class _Pieces:
         return False if out else None
 
 
-def _shifted_low(p: int, items, H, k: int):
+def _shifted_low(p: int, items: dict, H, k: int):
     """The least v(b_a D) over a != 0 of the polynomial sum_b G_b
-    (H + p^k*u)^b in u: b_a = p^(k|a|) sum_(b >= a) G_b C(b, a)
-    H^(b - a)."""
-    low = math.inf
-    downs = {a for b, _ in items for a in itertools.product(
-        *[range(e + 1) for e in b]) if any(a)}
-    for a in downs:
-        t = 0
-        for b, g in items:
-            if all(e >= d for e, d in zip(b, a)):
-                for h, e, d in zip(H, b, a):
-                    g *= math.comb(e, d) * h ** (e - d)
-                t += g
-        if t:
-            low = min(low, k * sum(a) + _vp(t, p))
-    return low
+    (H + p^k*u)^b in u: b_a = p^(k|a|) c_a, c the Taylor shift of the
+    integer table G = items to H."""
+    return min([k * sum(a) + _vp(c, p)
+                for a, c in taylor_shift(items, H).items() if c and any(a)],
+               default=math.inf)
 
 
 class _Forms:

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .funcs import MultiPoly, SymbolicFunction, local_jet
+from .funcs import MultiPoly, SymbolicFunction, centred_jet
 from .measure import (DEFAULT_CAP, VERDICT_LEVELS, CosetTree,
                       DensityEstimate, GridFunction, _check_cap, _descend,
                       _Pieces, _rep, _scaled, _taylor, coset_key,
@@ -128,14 +128,16 @@ def phin_poly(Q: MultiPoly, n: int) -> MultiPoly:
 def phin_exact_zero(f: SymbolicFunction, n: int, x: PAdicVector,
                     vs) -> PAdicVector:
     """The exact value of phin at t = (0,..,0): the n-fold multilinear
-    (divided-power) form of f at x, phin_poly of f's degree-n jet at x,
-    evaluated at (x, vs, 0)."""
+    (divided-power) form of f at x, phin_poly of f's degree-n centred jet
+    at x (funcs.centred_jet), evaluated at (0, vs, 0)."""
     vs = list(vs)
     if len(vs) != n:
         raise PadicError("need n directions")
-    point = [c.as_fraction() for y in (x, *vs) for c in y.coords] + [0] * n
-    return _values(x.p, [phin_poly(q, n).evaluate_fraction(point)
-                         for q in f.jet(x, n)])
+    xf = [c.as_fraction() for c in x.coords]
+    vf = [c.as_fraction() for y in vs for c in y.coords]
+    return _values(x.p, [phin_poly(centred_jet(num, den, xf, n), n)
+                         .evaluate_fraction([0] * x.dim + vf + [0] * n)
+                         for num, den in f.local_form(x)])
 
 
 # The value at vanishing increments is exact, so the limit is this value:
@@ -177,21 +179,23 @@ def taylor_eval(f: SymbolicFunction, n: int, y: PAdicVector,
     """f(x) against f(y) + sum_{j=1}^{n+1} phin(y; x-y,..; 0,..).
 
     The j-th term is the degree-j part, at x - y, of the degree-(n+1) jet
-    of f's local normal form at y, and f(x) is the value of its local
-    normal form at x (its degree-0 jet there).  Everything is rational
-    arithmetic, so a polynomial of degree <= n+1 leaves residual exactly 0.
+    of f's local normal form centred at y (funcs.centred_jet, read from
+    the one Taylor shift), and f(x) is its degree-0 jet centred at x.
+    Everything is rational arithmetic, so a polynomial of degree <= n+1
+    leaves residual exactly 0.
     """
-    yf = [c.as_fraction() for c in y.coords]
-    hf = [c.as_fraction() - b for c, b in zip(x.coords, yf)]
+    yf, xf = ([c.as_fraction() for c in v.coords] for v in (y, x))
+    hf = [a - b for a, b in zip(xf, yf)]
     zero = (0,) * f.m
-    centred = [q.recenter(yf) for q in f.jet(y, n + 1)]
-    total = [q.coefficient(zero) for q in centred]
+    at_y = [centred_jet(num, den, yf, n + 1) for num, den in f.local_form(y)]
+    total = [q.coefficient(zero) for q in at_y]
     terms = []
     for j in range(1, n + 2):
-        tj = [q.homogeneous_part(j).evaluate_fraction(hf) for q in centred]
+        tj = [q.homogeneous_part(j).evaluate_fraction(hf) for q in at_y]
         terms.append(_values(x.p, tj))
         total = [a + b for a, b in zip(total, tj)]
-    fx = [q.coefficient(zero) for q in f.jet(x, 0)]
+    fx = [centred_jet(num, den, xf, 0).coefficient(zero)
+          for num, den in f.local_form(x)]
     return TaylorExpansion(
         y=y, x=x, n=n, total=_values(x.p, total),
         residual=_values(x.p, [a - b for a, b in zip(fx, total)]),
@@ -427,18 +431,24 @@ class ApDerivative:
         return self.estimate.verdict
 
 
-def _point_map(f: SymbolicFunction, x: PAdicVector) -> tuple:
-    """(T, the triples of T's rows, the triples of f(x), f's local normal
-    form at x): T is the exact gradient at x of that form, row r the
-    partial derivatives of component r."""
-    form = f.local_form(x)
-    center = [c.as_fraction() for c in x.coords]
+def _point_map(f: SymbolicFunction, x: PAdicVector, jets) -> tuple:
+    """(T, the triples of T's rows, the triples of f(x)): T is the
+    exact gradient at x of f's local normal form, row r the partial
+    derivatives of component r, read from its Taylor coefficients at x:
+    jets[r] = (G, q), with G[b] / q the coefficient of (z - x)^b."""
     units = [tuple(int(i == k) for k in range(x.dim)) for i in range(x.dim)]
-    t = tuple(_values(x.p, [jet.coefficient(e) for e in units]).coords
-              for jet in (local_jet(num, den, center, 1)
-                          for num, den in form))
+    t = tuple(_values(x.p, [Fraction(G.get(e, 0)) / q for e in units]).coords
+              for G, q in jets)
     return t, [[(c.val, c.unit, c.prec) for c in row] for row in t], \
-        f.eval_triples(x.p, _triples(x)), form
+        f.eval_triples(x.p, _triples(x))
+
+
+def _jet_map(f: SymbolicFunction, x: PAdicVector) -> tuple:
+    """_point_map read from each component's centred jet of degree 1
+    (funcs.centred_jet) at x, and None where the descent holds pieces."""
+    center = [c.as_fraction() for c in x.coords]
+    return *_point_map(f, x, [(centred_jet(num, den, center, 1).terms, 1)
+                              for num, den in f.local_form(x)]), None
 
 
 def _int_form(p: int, c: tuple, e: int):
@@ -596,13 +606,16 @@ def _shell_rules(xs, maps, F, res) -> bool:
     return True
 
 
-def _point_pieces(forms, x: PAdicVector, form) -> callable:
-    """pieces(key, Y): the _Pieces of S(h) = Q(x + h) - Q_x(x) -
-    grad Q_x(x).h on the cosets of pattern key about p^s*Y, Q the local
-    forms there and Q_x x's own, `form`: its constant and linear Taylor
-    terms at x are taken off every pattern's."""
+def _point_pieces(f: SymbolicFunction, forms, x: PAdicVector) -> tuple:
+    """_point_map on the descent route, and pieces(key, Y): the _Pieces of
+    S(h) = Q(x + h) - Q_x(x) - grad Q_x(x).h on the cosets of pattern key
+    about p^s*Y, Q the local forms there and Q_x x's own.  Q_x is one
+    polynomial per component, and its integer Taylor shift at x (_taylor:
+    G[b] / (D p^(s|b|)) is the coefficient of h^b) gives T and, taken off
+    every pattern's, S: each point is shifted once."""
     p, s = x.p, forms.s
     X = _scaled(x, s)
+    form = f.local_form(x)
     own = [_taylor(p, s, num.terms, X) for num, _ in form]
 
     def less_own(taylors) -> _Pieces:
@@ -627,7 +640,8 @@ def _point_pieces(forms, x: PAdicVector, form) -> callable:
             kept[key] = less_own([_taylor(p, s, q.terms, X)
                                   for q in forms.polys(key, Y)])
         return kept[key]
-    return pieces
+    return *_point_map(f, x, [(G, D * Fraction(p) ** s) for G, D in own]), \
+        pieces
 
 
 def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
@@ -682,27 +696,26 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     out = [None] * len(points)
     for members in groups.values():
         xs = [points[i] for i in members]
-        # a first point that f refuses exits 2 ahead of a ball past the cap
-        maps = [_point_map(f, xs[0])]
         forms = None if F is None else descent_forms(
             f, xs[0], js[0], res, F + res,
             [min(x[i].abs_window() for x in xs) for i in range(m)])
-        if forms is not None:
-            maps += [_point_map(f, x) for x in xs[1:]]
-            if not _shell_rules(xs, maps, F, res):
-                forms = None
+        # a first point that f refuses exits 2 ahead of a ball past the cap
+        maps = [_jet_map(f, xs[0])] if forms is None else \
+            [_point_pieces(f, forms, x) for x in xs]
+        if forms is not None and not _shell_rules(xs, maps, F, res):
+            forms = None
         if forms is None:
             # each point of the ball is tested against each of its cosets
             _check_cap(len(xs) * p ** (m * (res - js[0])), cap, "pair tests")
             reps = enumerate_cosets(Ball(xs[0], js[0]), res, cap=cap)
-            maps += [_point_map(f, x) for x in xs[len(maps):]]
+            maps += [_jet_map(f, x) for x in xs[len(maps):]]
             table = _BallTable(f, reps, xs, maps, js[0])
             found = [_bad_levels(table, _triples(x), tt, fx, tolerance, res)
                      for x, (_, tt, fx, _) in zip(xs, maps)]
         else:
             found, spent = [], 0
-            for x, (_, tt, fx, form) in zip(xs, maps):
-                hits, spent = _shell_descent(f, forms, x, tt, fx, form,
+            for x, (_, tt, fx, pieces) in zip(xs, maps):
+                hits, spent = _shell_descent(f, forms, x, tt, fx, pieces,
                                              tolerance, js[0], res, cap,
                                              spent)
                 found.append(hits)
@@ -712,12 +725,11 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
     return out
 
 
-def _shell_descent(f, forms, x, tt, fx, form, tolerance, j0, res, cap,
+def _shell_descent(f, forms, x, tt, fx, pieces, tolerance, j0, res, cap,
                    spent):
     """(hits, visits) of x's bad set on the coset tree of B(x, p^-j0)."""
     p, m, s, F = x.p, x.dim, forms.s, tolerance.F
     xt, X = _triples(x), _scaled(x, s)
-    pieces = _point_pieces(forms, x, form)
 
     def paired(Y) -> int:
         """The windowed pair test of _bad_levels on the representative."""

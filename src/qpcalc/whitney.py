@@ -433,8 +433,10 @@ def jet_compat_modulus(J: JetField, D: int,
     p = J.p
     best = PPow.zero(p)
     classes = {}
-    cls = [classes.setdefault(_jet_signature(px), len(classes))
-           for _, px in J.jets]
+    named = {id(px): px for _, px in J.jets}    # one signature per tuple
+    for key, px in named.items():               # id -> (px, its class)
+        named[key] = px, classes.setdefault(_jet_signature(px), len(classes))
+    cls = [named[id(px)][1] for _, px in J.jets]
     if len(classes) < 2:
         return best
     phis = {}
