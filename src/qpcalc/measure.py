@@ -311,12 +311,22 @@ class GridFunction:
     values[i] is the value on the coset of reps[i]; the coset-key index is
     read only by evaluate(x), for points that are not representatives.
     Grids derived by with_values share reps, the index and the JSON rows
-    of reps, which to_json builds on first use."""
+    of reps; to_json builds the rows on first use, and evaluate the index
+    of a grid from_callable tabulates."""
 
     __slots__ = ("domain", "resolution", "dims", "reps", "values", "_index",
                  "_rep_rows")
 
     def __init__(self, domain: Ball, resolution: int, pairs):
+        self._tabulate(domain, resolution, pairs, True)
+
+    def _tabulate(self, domain: Ball, resolution: int, pairs,
+                  checked: bool) -> None:
+        """The table of (representative, value) pairs.  Checked, each
+        representative is known to the resolution and alone in its coset,
+        and the coset-key index is built here; unchecked, the pairs hold
+        the representatives of enumerate_cosets(domain, resolution), which
+        are, and the index is built on the first evaluate."""
         # a centre known to rad_exp digits makes domain.contains exact for
         # representatives known to resolution >= rad_exp digits
         if any(c.abs_window() < domain.rad_exp
@@ -335,14 +345,15 @@ class GridFunction:
                 n = value.dim
             elif value.dim != n:
                 raise PadicError("inconsistent value dimension in grid table")
-            if any(c.abs_window() < resolution for c in rep.coords):
-                raise PadicError(
-                    f"grid representative {rep!r} is known to fewer than "
-                    f"{resolution} digits")
-            key = coset_key(rep, resolution)
-            if key in index:
-                raise PadicError("duplicate coset in grid table")
-            index[key] = len(reps)
+            if checked:
+                if any(c.abs_window() < resolution for c in rep.coords):
+                    raise PadicError(
+                        f"grid representative {rep!r} is known to fewer "
+                        f"than {resolution} digits")
+                key = coset_key(rep, resolution)
+                if key in index:
+                    raise PadicError("duplicate coset in grid table")
+                index[key] = len(reps)
             reps.append(rep)
             values.append(value)
         expected = domain.p ** ((resolution - domain.rad_exp) * domain.dim)
@@ -375,8 +386,11 @@ class GridFunction:
             if key not in values:
                 values[key] = fn(rep)
             return values[key]
-        return cls(domain, resolution,
-                   ((r, value(r, key)) for r, key in zip(reps, classes)))
+        g = object.__new__(cls)
+        g._tabulate(domain, resolution,
+                    ((r, value(r, key)) for r, key in zip(reps, classes)),
+                    False)
+        return g
 
     def with_values(self, values) -> "GridFunction":
         """The function on the same grid with values[i] on the coset of
@@ -390,6 +404,9 @@ class GridFunction:
         return g
 
     def evaluate(self, x: PAdicVector) -> PAdicVector:
+        if not self._index:     # a tabulated grid's, shared by with_values
+            self._index.update((coset_key(r, self.resolution), i)
+                               for i, r in enumerate(self.reps))
         try:
             return self.values[self._index[coset_key(x, self.resolution)]]
         except KeyError:
@@ -697,13 +714,20 @@ def union_density(balls, x: PAdicVector, j_range,
     return level_estimate(p, m, js, res, hits)
 
 
+def _integer_form(p: int, s: int, terms) -> tuple:
+    """(G, D): the integers with P(p^s*Y) = sum_b G[b] Y^b / D, for the
+    polynomial P with Fraction coefficients `terms`: one denominator D."""
+    scaled = {b: c * Fraction(p) ** (s * sum(b)) for b, c in terms.items()}
+    D = math.lcm(*[c.denominator for c in scaled.values()])
+    return {b: int(c * D) for b, c in scaled.items()}, D
+
+
 def _taylor(p: int, s: int, terms, X) -> tuple:
     """(G, D): the integers with P(p^s*(X + H)) = sum_b G[b] H^b / D, for
     the polynomial P with Fraction coefficients `terms` and integers X:
-    P(p^s*Y) over one denominator D, moved to Y = X by taylor_shift."""
-    scaled = {b: c * Fraction(p) ** (s * sum(b)) for b, c in terms.items()}
-    D = math.lcm(*[c.denominator for c in scaled.values()])
-    return taylor_shift({b: int(c * D) for b, c in scaled.items()}, X), D
+    _integer_form moved to Y = X by taylor_shift."""
+    G, D = _integer_form(p, s, terms)
+    return taylor_shift(G, X), D
 
 
 class _Pieces:
@@ -785,12 +809,13 @@ class _Forms:
     balls.  The form's denominator is the constant 1 wherever reach()
     bounds f."""
 
-    __slots__ = ("f", "p", "s", "res", "shapes", "_polys")
+    __slots__ = ("f", "p", "s", "res", "shapes", "_polys", "_ints")
 
     def __init__(self, f, balls, s: int, res: int):
         self.f, self.p, self.s, self.res = f, f.p, s, res
         self.shapes = _shapes(balls, s)
         self._polys = {}
+        self._ints = {}         # id(q) -> (q, its _integer_form)
 
     def key(self, Y, L: int):
         """The pattern of the coset, None where a ball splits it."""
@@ -811,6 +836,15 @@ class _Forms:
     def keep(self, key, polys) -> None:
         """The polynomials of pattern key, read at a point of it."""
         self._polys.setdefault(key, polys)
+
+    def taylor(self, q, X) -> tuple:
+        """_taylor(p, s, q.terms, X), with q brought to integers once per
+        polynomial object: the kept forms give every point of a pattern,
+        and a source without indicators every point, the same objects."""
+        if id(q) not in self._ints:
+            self._ints[id(q)] = q, _integer_form(self.p, self.s, q.terms)
+        G, D = self._ints[id(q)][1]
+        return taylor_shift(G, X), D
 
 
 def descent_forms(f, x: PAdicVector, j0: int, res: int, t, wins=None):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .funcs import MultiPoly, SymbolicFunction, centred_jet
 from .measure import (DEFAULT_CAP, VERDICT_LEVELS, CosetTree,
                       DensityEstimate, GridFunction, _check_cap, _descend,
-                      _Pieces, _rep, _scaled, _taylor, coset_key,
+                      _Pieces, _rep, _scaled, coset_key,
                       density_levels, descent_forms, enumerate_cosets,
                       first_gaps, gap_val, level_estimate)
 from .padic import (
@@ -610,13 +610,14 @@ def _point_pieces(f: SymbolicFunction, forms, x: PAdicVector) -> tuple:
     """_point_map on the descent route, and pieces(key, Y): the _Pieces of
     S(h) = Q(x + h) - Q_x(x) - grad Q_x(x).h on the cosets of pattern key
     about p^s*Y, Q the local forms there and Q_x x's own.  Q_x is one
-    polynomial per component, and its integer Taylor shift at x (_taylor:
-    G[b] / (D p^(s|b|)) is the coefficient of h^b) gives T and, taken off
-    every pattern's, S: each point is shifted once."""
+    polynomial per component, and its integer Taylor shift at x
+    (forms.taylor: G[b] / (D p^(s|b|)) is the coefficient of h^b) gives T
+    and, taken off every pattern's, S: each form is brought to integers
+    once per ball, and shifted once per point."""
     p, s = x.p, forms.s
     X = _scaled(x, s)
     form = f.local_form(x)
-    own = [_taylor(p, s, num.terms, X) for num, _ in form]
+    own = [forms.taylor(num, X) for num, _ in form]
 
     def less_own(taylors) -> _Pieces:
         rows = []
@@ -637,7 +638,7 @@ def _point_pieces(f: SymbolicFunction, forms, x: PAdicVector) -> tuple:
 
     def pieces(key, Y) -> _Pieces:
         if key not in kept:
-            kept[key] = less_own([_taylor(p, s, q.terms, X)
+            kept[key] = less_own([forms.taylor(q, X)
                                   for q in forms.polys(key, Y)])
         return kept[key]
     return *_point_map(f, x, [(G, D * Fraction(p) ** s) for G, D in own]), \

@@ -10,13 +10,17 @@ numbers, not smallness of a float.
 
 from __future__ import annotations
 
+import itertools
 import marshal
-from dataclasses import dataclass
+import math
+from collections import Counter
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .extension import packing_check_many
-from .funcs import MultiPoly, SymbolicFunction
+from .funcs import MultiPoly, SymbolicFunction, taylor_shift
 from .measure import (DEFAULT_CAP, CosetTree, _check_cap, ball_masks,
                       coset_key, enumerate_cosets, union_density)
 from .padic import (
@@ -27,6 +31,7 @@ from .padic import (
     PadicError,
     PairTable,
     PPow,
+    _vp,
     json_int,
     json_list,
     json_object,
@@ -198,17 +203,23 @@ def family_packing_reports(fam: PartitionFamily, xs) -> list:
 
 @dataclass(frozen=True)
 class JetField:
-    """Per-representative polynomial jets over a closed coset union."""
+    """Per-representative polynomial jets over a closed coset union.
+
+    by_key is the coset-key index {coset_key(rep, resolution): position}
+    of the jets when the caller has made it while collecting them, one jet
+    per key (jet_field_from_function); None has it made here."""
     k: int
     A: tuple              # coset balls
     resolution: int
     jets: tuple           # ((rep: PAdicVector, polys: tuple[MultiPoly]), ...)
+    by_key: InitVar[dict | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, by_key):
         """Refuse anything but one field: jets of one order k >= 0 at
         representatives of one Q_p^m, each in a ball of A and alone in its
         resolution coset, each with the same n >= 1 components.  Built and
-        read fields both pass here, once per jet."""
+        read fields both pass here, once per jet; a field read from JSON
+        has no index, and two of its jets in one coset are refused."""
         if self.k < 0:
             raise PadicError(f"jet order k must be at least 0, got {self.k}")
         if not self.jets:
@@ -221,7 +232,8 @@ class JetField:
                 raise PadicError(f"a ball of the closed set is not in "
                                  f"Q_{p}^{m}, where the jets are")
         # coset-key lookup for jet_at; one jet per coset, as in a grid table
-        by_key = {}
+        keyed = by_key is None
+        by_key = {} if keyed else by_key
         for i, (z, polys) in enumerate(self.jets):
             if z.p != p or z.dim != m:
                 raise PadicError(f"jet representative {z!r} is not in "
@@ -229,7 +241,8 @@ class JetField:
             if len(polys) != n:
                 raise PadicError(f"the jet at {z!r} has {len(polys)} "
                                  f"components, and the first one {n}")
-            if by_key.setdefault(coset_key(z, self.resolution), i) != i:
+            if keyed and \
+                    by_key.setdefault(coset_key(z, self.resolution), i) != i:
                 raise PadicError("duplicate coset in jet field")
         for (z, _), mask in zip(self.jets, ball_masks(self.A, self.reps())):
             if not mask:
@@ -241,6 +254,12 @@ class JetField:
     def tree(self) -> CosetTree:
         """The representatives' CosetTree, built on first use."""
         return CosetTree(self.reps())
+
+    @cached_property
+    def _bounded(self) -> "_Modulus":
+        """What the compatibility moduli of this field have bounded, kept
+        for the field's later moduli."""
+        return _Modulus(self)
 
     @property
     def p(self) -> int:
@@ -353,50 +372,189 @@ def jet_field_from_function(f: SymbolicFunction, A, resolution: int,
         raise PadicError(f"a ball of the closed set is not in Q_{f.p}^{f.m}, "
                          f"where f is defined")
     degree = k + 1 if degree is None else degree
-    jets = {}
+    jets, by_key = [], {}
     for ball in A:
         for z in enumerate_cosets(ball, resolution, cap=cap):
             key = coset_key(z, resolution)
-            if key not in jets:
-                jets[key] = (z, f.jet(z, degree))
-    return JetField(k=k, A=A, resolution=resolution,
-                    jets=tuple(jets.values()))
+            if key not in by_key:
+                by_key[key] = len(jets)
+                jets.append((z, f.jet(z, degree)))
+    return JetField(k=k, A=A, resolution=resolution, jets=tuple(jets),
+                    by_key=by_key)
 
 
 # ---------------------------------------------------------------------------
 # compatibility modulus
 # ---------------------------------------------------------------------------
 
-def _gauss_bound(Q: MultiPoly, p: int) -> PPow:
-    """The order-0 bound: the largest coefficient norm of Q, which bounds
-    |Q| on the unit ball whatever the point."""
-    return PPow.from_val(p, min(
-        (rational_val(c, p) for c in Q.terms.values()), default=None))
-
-
-def _quotient_bound(Phi: MultiPoly, n: int, z: PAdicVector,
-                    zeta: int) -> PPow:
-    """Ultrametric bound at z for the order-n quotient whose phin_poly is
-    Phi, over unit directions and increments of norm <= p^(-zeta).
-
-    Phi's terms are grouped by their (v, t) exponents and each group's
-    x-part is evaluated at z; a group is bounded by the p-norm of that
-    coefficient times p^(-zeta * its t-degree)."""
-    p, m = z.p, z.dim
-    xf = [c.as_fraction() for c in z.coords]
-    coeffs = {}
-    for e, c in Phi.terms.items():
-        for a, k in zip(xf, e):
-            if k:
-                c *= a ** k
-        coeffs[e[m:]] = coeffs.get(e[m:], 0) + c
-    return PPow.from_val(p, min(
-        (rational_val(c, p) + zeta * sum(vt[-n:])
-         for vt, c in coeffs.items() if c), default=None))
-
-
 def _jet_signature(polys) -> tuple:
     return tuple(tuple(sorted(poly.terms.items())) for poly in polys)
+
+
+def _least(p: int, values, best):
+    """min(best, s + v_p(n)) over the (s, n) of `values` with n != 0,
+    `values` ordered by s: best is None for no value yet.  An entry is
+    read only while it can lower best, by one test of divisibility."""
+    for s, n in values:
+        if best is not None and s >= best:
+            break
+        if n and (best is None or n % p ** (best - s)):
+            best = s + _vp(n, p)
+    return best
+
+
+class _JetInts:
+    """The jet classes of a field on integers, for the modulus.
+
+    Each class's coefficients are one integer vector per component over
+    the field's exponents e, over one common denominator Lc.  phin_poly is
+    linear and commutes with translation, so the order-j quotient of Q at
+    y is the sum over d of T_d, the coefficient of h^d in Q(y + h), times
+    phin_poly(x^d, j) at 0; and the (v, t) groups of phin_poly(x^d, j)
+    at 0 are distinct for distinct d.  So the grouped quotient's least
+    bound valuation is the least of v_p(T_d) + c_j(d) over d, c_j(d) that
+    of phin_poly(x^d, j) at 0, made once here.  At y = Y p^low (Y
+    integers), T_d of a class is its vector dotted with d's column of
+    the integer Taylor shift (taylor_shift) of each x^e to Y, over the
+    scale Lc p^(-low * deg), deg the largest degree (point())."""
+
+    __slots__ = ("p", "k", "exps", "vals", "deg", "scale", "ds", "lifts")
+
+    def __init__(self, p: int, k: int, classes, zeta: int):
+        self.p, self.k = p, k
+        m = classes[0][0].m
+        self.exps = sorted({e for polys in classes for q in polys
+                            for e in q.terms})
+        Lc = math.lcm(*[c.denominator for polys in classes for q in polys
+                        for c in q.terms.values()])
+        self.vals = [tuple(tuple(c.numerator * (Lc // c.denominator)
+                                 if (c := q.terms.get(e)) else 0
+                                 for e in self.exps) for q in polys)
+                     for polys in classes]
+        self.deg = max([sum(e) for e in self.exps], default=0)
+        self.scale = _vp(Lc, p)
+        # the Taylor coefficients that some order reads, and per order j
+        # its d grouped by c_j(d), least first: the least v_p(T_d) of a
+        # group is that of their gcd
+        self.ds = sorted({d for e in self.exps for d in itertools.product(
+            *[range(a + 1) for a in e]) if sum(d) >= 1}) if k else []
+        self.lifts = []
+        for j in range(1, k + 1):
+            groups = {}
+            for i, d in enumerate(self.ds):
+                if sum(d) >= j:
+                    phi = phin_poly(MultiPoly(m, {d: 1}), j)
+                    groups.setdefault(min(
+                        rational_val(c, p) + zeta * sum(e[-j:])
+                        for e, c in phi.terms.items() if not any(e[:m])),
+                        []).append(i)
+            self.lifts.append(sorted(groups.items()))
+
+    def point(self, y: PAdicVector) -> tuple:
+        """(columns, shift): the column of each T_d at y, in the order of
+        self.ds, and the valuation of the scale there."""
+        p, deg = self.p, self.deg
+        low = min([0] + [c.val for c in y.coords if c.val is not None])
+        Y = [0 if c.val is None else c.unit * p ** (c.val - low)
+             for c in y.coords]
+        shifted = [taylor_shift({e: p ** (-low * (deg - sum(e)))}, Y)
+                   for e in self.exps]
+        return ([tuple([t.get(d, 0) * p ** (-low * sum(d)) for t in shifted])
+                 for d in self.ds], self.scale - low * deg)
+
+    def quotient_vals(self, a: int, b: int, at) -> list:
+        """[v_0, .., v_k]: v_0 the least valuation of a coefficient of
+        class a's jet minus class b's (the Gauss norm, which bounds the
+        difference on the unit ball whatever the point), and v_j the least
+        valuation of the bounds of the difference of their order-j
+        quotients at the point of `at` (point()), over unit directions and
+        increments of norm <= p^-zeta; None where a difference is zero."""
+        p, gcd = self.p, math.gcd
+        columns, shift = at
+        raw = [None] * (self.k + 1)
+        for A, B in zip(self.vals[a], self.vals[b]):
+            if A == B:
+                continue
+            diff = [x - z for x, z in zip(A, B)]
+            raw[0] = _least(p, [(0, gcd(*diff))], raw[0])
+            T = [sum(map(mul, diff, col)) for col in columns]
+            for j, groups in enumerate(self.lifts, 1):
+                raw[j] = _least(p, ((c, gcd(*[T[i] for i in idx]))
+                                    for c, idx in groups), raw[j])
+        return [None if r is None else r - (self.scale if j == 0 else shift)
+                for j, r in enumerate(raw)]
+
+
+class _Modulus:
+    """What the moduli of one field have bounded: the jet class of each
+    representative, the classes on integers (_JetInts), the least level D
+    whose pairs are bounded, and per exact distance d = val(x - z) of a
+    pair the largest exponent E of its bound p^E.  A modulus at a level
+    below bounds only the pairs at the distances in between, so each
+    pair is bounded once per field."""
+
+    __slots__ = ("cls", "ints", "level", "worst")
+
+    def __init__(self, J: "JetField"):
+        classes = {}
+        named = {id(px): px for _, px in J.jets}    # one signature per tuple
+        for key, px in named.items():               # id -> its class
+            named[key] = classes.setdefault(_jet_signature(px), len(classes))
+        self.cls = [named[id(px)] for _, px in J.jets]
+        self.ints = None
+        if len(classes) > 1:
+            polys = [None] * len(classes)
+            for (_, px), c in zip(J.jets, self.cls):
+                polys[c] = px
+            self.ints = _JetInts(J.p, J.k, polys, INCREMENT_EXP)
+        self.level, self.worst = None, {}
+
+    def cover(self, J: "JetField", D: int) -> None:
+        """Bound every pair of different classes at a distance d with
+        D <= d < self.level.  Two representatives in different children
+        of a level-L coset of the tree (L < hi) are at distance exactly
+        p^-L; those sharing a leaf are subtracted.  A pair's bound is the
+        larger of its bounds at its two ends, and the bound at x against
+        z depends on z only through z's class: each representative is
+        visited once, with the classes of its partners at each distance,
+        and each class is evaluated there once."""
+        top = self.level
+        if top is not None and D >= top:
+            return
+        cls, tree = self.cls, J.tree
+        partners = {}            # representative -> [(d, classes)]
+        for L, _, children in tree.splits:
+            if L < D or top is not None and L >= top:
+                continue
+            sets = [{cls[i] for i in child} for child in children]
+            count = Counter(c for s in sets for c in s)
+            for child, s in zip(children, sets):
+                others = [c for c in count if count[c] > (c in s)]
+                if others:
+                    for i in child:
+                        partners.setdefault(i, []).append((L, others))
+        for leaf in tree.leaves():
+            for n, a in enumerate(leaf):
+                for b in leaf[n + 1:]:
+                    d = (tree.points[a] - tree.points[b]).val
+                    if cls[a] != cls[b] and d is not None and d >= D and \
+                            (top is None or d < top):
+                        partners.setdefault(a, []).append((d, [cls[b]]))
+                        partners.setdefault(b, []).append((d, [cls[a]]))
+        k, worst = J.k, self.worst
+        for i, work in partners.items():
+            at, own, seen = self.ints.point(tree.points[i]), cls[i], {}
+            for d, others in work:
+                for c in others:
+                    if c == own:
+                        continue
+                    if c not in seen:
+                        seen[c] = self.ints.quotient_vals(c, own, at)
+                    for j, v in enumerate(seen[c]):
+                        if v is not None and (
+                                d not in worst or d * (k - j) - v > worst[d]):
+                            worst[d] = d * (k - j) - v
+        self.level = D
 
 
 class PairBudget:
@@ -423,51 +581,23 @@ def jet_compat_modulus(J: JetField, D: int,
     The pairs within p^-D are the pairs in a level-D ball of the
     representatives' CosetTree, and pairs with equal jets contribute
     nothing: only pairs of different jet classes are compared, and a field
-    of identical jets (a globally polynomial source) costs one pass.
-    phin_poly is linear in the polynomial, so a pair's quotient is the
-    difference of its classes' quotients, each built once.  Each pair
-    compared is spent from budget (a fresh DEFAULT_CAP one if None) before
-    it is bounded.
+    of identical jets (a globally polynomial source) costs one pass.  A
+    pair at distance p^-d contributes p^(-v_j + d*(k - j)) per order j,
+    v_j from _JetInts.quotient_vals at either end.  Each pair compared is
+    spent from budget (a fresh DEFAULT_CAP one if None) before any is
+    bounded; the field keeps what its moduli have bounded (_Modulus), so
+    a pair is bounded once, however many levels are asked for.
     """
     budget = PairBudget() if budget is None else budget
-    p = J.p
-    best = PPow.zero(p)
-    classes = {}
-    named = {id(px): px for _, px in J.jets}    # one signature per tuple
-    for key, px in named.items():               # id -> (px, its class)
-        named[key] = px, classes.setdefault(_jet_signature(px), len(classes))
-    cls = [named[id(px)][1] for _, px in J.jets]
-    if len(classes) < 2:
-        return best
-    phis = {}
-
-    def phi(i: int, comp: int, j: int) -> MultiPoly:
-        key = cls[i], comp, j
-        if key not in phis:
-            phis[key] = phin_poly(J.jets[i][1][comp], j)
-        return phis[key]
-
-    for a, (x, px) in enumerate(J.jets):
-        others = [b for b in J.tree.ball(a, D) if b > a and cls[b] != cls[a]]
-        budget.spend(len(others))
-        for b in others:
-            z, pz = J.jets[b]
-            d = (x - z).val
-            if d is None:
-                continue
-            dpow = PPow(p, -d)
-            for comp in range(J.n):
-                Q = px[comp] - pz[comp]
-                if Q.is_zero():
-                    continue
-                # order 0 does not depend on the point
-                best = max(best, _gauss_bound(Q, p) * dpow.pow_frac(-J.k))
-                for j in range(1, J.k + 1):
-                    Phi = phi(a, comp, j) - phi(b, comp, j)
-                    bound = max(_quotient_bound(Phi, j, y, INCREMENT_EXP)
-                                for y in (x, z))
-                    best = max(best, bound * dpow.pow_frac(j - J.k))
-    return best
+    state = J._bounded
+    cls = state.cls
+    if state.ints is None:
+        return PPow.zero(J.p)
+    for a in range(len(cls)):
+        budget.spend(sum(cls[b] != cls[a] for b in J.tree.ball(a, D) if b > a))
+    state.cover(J, D)
+    worst = max([E for d, E in state.worst.items() if d >= D], default=None)
+    return PPow.zero(J.p) if worst is None else PPow(J.p, worst)
 
 
 # ---------------------------------------------------------------------------

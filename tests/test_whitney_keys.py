@@ -21,8 +21,7 @@ import qpcalc.whitney as whitney
 from qpcalc.extension import SampleSet, extend_to_grid, holder_violations
 from qpcalc.funcs import MultiPoly, SymbolicFunction, as_polynomials
 from qpcalc.measure import CosetTree, coset_key, enumerate_cosets
-from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError
-from qpcalc.quotients import phin_poly
+from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PadicError, PPow
 from qpcalc.whitney import (JetField, RadiusFunction, disjoint_ball_family,
                             jet_compat_modulus, jet_field_from_function,
                             whitney_extend)
@@ -430,41 +429,68 @@ def test_gauge_check_matches_pairwise(case, data):
     assert (not found, witness) == ref.lipschitz_gauge_check(h, points)
 
 
-@SETTINGS
-@given(reps_and_query(), st.data())
-def test_modulus_matches_class_pairs(case, data):
-    """Jets drawn from a pool of one to three, so that classes repeat, at
-    representatives with mixed windows; delta from 0 to p^2, powers of p
-    and not."""
-    resolution, points, y = case
-    p, m = y.p, y.dim
-    n = data.draw(st.integers(1, 2))
-    pool = [tuple(data.draw(polys(m, max_terms=3, max_degree=2))
+@st.composite
+def class_fields(draw):
+    """A jet field with jets of degree <= 3 drawn from a pool of one to
+    three, so that classes repeat and the order-2 quotients have x-parts
+    that vary with the point, at representatives with mixed windows."""
+    resolution, points, y = draw(reps_and_query())
+    m = y.dim
+    n = draw(st.integers(1, 2))
+    pool = [tuple(draw(polys(m, max_terms=3, max_degree=3))
                   for _ in range(n))
-            for _ in range(data.draw(st.integers(1, 3)))]
-    J = JetField(k=data.draw(st.integers(0, 2)), A=around(points),
-                 resolution=resolution,
-                 jets=tuple((z, pool[data.draw(st.integers(0, len(pool) - 1))])
-                            for z in points))
-    for delta in (Fraction(3, p ** 2), *(
-            Fraction(p) ** -s for s in range(-2, 6))):
-        assert jet_compat_modulus(J, floor_level(delta, p)) == \
+            for _ in range(draw(st.integers(1, 3)))]
+    return JetField(k=draw(st.integers(0, 2)), A=around(points),
+                    resolution=resolution,
+                    jets=tuple((z, pool[draw(st.integers(0, len(pool) - 1))])
+                               for z in points))
+
+
+def _deltas(p):
+    """delta from 0 to p^2, powers of p and not."""
+    return (Fraction(3, p ** 2), *(Fraction(p) ** -s for s in range(-2, 6)))
+
+
+@SETTINGS
+@given(class_fields())
+def test_modulus_matches_class_pairs(J):
+    for delta in _deltas(J.p):
+        assert jet_compat_modulus(J, floor_level(delta, J.p)) == \
             ref.jet_compat_modulus(J, delta)
+
+
+@SETTINGS
+@given(class_fields(), st.booleans())
+def test_modulus_of_one_field_matches_fresh_fields(J, coarse_first):
+    """The moduli of one field at several levels, coarse or fine first,
+    read the pairs that its earlier moduli bounded: each equals the
+    modulus of a fresh field of the same jets, and spends the same pairs
+    from its budget."""
+    levels = sorted({floor_level(delta, J.p) for delta in _deltas(J.p)},
+                    reverse=not coarse_first)
+    levels += levels[::-1]
+    for D in levels:
+        fresh = JetField(k=J.k, A=J.A, resolution=J.resolution, jets=J.jets)
+        kept, new = whitney.PairBudget(), whitney.PairBudget()
+        assert jet_compat_modulus(J, D, kept) == \
+            jet_compat_modulus(fresh, D, new)
+        assert kept.spent == new.spent
 
 
 @SETTINGS
 @given(st.data())
 def test_quotient_bound_matches_the_subset_sum(data):
-    """The bound read off phin_poly, one substitution for every point,
-    bounds the order-j quotient as the alternating sum over the 2^j
-    increment subsets does: j <= 3, zeta <= 2, points with negative
-    valuations, zero coordinates and short windows.  Order 0 is the Gauss
-    norm, as in jet_compat_modulus."""
+    """The bound read off the integer Taylor coefficients of a jet
+    difference (_JetInts.quotient_vals) bounds the order-j quotient as
+    the alternating sum over the 2^j increment subsets does: j <= 3,
+    zeta <= 2, points with negative valuations, zero coordinates and
+    short windows.  Order 0 is the Gauss norm, as in jet_compat_modulus."""
     p = data.draw(st.sampled_from([2, 3, 5]))
     m = data.draw(st.integers(1, 2))
     Q = data.draw(polys(m, max_terms=4, max_degree=3))
     z = PAdicVector([data.draw(scalars(p)) for _ in range(m)])
     j, zeta = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
-    bound = whitney._quotient_bound(phin_poly(Q, j), j, z, zeta) if j \
-        else whitney._gauss_bound(Q, p)
-    assert bound == ref.quotient_bound(Q, z, j, zeta)
+    other = data.draw(polys(m, max_terms=2, max_degree=3))
+    ints = whitney._JetInts(p, j, [(Q + other,), (other,)], zeta)
+    val = ints.quotient_vals(0, 1, ints.point(z))[j]
+    assert PPow.from_val(p, val) == ref.quotient_bound(Q, z, j, zeta)
