@@ -55,7 +55,7 @@ from .measure import (
     DEFAULT_CAP,
     GridFunction,
     ResourceCapExceeded,
-    _check_cap,
+    _check_power,
     ap_limit,
     decompose_default_ys,
     decompose_series,
@@ -386,7 +386,7 @@ def cmd_density(args) -> int:
     x = _vector(args.at, args.p, args.prec)
     # the cap bounds the p^(m*(res-j)) totals printed; no coset is listed
     js, res = density_levels(_levels(args.levels), args.resolution)
-    _check_cap(x.p ** (x.dim * (res - js[0])), args.cap)
+    _check_power(x.p, x.dim * (res - js[0]), args.cap)
     est = union_density(balls, x, js, resolution=res)
     for j, count, total in est.ratios:
         print(f"j={j}: {Fraction(count, total)} ({count}/{total})")
@@ -441,7 +441,7 @@ def cmd_decompose(args) -> int:
         terms = []          # the empty series meets the tolerance
     else:
         # the dense sequence has one member per net value: count it first
-        _check_cap(p ** (args.tol_exp - val_floor), args.cap)
+        _check_power(p, args.tol_exp - val_floor, args.cap)
         ys = decompose_default_ys(p, val_floor, args.tol_exp - val_floor)
         terms = decompose_series(f, ys, args.tol_exp)
     # re-check f - Σ y·ch(A) once per class of cosets with one value

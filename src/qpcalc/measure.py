@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,6 +250,27 @@ def _check_cap(count: int, cap: int, what: str = "cosets") -> None:
             f"{count} {what} exceed the cap of {cap}; raise the cap or coarsen")
 
 
+def _check_power(p: int, e: int, cap: int, what: str = "cosets",
+                 times: int = 1) -> None:
+    """_check_cap(times * p^e, cap, what), comparing exponents first: as
+    p^e >= 2^e, an e past the cap's bit length is over the cap."""
+    if e > cap.bit_length() or times * p ** e > cap:
+        raise ResourceCapExceeded(f"{_power_text(p, e, times)} {what} exceed "
+                                  f"the cap of {cap}; raise the cap or coarsen")
+
+
+def _power_text(p: int, e: int, times: int = 1) -> str:
+    """times * p^e in digits wherever Python prints an int that long
+    (sys.get_int_max_str_digits, 4300 unless set), and as p^e past that."""
+    if e * math.log10(p) + math.log10(times) <= \
+            (sys.get_int_max_str_digits() or 4300):
+        try:
+            return str(times * p ** e)
+        except ValueError:
+            pass
+    return f"{p}^{e}" if times == 1 else f"{times}*{p}^{e}"
+
+
 def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
     """All canonical representatives of radius-p^(-resolution) cosets of b,
     in deterministic (digit-lexicographic, coordinate-nested) order: the
@@ -257,7 +279,7 @@ def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
     if resolution < b.rad_exp:
         raise PadicError("resolution must be at least the ball's rad_exp")
     p, m, k = b.p, b.dim, b.rad_exp
-    _check_cap(p ** ((resolution - k) * m), cap)
+    _check_power(p, (resolution - k) * m, cap)
 
     # representatives are exact points, so they carry the window of an
     # exact value past the resolution; the coset identity itself lives in
@@ -356,10 +378,10 @@ class GridFunction:
                 index[key] = len(reps)
             reps.append(rep)
             values.append(value)
-        expected = domain.p ** ((resolution - domain.rad_exp) * domain.dim)
-        if len(reps) != expected:
-            raise PadicError(
-                f"grid table has {len(reps)} entries, expected {expected}")
+        e = (resolution - domain.rad_exp) * domain.dim
+        if e > len(reps).bit_length() or len(reps) != domain.p ** e:
+            raise PadicError(f"grid table has {len(reps)} entries, expected "
+                             f"{_power_text(domain.p, e)}")
         self.dims = (domain.dim, n)
         self.reps = reps
         self.values = values
@@ -584,7 +606,7 @@ def density_at(indicator, x: PAdicVector, j_range, resolution: int | None = None
     is checked before anything is allocated.
     """
     js, res = density_levels(j_range, resolution)
-    _check_cap(x.p ** (x.dim * (res - js[0])), cap)
+    _check_power(x.p, x.dim * (res - js[0]), cap)
     b = Ball(x, js[0])
     levels = coset_levels(b, res)
     hits = Counter(L for L, z in zip(levels, enumerate_cosets(b, res, cap=cap))
@@ -722,20 +744,23 @@ def _integer_form(p: int, s: int, terms) -> tuple:
     return {b: int(c * D) for b, c in scaled.items()}, D
 
 
-def _taylor(p: int, s: int, terms, X) -> tuple:
-    """(G, D): the integers with P(p^s*(X + H)) = sum_b G[b] H^b / D, for
-    the polynomial P with Fraction coefficients `terms` and integers X:
-    _integer_form moved to Y = X by taylor_shift."""
-    G, D = _integer_form(p, s, terms)
-    return taylor_shift(G, X), D
+def _less(form, other) -> tuple:
+    """(row, lcm): form minus other, two integer tables (G, D) over one
+    denominator each, brought to their least common denominator."""
+    (G, D), (G0, D0) = form, other
+    lcm = math.lcm(D, D0)
+    row = {b: g * (lcm // D) for b, g in G.items()}
+    for b, g in G0.items():
+        row[b] = row.get(b, 0) - g * (lcm // D0)
+    return row, lcm
 
 
 class _Pieces:
     """The set of z near x = p^s*X where some polynomial P_r has
     v(P_r(z)) < c, decided coset by coset (Schikhof, Ultrametric Calculus,
     1984; Denef, Invent. Math. 1984).  Each P_r is given by its Taylor
-    coefficients at x as integers (_taylor, the one Taylor shift over one
-    denominator): P_r(x + p^s*H) = sum_b G_b H^b / D.
+    coefficients at x as integers (_Forms.taylor, the one Taylor shift
+    over one denominator): P_r(x + p^s*H) = sum_b G_b H^b / D.
 
     On a coset z in a + p^L*Z_p^m, write P_r(a + p^L*u) = sum_a b_a u^a.
     If every v(b_a) >= c, no z of the coset is in for P_r; if v(b_0) < c
@@ -838,9 +863,9 @@ class _Forms:
         self._polys.setdefault(key, polys)
 
     def taylor(self, q, X) -> tuple:
-        """_taylor(p, s, q.terms, X), with q brought to integers once per
-        polynomial object: the kept forms give every point of a pattern,
-        and a source without indicators every point, the same objects."""
+        """(G, D) with q(p^s*(X + H)) = sum_b G[b] H^b / D, X integers: q
+        is brought to integers (_integer_form) once per polynomial object,
+        which every point of a pattern shares, and shifted per point."""
         if id(q) not in self._ints:
             self._ints[id(q)] = q, _integer_form(self.p, self.s, q.terms)
         G, D = self._ints[id(q)][1]
@@ -912,26 +937,25 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
         est = density_at(outside, x, js, resolution=res, cap=cap)
     else:
         p, m, s = x.p, x.dim, forms.s
-        _check_cap(p ** (m * (res - js[0])), cap)
+        _check_power(p, m * (res - js[0]), cap)
         X, zero = _scaled(x, s), (0,) * m
-        target = [c.as_fraction() for c in candidate.coords]
+        target = [({zero: c.numerator}, c.denominator)
+                  for c in (c.as_fraction() for c in candidate.coords)]
         pieces = {}
 
         def decide(Y, L: int, shell):
             key = forms.key(Y, L)
             if key is not None:
                 if key not in pieces:
-                    pieces[key] = _Pieces(p, s, [_taylor(p, s, {
-                        **q.terms, zero: q.coefficient(zero) - c}, X)
+                    pieces[key] = _Pieces(p, s, [
+                        _less(forms.taylor(q, X), c)
                         for q, c in zip(forms.polys(key, Y), target)])
                 rule = pieces[key]
                 inside = rule.at_x(L, F) if shell is None else \
                     rule.off_x([a - b for a, b in zip(Y, X)], L, shell, F)
                 if inside is not None:
                     return p ** (m * (res - L)) if inside else 0
-            if L == res:
-                return int(outside(_rep(p, s, res, Y)))
-            return None
+            return int(outside(_rep(p, s, res, Y))) if L == res else None
 
         hits, _ = _descend(p, m, s, res, X, js[0], decide)
         est = level_estimate(p, m, js, res, hits)

@@ -17,15 +17,15 @@ the (d+1)-st quotient vanishes.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .funcs import MultiPoly, SymbolicFunction, centred_jet
 from .measure import (DEFAULT_CAP, VERDICT_LEVELS, CosetTree,
-                      DensityEstimate, GridFunction, _check_cap, _descend,
-                      _Pieces, _rep, _scaled, coset_key,
+                      DensityEstimate, GridFunction, _check_power, _descend,
+                      _least_val, _less, _Pieces, _rep, _scaled, coset_key,
                       density_levels, descent_forms, enumerate_cosets,
                       first_gaps, gap_val, level_estimate)
 from .padic import (
@@ -42,6 +42,7 @@ from .padic import (
     _quotient,
     _sum,
     _triples,
+    _triples_agree_below,
     frac_str,
     holder_exponent,
 )
@@ -451,54 +452,6 @@ def _jet_map(f: SymbolicFunction, x: PAdicVector) -> tuple:
                               for num, den in f.local_form(x)]), None
 
 
-def _int_form(p: int, c: tuple, e: int):
-    """(c / p^e, its absolute window) for the triple c: the canonical
-    representative as an integer in units of p^e <= p^val(c).  The zero
-    sentinel is the exact 0."""
-    v, u, _ = c
-    return (0 if v is None else u * p ** (v - e)), _abs_window(c)
-
-
-def _vals(cs) -> list:
-    """The valuations of the nonzero numbers among the triples cs."""
-    return [c[0] for c in cs if c[0] is not None]
-
-
-class _BallTable:
-    """The cosets z of one shared ball B(x0, p^-j), x0 its first point, at
-    one integer scale: the (val, unit, prec) triples of each z and of f(z),
-    made once, z's coordinates in units of p^e, and f(z) in units of p^E
-    with the least window of its components.  e, the least of 0, j and
-    x0's valuations, is at most every valuation in the ball.  E is the
-    least valuation among e, the points' f(x), e + those of their gradient
-    entries, and the f(z) they need, so no pair test rescales.
-
-    Every point needs every coset but the one whose representative it
-    equals within their windows, its own resolution coset's.  x0's is the
-    first, so all cosets are needed but that first one when every point
-    equals its representative; then f is not made there."""
-
-    def __init__(self, f, reps, points, maps, j: int):
-        p = self.p = reps[0].p
-        self.triples = [_triples(z) for z in reps]
-        e = self.e = min([0, j] + _vals(_triples(points[0])))
-        self.zs = [[_int_form(p, c, e) for c in z] for z in self.triples]
-        # f is made at the cosets from n0 on
-        n0 = int(all(zi == xi or not (zi - xi) % p ** (min(zw, xw) - e)
-                     for x in points for (zi, zw), (xi, xw) in
-                     zip(self.zs[0], (_int_form(p, c, e)
-                                      for c in _triples(x)))))
-        made = [f.eval_triples(p, z) for z in self.triples[n0:]]
-        gradients = [c for _, t, _, _ in maps for row in t for c in row]
-        values = [c for y in [fx for _, _, fx, _ in maps] + made for c in y]
-        E = self.E = min([e] + [e + v for v in _vals(gradients)]
-                         + _vals(values))
-        self.values = [None] * n0 + made
-        self.forms = [None] * n0 + [([_int_form(p, c, E)[0] for c in y],
-                                     min(map(_abs_window, y)))
-                                    for y in made]
-
-
 def _windowed_vals(p: int, z, fz, x, fx, t) -> tuple:
     """(val(err), val(dz)) for err = f(z) - f(x) - T(dz), dz = z - x, on the
     (val, unit, prec) triples of z, f(z), x, f(x) and of T's rows, in the
@@ -517,93 +470,34 @@ def _windowed_vals(p: int, z, fz, x, fx, t) -> tuple:
             min([v for v, _, _ in dz if v is not None] or [None]))
 
 
-def _bad_levels(table: _BallTable, x: tuple, t: tuple, fx: tuple,
-                tolerance: ScaledBound, res: int) -> Counter:
-    """hits[L]: the cosets z of the table in the bad set of x that leave x
-    at level L = min(res, val(z - x)), for the gradient rows t at x; x,
-    the rows of t and f(x) are given as (val, unit, prec) triples.
+def _leaves(f, p: int, s: int, res: int, reps) -> tuple:
+    """(made, make): make(Z) keeps in made[Z] the triples of p^s*Z, Z a
+    resolution coset's canonical integers, and of f there, with f(z)'s
+    least valuation (inf for 0) and window: at reps first, in order."""
+    made = {}
 
-    The pair test is f(z) - f(x) - T(z - x) against eps*|z - x| in
-    windowed arithmetic.  That expression agrees with the same expression
-    on the canonical representatives modulo p^W, W the least window of
-    its leaves: f(z), f(x) and each product T_ri*dz_i, known below
-    min(v(T_ri) + win dz_i, v(dz_i) + win T_ri), where win dz_i is the
-    shorter window of z_i and x_i.  A zero is exact, its window infinite,
-    so it only widens W.  A coordinate of z - x that vanishes below its
-    window is the zero sentinel, so it is 0 here and left out of val(dz),
-    as in PAdicVector.val.  So where thr = F + val(dz) <= W, F the
-    tolerance level, the pair is good exactly when p^thr divides the
-    integer err, read at the table's one scale p^E (Schikhof, Ultrametric
-    Calculus, 1984).  The other pairs (eps = 0, or thr > W) are decided by
-    the windowed expression itself, walked on (val, unit, prec) triples
-    through padic's window rules (_windowed_vals), on the triples that the
-    table and the point already hold."""
-    p, e, E, F = table.p, table.e, table.E, tolerance.F
-    # err in units of p^E, T in units of p^(E - e), dz in units of p^e
-    T = [[_int_form(p, c, E - e)[0] for c in row] for row in t]
-    FX = [_int_form(p, c, E)[0] for c in fx]
-    # per column i, (min v(T_ri), min win T_ri): infinite for a zero column
-    cols = [(min(_vals(col), default=math.inf), min(map(_abs_window, col)))
-            for col in zip(*t)]
-    W_x = min(map(_abs_window, fx))
-    xs = [(*_int_form(p, c, e), *col) for c, col in zip(x, cols)]
-    rows = list(zip(FX, T))
-    hits = Counter()
-    for n, Z in enumerate(table.zs):
-        ds, vdz, W = [], None, W_x
-        for (zi, zw), (xi, xw, vt, wt) in zip(Z, xs):
-            d = zi - xi
-            if d:
-                w = zw if zw < xw else xw
-                v, q = e, d
-                while v < w and not q % p:
-                    q //= p
-                    v += 1
-                if v < w:
-                    if vdz is None or v < vdz:
-                        vdz = v
-                    W = min(W, vt + w, v + wt)
-                else:
-                    d = 0
-            ds.append(d)
-        if vdz is None:
-            continue
-        ints, W_z = table.forms[n]
-        if F is not None and F + vdz <= min(W, W_z):
-            good, k = True, F + vdz - E
-            if k > 0:
-                mod = p ** k
-                for a, (b, row) in zip(ints, rows):
-                    a -= b
-                    for c, d in zip(row, ds):
-                        a -= c * d
-                    if a % mod:
-                        good = False
-                        break
-        else:
-            good = tolerance.holds(*_windowed_vals(
-                p, table.triples[n], table.values[n], x, fx, t))
-        if not good:
-            hits[min(res, vdz)] += 1
-    return hits
+    def make(Z, zt=None) -> tuple:
+        zt = zt or _triples(_rep(p, s, res, Z))
+        fz = f.eval_triples(p, zt)
+        made[Z] = zt, fz, min([v for v, _, _ in fz if v is not None],
+                              default=math.inf), min(map(_abs_window, fz))
+        return made[Z]
+    for z in reps:
+        make(tuple(_scaled(z, s)), _triples(z))
+    return made, make
 
 
 def _shell_rules(xs, maps, F, res) -> bool:
-    """Whether the descent decides the ball's pairs as _bad_levels would:
-    where F + val(dz) <= W for every pair it replaces, the integer test
-    reads err on the canonical representatives, and with f known past
-    F + res (descent_forms) so is err of the local forms.  T's rows are
-    rounded from exact jets: each nonzero entry must be known to F, and
-    times a difference known to its window w_i (the shorter of z_i's and
-    x_i's) to F + res."""
-    for x, (t, _, _, _) in zip(xs, maps):
-        for i, col in enumerate(zip(*t)):
-            w = min(res + DEFAULT_PREC, x[i].abs_window())
-            for c in col:
-                if c.val is not None and (c.abs_window() < F
-                                          or c.val + w < F + res):
-                    return False
-    return True
+    """Whether the rule decides the ball's pairs as the pair test would:
+    where F + val(dz) <= W the integer test reads err on the canonical
+    representatives, and with f known past F + res (descent_forms) so is
+    err of the local forms.  T's rows are rounded from exact jets: each
+    nonzero entry must be known to F, and times a difference known to its
+    window w_i (the shorter of z_i's and x_i's) to F + res."""
+    return all(c.val is None or c.abs_window() >= F and c.val + min(
+        res + DEFAULT_PREC, x[i].abs_window()) >= F + res
+        for x, (t, _, _, _) in zip(xs, maps)
+        for i, col in enumerate(zip(*t)) for c in col)
 
 
 def _point_pieces(f: SymbolicFunction, forms, x: PAdicVector) -> tuple:
@@ -620,15 +514,9 @@ def _point_pieces(f: SymbolicFunction, forms, x: PAdicVector) -> tuple:
     own = [forms.taylor(num, X) for num, _ in form]
 
     def less_own(taylors) -> _Pieces:
-        rows = []
-        for (G0, D0), (G, D) in zip(own, taylors):
-            lcm = math.lcm(D0, D)
-            row = {b: g * (lcm // D) for b, g in G.items()}
-            for b, g in G0.items():
-                if sum(b) < 2:
-                    row[b] = row.get(b, 0) - g * (lcm // D0)
-            rows.append((row, lcm))
-        return _Pieces(p, s, rows)
+        return _Pieces(p, s, [
+            _less(taylor, ({b: g for b, g in G0.items() if sum(b) < 2}, D0))
+            for (G0, D0), taylor in zip(own, taylors)])
 
     kept = {}
     key = forms.key(X, forms.res)
@@ -650,32 +538,16 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
                    cap: int = DEFAULT_CAP) -> list:
     """ap_derivative at each of `points`, in order.
 
-    Points in one level-j_min coset share the ball B(x, p^-j_min).  Where
-    eps > 0 and descent_forms bounds f on the ball past F + resolution, F
-    the tolerance level, and T's windows allow it (_shell_rules), each
-    point's bad set is counted on the coset tree (_descend): on the shell
-    val(z - x) = L, z is bad exactly where v(S(z - x)) < F + L, with
-    S(h) = f(x+h) - f(x) - T.h, decided coset by coset (_Pieces).  The
-    representatives the rule leaves open at the resolution, and the
-    point's own resolution coset, take the windowed pair test of
-    _bad_levels.  `cap` bounds each ball's coset visits.
-
-    Elsewhere the ball is enumerated once at `resolution` and f is
-    evaluated once per coset of it that some point needs (_BallTable).
-    Each point's bad set is counted over that one table (_bad_levels),
-    every coset z at the levels it has not left the point by,
-    min(resolution, val(z - x)).  Coordinates and values enter as
-    integers at one scale per ball, with their windows: where the window
-    decides the tolerance test, one divisibility test on integers decides
-    it, and the windowed expression, walked on (val, unit, prec) triples
-    by padic's window rules, decides the rest (eps = 0, or a threshold
-    past the window).  Only one ball's table is held at a time, so memory
-    stays per ball; `cap` bounds each ball's cosets and its pair tests,
-    points times cosets.
-
-    A point with a coordinate whose absolute window ends before the
-    resolution is refused: it agrees there with several cosets of its
-    ball."""
+    Points in one level-j_min coset share the ball B(x, p^-j_min), and
+    each point's bad set is counted on its coset tree (_shell_descent).
+    Where eps > 0, descent_forms bounds f on the ball past F + resolution,
+    F the tolerance level, and T's windows allow it (_shell_rules), the
+    rule of _Pieces counts whole cosets and `cap` bounds the coset visits.
+    A ball without the rule counts its pair tests, points times cosets,
+    against `cap`, and makes f at every coset a point needs up front, in
+    enumeration order.  Memory stays per ball.  A point with a coordinate
+    whose absolute window ends before the resolution is refused: it agrees
+    there with several cosets of its ball."""
     eps = Fraction(eps)
     if not points:
         return []
@@ -706,44 +578,96 @@ def ap_derivatives(f: SymbolicFunction, points, j_range, eps,
         if forms is not None and not _shell_rules(xs, maps, F, res):
             forms = None
         if forms is None:
-            # each point of the ball is tested against each of its cosets
-            _check_cap(len(xs) * p ** (m * (res - js[0])), cap, "pair tests")
+            _check_power(p, m * (res - js[0]), cap, "pair tests", len(xs))
             reps = enumerate_cosets(Ball(xs[0], js[0]), res, cap=cap)
             maps += [_jet_map(f, x) for x in xs[len(maps):]]
-            table = _BallTable(f, reps, xs, maps, js[0])
-            found = [_bad_levels(table, _triples(x), tt, fx, tolerance, res)
-                     for x, (_, tt, fx, _) in zip(xs, maps)]
-        else:
-            found, spent = [], 0
-            for x, (_, tt, fx, pieces) in zip(xs, maps):
-                hits, spent = _shell_descent(f, forms, x, tt, fx, pieces,
-                                             tolerance, js[0], res, cap,
-                                             spent)
-                found.append(hits)
-        for i, (t, _, _, _), hits in zip(members, maps, found):
-            out[i] = ApDerivative(linear_map=t, eps=eps,
+            # the first coset is needed unless every point agrees with it
+            reps = reps[all(_triples_agree_below(
+                p, _triples(reps[0]), _triples(x), math.inf) for x in xs):]
+        s = _least_val(xs[0], js[0]) if forms is None else forms.s
+        leaves = _leaves(f, p, s, res, reps if forms is None else ())
+        spent = 0
+        for i, x, mapped in zip(members, xs, maps):
+            hits, spent = _shell_descent(x, mapped, *leaves, s, forms,
+                                         tolerance, js[0], res, cap, spent)
+            out[i] = ApDerivative(linear_map=mapped[0], eps=eps,
                                   estimate=level_estimate(p, m, js, res, hits))
     return out
 
 
-def _shell_descent(f, forms, x, tt, fx, pieces, tolerance, j0, res, cap,
-                   spent):
-    """(hits, visits) of x's bad set on the coset tree of B(x, p^-j0)."""
-    p, m, s, F = x.p, x.dim, forms.s, tolerance.F
-    xt, X = _triples(x), _scaled(x, s)
+def _shell_descent(x, mapped, made, make, s: int, forms, tolerance,
+                   j0: int, res: int, cap: int, spent: int) -> tuple:
+    """(hits, visits) of x's bad set on the coset tree of B(x, p^-j0) at
+    the ball's scale p^s; mapped is (T, T's rows and f(x) as triples,
+    pieces).  With forms, a coset the rule decides counts all or none of
+    its cosets, and a visit past `cap` exits; without, a coset off x's
+    path counts its leaves in one flat loop, uncapped.
 
-    def paired(Y) -> int:
-        """The windowed pair test of _bad_levels on the representative."""
-        zt = _triples(_rep(p, s, res, Y))
-        err, vdz = _windowed_vals(p, zt, f.eval_triples(p, zt), xt, fx, tt)
-        return int(vdz is not None and not tolerance.holds(err, vdz))
+    paired(Z) tests the leaf z = p^s*Z: dz = z - x first, each coordinate
+    0 where it vanishes within the shorter window w_i of z_i and x_i.
+    err = f(z) - f(x) - T.dz is known modulo p^W, W the least window of
+    f(z), f(x) and each T_ri*dz_i.  Where thr = F + val(dz) <= W, z is
+    good exactly when p^thr divides the integer err at p^E, E = min(E_x,
+    v(f(z))), E_x the least of s, s + v(T_ri) and v(f(x)) (Schikhof,
+    Ultrametric Calculus, 1984); eps = 0 and thr > W take _windowed_vals."""
+    p, m, F, mod = x.p, x.dim, tolerance.F, x.p ** (res - s)
+    _, tt, fx, pieces = mapped
+    xt, X = _triples(x), _scaled(x, s)
+    E_x = min([s] + [s + c[0] for row in tt for c in row if c[0] is not None]
+              + [c[0] for c in fx if c[0] is not None])
+    # f(x) in units of p^E_x, T in units of p^(E_x - s)
+    FX = [0 if v is None else u * p ** (v - E_x) for v, u, _ in fx]
+    T = [[0 if v is None else u * p ** (v - E_x + s) for v, u, _ in row]
+         for row in tt]
+    # x's integer and window, T's column's least valuation and window
+    cols = [(a, _abs_window(c),
+             min([v for v, _, _ in col if v is not None], default=math.inf),
+             min(map(_abs_window, col)))
+            for a, c, col in zip(X, xt, zip(*tt))]
+    W_x, zw = min(map(_abs_window, fx)), res + DEFAULT_PREC
+
+    def paired(Z) -> int:
+        ds, vdz, W = [], None, W_x
+        for a, (b, xw, vt, wt) in zip(Z, cols):
+            d = a - b
+            if d:
+                w = xw if not a or xw < zw else zw
+                v, q = s, d
+                while v < w and not q % p:
+                    q //= p
+                    v += 1
+                if v < w:
+                    vdz = v if vdz is None or v < vdz else vdz
+                    W = min(W, vt + w, v + wt)
+                else:
+                    d = 0
+            ds.append(d)
+        if vdz is None:
+            return 0
+        zt, fz, E_z, W_z = made.get(Z) or make(Z)
+        if F is not None and F + vdz <= W and F + vdz <= W_z:
+            E = E_x if E_x < E_z else E_z
+            if (k := F + vdz - E) > 0:
+                modulus, up = p ** k, p ** (E_x - E)
+                for (v, u, _), b, row in zip(fz, FX, T):
+                    for c, d in zip(row, ds):
+                        b += c * d
+                    if ((0 if v is None else u * p ** (v - E)) - b * up) \
+                            % modulus:
+                        return 1
+            return 0
+        return int(not tolerance.holds(*_windowed_vals(p, zt, fz, xt, fx, tt)))
 
     # the point's own coset counts nothing when x is its representative
-    own = all(_sum(p, *a, *b, -1)[0] is None
-              for a, b in zip(_triples(_rep(p, s, res, X)), xt))
+    own = _triples_agree_below(p, _triples(_rep(p, s, res, X)), xt,
+                               math.inf)
 
     def decide(Y, L: int, shell):
-        key = forms.key(Y, L)
+        if forms is None and shell is not None:
+            return sum(map(paired, itertools.product(*[
+                [(a + o) % mod for o in range(0, mod, p ** (L - s))]
+                for a in Y])))
+        key = None if forms is None else forms.key(Y, L)
         if key is not None:
             rule = pieces(key, Y)
             if shell is None:
@@ -754,9 +678,10 @@ def _shell_descent(f, forms, x, tt, fx, pieces, tolerance, j0, res, cap,
                                     F + shell)
                 if inside is not None:
                     return p ** (m * (res - L)) if inside else 0
-        return paired(Y) if L == res else None
+        return paired(tuple([a % mod for a in Y])) if L == res else None
 
-    return _descend(p, m, s, res, X, j0, decide, cap, spent)
+    return _descend(p, m, s, res, X, j0, decide,
+                    None if forms is None else cap, spent)
 
 
 def ap_derivative(f: SymbolicFunction, x: PAdicVector, j_range, eps,

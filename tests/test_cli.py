@@ -211,6 +211,52 @@ def test_aplimit_cap_bounds_the_totals_it_counts(capsys):
     assert run(capsys, *argv, "--cap", "1") == (3, "", refusal.format(1))
 
 
+_HUGE = "99999999999"
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["density", "--p", "5", "--set", "ball(0;0)", "--at", "0",
+      "--levels", "0,1,2", "--resolution", "10000"], "5^10000"),
+    (["density", "--p", "5", "--set", "ball(0;0)", "--at", "0",
+      "--levels", "0,1,2", "--resolution", _HUGE], "5^" + _HUGE),
+    (["density", "--p", "5", "--set", "ball(0;0)", "--at", "0",
+      "--levels", "0,1,2", "--resolution", "5000"], str(5 ** 5000)),
+    (["aplimit", "--p", "5", "--f", "x0", "--x", "0", "--value", "0",
+      "--eps", "1/25", "--levels", "0,1,2", "--resolution", _HUGE],
+     "5^" + _HUGE),
+    (["aplimit", "--p", "5", "--f", "x0", "--x", "0", "--value", "0",
+      "--eps", "0", "--levels", "0,1,2", "--resolution", "10000"],
+     "5^10000"),
+    (["decompose", "--p", "5", "--f", "x0", "--domain", "ball(0;0)",
+      "--resolution", "1", "--tol-exp", _HUGE], "5^" + _HUGE),
+    (["scan", "--kind", "stepanoff", "--p", "5", "--f", "x0*x0",
+      "--domain", "ball(0;0)", "--K", "10000", "--eps", "1/25"],
+     "5^10000")])
+def test_cap_checks_compare_exponents_first(capsys, argv, count):
+    """density, aplimit by descent and by enumeration (density_at),
+    decompose and the Stepanoff grid (enumerate_cosets) refuse a count past
+    the cap without raising p to it: digit for digit where Python prints
+    an int that long, as p^e past that."""
+    assert run(capsys, *argv) == (3, "", (
+        f"resource cap: {count} cosets exceed the cap of 10000000; raise "
+        f"the cap or coarsen\n"))
+
+
+def test_grid_row_count_compares_exponents_first(capsys, tmp_path):
+    """A grid file whose domain has rad_exp -99999999 expects 5^100000000
+    rows at resolution 1: refused without raising 5 to that power."""
+    f = SymbolicFunction.from_sources(P, ["x0"])
+    grid = GridFunction.from_callable(Ball(vec(0), 0), 1, f).to_json()
+    path = tmp_path / "grid.json"
+    for rad_exp, expected in [(-3, "625"), (-99999999, "5^100000000")]:
+        grid["domain"]["rad_exp"] = rad_exp
+        path.write_text(json.dumps(grid))
+        assert run(capsys, "scan", "--kind", "holder", "--in", str(path),
+                   "--r", "1") == (2, "", (
+                       f"error: grid table has 5 entries, expected "
+                       f"{expected}\n"))
+
+
 def test_reports_write_the_parsed_rational(capsys, tmp_path, sites_file):
     """aplimit's eps and cheb's r are written as the rational they parse
     to, so every spelling of one value gives one report."""
@@ -788,8 +834,8 @@ def test_scan_stepanoff_indicator_mix_full_fraction(capsys):
 
 
 def test_scan_stepanoff_cap(capsys, tmp_path):
-    """--cap bounds the grid and, on the table route (eps = 0), every
-    density estimate; a cap no enumeration reaches changes nothing."""
+    """--cap bounds the grid and, without the counting rule (eps = 0),
+    every density estimate; a cap no count reaches changes nothing."""
     argv = ["scan", "--p", "5", "--f", "x0*x0", "--domain", "ball(0;0)",
             "--K", "1", "--eps", "0"]
     code, _, err = run(capsys, *argv, "--cap", "1")
@@ -807,12 +853,12 @@ def test_scan_stepanoff_cap(capsys, tmp_path):
 
 def test_scan_stepanoff_counts_pair_tests_against_the_cap(capsys,
                                                           monkeypatch):
-    """On the table route (eps = 0) each point of a ball is tested against
-    each of the ball's cosets: at K = 2 in Z_5 a level-1 ball holds 5
-    points and 625 cosets, 3125 pair tests.  At eps = 1/25 the Z_5^2 scan
-    at K = 3 takes the descent, whose 25 balls of 625 points would make
-    2.4e8 pair tests each: it counts the cosets it visits, 26 per point,
-    and enumerates only the grid."""
+    """Without the counting rule (eps = 0) each point of a ball is tested
+    against each of the ball's cosets: at K = 2 in Z_5 a level-1 ball
+    holds 5 points and 625 cosets, 3125 pair tests.  At eps = 1/25 the
+    Z_5^2 scan at K = 3 takes the rule, whose 25 balls of 625 points would
+    make 2.4e8 pair tests each: it counts the cosets it visits, 26 per
+    point, and enumerates only the grid."""
     argv = ["scan", "--p", "5", "--f", "x0*x0", "--domain", "ball(0;0)",
             "--K", "2", "--eps", "0"]
     assert run(capsys, *argv, "--cap", "3125")[0] == 0

@@ -19,7 +19,7 @@ from qpcalc.funcs import SymbolicFunction
 from qpcalc.measure import (ap_limit, coset_levels, density_at,
                             enumerate_cosets, union_density)
 from qpcalc.padic import (Ball, PAdicNumber, PAdicVector, PadicError, PPow,
-                          ScaledBound, _make, rational_val)
+                          ScaledBound, _make, rational_val, truncate)
 from qpcalc.quotients import ap_derivative, ap_derivatives, stepanoff_scan
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -205,7 +205,8 @@ def test_union_density_counts_without_enumerating(capsys, monkeypatch):
 
 def test_stepanoff_matches_the_per_point_loop_on_Z5_squared():
     """One level-0 ball holds all 25 grid points: every point's bad set is
-    counted over one table of f, each at its own levels."""
+    counted over the ball's one set of values of f, each at its own
+    levels."""
     f = SymbolicFunction.from_sources(5, ["x0*x1+x1*x1*x1+2*ch(1,2;1)"], m=2)
     domain = Ball(PAdicVector.zero(5, 2), 0)
     grid = enumerate_cosets(domain, 1)
@@ -247,7 +248,7 @@ def test_ap_derivative_matches_the_reference(case, eps):
 @st.composite
 def windowed_points(draw, p, m, res):
     """Points whose nonzero coordinates are known to res, or up to three
-    digits further: a shorter window is refused, since the shared table
+    digits further: a shorter window is refused, since the shared ball
     reads every level up to res."""
     coords = []
     for _ in range(m):
@@ -264,11 +265,13 @@ def windowed_points(draw, p, m, res):
 @st.composite
 def stepanoff_cases(draw):
     """One or two components drawn from a pool of polynomial and indicator
-    terms, with p in numerators and denominators and an optional
-    /(1 + p*q*x_i), so T has one row or two; points that share a coarsest
-    ball and some that do not, and eps in {0, p^-k, p^k, 5/7}.  Windows
-    end at most three digits past the resolution, so where
-    thr = F + val(z - x) passes them the windowed test runs."""
+    terms, with p in numerators and denominators, an optional
+    /(1 + p*q*x_i) and an optional indicator read through comp(...), so T
+    has one row or two; points that share a coarsest ball and some that do
+    not, and eps in {0, p^-k, p^k, 5/7}.  Windows end at most three digits
+    past the resolution, and a point of the first one's ball may be known
+    to the resolution only, so where thr = F + val(z - x) passes them the
+    windowed test runs."""
     p = draw(st.sampled_from([2, 3, 5]))
     m = draw(st.integers(1, 2))
     js, res = draw(level_sets(p, m))
@@ -281,6 +284,10 @@ def stepanoff_cases(draw):
     if draw(st.booleans()):
         centre = ",".join(str(draw(st.integers(0, p))) for _ in range(m))
         terms.append(f"{draw(coef)}*ch({centre};{draw(st.integers(1, 2))})")
+    if draw(st.booleans()):
+        inner = f"{draw(var)}*{draw(var)}+{draw(st.integers(0, p))}"
+        terms.append(f"{draw(coef)}*comp(ch({draw(st.integers(0, p))};"
+                     f"{draw(st.integers(1, 2))});{inner})")
     sources = ["+".join(terms)]
     if draw(st.booleans()):
         sources.append("+".join(draw(st.lists(
@@ -294,6 +301,8 @@ def stepanoff_cases(draw):
         shift = [PAdicNumber.from_int(p, draw(st.integers(0, p ** 2)))
                  * Fraction(p) ** js[0] for _ in range(m)]
         pts.append(pts[0] + PAdicVector(shift))
+        if draw(st.booleans()):
+            pts[-1] = PAdicVector([truncate(c, res) for c in pts[-1].coords])
     k = draw(st.integers(1, 3))
     eps = draw(st.sampled_from([Fraction(0), Fraction(p) ** -k,
                                 Fraction(p) ** k, Fraction(5, 7)]))
@@ -434,6 +443,18 @@ def test_scan_refuses_a_resolution_past_the_grid_windows(capsys, resolution,
     out, err = capsys.readouterr()
     if code:
         assert out == "" and "short of the resolution 14" in err
+
+
+def test_scan_exits_2_where_f_fails_on_a_ball_without_the_rule(capsys):
+    """1/(x0-8) has a non-constant divisor, so no counting rule: the
+    level-1 ball of the grid point 3 holds 8, and f, made up front at the
+    ball's cosets in enumeration order, fails there as enumeration did."""
+    assert main(["scan", "--kind", "stepanoff", "--p", "5", "--f",
+                 "1/(x0-8)", "--domain", "ball(0;0)", "--K", "1",
+                 "--eps", "1/25"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: expression denominator vanishes at an evaluation point "
+        "(nonvanishing assertion failed)\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Valuation sets counted by descent on the coset tree (measure._descend
 deciding cosets with measure._Pieces): ap_limit's outside set and the
 Stepanoff bad sets of ap_derivatives, against the per-level and per-point
-loops of density_reference.py and against the enumeration and pair table
-that the descent replaces where its rules apply.  Hypothesis runs
-derandomized, so the suite stays deterministic."""
+loops of density_reference.py, and against the same counts with the
+rules switched off (descent_forms returning None), where the enumeration
+or the coset-by-coset walk takes over.  Hypothesis runs derandomized, so
+the suite stays deterministic."""
 
 from fractions import Fraction
 

@@ -3,6 +3,7 @@ density are all checked against independent integer-counting oracles written
 directly in this file."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qpcalc.measure import (
     DEFAULT_CAP,
     GridFunction,
     ResourceCapExceeded,
+    _power_text,
     ap_limit,
     decompose_default_ys,
     decompose_series,
@@ -81,6 +83,30 @@ def test_enumerate_cosets_cap():
         enumerate_cosets(zball(5, 2, 0), 3, cap=100)
     with pytest.raises(PadicError):
         enumerate_cosets(zball(5, 1, 2), 1)   # resolution coarser than the ball
+
+
+def test_cap_checks_compare_exponents_first():
+    """enumerate_cosets, density_at and ap_limit refuse 5^(10^11) cosets
+    without raising 5 to that power, and GridFunction does not build the
+    row count it expects; a count prints digit for digit wherever Python
+    prints an int that long, and as p^e past that."""
+    huge = 10 ** 11
+    message = re.escape(f"5^{huge} cosets exceed the cap of {DEFAULT_CAP};")
+    with pytest.raises(ResourceCapExceeded, match=message):
+        enumerate_cosets(zball(5, 1, 0), huge)
+    with pytest.raises(ResourceCapExceeded, match=message):
+        density_at(lambda z: True, ivec(5, 0), (0, 1, 2), resolution=huge)
+    with pytest.raises(ResourceCapExceeded, match=message):
+        ap_limit(lambda z: z, ivec(5, 0), ivec(5, 0), Fraction(0),
+                 (0, 1, 2), resolution=huge)
+    with pytest.raises(PadicError,
+                       match=re.escape(f"5 entries, expected 5^{huge}") + "$"):
+        GridFunction(Ball(ivec(5, 0), 1 - huge), 1,
+                     [(ivec(5, n), ivec(5, n)) for n in range(5)])
+    assert _power_text(10, 4299) == "1" + "0" * 4299
+    assert _power_text(10, 4300) == "10^4300"
+    assert _power_text(5, 3, 2) == "250"
+    assert _power_text(5, huge, 2) == f"2*5^{huge}"
 
 
 def test_set_measure_constant_indicators():

@@ -4,6 +4,7 @@ scans, and approximate derivatives."""
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import identity_source_reference
 from qpcalc import cli, quotients
 from qpcalc.funcs import (ChBall, Const, Coord, MultiPoly, Neg,
                           SymbolicFunction)
-from qpcalc.measure import GridFunction
+from qpcalc.measure import GridFunction, ResourceCapExceeded
 from qpcalc.padic import (
     Ball,
     Order,
@@ -643,6 +644,20 @@ def test_ap_derivative_stable_under_refined_j_range():
     ga = [[e.as_fraction() for e in r] for r in a.linear_map]
     gb = [[e.as_fraction() for e in r] for r in b.linear_map]
     assert ga == gb
+
+
+def test_ap_derivatives_count_pair_tests_against_the_cap_by_exponent():
+    """At eps = 0 the pair tests of a ball, its points times its cosets,
+    are counted against the cap first: two points known to 10^4 digits in
+    one level-1 ball at resolution 10^4 make 2*5^9999 of them, refused
+    without raising 5 to that power; 2*5^9 still prints in digits."""
+    f = fn("x0*x0")
+    xs = [PAdicVector.from_ints(5, [n], prec=10 ** 4) for n in (1, 6)]
+    for res, count in [(10, "3906250"), (10 ** 4, "2*5^9999")]:
+        with pytest.raises(ResourceCapExceeded, match=re.escape(
+                f"{count} pair tests exceed the cap of 1000;")):
+            quotients.ap_derivatives(f, xs, (1, 2, 3), 0, resolution=res,
+                                     cap=1000)
 
 
 def test_stepanoff_scan_linear_and_square():

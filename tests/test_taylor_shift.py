@@ -1,5 +1,5 @@
 """The one Taylor shift (`funcs.taylor_shift`) and what is read from it:
-`MultiPoly.recenter` and the descent's integer form (`measure._taylor`)
+`MultiPoly.recenter` and the descent's integer form (`_Forms.taylor`)
 against the composition reference, the descent's coset bound
 (`measure._shifted_low`) against its per-exponent loop, the gradient of
 the centred jet and of the integer shift against the quotient rule and
@@ -16,7 +16,7 @@ import shift_reference
 import whitney_reference as ref
 from qpcalc.funcs import (MultiPoly, SymbolicFunction, centred_jet, local_jet,
                           taylor_shift)
-from qpcalc.measure import _Forms, _shifted_low, _taylor
+from qpcalc.measure import _Forms, _shifted_low
 from qpcalc.padic import PAdicVector, PrecisionZeroDivision
 from qpcalc.quotients import _jet_map, _point_pieces, taylor_eval
 
@@ -56,7 +56,8 @@ def test_taylor_shift_matches_the_composition_reference(p, m, data):
     assert q.recenter(center) == expected
     s = data.draw(st.integers(-2, 2))
     X = [data.draw(st.integers(-p ** 3, p ** 3)) for _ in range(m)]
-    G, D = _taylor(p, s, q.terms, X)
+    f = SymbolicFunction.from_sources(p, ["x0"], m=m)
+    G, D = _Forms(f, (), s, 0).taylor(q, X)
     assert all(type(g) is int for g in G.values()) and type(D) is int
     at_x = ref.recenter(q, [a * Fraction(p) ** s for a in X])
     assert MultiPoly(m, {b: Fraction(g, D) for b, g in G.items()}) == \
