@@ -26,6 +26,7 @@ import argparse
 import functools
 import io
 import json
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -163,16 +164,16 @@ def _write_json(path: str, obj) -> None:
     Python generators; this one recursive encoder writes the same bytes at
     a fraction of the cost.  It writes out the pending text whenever a list
     closes with _CHUNK_PARTS or more parts pending, and a PairTable in
-    chunks of _CHUNK_ROWS rows, so a report of many rows is never held
-    whole in memory.  Under tracemalloc, writing the 15625-row grid of a
-    Z_5^2 resolution-3 tabulation (2.8 MB) peaked 0.06 MB above the start,
-    as the stdlib encoder does; the 4-term resolution-3 decompose (13 MB)
-    peaked 3.7 MB, the texts of the one column of representatives that its
-    terms share (see _encode_table).  A jet file's PairTable is written
-    the same way, each distinct jet's tables encoded once: the 1250 jets
-    of a Z_5^2 field that share one jet are 980,731 bytes from one jet
-    text."""
-    with open(path, "w") as fh:
+    chunks of _CHUNK_ROWS rows, through a buffer of _BUFFER bytes, so a
+    report of many rows is never held whole in memory.  Under tracemalloc,
+    writing the 15625-row grid of a Z_5^2 resolution-3 extension (2.7 MB)
+    peaked 0.30 MB above the start, the file buffer and a chunk; the
+    4-term resolution-3 decompose (13 MB) peaked 3.4 MB, the row prefixes
+    of the one family column that its terms share (see _encode_table).  A
+    jet file's PairTable is written chunk by chunk too, each distinct
+    jet's tables encoded once: the 1250 jets of a Z_5^2 field that share
+    one jet are 980,731 bytes from one jet text."""
+    with open(path, "w", buffering=_BUFFER) as fh:
         parts = []
         _encode(obj, "\n", parts, fh, {})
         parts.append("\n")
@@ -180,12 +181,16 @@ def _write_json(path: str, obj) -> None:
 
 
 _escape = json.encoder.encode_basestring_ascii
+_second = operator.itemgetter(1)
 # about 6 KB of text per write; a larger chunk is no faster, and at 2048
 # parts writing a grid report peaked 0.17 MB above the stdlib encoder
 _CHUNK_PARTS = 256
 # about 11 KB of Z_5^2 grid table rows per write: at 256 rows a table is
 # written no faster, and a pairscan round peaked 0.13 MB higher in RSS
 _CHUNK_ROWS = 64
+# the file's buffer: a 507 KB decompose report reaches the file in two
+# writes, not 84
+_BUFFER = 1 << 18
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -206,7 +211,7 @@ def _atom(o) -> str:
                     f"is not JSON serializable")
 
 
-def _encode(o, nl: str, parts: list, fh, kept: dict) -> None:
+def _encode(o, nl: str, parts: list, fh, columns: dict) -> None:
     """Append the text of o, nested at the indent that nl ends with."""
     if isinstance(o, str):
         parts.append(_escape(o))
@@ -215,7 +220,7 @@ def _encode(o, nl: str, parts: list, fh, kept: dict) -> None:
             parts.append("[]")
             return
         if type(o) is PairTable:
-            _encode_table(o, nl, parts, fh, kept)
+            _encode_table(o, nl, parts, fh, columns)
             return
         inner = nl + "  "
         sep = "[" + inner
@@ -224,7 +229,7 @@ def _encode(o, nl: str, parts: list, fh, kept: dict) -> None:
                 parts.append(sep + _escape(item))
             else:
                 parts.append(sep)
-                _encode(item, inner, parts, fh, kept)
+                _encode(item, inner, parts, fh, columns)
             sep = "," + inner
         parts.append(nl + "]")
         if len(parts) >= _CHUNK_PARTS:
@@ -240,34 +245,33 @@ def _encode(o, nl: str, parts: list, fh, kept: dict) -> None:
             parts.append(sep + _escape(key if isinstance(key, str)
                                        else _atom(key)) + ": ")
             sep = "," + inner
-            _encode(value, inner, parts, fh, kept)
+            _encode(value, inner, parts, fh, columns)
         parts.append(nl + "}")
     else:
         parts.append(_atom(o))
 
 
 def _encode_table(rows: PairTable, nl: str, parts: list, fh,
-                  kept: dict) -> None:
+                  columns: dict) -> None:
     """Write the non-empty rows, nested at the indent that nl ends with,
-    in chunks of _CHUNK_ROWS rows, each row from the texts of its a and b.
+    in chunks of _CHUNK_ROWS rows.
 
-    kept maps a list indent to the ids of the first a of each table
-    written there, and to texts of lists by id.  A table that begins with
-    the first a of an earlier one shares its a lists with it (the grids of
-    GridFunction.with_values share their reps' rows), so its texts are
-    kept and read by every later table: a decompose report encodes each
-    representative twice, not once per term.  Any other table keeps
-    nothing, so a report of one table holds no more than a chunk's text.
-    The report holds every list kept by id until the call returns.
+    A table with a family column (PairTable.column) joins each row from
+    two texts.  Its prefix, "[" and the text of its a and ",", is read
+    from the column's prefixes, which columns holds by the column's id
+    and the indent: they are made the first time the report writes a
+    table of that column at that indent, so a decompose report encodes
+    each representative once, not once per term, and holds the prefixes
+    until the call returns.  Its suffix, the text of its b and "]", is
+    made once per distinct b object of the table.
 
-    A b that is not a list of strings (a jet's tables, which
-    JetField.to_json shares among the jets of one tuple of polynomials)
-    is encoded once per object id, at the row's indent, for this table."""
+    A table without a column (a jet file's, or a lone grid's) keeps
+    nothing past a chunk but the texts of its b's that are not lists of
+    strings (a jet's tables, which JetField.to_json shares among the jets
+    of one tuple of polynomials), each encoded once per object id, at the
+    row's indent, for this table."""
     inner = nl + "  "
     leaf_nl = inner + "  "
-    firsts, texts = kept.setdefault(leaf_nl, (set(), {}))
-    shared = id(rows[0][0]) in firsts
-    firsts.add(id(rows[0][0]))
     item_nl = leaf_nl + "  "
     opening, comma, closing = "[" + item_nl, "," + item_nl, leaf_nl + "]"
     values = {}
@@ -280,7 +284,7 @@ def _encode_table(rows: PairTable, nl: str, parts: list, fh,
         t = values.get(id(leaf))
         if t is None:
             buf, pending = io.StringIO(), []
-            _encode(leaf, leaf_nl, pending, buf, kept)
+            _encode(leaf, leaf_nl, pending, buf, columns)
             t = values[id(leaf)] = buf.getvalue() + "".join(pending)
         return t
 
@@ -289,20 +293,32 @@ def _encode_table(rows: PairTable, nl: str, parts: list, fh,
     fh.write("".join(parts))
     parts.clear()
     fh.write("[" + inner)
+    column = rows.column
+    if column is not None:
+        prefixes = columns.get((id(column), leaf_nl))
+        if prefixes is None:
+            first, last = head + opening, closing + mid
+            prefixes = columns[id(column), leaf_nl] = [
+                first + comma.join(map(_escape, a)) + last if a
+                else head + "[]" + mid for a in column]
+        suffixes = {}       # id of a b -> its text and the row's "]"
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
-        if shared:
-            lines = []
-            for a, b in chunk:
-                ta = texts.get(id(a))
-                if ta is None:
-                    ta = texts[id(a)] = text(a)
-                tb = texts.get(id(b))
-                if tb is None:
-                    tb = texts[id(b)] = text(b)
-                lines.append(head + ta + mid + tb + tail)
-        else:
+        if column is None:
             lines = [head + text(a) + mid + text(b) + tail for a, b in chunk]
+        else:
+            try:
+                ends = list(map(suffixes.__getitem__,
+                                map(id, map(_second, chunk))))
+            except KeyError:        # a b that the table has not written
+                ends = []
+                for _, b in chunk:
+                    end = suffixes.get(id(b))
+                    if end is None:
+                        end = suffixes[id(b)] = text(b) + tail
+                    ends.append(end)
+            lines = map(operator.add, prefixes[start:start + _CHUNK_ROWS],
+                        ends)
         if start:
             fh.write(sep)
         fh.write(sep.join(lines))
@@ -428,8 +444,9 @@ def cmd_decompose(args) -> int:
     p = f.p
     if f.dims[1] != 1:
         raise PadicError("scalar access on a vector-valued grid function")
-    values = [v[0] for v in f.values]
-    nonzero = [v for v in values if not v.is_zero()]
+    values = f.scalar_values()
+    scalars = dict(zip(map(id, values), values))    # the distinct objects
+    nonzero = [v for v in scalars.values() if not v.is_zero()]
     if not nonzero:
         print("0 terms (function is identically zero)")
         if args.out:
@@ -445,17 +462,22 @@ def cmd_decompose(args) -> int:
         ys = decompose_default_ys(p, val_floor, args.tol_exp - val_floor)
         terms = decompose_series(f, ys, args.tol_exp)
     # re-check f - Σ y·ch(A) once per class of cosets with one value
-    # object of f and one term membership (indicator value objects)
-    classes = {}
-    for row in zip(values, *[a.values for _, a in terms]):
-        classes.setdefault(tuple(map(id, row)), row)
+    # object of f and one term membership (indicator value objects), each
+    # class the ids of its row; the grids hold the objects alive
+    inside = {}             # id of an indicator value -> whether it is 1
+    for _, a in terms:
+        inside.update(zip(map(id, a.values), a.values))
+    for key, v in inside.items():
+        inside[key] = not v[0].is_zero()
+    classes = dict.fromkeys(zip(map(id, values),
+                                *[map(id, a.values) for _, a in terms]))
     worst = None            # least valuation of a residual; None: all zero
-    for fv, *members in classes.values():
+    for fv, *members in classes:
         acc = PAdicNumber.zero(p)
         for (y, _), a in zip(terms, members):
-            if not a[0].is_zero():
+            if inside[a]:
                 acc = acc + y
-        v = (fv - acc).val
+        v = (scalars[fv] - acc).val
         if v is not None and (worst is None or v < worst):
             worst = v
     residual = Fraction(0) if worst is None else Fraction(p) ** -worst

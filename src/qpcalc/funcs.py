@@ -327,7 +327,7 @@ class SymbolicFunction:
     """A tuple of scalar expressions, evaluated exactly on PAdicVectors
     over all of Q_p^m."""
 
-    __slots__ = ("p", "m", "components", "_form")
+    __slots__ = ("p", "m", "components", "_form", "_own")
 
     def __init__(self, p: int, m: int, components):
         components = tuple(components)
@@ -340,6 +340,7 @@ class SymbolicFunction:
         self.m = m
         self.components = components
         self._form = None           # the point-free localize(), () if none
+        self._own = {}              # degree -> whether _form is its own jet
 
     @property
     def n(self) -> int:
@@ -406,9 +407,17 @@ class SymbolicFunction:
         Taylor shift (local_jet).  Where every component is its own jet
         (see _own_jet), the form's numerators are returned as they are,
         with no centre read: the kept form of a source without indicators
-        then gives every point the same MultiPoly objects."""
+        then gives every point the same MultiPoly objects, and whether it
+        is its own jet is decided once per degree."""
         form = self.local_form(x)
-        if all(_own_jet(num, den, degree) for num, den in form):
+        if form is self._form:
+            own = self._own.get(degree)
+            if own is None:
+                own = self._own[degree] = all(
+                    _own_jet(num, den, degree) for num, den in form)
+        else:
+            own = all(_own_jet(num, den, degree) for num, den in form)
+        if own:
             return tuple(num for num, _ in form)
         center = [c.as_fraction() for c in x.coords]
         return tuple(local_jet(num, den, center, degree) for num, den in form)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .padic import (
     json_int,
     json_object,
     json_pairs,
-    literal_texts,
+    literal_rows,
     truncate,
     vdp_dense_sequence,
 )
@@ -294,7 +295,7 @@ def enumerate_cosets(b: Ball, resolution: int, cap: int = DEFAULT_CAP) -> list:
     for base in _scaled(b.center, v):
         columns.append([_make(p, v, (base + off) % mod, window)
                         for off in offsets])
-    return [PAdicVector(coords) for coords in itertools.product(*columns)]
+    return list(map(PAdicVector._of, itertools.product(*columns)))
 
 
 def _least_val(x: PAdicVector, floor: int) -> int:
@@ -332,42 +333,40 @@ class GridFunction:
 
     values[i] is the value on the coset of reps[i]; the coset-key index is
     read only by evaluate(x), for points that are not representatives.
-    Grids derived by with_values share reps, the index and the JSON rows
-    of reps; to_json builds the rows on first use, and evaluate the index
-    of a grid from_callable tabulates."""
+    Grids derived by with_values share reps, the index and the family
+    column, the JSON rows of reps (see to_json); evaluate builds the
+    index of a grid that from_callable tabulates on first use."""
 
     __slots__ = ("domain", "resolution", "dims", "reps", "values", "_index",
                  "_rep_rows")
 
     def __init__(self, domain: Ball, resolution: int, pairs):
+        _check_grid_domain(domain, resolution)
         self._tabulate(domain, resolution, pairs, True)
 
     def _tabulate(self, domain: Ball, resolution: int, pairs,
                   checked: bool) -> None:
-        """The table of (representative, value) pairs.  Checked, each
+        """The table on a domain that _check_grid_domain accepts.
+        Checked, pairs are (representative, value) pairs, each
         representative is known to the resolution and alone in its coset,
-        and the coset-key index is built here; unchecked, the pairs hold
-        the representatives of enumerate_cosets(domain, resolution), which
-        are, and the index is built on the first evaluate."""
-        # a centre known to rad_exp digits makes domain.contains exact for
-        # representatives known to resolution >= rad_exp digits
-        if any(c.abs_window() < domain.rad_exp
-               for c in domain.center.coords):
-            raise PadicError(
-                f"domain centre {domain.center!r} is known to fewer than "
-                f"{domain.rad_exp} digits")
+        and the coset-key index is built here.  Unchecked, pairs is the
+        list of representatives of enumerate_cosets(domain, resolution),
+        which are, and the list of their values, whose dimension is
+        checked once per distinct value object; the index is built on the
+        first evaluate."""
         self.domain = domain
         self.resolution = resolution
-        reps, values, index = [], [], {}
-        n = None
-        for rep, value in pairs:
-            if not isinstance(value, PAdicVector):
-                value = PAdicVector([value])
-            if n is None:
-                n = value.dim
-            elif value.dim != n:
-                raise PadicError("inconsistent value dimension in grid table")
-            if checked:
+        index, n = {}, None
+        if checked:
+            reps, values = [], []
+            for rep, value in pairs:
+                if not isinstance(value, PAdicVector):
+                    value = PAdicVector([value])
+                if n is None:
+                    n = value.dim
+                elif value.dim != n:
+                    raise PadicError(
+                        "inconsistent value dimension in grid table")
                 if any(c.abs_window() < resolution for c in rep.coords):
                     raise PadicError(
                         f"grid representative {rep!r} is known to fewer "
@@ -376,8 +375,23 @@ class GridFunction:
                 if key in index:
                     raise PadicError("duplicate coset in grid table")
                 index[key] = len(reps)
-            reps.append(rep)
-            values.append(value)
+                reps.append(rep)
+                values.append(value)
+        else:
+            reps, values = pairs
+            distinct = dict(zip(map(id, values), values))
+            wrapped = False
+            for key, value in distinct.items():
+                if not isinstance(value, PAdicVector):
+                    value = distinct[key] = PAdicVector([value])
+                    wrapped = True
+                if n is None:
+                    n = value.dim
+                elif value.dim != n:
+                    raise PadicError(
+                        "inconsistent value dimension in grid table")
+            if wrapped:
+                values = list(map(distinct.__getitem__, map(id, values)))
         e = (resolution - domain.rad_exp) * domain.dim
         if e > len(reps).bit_length() or len(reps) != domain.p ** e:
             raise PadicError(f"grid table has {len(reps)} entries, expected "
@@ -386,7 +400,7 @@ class GridFunction:
         self.reps = reps
         self.values = values
         self._index = index
-        self._rep_rows = []
+        self._rep_rows = None
 
     @property
     def p(self) -> int:
@@ -401,22 +415,26 @@ class GridFunction:
         member shares that value object: a class is an indicator
         signature (see _signatures), or one representative."""
         reps = enumerate_cosets(domain, resolution, cap=cap)
-        classes = _signatures(fn, domain, reps) or range(len(reps))
-        values = {}
-
-        def value(rep, key):
-            if key not in values:
-                values[key] = fn(rep)
-            return values[key]
+        _check_grid_domain(domain, resolution)
+        classes = _signatures(fn, domain, reps)
+        if classes is None:
+            values = [fn(r) for r in reps]
+        else:
+            # the first representative of each class, and fn there in the
+            # order of the classes' first members
+            firsts = dict(zip(reversed(classes), reversed(reps)))
+            kept = {key: fn(firsts[key]) for key in dict.fromkeys(classes)}
+            values = list(map(kept.__getitem__, classes))
         g = object.__new__(cls)
-        g._tabulate(domain, resolution,
-                    ((r, value(r, key)) for r, key in zip(reps, classes)),
-                    False)
+        g._tabulate(domain, resolution, (reps, values), False)
         return g
 
     def with_values(self, values) -> "GridFunction":
         """The function on the same grid with values[i] on the coset of
-        reps[i]: the grid and its index are shared, not checked again."""
+        reps[i]: the grid and its index are shared, not checked again.
+        The two grids are then of one family, and share its column."""
+        if self._rep_rows is None:
+            self._rep_rows = []
         g = object.__new__(type(self))
         g.domain, g.resolution, g.reps, g._index, g._rep_rows = \
             self.domain, self.resolution, self.reps, self._index, \
@@ -434,6 +452,11 @@ class GridFunction:
         except KeyError:
             raise PadicError("point is outside the grid domain") from None
 
+    def scalar_values(self) -> list:
+        """values[i][0] for each i: a scalar grid's value on the coset of
+        reps[i]."""
+        return [v.coords[0] for v in self.values]
+
     def scalar(self, x: PAdicVector) -> PAdicNumber:
         v = self.evaluate(x)
         if v.dim != 1:
@@ -441,19 +464,28 @@ class GridFunction:
         return v[0]
 
     def to_json(self):
+        """The grid's JSON, its table a PairTable of [representative,
+        value] rows.  The grids of one family (see with_values) give their
+        tables the family column, the representatives' rows, made on the
+        family's first to_json; a lone grid's table has no column, and its
+        rows are made for this call.  Each distinct value object's JSON is
+        made once per call."""
         rows = self._rep_rows
         if not rows:
             # enumerate_cosets shares coordinate objects among the reps:
-            # format each distinct one once, and share its text
-            literals = literal_texts(self.reps)
-            rows.extend([literals[id(c)] for c in rep.coords]
-                        for rep in self.reps)
-        # each distinct value object's JSON, once per call
-        texts = {id(v): v for v in self.values}
+            # each distinct one is formatted once
+            made = literal_rows(self.reps)
+            if rows is None:
+                rows = made
+            else:
+                rows.extend(made)
+        values = self.values
+        texts = dict(zip(map(id, values), values))
         for key, value in texts.items():
             texts[key] = value.to_json()
-        table = PairTable([row, texts[id(v)]]
-                          for row, v in zip(rows, self.values))
+        table = PairTable(map(list, zip(rows, map(texts.__getitem__,
+                                                  map(id, values)))),
+                          self._rep_rows)
         return {"domain": self.domain.to_json(),
                 "resolution": self.resolution,
                 "dims": list(self.dims),
@@ -473,6 +505,20 @@ class GridFunction:
                                  f"the domain")
         return cls(domain, json_int(obj["resolution"], "grid resolution"),
                    pairs)
+
+
+def _check_grid_domain(domain: Ball, resolution: int) -> None:
+    """Refuse a grid domain whose coset count or membership test is not
+    exact: a resolution below the ball's rad_exp, or a centre known to
+    fewer than rad_exp digits."""
+    if resolution < domain.rad_exp:
+        raise PadicError("resolution must be at least the ball's rad_exp")
+    # a centre known to rad_exp digits makes domain.contains exact for
+    # representatives known to resolution >= rad_exp digits
+    if any(c.abs_window() < domain.rad_exp for c in domain.center.coords):
+        raise PadicError(
+            f"domain centre {domain.center!r} is known to fewer than "
+            f"{domain.rad_exp} digits")
 
 
 def _signatures(fn, domain: Ball, reps) -> list | None:
@@ -499,26 +545,25 @@ def ball_masks(balls, points) -> list:
     so the mask is the AND of one mask per coordinate object; points
     often share those objects (enumerate_cosets, and readers with a
     literal memo) and keep them alive, so each distinct one is tested
-    once, keyed by its id."""
+    once, keyed by its id, and the masks of the coordinates are ANDed
+    column by column."""
     if not points:
         return []
-    p, m = points[0].p, points[0].dim
-    masks = [{} for _ in range(m)]
-    signatures = []
-    for point in points:
-        signature = -1
-        for i, c in enumerate(point.coords):
-            mask = masks[i].get(id(c))
-            if mask is None:
-                mask = 0
-                for b, ball in enumerate(balls):
-                    e = ball.center.coords[i]
-                    if _agrees_below(p, c.val, c.unit, c.prec,
-                                     e.val, e.unit, e.prec, ball.rad_exp):
-                        mask |= 1 << b
-                masks[i][id(c)] = mask
-            signature &= mask
-        signatures.append(signature)
+    p = points[0].p
+    signatures = None
+    for i, column in enumerate(zip(*[x.coords for x in points])):
+        masks = dict(zip(map(id, column), column))
+        for key, c in masks.items():
+            mask = 0
+            for b, ball in enumerate(balls):
+                e = ball.center.coords[i]
+                if _agrees_below(p, c.val, c.unit, c.prec,
+                                 e.val, e.unit, e.prec, ball.rad_exp):
+                    mask |= 1 << b
+            masks[key] = mask
+        column = list(map(masks.__getitem__, map(id, column)))
+        signatures = column if signatures is None else \
+            list(map(operator.and_, signatures, column))
     return signatures
 
 
@@ -970,10 +1015,15 @@ def ap_limit(f, x: PAdicVector, candidate, eps: Fraction, j_range,
 
 def _net_depth(ys, p: int, val_floor: int) -> int:
     """Largest d such that every net value p^val_floor * u, u < p^d, occurs in ys."""
-    have = {y.as_fraction() for y in ys}
-    scale = Fraction(p) ** val_floor
+    # a nonzero rational p^val * unit with p not dividing unit is named
+    # by (val, unit)
+    have = {(y.val, y.unit) for y in ys if not y.is_zero()}
+
+    def name(u):
+        t = _vp(u, p)
+        return val_floor + t, u // p ** t
     d = 0
-    while all(scale * u in have for u in range(p**d, p ** (d + 1))):
+    while all(name(u) in have for u in range(p**d, p ** (d + 1))):
         d += 1
     return d
 
@@ -990,9 +1040,9 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
 
     Returns a list of (y_n, A_n) with A_n an indicator GridFunction.
 
-    Cosets that share a residual object share its truncation and its
-    differences: each is computed once per distinct object, by its id,
-    with the object held beside it so the id stays its own.
+    Cosets that share a value object share its residuals and its terms:
+    each is computed once per class of cosets with one value object, keyed
+    by the object's id, while f holds the object.
     """
     if f.dims[1] != 1:
         raise PadicError("decompose_series needs a scalar-valued GridFunction")
@@ -1009,27 +1059,24 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
             f"net of depth {need} over val_floor {val_floor} "
             f"({p**need} values), got depth {depth}")
 
-    residual = [v[0] for v in f.values]
-    for r in _distinct(residual):
+    scalars = f.scalar_values()
+    classes = list(map(id, scalars))
+    residual = dict(zip(classes, scalars))      # class -> its residual
+    for r in residual.values():
         if not r.is_zero() and r.val < val_floor:
             raise PadicError(
                 f"dense sequence too shallow: a value of norm p^{-r.val} needs "
                 f"val_floor <= {r.val}, got {val_floor}")
 
-    # each coset is consumed by exactly one net value: the truncation of its
+    # each class is consumed by exactly one net value: the truncation of its
     # residual at the net's absolute depth (its ≺-floor), a nonzero value of
-    # the complete net, so a member of ys.  A nonzero rational p^val * unit
-    # with p not dividing unit is named by (val, unit).
+    # the complete net, so a member of ys, named by its (val, unit)
     cut = val_floor + depth
-    named = {}              # id(r) -> (r, the (val, unit) of its floor)
-    for r in _distinct(residual):
-        t = truncate(r, cut)
-        named[id(r)] = (r, None if t.is_zero() else (t.val, t.unit))
     groups = {}
-    for i, r in enumerate(residual):
-        name = named[id(r)][1]
-        if name is not None:
-            groups.setdefault(name, []).append(i)
+    for key, r in residual.items():
+        t = truncate(r, cut)
+        if not t.is_zero():
+            groups.setdefault((t.val, t.unit), []).append(key)
 
     one = PAdicVector([PAdicNumber.from_int(p, 1)])
     zero = PAdicVector([PAdicNumber.zero(p)])
@@ -1040,25 +1087,16 @@ def decompose_series(f: GridFunction, ys, tol_exp: int):
         members = groups.get((y.val, y.unit))
         if not members:
             continue
-        indicator = [zero] * len(residual)
-        less = {}           # id(r) -> (r, r - y)
-        for i in members:
-            r = residual[i]
-            if id(r) not in less:
-                less[id(r)] = (r, r - y)
-            residual[i] = less[id(r)][1]
-            indicator[i] = one
-        terms.append((y, f.with_values(indicator)))
+        inside = dict.fromkeys(residual, zero)
+        for key in members:
+            residual[key] = residual[key] - y
+            inside[key] = one
+        terms.append((y, f.with_values(map(inside.__getitem__, classes))))
 
-    for r in _distinct(residual):
+    for r in residual.values():
         if not r.is_zero() and r.val < tol_exp:
             raise PadicError("internal: decomposition left residual above tolerance")
     return terms
-
-
-def _distinct(objects) -> list:
-    """The distinct objects of a list, by identity, in first-seen order."""
-    return list({id(o): o for o in objects}.values())
 
 
 def decompose_default_ys(p: int, val_floor: int, depth: int) -> list:

@@ -921,19 +921,33 @@ class PairTable(list):
     value (a jet table, as JetField.to_json gives it).  To json.dumps and
     every reader it is a list; the report writer (cli._write_json)
     recognises the type and writes the rows without walking each one, and
-    a b that is not a list of strings once per object."""
-    __slots__ = ()
+    a b that is not a list of strings once per object.
+
+    column is None, or the list that holds the a of every row in row
+    order (rows[i][0] is column[i]): the family column, which the tables
+    of the grids GridFunction.with_values derives from one grid share.
+    The writer encodes a family column once per report and indent."""
+    __slots__ = ("column",)
+
+    def __init__(self, rows=(), column=None):
+        super().__init__(rows)
+        self.column = column
 
 
-def literal_texts(points) -> dict:
-    """id(c) -> c.format_literal() for every coordinate object c of the
-    points: a coordinate object that points share is formatted once.  The
-    ids are those of objects the points keep alive, so the map is for the
-    caller's use while it holds them."""
-    texts = {id(c): c for x in points for c in x.coords}
-    for key, c in texts.items():
-        texts[key] = c.format_literal()
-    return texts
+def literal_rows(points) -> list:
+    """[c.format_literal() for c in x.coords] for each point x, each
+    distinct coordinate object formatted once, so points that share a
+    coordinate object share its text."""
+    texts, rows = {}, []
+    for x in points:
+        row = []
+        for c in x.coords:
+            text = texts.get(id(c))
+            if text is None:
+                text = texts[id(c)] = c.format_literal()
+            row.append(text)
+        rows.append(row)
+    return rows
 
 
 def json_pairs(obj, what: str) -> list:

@@ -36,7 +36,7 @@ from .padic import (
     json_list,
     json_object,
     json_pairs,
-    literal_texts,
+    literal_rows,
     parse_frac,
     rational_val,
 )
@@ -300,15 +300,14 @@ class JetField:
         tuple of polynomials makes one tables object, which the report
         writer encodes once.  The memo is keyed by the ids of polynomials
         this field holds, so it lives for this call only."""
-        literals, tables = literal_texts(self.reps()), {}
-        rows = PairTable()
-        for z, polys in self.jets:
+        tables, rows = {}, PairTable()
+        for (_, polys), literals in zip(self.jets, literal_rows(self.reps())):
             key = tuple(map(id, polys))
             if key not in tables:
                 tables[key] = [sorted([list(e), _fr(c)]
                                       for e, c in q.terms.items())
                                for q in polys]
-            rows.append([[literals[id(c)] for c in z.coords], tables[key]])
+            rows.append([literals, tables[key]])
         return {
             "k": self.k,
             "resolution": self.resolution,

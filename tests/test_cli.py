@@ -13,8 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from qpcalc.cli import _CHUNK_PARTS, _write_json, main
 from qpcalc.extension import SampleSet, WeightedSiteSet
 from qpcalc.funcs import MAX_DEPTH, SymbolicFunction
-from qpcalc.measure import GridFunction
+from qpcalc.measure import (GridFunction, decompose_default_ys,
+                             decompose_series)
 from qpcalc.padic import Ball, PAdicNumber, PAdicVector, PairTable
+from qpcalc.whitney import jet_field_from_function
 
 P = 5
 
@@ -255,6 +257,21 @@ def test_grid_row_count_compares_exponents_first(capsys, tmp_path):
                    "--r", "1") == (2, "", (
                        f"error: grid table has 5 entries, expected "
                        f"{expected}\n"))
+
+
+@pytest.mark.parametrize("verb", [["scan", "--kind", "holder", "--r", "1"],
+                                  ["decompose", "--tol-exp", "2"]])
+def test_a_grid_resolution_below_its_rad_exp_is_refused(capsys, tmp_path,
+                                                        verb):
+    """A grid file whose resolution (1) is below its domain's rad_exp (3)
+    has no coset count: both grid readers refuse it as enumerate_cosets
+    does, not with a fractional row count."""
+    grid = {"domain": {"center": ["0@5"], "rad_exp": 3}, "resolution": 1,
+            "dims": [1, 1], "table": [[["0@5"], ["0@5"]]]}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    assert run(capsys, *verb, "--in", str(path)) == (2, "", (
+        "error: resolution must be at least the ball's rad_exp\n"))
 
 
 def test_reports_write_the_parsed_rational(capsys, tmp_path, sites_file):
@@ -1215,6 +1232,31 @@ _SHARED = ["1,2e0@5", "3e1@5"]
 _REPS = [[f"{i},1e0@5", f"{i % 7}e2@5"] for i in range(3 * _CHUNK_PARTS + 1)]
 
 
+def _grid(source, m, resolution):
+    """A step source tabulated on the Z_5^m grid at the resolution."""
+    f = SymbolicFunction.from_sources(P, [source], m=m)
+    return GridFunction.from_callable(Ball(PAdicVector.zero(P, m), 0),
+                                      resolution, f)
+
+
+def _family(grid, tol_exp):
+    """The decompose report of a grid: its terms' tables are one family,
+    which shares the grid's column."""
+    terms = decompose_series(grid, decompose_default_ys(P, 0, tol_exp),
+                             tol_exp)
+    return {"terms": [{"y": y.to_json(), "set": a.to_json()}
+                      for y, a in terms]}
+
+
+# 625 rows, more than one chunk per table
+_FAMILY = _family(_grid("1+ch(4,2;1)+2*ch(7,1;2)", 2, 2), 2)
+_STEP = _grid("3+ch(1;1)+x0*ch(2;2)", 1, 2)
+_LONE = _grid("2+ch(3;1)", 1, 2).to_json()
+_JETS = jet_field_from_function(
+    SymbolicFunction.from_sources(P, ["x0*x1+2*x0+ch(1,1;2)"], m=2),
+    (Ball(vec(0, 0), 1), Ball(vec(1, 1), 1)), 2, 1).to_json()
+
+
 @given(JSON_VALUES)
 @settings(derandomize=True, max_examples=400, deadline=None)
 @example("caf\u00e9 \x00\x1f\x7f \ud800 \udfff \U0001f600 \"\\/")
@@ -1241,6 +1283,13 @@ _REPS = [[f"{i},1e0@5", f"{i % 7}e2@5"] for i in range(3 * _CHUNK_PARTS + 1)]
 @example(PairTable([row, ["0@5"]] for row in _REPS))
 @example(_terms(_REPS, 4))
 @example({"a": _terms(_REPS[:5], 3), "b": [_terms(_REPS[:5], 2)]})
+@example(_FAMILY)
+@example({"a": _FAMILY, "b": [_FAMILY], "c": [[_family(_STEP, 1)]]})
+@example({"a": _LONE, "b": {"c": _family(_STEP, 2), "d": _STEP.to_json()}})
+@example({"terms": _family(_STEP, 2)["terms"] + [{"set": _LONE}]
+          + _family(_grid("4+ch(0;2)", 1, 2), 1)["terms"]})
+@example(_JETS)
+@example({"jets": [_JETS, _FAMILY], "grid": _LONE})
 def test_report_writer_writes_the_bytes_of_json_dumps(tmp_path_factory, obj):
     """--out reports are json.dumps(obj, sort_keys=True, indent=2) + "\\n"
     byte for byte: escapes of non-ASCII, control characters and lone
@@ -1249,7 +1298,11 @@ def test_report_writer_writes_the_bytes_of_json_dumps(tmp_path_factory, obj):
     Grid tables (PairTable) too: nested at two depths, one list shared by
     tables at two indents, empty tables and lists, escaped strings in
     rows, 3 * _CHUNK_PARTS + 1 rows, and decompose-shaped reports whose
-    tables share their row lists, at one indent and at two."""
+    tables share their row lists, at one indent and at two.  And real
+    GridFunction families (PairTable.column): decompose_series reports at
+    one indent and at two, a family whose first table is not the report's
+    first PairTable, families beside a lone grid at one indent, the
+    family's own grid written with its terms, and a jet field's table."""
     path = tmp_path_factory.getbasetemp() / "writer.json"
     _write_json(str(path), obj)
     assert path.read_bytes() == \
